@@ -214,6 +214,33 @@ def _require(mapping, key, section):
     return mapping[key]
 
 
+_REQUIRED = object()
+
+
+def _finite(value, field):
+    """value as a float if it is a finite real; booleans, strings, null,
+    NaN and infinities are rejected naming the field."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond float range
+            pass
+    if not math.isfinite(number):
+        raise ConfigError(
+            f"config field '{field}' must be a finite number, got {value!r}")
+    return number
+
+
+def _number(mapping, key, section, default=_REQUIRED):
+    """The finite real at mapping[key] as a float.  An optional field
+    (one given a ``default``) that is absent or null takes the default;
+    a required one is a missing field."""
+    if mapping.get(key) is None and default is not _REQUIRED:
+        return default
+    return _finite(_require(mapping, key, section), f"{section}.{key}")
+
+
 def _species(mapping, section):
     if not isinstance(mapping, dict):
         raise ConfigError(f"'{section}' must be an object")
@@ -223,10 +250,10 @@ def _species(mapping, section):
     if has_u == has_kg:
         raise ConfigError(
             f"exactly one of '{section}.mass_u' or '{section}.mass_kg' required")
-    mass = (mapping["mass_u"] * atomic_mass) if has_u else mapping["mass_kg"]
-    omega = _require(mapping, "omega", section)
-    count = _require(mapping, "count", section)
-    return mass, float(omega), float(count)
+    mass = (_number(mapping, "mass_u", section) * atomic_mass if has_u
+            else _number(mapping, "mass_kg", section))
+    return (mass, _number(mapping, "omega", section),
+            _number(mapping, "count", section))
 
 
 def config_from_dict(data):
@@ -269,12 +296,16 @@ def config_from_dict(data):
     if not isinstance(thermal, dict):
         raise ConfigError("'thermal' must be an object")
     _reject_unknown(thermal, _THERMAL_KEYS, "thermal")
-    volume = thermal.get("volume")
-    temperature = thermal.get("temperature")
+    volume = _number(thermal, "volume", "thermal", default=None)
+    temperature = _number(thermal, "temperature", "thermal", default=None)
     t_range = thermal.get("t_range")
     if t_range is not None:
-        if (not isinstance(t_range, (list, tuple)) or len(t_range) != 2
-                or not 0 < t_range[0] < t_range[1]):
+        if not isinstance(t_range, (list, tuple)) or len(t_range) != 2:
+            raise ConfigError(
+                "thermal.t_range must be [T_lo, T_hi] with 0 < T_lo < T_hi")
+        t_range = [_finite(t_range[i], f"thermal.t_range[{i}]")
+                   for i in range(2)]
+        if not 0 < t_range[0] < t_range[1]:
             raise ConfigError(
                 "thermal.t_range must be [T_lo, T_hi] with 0 < T_lo < T_hi")
 
@@ -284,9 +315,10 @@ def config_from_dict(data):
     if has_a:
         # scattering lengths are SI meters in either unit system
         cfg = MixtureConfig.from_scattering_lengths(
-            a_bb=_require(inter, "a_bb", "interaction"),
-            a_bf=_require(inter, "a_bf", "interaction"),
-            a_ff=inter.get("a_ff", 0.0), **common)
+            a_bb=_number(inter, "a_bb", "interaction"),
+            a_bf=_number(inter, "a_bf", "interaction"),
+            a_ff=_number(inter, "a_ff", "interaction", default=0.0),
+            **common)
         if unit_system is UnitSystem.OSCILLATOR:
             a3 = cfg.osc_length ** 3
             cfg = replace(
@@ -296,9 +328,9 @@ def config_from_dict(data):
                              else temperature * cfg.temperature_unit),
                 unit_system=UnitSystem.OSCILLATOR)
     else:
-        g_bb = _require(inter, "g_bb", "interaction")
-        g_bf = _require(inter, "g_bf", "interaction")
-        g_ff = inter.get("g_ff", 0.0)
+        g_bb = _number(inter, "g_bb", "interaction")
+        g_bf = _number(inter, "g_bf", "interaction")
+        g_ff = _number(inter, "g_ff", "interaction", default=0.0)
         if unit_system is UnitSystem.OSCILLATOR:
             cfg = MixtureConfig.from_oscillator(
                 g_bb=g_bb, g_bf=g_bf, g_ff=g_ff, **common)

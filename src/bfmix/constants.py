@@ -1,13 +1,12 @@
 """Physical constants (SI) used throughout the package.
 
-Values come from scipy.constants (CODATA) so they stay consistent with
-the rest of the scientific stack.
+CODATA values as literals, equal to the floats scipy.constants carries
+(a test pins them).  h, k_B are exact in the 2019 SI; hbar is h / 2 pi
+rounded to double precision; the atomic mass unit is CODATA 2022.
 """
 
-import scipy.constants as _sc
-
-hbar = _sc.hbar          # J s
-h = _sc.h                # J s
-k_B = _sc.k              # J / K
-atomic_mass = _sc.atomic_mass  # kg, unified atomic mass unit
-pi = _sc.pi
+h = 6.62607015e-34               # J s
+hbar = 1.0545718176461565e-34    # J s
+k_B = 1.380649e-23               # J / K
+atomic_mass = 1.66053906892e-27  # kg, unified atomic mass unit
+pi = 3.141592653589793

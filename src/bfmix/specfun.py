@@ -24,10 +24,19 @@ Evaluation strategy
                     accurate for the condensation machinery).
 * Fermi, 0.5<z<=1   the analogous expansion in mu = ln z with the Dirichlet
                     eta function: f_nu(e^mu) = sum_k eta(nu-k) mu^k / k!.
-* Fermi, z > 1      adaptive quadrature of the integral representation
+* Fermi, 1<z<e^40   fixed composite Gauss-Legendre rule (20 nodes per panel)
+                    on the integral representation
                     f_nu(z) = (2/Gamma(nu)) int_0^inf t^(2nu-1)
                               sigma(mu - t^2) dt   (x = t^2, sigma = logistic),
-                    split at t = sqrt(mu) where the kernel drops.
+                    panel edges at x = mu-40, mu-36, ..., mu+40 clipped at
+                    0; the tail beyond x = mu + 40 is below 1e-17 of the
+                    total.
+* Fermi, z >= e^40  Sommerfeld series
+                    f_nu(e^mu) = sum_k 2 eta(2k) mu^(nu-2k) / Gamma(nu+1-2k),
+                    at most 13 terms; the neglected part is O(e^-mu).
+
+The zeta values, the eta(2k) values and the Gauss-Legendre nodes are
+frozen literals; tests pin them against scipy and numpy.
 
 g_(1/2) diverges at z = 1.  For z >= 1 - 1e-13 the function returns
 ``math.inf`` as the documented divergence signal; thermodynamic callers
@@ -38,10 +47,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import expit, zeta as _zeta
+import numpy as np
 
+from .brent import brentq
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -98,16 +106,26 @@ class Fugacity:
             raise DomainError(f"Fermi fugacity must be >= 0, got {self.z}")
 
 
-# zeta(nu - k) tables for the Robinson / eta expansions.  scipy's zeta
-# handles negative arguments; nu - k is never 1, so the pole is never hit.
-_K_MAX = 80
-
-
-def _zeta_row(nu):
-    return [float(_zeta(nu - k)) for k in range(_K_MAX + 1)]
-
-
-_ZETA_TABLE = {order: _zeta_row(order.value) for order in PolyOrder}
+# zeta(5/2 - j), j = 0..28: the row of order nu starts at j = 5/2 - nu.
+# The Robinson and eta expansions stop by k = 26 on their domains
+# (alpha, |mu| <= ln 2); nu - k is never 1, so the pole is never hit.
+_K_MAX = 26
+_ZETA_5_2_MINUS_J = (
+    1.3414872572509173, 2.612375348685488, -1.4603545088095866,
+    -0.2078862249773546, -0.025485201889833053, 0.00851692877785033,
+    0.004441011335479434, -0.0030916692472158364, -0.002671458019899229,
+    0.0027467679395368704, 0.0032690395726002216, -0.004416032873004892,
+    -0.00667217229646665, 0.011146122473942834, 0.020396978715942822,
+    -0.040574967481194636, -0.08717525590621737, 0.20117404938422698,
+    0.4962712199120593, -1.3032292507051177, -3.6297592997745847,
+    10.68732706902202, 33.16832578569471, -108.21747505877623,
+    -370.3018783754793, 1326.0458117490175, 4959.598315043067,
+    -19338.9419883747, -78486.148569218,
+)
+_ZETA_TABLE = {
+    order: list(_ZETA_5_2_MINUS_J[int(2.5 - order.value):][:_K_MAX + 1])
+    for order in PolyOrder
+}
 # Dirichlet eta: eta(s) = (1 - 2^(1-s)) zeta(s)
 _ETA_TABLE = {
     order: [(1.0 - 2.0 ** (1.0 - (order.value - k))) * _ZETA_TABLE[order][k]
@@ -197,7 +215,17 @@ def fermi_f_log(nu, ln_z):
         return _power_series(order.value, math.exp(ln_z), -1)
     if ln_z <= 0.0:
         return _eta_expansion(order, ln_z)
-    return _fermi_quadrature(order, ln_z)
+    try:
+        if ln_z >= _SOMMERFELD_MU:
+            total = _sommerfeld(order, ln_z)
+        else:
+            total = _fermi_gauss_legendre(order, ln_z)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericError(
+            f"fermi integral not finite at nu={order.value}, ln z={ln_z}")
+    return total
 
 
 def fermi_f(nu, z):
@@ -210,27 +238,69 @@ def fermi_f(nu, z):
     return fermi_f_log(order, math.log(z))
 
 
-def _fermi_quadrature(order, mu):
-    """(2/Gamma(nu)) int_0^inf t^(2nu-1) sigma(mu - t^2) dt, split at the
-    Fermi edge t = sqrt(mu); the tail beyond t^2 = mu + 40 is below 1e-17
-    of the total."""
+# 20-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
+# weights (numpy.polynomial.legendre.leggauss(20), which is symmetric)
+_GL_POS_NODES = (
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+    0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+    0.993128599185095,
+)
+_GL_POS_WEIGHTS = (
+    0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+    0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+    0.017614007139150893,
+)
+_GL_NODES = np.concatenate([-np.array(_GL_POS_NODES[::-1]),
+                            np.array(_GL_POS_NODES)])
+_GL_WEIGHTS = np.array(_GL_POS_WEIGHTS[::-1] + _GL_POS_WEIGHTS)
+# panel edges in x = t^2, relative to mu; panels of width 4 resolve the
+# logistic's poles at distance pi from the real axis
+_GL_EDGE_OFFSETS = np.arange(-40.0, 41.0, 4.0)
+
+
+def _fermi_gauss_legendre(order, mu):
+    """(2/Gamma(nu)) int_0^inf t^(2nu-1) sigma(mu - t^2) dt for
+    0 < mu < 40, by the fixed composite rule over t = sqrt(x)."""
     nu = order.value
-    p = 2.0 * nu - 1.0
-
-    def integrand(t):
-        return t ** p * expit(mu - t * t)
-
-    edge = math.sqrt(mu)
-    upper = math.sqrt(mu + 40.0)
-    inner, ierr = quad(integrand, 0.0, edge, epsabs=0.0, epsrel=1e-13, limit=200)
-    outer, oerr = quad(integrand, edge, upper, epsabs=0.0, epsrel=1e-13, limit=200)
-    total = inner + outer
-    if not math.isfinite(total):
-        raise NumericError(f"fermi quadrature failed at nu={nu}, ln z={mu}")
-    return 2.0 / math.gamma(nu) * total
+    edges = np.sqrt(np.maximum(mu + _GL_EDGE_OFFSETS, 0.0))
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _GL_NODES
+    values = t ** (2.0 * nu - 1.0) / (1.0 + np.exp(t * t - mu))
+    return 2.0 / math.gamma(nu) * float(half @ (values @ _GL_WEIGHTS))
 
 
-_BRENTQ_RTOL = 4.0 * 2.220446049250313e-16  # tightest rtol brentq accepts
+_SOMMERFELD_MU = 40.0
+# eta(2k), k = 0..12: eta(0) = 1/2, eta(2k) = (1 - 2^(1-2k)) zeta(2k)
+_ETA_EVEN = (
+    0.5, 0.8224670334241132, 0.9470328294972459, 0.9855510912974352,
+    0.996233001852648, 0.9990395075982714, 0.9997576851438582,
+    0.9999391703459798, 0.9999847642149061, 0.9999961878696102,
+    0.9999990466115815, 0.9999997616132308, 0.9999999403988924,
+)
+# 2 eta(2k) / Gamma(nu + 1 - 2k), the Sommerfeld coefficients
+_SOMMERFELD_COEF = {
+    order: [2.0 * eta / math.gamma(order.value + 1.0 - 2.0 * k)
+            for k, eta in enumerate(_ETA_EVEN)]
+    for order in PolyOrder
+}
+
+
+def _sommerfeld(order, mu):
+    """sum_k 2 eta(2k) mu^(nu-2k) / Gamma(nu+1-2k) for mu >= 40; the
+    13th term is at most 1.1e-17 of the sum there, fewer terms suffice
+    above."""
+    inv_mu2 = 1.0 / (mu * mu)
+    power = mu ** order.value  # mu^(nu - 2k), maintained incrementally
+    acc = 0.0
+    for coef in _SOMMERFELD_COEF[order]:
+        term = coef * power
+        acc += term
+        if abs(term) <= 1e-17 * abs(acc):
+            break
+        power *= inv_mu2
+    return acc
 
 
 def bose_fugacity_from_density(rho_lambda3):
@@ -246,7 +316,7 @@ def bose_fugacity_from_density(rho_lambda3):
     if rho_lambda3 >= ZETA_3_2:
         return Fugacity(1.0, Species.BOSE, condensed=True)
     z = brentq(lambda zz: bose_g(PolyOrder.THREE_HALVES, zz) - rho_lambda3,
-               0.0, 1.0, xtol=1e-300, rtol=_BRENTQ_RTOL, maxiter=200)
+               0.0, 1.0, xtol=1e-300, maxiter=200)
     return Fugacity(z, Species.BOSE)
 
 
@@ -266,7 +336,7 @@ def fermi_fugacity_from_density(rho_lambda3):
     f32_at_1 = _ETA_TABLE[PolyOrder.THREE_HALVES][0]
     if x <= f32_at_1:
         z = brentq(lambda zz: fermi_f(PolyOrder.THREE_HALVES, zz) - x,
-                   0.0, 1.0, xtol=1e-300, rtol=_BRENTQ_RTOL, maxiter=200)
+                   0.0, 1.0, xtol=1e-300, maxiter=200)
         return Fugacity(z, Species.FERMI)
 
     def resid(mu):
@@ -280,7 +350,6 @@ def fermi_fugacity_from_density(rho_lambda3):
         lo, hi = hi, 2.0 * hi
     else:
         raise NumericError("fermi fugacity bracket expansion exhausted")
-    mu = brentq(resid, lo, hi, xtol=1e-13 * max(1.0, mu_est),
-                rtol=_BRENTQ_RTOL, maxiter=200)
+    mu = brentq(resid, lo, hi, xtol=1e-13 * max(1.0, mu_est), maxiter=200)
     z = math.exp(mu) if mu < 709.0 else math.inf
     return Fugacity(z, Species.FERMI, ln_z=mu)

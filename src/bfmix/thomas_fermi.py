@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .constants import hbar, pi
 from .errors import DomainError, NumericError
@@ -38,6 +37,31 @@ class TFProfiles:
     e_F: float
     R_b: float
     regime: TFRegime
+
+
+def simpson(y, x):
+    """Composite Simpson integral of samples y on the strictly
+    increasing grid x, computed as scipy.integrate.simpson does: for an
+    even number of samples the last interval takes Cartwright's
+    three-point correction."""
+    h = np.diff(x)
+    n = len(y)
+    stop = n - 3 if n % 2 == 0 else n - 2
+    h0 = h[0:stop:2]
+    h1 = h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if n % 2 == 0:
+        hm2, hm1 = h[-2], h[-1]
+        alpha = (2 * (hm1 * hm1) + 3 * hm2 * hm1) / (6 * (hm1 + hm2))
+        beta = (hm1 * hm1 + 3.0 * hm2 * hm1) / (6 * hm2)
+        eta = hm1 ** 3 / (6 * hm2 * (hm2 + hm1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
 
 
 def _require_repulsive_bosons(cfg):

@@ -40,8 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .brent import brentq
 from .config import MixtureConfig, CompatMode
 from .constants import hbar
 from .errors import DomainError, NumericError
@@ -129,9 +129,6 @@ def boson_energy_derivatives(omega, cfg):
     return E, dE, d2E
 
 
-_BRENTQ_RTOL = 4.0 * 2.220446049250313e-16
-
-
 def _expandable_bracket_root(f, omega_ref):
     """Root of f on the documented bracket policy: start at
     [1e-3, 1e3] * omega_ref, widen by one decade per side up to 10 times,
@@ -144,8 +141,7 @@ def _expandable_bracket_root(f, omega_ref):
         if fhi == 0.0:
             return hi
         if flo * fhi < 0.0:
-            return brentq(f, lo, hi, xtol=1e-15 * omega_ref,
-                          rtol=_BRENTQ_RTOL, maxiter=300)
+            return brentq(f, lo, hi, xtol=1e-15 * omega_ref, maxiter=300)
         lo, hi = lo / 10.0, hi * 10.0
         flo, fhi = f(lo), f(hi)
     raise NumericError(
@@ -195,8 +191,7 @@ def solve_omega_c(cfg):
         # at omega_b for any attractive g_bb
         omega_c = brentq(lambda w: boson_energy_derivatives(w, cfg)[1],
                          cfg.omega_b, omega_infl,
-                         xtol=1e-15 * cfg.omega_b, rtol=_BRENTQ_RTOL,
-                         maxiter=300)
+                         xtol=1e-15 * cfg.omega_b, maxiter=300)
     E, _, d2E = boson_energy_derivatives(omega_c, cfg)
     return BosonVariationalResult(
         omega_c=omega_c, energy=E, second_derivative=d2E,
@@ -347,8 +342,8 @@ def solve_Omega_c(omega_c, cfg):
         idx = np.nonzero(np.diff(np.sign(values)) != 0)[0]
         if idx.size:
             roots = [brentq(slope, grid[i], grid[i + 1],
-                            xtol=1e-15 * cfg.omega_f, rtol=_BRENTQ_RTOL,
-                            maxiter=300) for i in idx]
+                            xtol=1e-15 * cfg.omega_f, maxiter=300)
+                     for i in idx]
             return min(roots,
                        key=lambda w: fermion_energy(w, 0.0, omega_c, cfg))
         lo, hi = lo / 10.0, hi * 10.0
@@ -440,8 +435,7 @@ def alternating_minimization(cfg, max_iter=200, rtol=1e-12):
         if not idx.size:
             raise NumericError("alternating minimization lost its bracket")
         roots = [brentq(slope, grid[i], grid[i + 1],
-                        xtol=1e-15 * cfg.omega_f, rtol=_BRENTQ_RTOL,
-                        maxiter=300) for i in idx]
+                        xtol=1e-15 * cfg.omega_f, maxiter=300) for i in idx]
         Omega_new = min(
             roots, key=lambda w: fermion_energy(w, r_new, omega_c, cfg))
 

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bfmix
 from bfmix import cli
 from bfmix.errors import ConfigError, NumericError
 from bfmix.scan_engine import ScanTable
@@ -261,3 +266,37 @@ def test_output_bytes_stable(tmp_path):
     assert cli.main(["fig3a", "--out", str(out1)]) == 0
     assert cli.main(["fig3a", "--out", str(out2), "--workers", "4"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("thermal", "temperature", float("inf"), "thermal.temperature"),
+    ("boson", "mass_u", "7", "boson.mass_u"),
+    ("interaction", "g_bb", "x", "interaction.g_bb"),
+    ("thermal", "t_range", ["a", 2], "thermal.t_range"),
+    ("fermion", "count", True, "fermion.count"),
+    ("thermal", "volume", float("nan"), "thermal.volume"),
+])
+def test_bad_numeric_field_exit_1_names_field(tmp_path, capsys, section,
+                                              key, value, field):
+    cfg = base_config()
+    cfg["thermal"]["temperature"] = 5.0
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)  # json writes inf/nan as Infinity/NaN
+    assert cli.main(["finite-t", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 0.4 s of cold start; the runtime must not need it
+    src = str(Path(bfmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, bfmix.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -144,3 +144,17 @@ def test_bad_t_range_rejected():
     bad["thermal"]["t_range"] = [5.0, 1.0]
     with pytest.raises(ConfigError, match="t_range"):
         config_from_dict(bad)
+
+
+def test_null_optional_field_is_unset():
+    data = json.loads(json.dumps(BASE_JSON))
+    data["thermal"] = {"volume": None, "temperature": None, "t_range": None}
+    data["interaction"]["g_ff"] = None
+    cfg, extras = config_from_dict(data)
+    assert cfg.volume is None and cfg.temperature is None
+    assert extras["t_range"] is None
+    assert cfg.g_ff == 0.0
+    bad = json.loads(json.dumps(BASE_JSON))
+    bad["interaction"]["g_bb"] = None
+    with pytest.raises(ConfigError, match="interaction.g_bb"):
+        config_from_dict(bad)

@@ -7,6 +7,7 @@ series), then frozen here as literals.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,33 @@ def test_fermi_fugacity_degenerate_regime_uses_log_scale():
     # Sommerfeld leading order: f_(3/2)(e^mu) ~ 4 mu^(3/2) / (3 sqrt(pi))
     mu_somm = (0.75 * math.sqrt(math.pi) * x) ** (2.0 / 3.0)
     assert np.isclose(fug.ln_z, mu_somm, rtol=0.01)
+
+
+# ln z from the classical edge of the z > 1 branch to deep degeneracy,
+# with the seam between the Gauss-Legendre rule and the Sommerfeld series
+ORACLE_LN_Z = [float(mu) for mu in 10.0 ** np.linspace(-4.0, 12.0, 33)] \
+    + [1.0, 39.999999, 40.0, 40.000001, 1e6, 1e9]
+
+
+def test_fermi_f_log_against_mpmath_polylog():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (0.5, 1.5, 2.5):
+            for mu in ORACLE_LN_Z:
+                ref = float(mp.re(-mp.polylog(nu, -mp.exp(mu))))
+                got = fermi_f_log(nu, mu)
+                assert abs(got - ref) <= 1e-14 * ref, (nu, mu, got, ref)
+
+
+def test_fermi_fugacity_round_trip_up_to_ln_z_1e12():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in ORACLE_LN_Z:
+            x = fermi_f_log(1.5, mu)
+            fug = fermi_fugacity_from_density(x)
+            assert abs(fug.ln_z - mu) <= 1e-12 * max(1.0, mu), (mu, fug)
+            assert np.isclose(fermi_f_log(1.5, fug.ln_z), x, rtol=1e-12)
 
 
 def test_fugacity_monotone_in_density():
