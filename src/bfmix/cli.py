@@ -99,8 +99,9 @@ def _build_parser():
                         help="relative tolerance for window-edge "
                              "refinement")
         sp.add_argument("--workers", type=int,
-                        help=f"scan parallelism (overrides "
-                             f"${_WORKERS_ENV})")
+                        help=f"no-op kept for compatibility: validated, "
+                             f"overrides ${_WORKERS_ENV}; scans always run "
+                             f"serially")
         return sp
 
     add("zero-t", "variational widths, stability product, phase label")
@@ -115,7 +116,10 @@ def _build_parser():
 
 
 def resolve_workers(flag_value, env_value):
-    """Worker count from the flag, else the environment, else serial."""
+    """Worker count from the flag, else the environment, else None.
+
+    The count is validated and handed to run_scan, which ignores it.
+    """
     if flag_value is not None:
         if flag_value < 0:
             raise ConfigError(f"--workers must be >= 0, got {flag_value}")

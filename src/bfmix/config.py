@@ -69,11 +69,12 @@ class MixtureConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite real, got {value}")
-        if self.volume is not None and not self.volume > 0:
-            raise ConfigError(f"volume must be positive, got {self.volume}")
-        if self.temperature is not None and not self.temperature > 0:
-            raise ConfigError(
-                f"temperature must be positive, got {self.temperature}")
+        for name in ("volume", "temperature"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0
+                                          and math.isfinite(value)):
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {value}")
 
     # oscillator-unit conversion anchors
     @property
@@ -118,18 +119,12 @@ class MixtureConfig:
                         compat_mode=CompatMode.DERIVED):
         """Couplings in hbar omega_f a^3, volume in a^3, temperature in
         hbar omega_f / k_B; masses in kg, frequencies in rad/s."""
-        if not (m_b > 0 and omega_b > 0 and omega_f > 0):
-            raise ConfigError("masses and frequencies must be strictly "
-                              "positive for oscillator-unit conversion")
-        a = math.sqrt(hbar / (omega_b * m_b))
-        gu = hbar * omega_f * a ** 3
-        return cls(m_b=m_b, m_f=m_f, omega_b=omega_b, omega_f=omega_f,
-                   N_b=N_b, N_f=N_f,
-                   g_bb=g_bb * gu, g_bf=g_bf * gu, g_ff=g_ff * gu,
-                   volume=None if volume is None else volume * a ** 3,
-                   temperature=(None if temperature is None
-                                else temperature * hbar * omega_f / k_B),
-                   unit_system=UnitSystem.OSCILLATOR, compat_mode=compat_mode)
+        raw = cls(m_b=m_b, m_f=m_f, omega_b=omega_b, omega_f=omega_f,
+                  N_b=N_b, N_f=N_f, g_bb=g_bb, g_bf=g_bf, g_ff=g_ff,
+                  volume=volume, temperature=temperature,
+                  unit_system=UnitSystem.OSCILLATOR, compat_mode=compat_mode)
+        return raw._inputs_to_si(
+            ("g_bb", "g_bf", "g_ff", "volume", "temperature"))
 
     @classmethod
     def from_scattering_lengths(cls, m_b, m_f, omega_b, omega_f, N_b, N_f,
@@ -162,16 +157,27 @@ class MixtureConfig:
         attr = _FIELD_PATHS.get(path)
         if attr is None:
             raise ConfigError(f"unknown config field path '{path}'")
-        if self.unit_system is UnitSystem.SI:
-            return float(value_input)
-        scale = 1.0
-        if attr in ("g_bb", "g_bf", "g_ff"):
-            scale = self.coupling_unit
-        elif attr == "volume":
-            scale = self.osc_length ** 3
-        elif attr == "temperature":
-            scale = self.temperature_unit
-        return float(value_input) * scale
+        return float(value_input) * self._input_unit(attr)
+
+    def _input_unit(self, attr):
+        """SI size of one input unit of the attribute attr: the
+        oscillator unit of a coupling, the volume or the temperature in
+        an oscillator-unit config, else 1."""
+        if self.unit_system is UnitSystem.OSCILLATOR:
+            if attr in ("g_bb", "g_bf", "g_ff"):
+                return self.coupling_unit
+            if attr == "volume":
+                return self.osc_length ** 3
+            if attr == "temperature":
+                return self.temperature_unit
+        return 1.0
+
+    def _inputs_to_si(self, attrs):
+        """Copy with the named attributes, which hold values in this
+        config's input units, converted to SI; unset ones stay unset."""
+        return replace(self, **{
+            attr: getattr(self, attr) * self._input_unit(attr)
+            for attr in attrs if getattr(self, attr) is not None})
 
 
 _FIELD_PATHS = {
@@ -320,13 +326,8 @@ def config_from_dict(data):
             a_ff=_number(inter, "a_ff", "interaction", default=0.0),
             **common)
         if unit_system is UnitSystem.OSCILLATOR:
-            a3 = cfg.osc_length ** 3
-            cfg = replace(
-                cfg,
-                volume=None if volume is None else volume * a3,
-                temperature=(None if temperature is None
-                             else temperature * cfg.temperature_unit),
-                unit_system=UnitSystem.OSCILLATOR)
+            cfg = replace(cfg, unit_system=UnitSystem.OSCILLATOR
+                          )._inputs_to_si(("volume", "temperature"))
     else:
         g_bb = _number(inter, "g_bb", "interaction")
         g_bf = _number(inter, "g_bf", "interaction")
@@ -340,9 +341,8 @@ def config_from_dict(data):
 
     t_range_si = None
     if t_range is not None:
-        unit = (cfg.temperature_unit
-                if unit_system is UnitSystem.OSCILLATOR else 1.0)
-        t_range_si = (t_range[0] * unit, t_range[1] * unit)
+        t_range_si = tuple(cfg.field_to_si("thermal.temperature", T)
+                           for T in t_range)
     extras = {"t_range": t_range_si, "scan": data.get("scan")}
     return cfg, extras
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import CompatMode, MixtureConfig
-from .constants import h, k_B, pi
+from .constants import h, hbar, k_B, pi
 from .errors import ConfigError, DomainError
 from .specfun import (
     ZETA_3_2,
@@ -36,13 +36,9 @@ __all__ = [
 _WINDOW_SAMPLES = 400
 _ROOT_RTOL = 1e-8
 
-# The fugacity inversions and the degenerate f_(1/2) evaluations depend
-# only on scalar phase-space inputs, so coupling sweeps at fixed (m, T,
-# rho) hit these caches instead of re-running brentq or quadrature.
-_bose_from_x = lru_cache(maxsize=4096)(bose_fugacity_from_density)
-_fermi_from_x = lru_cache(maxsize=4096)(fermi_fugacity_from_density)
 
-
+# f_(1/2) depends on ln z_f alone, so every point of a coupling sweep at
+# fixed (m, rho, T) reuses one evaluation of the Fermi kernel.
 @lru_cache(maxsize=4096)
 def _f12_of_ln_z(ln_z):
     return fermi_f_log(PolyOrder.ONE_HALF, ln_z)
@@ -63,7 +59,6 @@ def coupling_lengths(cfg):
     the length in units of the boson oscillator length, which is what
     the figure captions quote.
     """
-    hbar = h / (2.0 * pi)
     if cfg.compat_mode is CompatMode.PAPER:
         a = cfg.osc_length
         unit = cfg.coupling_unit
@@ -92,9 +87,9 @@ class ThermalState:
 class StabilityReport:
     """Stability-matrix entries and the determinant criterion.
 
-    The derivative entries are d mu_i / d rho_j in J m^3.  The two cross
-    entries come from independent evaluations (boson row and fermion
-    row) and must agree; Z is the determinant form assembled from the
+    The derivative entries are d mu_i / d rho_j in J m^3.  The matrix is
+    symmetric: both cross fields hold the one off-diagonal entry, the
+    value Z is built from.  Z is the determinant form assembled from the
     beta-scaled, coupling-as-length entries, so it carries m^6.
     """
     dmu_b_drho_b: float
@@ -132,19 +127,21 @@ def thermal_state(cfg, T):
     """Wavelengths, densities, and fugacities at temperature T [K]."""
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got {T}")
-    cfg.require_volume()
-    return _thermal_state_cached(cfg, float(T))
+    V = cfg.require_volume()
+    return _thermal_state(cfg.m_b, cfg.m_f, cfg.N_b / V, cfg.N_f / V,
+                          float(T))
 
 
+# The state depends on masses, densities and T only, so sweeps over
+# couplings, trap frequencies or compat mode reuse one fugacity
+# inversion per temperature.
 @lru_cache(maxsize=4096)
-def _thermal_state_cached(cfg, T):
+def _thermal_state(m_b, m_f, rho_b, rho_f, T):
     beta = 1.0 / (k_B * T)
-    lambda_b = _thermal_wavelength(cfg.m_b, T)
-    lambda_f = _thermal_wavelength(cfg.m_f, T)
-    rho_b = cfg.N_b / cfg.volume
-    rho_f = cfg.N_f / cfg.volume
-    z_b = _bose_from_x(rho_b * lambda_b ** 3)
-    z_f = _fermi_from_x(rho_f * lambda_f ** 3)
+    lambda_b = _thermal_wavelength(m_b, T)
+    lambda_f = _thermal_wavelength(m_f, T)
+    z_b = bose_fugacity_from_density(rho_b * lambda_b ** 3)
+    z_f = fermi_fugacity_from_density(rho_f * lambda_f ** 3)
     return ThermalState(T=T, beta=beta, lambda_b=lambda_b, lambda_f=lambda_f,
                         z_b=z_b, z_f=z_f, rho_b=rho_b, rho_f=rho_f,
                         condensed=z_b.condensed)
@@ -188,16 +185,6 @@ def chemical_potentials(state, cfg):
     return (beta_mu_b / state.beta, beta_mu_f / state.beta)
 
 
-def _cross_entry_boson_row(ell_bf, lb, lf):
-    # d(beta mu_b)/d rho_f, term by term from the boson chemical potential
-    return ell_bf * lb ** 2 + ell_bf * lf ** 2
-
-
-def _cross_entry_fermion_row(ell_bf, lb, lf):
-    # d(beta mu_f)/d rho_b from the fermion chemical potential
-    return ell_bf * (lb ** 2 + lf ** 2)
-
-
 def stability_matrix(state, cfg):
     """Matrix entries and the determinant criterion Z.
 
@@ -219,16 +206,16 @@ def stability_matrix(state, cfg):
     f12 = _f12_of_ln_z(state.z_f.ln_z)
     bb = 4.0 * ell_bb * lb ** 2 + ideal_b
     ff = ell_ff * lf ** 2 + (math.inf if f12 == 0.0 else lf ** 3 / f12)
-    cross_b = _cross_entry_boson_row(ell_bf, lb, lf)
-    cross_f = _cross_entry_fermion_row(ell_bf, lb, lf)
-    Z = bb * ff - ell_bf ** 2 * (lb ** 2 + lf ** 2) ** 2
+    lam2 = lb ** 2 + lf ** 2
+    cross = ell_bf * lam2
+    Z = bb * ff - ell_bf ** 2 * lam2 ** 2
     diagonal_ok = (bb >= 0.0, ff >= 0.0)
     kT = 1.0 / state.beta
     return StabilityReport(
         dmu_b_drho_b=bb * kT,
         dmu_f_drho_f=ff * kT,
-        dmu_b_drho_f=cross_b * kT,
-        dmu_f_drho_b=cross_f * kT,
+        dmu_b_drho_f=cross * kT,
+        dmu_f_drho_b=cross * kT,
         Z=Z,
         diagonal_ok=diagonal_ok,
         stable=all(diagonal_ok) and Z >= 0.0,

@@ -1,19 +1,18 @@
 """Deterministic parameter sweeps and the figure presets.
 
 A scan varies one or two dotted config fields over fixed grids and
-tabulates a named observable at every point.  Points are independent,
-so evaluation may be parallel, but rows are always assembled in grid
-order and carry a per-point status instead of failing the whole sweep.
+tabulates a named observable at every point.  Points are evaluated one
+after another in grid order, and each row carries a per-point status
+instead of failing the whole sweep.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .config import CompatMode, MixtureConfig
+from .config import _FIELD_PATHS, CompatMode, MixtureConfig, _finite
 from .constants import atomic_mass
 from .errors import ConfigError, DomainError, NumericError
 from .finite_temperature import (
@@ -29,14 +28,10 @@ __all__ = ["ScanRange", "ScanSpec", "ScanTable", "run_scan",
            "figure_preset", "scan_spec_from_dict", "OBSERVABLES",
            "PRESET_TAGS"]
 
-_COLUMN_NAMES = {
-    "boson.mass": "m_b", "boson.omega": "omega_b", "boson.count": "N_b",
-    "fermion.mass": "m_f", "fermion.omega": "omega_f",
-    "fermion.count": "N_f",
-    "interaction.g_bb": "g_bb", "interaction.g_bf": "g_bf",
-    "interaction.g_ff": "g_ff",
-    "thermal.volume": "V", "thermal.temperature": "T",
-}
+# CSV column of each sweepable field: its MixtureConfig attribute, with
+# the two thermal fields shortened
+_COLUMN_NAMES = {path: {"volume": "V", "temperature": "T"}.get(attr, attr)
+                 for path, attr in _FIELD_PATHS.items()}
 
 
 @dataclass(frozen=True)
@@ -239,11 +234,11 @@ def _temperature_extras(spec, assignment, value):
 
 
 def run_scan(spec, workers=None):
-    """Evaluate the observable over the full grid.
+    """Evaluate the observable over the full grid, point by point.
 
-    workers <= 1 (or None) runs serially; larger counts evaluate points
-    in a thread pool.  Both schedules produce identical tables: points
-    share no state and rows are assembled by grid index.
+    workers is accepted and ignored, so callers that pass a count keep
+    working and get the same table.  The points are pure Python and
+    hold the interpreter lock, so threads cannot evaluate them faster.
     """
     _validate(spec)
     grids = [rng.grid() for rng in spec.variables]
@@ -252,13 +247,7 @@ def run_scan(spec, workers=None):
     else:
         assignments = [((spec.variables[0], u), (spec.variables[1], v))
                        for u in grids[0] for v in grids[1]]
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda a: _evaluate_point(spec, a),
-                                    assignments))
-    else:
-        results = [_evaluate_point(spec, a) for a in assignments]
+    results = [_evaluate_point(spec, a) for a in assignments]
 
     columns = []
     for rng in spec.variables:
@@ -469,7 +458,8 @@ def scan_spec_from_dict(base, mapping):
         raise ConfigError("scan.variables must be a list of one or two "
                           "entries")
     variables = []
-    for entry in raw_vars:
+    for i, entry in enumerate(raw_vars):
+        where = f"scan.variables[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError("each scan variable must be an object")
         unknown = set(entry) - {"field", "from", "to", "points", "scale",
@@ -477,19 +467,29 @@ def scan_spec_from_dict(base, mapping):
         if unknown:
             raise ConfigError(
                 f"unknown scan variable keys: {sorted(unknown)}")
+        points = entry.get("points")
+        if "points" in entry and (type(points) is not int or points < 2):
+            raise ConfigError(f"config field '{where}.points' must be an "
+                              f"integer >= 2, got {points!r}")
+        values = entry.get("values")
+        if "values" in entry:
+            if not isinstance(values, list):
+                raise ConfigError(
+                    f"config field '{where}.values' must be a list")
+            values = tuple(_finite(v, f"{where}.values[{j}]")
+                           for j, v in enumerate(values))
+        start, stop = (_finite(entry[key], f"{where}.{key}")
+                       if key in entry else None for key in ("from", "to"))
         variables.append(ScanRange(
-            field=entry.get("field"),
-            start=entry.get("from"),
-            stop=entry.get("to"),
-            points=entry.get("points"),
+            field=entry.get("field"), start=start, stop=stop, points=points,
             scale=entry.get("scale", "linear"),
-            values=(tuple(entry["values"]) if "values" in entry
-                    else None)))
+            values=values))
     t_range = mapping.get("t_range")
     if t_range is not None:
         if (not isinstance(t_range, list) or len(t_range) != 2):
             raise ConfigError("scan.t_range must be a two-element list")
-        t_range = (float(t_range[0]), float(t_range[1]))
+        t_range = tuple(_finite(t_range[j], f"scan.t_range[{j}]")
+                        for j in range(2))
     spec = ScanSpec(base=base, variables=tuple(variables),
                     observable=observable, t_range=t_range)
     _validate(spec)

@@ -328,12 +328,14 @@ def energy_hessian(Omega_c, omega_c, cfg):
     return d2_OO, d2_rr, d2_OO * d2_rr
 
 
-def solve_Omega_c(omega_c, cfg):
-    """Root of dE_f/dOmega = 0 at r_f = 0; with several roots, the one
-    of least energy is returned."""
+def _least_energy_Omega(r_f, omega_c, cfg):
+    """Root of dE_f/dOmega = 0 at fixed r_f; with several roots, the one
+    of least energy.  Sign changes are sought on a log grid of 20 points
+    per decade over [1e-3, 1e3] * omega_f, widened by one decade per side
+    up to 10 times."""
 
     def slope(Omega):
-        return fermion_energy_gradients(Omega, 0.0, omega_c, cfg)[0]
+        return fermion_energy_gradients(Omega, r_f, omega_c, cfg)[0]
 
     lo, hi = 1e-3 * cfg.omega_f, 1e3 * cfg.omega_f
     for _ in range(10):
@@ -345,11 +347,17 @@ def solve_Omega_c(omega_c, cfg):
                             xtol=1e-15 * cfg.omega_f, maxiter=300)
                      for i in idx]
             return min(roots,
-                       key=lambda w: fermion_energy(w, 0.0, omega_c, cfg))
+                       key=lambda w: fermion_energy(w, r_f, omega_c, cfg))
         lo, hi = lo / 10.0, hi * 10.0
     raise NumericError(
         "no sign change of dE_f/dOmega in the bracket "
         f"[{lo:.3e}, {hi:.3e}] rad/s after 10 decade expansions")
+
+
+def solve_Omega_c(omega_c, cfg):
+    """Root of dE_f/dOmega = 0 at r_f = 0; with several roots, the one
+    of least energy is returned."""
+    return _least_energy_Omega(0.0, omega_c, cfg)
 
 
 def coupling_threshold(Omega_c, omega_c, cfg):
@@ -425,19 +433,7 @@ def alternating_minimization(cfg, max_iter=200, rtol=1e-12):
         r_new = min(r_candidates,
                     key=lambda r: fermion_energy(Omega, r, omega_c, cfg))
 
-        # best Omega at fixed r_f
-        def slope(w, r=r_new):
-            return fermion_energy_gradients(w, r, omega_c, cfg)[0]
-
-        grid = np.geomspace(1e-3 * cfg.omega_f, 1e3 * cfg.omega_f, 121)
-        values = np.array([slope(w) for w in grid])
-        idx = np.nonzero(np.diff(np.sign(values)) != 0)[0]
-        if not idx.size:
-            raise NumericError("alternating minimization lost its bracket")
-        roots = [brentq(slope, grid[i], grid[i + 1],
-                        xtol=1e-15 * cfg.omega_f, maxiter=300) for i in idx]
-        Omega_new = min(
-            roots, key=lambda w: fermion_energy(w, r_new, omega_c, cfg))
+        Omega_new = _least_energy_Omega(r_new, omega_c, cfg)
 
         converged = (abs(Omega_new - Omega) <= rtol * Omega
                      and abs(r_new - r_f) <= rtol * max(r_f, 1e-300))

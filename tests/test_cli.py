@@ -151,6 +151,33 @@ def test_scan_subcommand(tmp_path, capsys):
     assert len(lines) == 5
 
 
+_G_BB_SWEEP = {"field": "interaction.g_bb", "from": 0.0, "to": 0.1,
+               "points": 4}
+
+
+@pytest.mark.parametrize("variable, t_range, field", [
+    (dict(_G_BB_SWEEP, points=2.5), None, "scan.variables[0].points"),
+    (dict(_G_BB_SWEEP, points="10"), None, "scan.variables[0].points"),
+    (dict(_G_BB_SWEEP, to="1"), None, "scan.variables[0].to"),
+    ({"field": "interaction.g_bb", "values": ["a"]}, None,
+     "scan.variables[0].values"),
+    (_G_BB_SWEEP, ["a", 2], "scan.t_range[0]"),
+    (dict(_G_BB_SWEEP, **{"from": float("nan")}), None,
+     "scan.variables[0].from"),
+])
+def test_bad_scan_value_exit_1_names_field(tmp_path, capsys, variable,
+                                           t_range, field):
+    cfg = base_config()
+    cfg["scan"] = {"observable": "omega_c", "variables": [variable]}
+    if t_range is not None:
+        cfg["scan"]["t_range"] = t_range
+    path = write_config(tmp_path, cfg)  # json writes nan as NaN
+    assert cli.main(["scan", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_scan_requires_section(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     assert cli.main(["scan", "--config", path]) == 1
@@ -289,13 +316,15 @@ def test_bad_numeric_field_exit_1_names_field(tmp_path, capsys, section,
 
 
 def test_import_loads_no_scipy():
-    # scipy costs about 0.4 s of cold start; the runtime must not need it
+    # scipy costs about 0.4 s of cold start and concurrent.futures (with
+    # logging) several ms more; the runtime needs neither
     src = str(Path(bfmix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = ("import sys, bfmix.cli; "
              "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
+             "if m in ('scipy', 'concurrent.futures') "
+             "or m.startswith('scipy.')))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

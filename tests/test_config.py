@@ -63,6 +63,35 @@ def test_volume_and_temperature_units():
         osc_config().require_volume()
 
 
+@pytest.mark.parametrize("attr", ["volume", "temperature"])
+def test_volume_and_temperature_must_be_finite(attr):
+    kw = dict(m_b=7.0 * atomic_mass, m_f=7.0 * atomic_mass, omega_b=166.0,
+              omega_f=166.0, N_b=1000.0, N_f=100.0, g_bb=0.0, g_bf=0.0,
+              volume=1e-15, temperature=1e-7)
+    with pytest.raises(ConfigError, match=attr):
+        MixtureConfig.from_si(**dict(kw, **{attr: math.inf}))
+    with pytest.raises(ConfigError, match=attr):
+        MixtureConfig.from_si(**kw).with_field(f"thermal.{attr}", math.inf)
+
+
+def test_oscillator_conversions_agree():
+    # the factory, a scan's field_to_si and the scattering-length branch
+    # of the JSON loader share one conversion (at T = 2.5 two roundings of
+    # T hbar omega_f / k_B differ by 1 ulp)
+    cfg = osc_config(volume=1000.0, temperature=2.5)
+    for path, value in (("interaction.g_bb", 0.05), ("interaction.g_bf", 0.02),
+                        ("thermal.volume", 1000.0),
+                        ("thermal.temperature", 2.5)):
+        attr = path.split(".")[1]
+        assert getattr(cfg, attr) == cfg.field_to_si(path, value)
+    data = dict(BASE_JSON, interaction={"a_bb": 1e-9, "a_bf": 2e-9},
+                thermal={"volume": 1000.0, "temperature": 2.5})
+    from_a, _ = config_from_dict(data)
+    assert from_a.unit_system is UnitSystem.OSCILLATOR
+    assert from_a.volume == from_a.field_to_si("thermal.volume", 1000.0)
+    assert from_a.temperature == cfg.temperature
+
+
 def test_with_field_and_field_to_si():
     cfg = osc_config()
     si_value = cfg.field_to_si("interaction.g_bb", 0.10)
