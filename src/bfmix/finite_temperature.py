@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import CompatMode, MixtureConfig
 from .constants import h, hbar, k_B, pi
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .specfun import (
     ZETA_3_2,
     Fugacity,
@@ -28,20 +28,14 @@ from .specfun import (
 __all__ = [
     "ThermalState", "StabilityReport", "TemperatureWindow",
     "coupling_lengths", "thermal_state", "helmholtz_free_energy",
-    "chemical_potentials", "stability_matrix", "critical_window",
+    "chemical_potentials", "stability_matrix", "stability_entries",
+    "critical_window",
     "bec_temperature", "fermi_temperature", "low_T_criterion",
     "lda_local_stability",
 ]
 
 _WINDOW_SAMPLES = 400
 _ROOT_RTOL = 1e-8
-
-
-# f_(1/2) depends on ln z_f alone, so every point of a coupling sweep at
-# fixed (m, rho, T) reuses one evaluation of the Fermi kernel.
-@lru_cache(maxsize=4096)
-def _f12_of_ln_z(ln_z):
-    return fermi_f_log(PolyOrder.ONE_HALF, ln_z)
 
 
 def coupling_lengths(cfg):
@@ -59,13 +53,18 @@ def coupling_lengths(cfg):
     the length in units of the boson oscillator length, which is what
     the figure captions quote.
     """
+    return _coupling_lengths(cfg, cfg.g_bb, cfg.g_bf, cfg.g_ff)
+
+
+def _coupling_lengths(cfg, g_bb, g_bf, g_ff):
+    # the couplings [J m^3] are floats or arrays; cfg fixes the mapping
     if cfg.compat_mode is CompatMode.PAPER:
         a = cfg.osc_length
         unit = cfg.coupling_unit
-        return (cfg.g_bb / unit * a, cfg.g_bf / unit * a, cfg.g_ff / unit * a)
-    ell_bb = cfg.m_b * cfg.g_bb / (4.0 * pi * hbar ** 2)
-    ell_ff = cfg.m_f * cfg.g_ff / (4.0 * pi * hbar ** 2)
-    ell_bf = cfg.reduced_mass * cfg.g_bf / (2.0 * pi * hbar ** 2)
+        return (g_bb / unit * a, g_bf / unit * a, g_ff / unit * a)
+    ell_bb = cfg.m_b * g_bb / (4.0 * pi * hbar ** 2)
+    ell_ff = cfg.m_f * g_ff / (4.0 * pi * hbar ** 2)
+    ell_bf = cfg.reduced_mass * g_bf / (2.0 * pi * hbar ** 2)
     return (ell_bb, ell_bf, ell_ff)
 
 
@@ -191,24 +190,16 @@ def stability_matrix(state, cfg):
     The beta-scaled entries are 4 ell_bb lambda_b^2 + lambda_b^3/g_(1/2)
     (second term exactly zero in the condensed phase), ell_ff lambda_f^2
     + lambda_f^3/f_(1/2), and ell_bf (lambda_b^2 + lambda_f^2); Z is
-    their determinant combination.
+    their determinant combination.  Z may be -inf, when the cross term
+    overflows; a Z that is not a number raises NumericError.
     """
-    ell_bb, ell_bf, ell_ff = coupling_lengths(cfg)
-    lb, lf = state.lambda_b, state.lambda_f
-    if state.condensed:
-        ideal_b = 0.0
-    else:
-        g12 = bose_g(PolyOrder.ONE_HALF, state.z_b.z)
-        if g12 == 0.0:
-            ideal_b = math.inf  # empty gas: ideal compressibility diverges
-        else:
-            ideal_b = lb ** 3 / g12 if math.isfinite(g12) else 0.0
-    f12 = _f12_of_ln_z(state.z_f.ln_z)
-    bb = 4.0 * ell_bb * lb ** 2 + ideal_b
-    ff = ell_ff * lf ** 2 + (math.inf if f12 == 0.0 else lf ** 3 / f12)
-    lam2 = lb ** 2 + lf ** 2
-    cross = ell_bf * lam2
-    Z = bb * ff - ell_bf ** 2 * lam2 ** 2
+    bb, ff, cross, Z = stability_entries(state, cfg, cfg.g_bb, cfg.g_bf,
+                                         cfg.g_ff)
+    if math.isnan(Z):
+        raise NumericError(
+            "the stability determinant Z is not a number: its terms "
+            f"overflow (entries bb = {bb:.3g}, ff = {ff:.3g}, "
+            f"cross = {cross:.3g} m^3)")
     diagonal_ok = (bb >= 0.0, ff >= 0.0)
     kT = 1.0 / state.beta
     return StabilityReport(
@@ -220,6 +211,32 @@ def stability_matrix(state, cfg):
         diagonal_ok=diagonal_ok,
         stable=all(diagonal_ok) and Z >= 0.0,
     )
+
+
+def stability_entries(state, cfg, g_bb, g_bf, g_ff):
+    """The beta-scaled entries (bb, ff, cross) and Z of stability_matrix
+    at the couplings g_bb, g_bf, g_ff [J m^3], which may be floats or
+    broadcastable arrays; every other input comes from state and cfg.
+    Array arithmetic follows numpy's error state."""
+    ell_bb, ell_bf, ell_ff = _coupling_lengths(cfg, g_bb, g_bf, g_ff)
+    lb, lf = state.lambda_b, state.lambda_f
+    if state.condensed:
+        ideal_b = 0.0
+    else:
+        g12 = bose_g(PolyOrder.ONE_HALF, state.z_b.z)
+        if g12 == 0.0:
+            ideal_b = math.inf  # empty gas: ideal compressibility diverges
+        else:
+            ideal_b = lb ** 3 / g12 if math.isfinite(g12) else 0.0
+    f12 = fermi_f_log(PolyOrder.ONE_HALF, state.z_f.ln_z)
+    bb = 4.0 * ell_bb * lb ** 2 + ideal_b
+    ff = ell_ff * lf ** 2 + (math.inf if f12 == 0.0 else lf ** 3 / f12)
+    lam2 = lb ** 2 + lf ** 2
+    cross = ell_bf * lam2
+    # squares as products: a float product overflows to inf where **
+    # raises, and numpy rounds products exactly as floats do
+    Z = bb * ff - ell_bf * ell_bf * (lam2 * lam2)
+    return bb, ff, cross, Z
 
 
 def _z_of_T(cfg, T, r=0.0):

@@ -1,9 +1,11 @@
 """Deterministic parameter sweeps and the figure presets.
 
 A scan varies one or two dotted config fields over fixed grids and
-tabulates a named observable at every point.  Points are evaluated one
-after another in grid order, and each row carries a per-point status
-instead of failing the whole sweep.
+tabulates a named observable at every point, and each row carries a
+per-point status instead of failing the whole sweep.  A Z scan whose
+swept fields are all couplings (g_bb, g_bf, g_ff) is one array
+expression over the coupling plane at a single thermal state; every
+other scan evaluates its points one after another in grid order.
 """
 
 import math
@@ -18,6 +20,7 @@ from .errors import ConfigError, DomainError, NumericError
 from .finite_temperature import (
     critical_window,
     fermi_temperature,
+    stability_entries,
     stability_matrix,
     thermal_state,
 )
@@ -32,6 +35,10 @@ __all__ = ["ScanRange", "ScanSpec", "ScanTable", "run_scan",
 # the two thermal fields shortened
 _COLUMN_NAMES = {path: {"volume": "V", "temperature": "T"}.get(attr, attr)
                  for path, attr in _FIELD_PATHS.items()}
+
+# the fields a Z scan may sweep and still be one array expression
+_COUPLING_FIELDS = ("interaction.g_bb", "interaction.g_bf",
+                    "interaction.g_ff")
 
 
 @dataclass(frozen=True)
@@ -48,12 +55,17 @@ class ScanRange:
     def __post_init__(self):
         if self.field not in _COLUMN_NAMES:
             raise ConfigError(f"unknown scan field '{self.field}'")
+        where = f"scan.{self.field}"
         if self.values is not None:
-            vals = tuple(float(v) for v in self.values)
+            vals = tuple(_finite(v, f"{where}.values[{j}]")
+                         for j, v in enumerate(self.values))
             if not vals:
-                raise ConfigError(f"scan.{self.field}: empty values list")
+                raise ConfigError(f"{where}: empty values list")
             object.__setattr__(self, "values", vals)
             return
+        for key, value in (("from", self.start), ("to", self.stop)):
+            if value is not None:
+                _finite(value, f"{where}.{key}")
         if self.points is None or self.points < 2:
             raise ConfigError(
                 f"scan.{self.field}: points must be >= 2, got {self.points}")
@@ -214,27 +226,73 @@ def _point_config(spec, assignment):
                                                               value))
     return cfg
 
+
 def _evaluate_point(spec, assignment):
+    """(config, value, status) at one point; the config is None where it
+    cannot be built."""
+    cfg = None
     try:
         cfg = _point_config(spec, assignment)
-        value = OBSERVABLES[spec.observable](cfg, spec)
-        return value, "OK"
+        return cfg, OBSERVABLES[spec.observable](cfg, spec), "OK"
     except (ConfigError, DomainError, NumericError) as exc:
-        return math.nan, f"ERROR:{type(exc).__name__}"
+        return cfg, math.nan, f"ERROR:{type(exc).__name__}"
 
 
-def _temperature_extras(spec, assignment, value):
-    """T in kelvin and T/T_F for a swept temperature axis."""
+def _coupling_plane(spec, grids):
+    """(None, value, status) at every point of a Z scan over couplings,
+    in grid order, from one thermal state and one array expression.
+
+    The rows match the per-point path: a coupling that is not finite in
+    SI fails its point with ConfigError, a thermal-state failure fails
+    every other point, and a Z that is not a number is a NumericError.
+    """
+    base = spec.base
+    couplings = {attr: getattr(base, attr) for attr in ("g_bb", "g_bf",
+                                                        "g_ff")}
+    shape = tuple(len(grid) for grid in grids)
+    status = np.full(shape, "OK", dtype=object)
+    with np.errstate(all="ignore"):
+        for axis, (rng, grid) in enumerate(zip(spec.variables, grids)):
+            attr = _FIELD_PATHS[rng.field]
+            axis_shape = [1] * len(grids)
+            axis_shape[axis] = -1
+            couplings[attr] = (grid * base._input_unit(attr)
+                               ).reshape(axis_shape)
+        try:
+            state = thermal_state(base, base.temperature)
+            Z = np.broadcast_to(
+                stability_entries(state, base, **couplings)[3], shape)
+            status[np.isnan(Z)] = "ERROR:NumericError"
+        except (ConfigError, DomainError, NumericError) as exc:
+            Z = np.full(shape, math.nan)
+            status[...] = f"ERROR:{type(exc).__name__}"
+    for g in couplings.values():
+        status[~np.broadcast_to(np.isfinite(g), shape)] = "ERROR:ConfigError"
+    Z = np.where(status == "OK", Z, math.nan)
+    return [(None, value, flag) for value, flag
+            in zip(Z.ravel().tolist(), status.ravel().tolist())]
+
+
+def _temperature_extras(spec, cfg, value):
+    """T in kelvin and T/T_F for a swept temperature axis, at the
+    point's config (None where it could not be built)."""
     T_K = spec.base.field_to_si("thermal.temperature", value)
-    try:
-        T_F = fermi_temperature(_point_config(spec, assignment))
-        return [T_K, T_K / T_F]
-    except (ConfigError, DomainError, NumericError):
-        return [T_K, math.nan]
+    if cfg is not None:
+        try:
+            return [T_K, T_K / fermi_temperature(cfg)]
+        except (ConfigError, DomainError, NumericError):
+            pass
+    return [T_K, math.nan]
 
 
 def run_scan(spec, workers=None):
-    """Evaluate the observable over the full grid, point by point.
+    """Evaluate the observable over the full grid.
+
+    A Z scan that sweeps only couplings (g_bb, g_bf, g_ff) solves one
+    thermal state, which does not depend on them, and evaluates Z over
+    the whole coupling plane as one array expression.  Any other scan
+    builds each point's config once and evaluates its points one after
+    another.  Both give the same rows.
 
     workers is accepted and ignored, so callers that pass a count keep
     working and get the same table.  The points are pure Python and
@@ -247,7 +305,11 @@ def run_scan(spec, workers=None):
     else:
         assignments = [((spec.variables[0], u), (spec.variables[1], v))
                        for u in grids[0] for v in grids[1]]
-    results = [_evaluate_point(spec, a) for a in assignments]
+    if spec.observable == "Z" and all(rng.field in _COUPLING_FIELDS
+                                      for rng in spec.variables):
+        results = _coupling_plane(spec, grids)
+    else:
+        results = [_evaluate_point(spec, a) for a in assignments]
 
     columns = []
     for rng in spec.variables:
@@ -260,12 +322,12 @@ def run_scan(spec, workers=None):
     columns.append("status")
 
     rows = []
-    for assignment, (value, status) in zip(assignments, results):
+    for assignment, (cfg, value, status) in zip(assignments, results):
         row = []
         for rng, v in assignment:
             row.append(v)
             if rng.field == "thermal.temperature":
-                row.extend(_temperature_extras(spec, assignment, v))
+                row.extend(_temperature_extras(spec, cfg, v))
         row.append(value)
         if spec.observable == "Y":
             sign = math.nan if isinstance(value, float) and math.isnan(value) \

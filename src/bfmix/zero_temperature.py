@@ -37,7 +37,9 @@ printed equations for figure comparison.
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,6 +161,12 @@ def _critical_number_closed_form(cfg):
             / (s * abs(cfg.g_bb) * _interaction_C(cfg) * omega_crit ** 2.5))
 
 
+# The fields the boson functional reads; solve_omega_c memoises on them,
+# so sweeps over fermion fields or g_bf reuse one solve per trap.
+_BosonTrap = namedtuple("_BosonTrap",
+                        ("m_b", "omega_b", "N_b", "g_bb", "compat_mode"))
+
+
 def solve_omega_c(cfg):
     """Stationary point of E_b continuously connected to omega_b.
 
@@ -167,32 +175,39 @@ def solve_omega_c(cfg):
     the inflection frequency) when it exists; otherwise the inflection
     frequency itself with is_local_minimum = False (collapsed regime).
     """
+    return _solve_omega_c(cfg.m_b, cfg.omega_b, cfg.N_b, cfg.g_bb,
+                          cfg.compat_mode)
+
+
+@lru_cache(maxsize=4096)
+def _solve_omega_c(*fields):
+    trap = _BosonTrap(*fields)
     N_crit = None
-    if cfg.g_bb == 0.0:
-        omega_c = cfg.omega_b
-    elif cfg.g_bb > 0.0:
+    if trap.g_bb == 0.0:
+        omega_c = trap.omega_b
+    elif trap.g_bb > 0.0:
         omega_c = _expandable_bracket_root(
-            lambda w: boson_energy_derivatives(w, cfg)[1], cfg.omega_b)
+            lambda w: boson_energy_derivatives(w, trap)[1], trap.omega_b)
     else:
-        N_crit = _critical_number_closed_form(cfg)
-        s, _, _ = _mode_factors(cfg)
-        C = _interaction_C(cfg)
+        N_crit = _critical_number_closed_form(trap)
+        s, _, _ = _mode_factors(trap)
+        C = _interaction_C(trap)
         # inflection: d2E = 0 at omega^(5/2) = 2 hbar omega_b^2 / (s|g|N C)
-        omega_infl = (2.0 * hbar * cfg.omega_b ** 2
-                      / (s * abs(cfg.g_bb) * cfg.N_b * C)) ** 0.4
-        slope_at_infl = boson_energy_derivatives(omega_infl, cfg)[1]
+        omega_infl = (2.0 * hbar * trap.omega_b ** 2
+                      / (s * abs(trap.g_bb) * trap.N_b * C)) ** 0.4
+        slope_at_infl = boson_energy_derivatives(omega_infl, trap)[1]
         if slope_at_infl <= 0.0:
             # slope never reaches zero from below: no stationary minimum
-            E, _, d2E = boson_energy_derivatives(omega_infl, cfg)
+            E, _, d2E = boson_energy_derivatives(omega_infl, trap)
             return BosonVariationalResult(
                 omega_c=omega_infl, energy=E, second_derivative=d2E,
                 is_local_minimum=False, N_b_critical=N_crit)
         # minimum root lies in (omega_b, omega_infl): slope is negative
         # at omega_b for any attractive g_bb
-        omega_c = brentq(lambda w: boson_energy_derivatives(w, cfg)[1],
-                         cfg.omega_b, omega_infl,
-                         xtol=1e-15 * cfg.omega_b, maxiter=300)
-    E, _, d2E = boson_energy_derivatives(omega_c, cfg)
+        omega_c = brentq(lambda w: boson_energy_derivatives(w, trap)[1],
+                         trap.omega_b, omega_infl,
+                         xtol=1e-15 * trap.omega_b, maxiter=300)
+    E, _, d2E = boson_energy_derivatives(omega_c, trap)
     return BosonVariationalResult(
         omega_c=omega_c, energy=E, second_derivative=d2E,
         is_local_minimum=d2E > 0.0, N_b_critical=N_crit)
@@ -233,24 +248,27 @@ def critical_boson_number(cfg):
 # fermion side
 # ---------------------------------------------------------------------------
 
+def _overlap(Omega, omega_c, cfg):
+    """(G, dG/dOmega) for a float or an array Omega, unchecked."""
+    m_f, m_b = cfg.m_f, cfg.m_b
+    u = m_f * Omega + m_b * omega_c
+    return (m_f * m_b * omega_c * Omega / (hbar * u),
+            m_f * (m_b * omega_c) ** 2 / (hbar * u * u))
+
+
 def overlap_G(Omega, omega_c, cfg):
     """Gaussian-overlap width G = m_f m_b omega_c Omega /
     (hbar (m_f Omega + m_b omega_c))."""
-    if not (Omega > 0 and omega_c > 0):
-        raise DomainError("overlap_G requires positive frequencies")
-    u = cfg.m_f * Omega + cfg.m_b * omega_c
-    return cfg.m_f * cfg.m_b * omega_c * Omega / (hbar * u)
+    return overlap_G_derivatives(Omega, omega_c, cfg)[0]
 
 
 def overlap_G_derivatives(Omega, omega_c, cfg):
     """(G, dG/dOmega, d2G/dOmega2), quotient-rule closed forms."""
     if not (Omega > 0 and omega_c > 0):
         raise DomainError("overlap_G requires positive frequencies")
-    m_f, m_b = cfg.m_f, cfg.m_b
-    u = m_f * Omega + m_b * omega_c
-    G = m_f * m_b * omega_c * Omega / (hbar * u)
-    dG = m_f * (m_b * omega_c) ** 2 / (hbar * u * u)
-    d2G = -2.0 * m_f ** 2 * (m_b * omega_c) ** 2 / (hbar * u ** 3)
+    G, dG = _overlap(Omega, omega_c, cfg)
+    u = cfg.m_f * Omega + cfg.m_b * omega_c
+    d2G = -2.0 * cfg.m_f ** 2 * (cfg.m_b * omega_c) ** 2 / (hbar * u ** 3)
     return G, dG, d2G
 
 
@@ -276,25 +294,29 @@ def fermion_energy(Omega, r_f, omega_c, cfg):
             * G ** 1.5 * math.exp(-G * r_f ** 2))
 
 
+def _dE_dOmega(Omega, r_f, G, dG, cfg):
+    """dE_f/dOmega at Omega with overlap G and dG/dOmega there; floats
+    or arrays, unchecked."""
+    _, A, kappa = _mode_factors(cfg)
+    N_f = cfg.N_f
+    return (A * hbar * N_f ** (5.0 / 3.0)
+            - 0.75 * hbar * cfg.omega_f ** 2 / Omega ** 2 * N_f
+            + cfg.g_bf * kappa * cfg.N_b * N_f * np.exp(-G * r_f ** 2) * dG
+            * (1.5 * np.sqrt(G) - G ** 1.5 * r_f ** 2))
+
+
 def fermion_energy_gradients(Omega, r_f, omega_c, cfg):
     """(dE_f/dOmega, dE_f/dr_f), analytic."""
     if not Omega > 0:
         raise DomainError(f"Omega must be positive, got {Omega}")
     if not r_f >= 0:
         raise DomainError(f"r_f must be non-negative, got {r_f}")
-    _, A, kappa = _mode_factors(cfg)
-    N_b, N_f = cfg.N_b, cfg.N_f
+    _, _, kappa = _mode_factors(cfg)
     G, dG, _ = overlap_G_derivatives(Omega, omega_c, cfg)
-    damp = math.exp(-G * r_f ** 2)
-    pref = cfg.g_bf * kappa * N_b * N_f
-    dE_dOmega = (A * hbar * N_f ** (5.0 / 3.0)
-                 - 0.75 * hbar * cfg.omega_f ** 2 / Omega ** 2 * N_f
-                 + pref * damp * dG
-                 * (1.5 * math.sqrt(G) - G ** 1.5 * r_f ** 2))
     dE_dr = cfg.N_f * r_f * (cfg.m_f * cfg.omega_f ** 2
-                             - 2.0 * cfg.g_bf * kappa * N_b
-                             * G ** 2.5 * damp)
-    return dE_dOmega, dE_dr
+                             - 2.0 * cfg.g_bf * kappa * cfg.N_b
+                             * G ** 2.5 * math.exp(-G * r_f ** 2))
+    return float(_dE_dOmega(Omega, r_f, G, dG, cfg)), dE_dr
 
 
 def _hessian_brackets(Omega, omega_c, cfg):
@@ -340,7 +362,9 @@ def _least_energy_Omega(r_f, omega_c, cfg):
     lo, hi = 1e-3 * cfg.omega_f, 1e3 * cfg.omega_f
     for _ in range(10):
         grid = np.geomspace(lo, hi, int(round(20 * math.log10(hi / lo))) + 1)
-        values = np.array([slope(w) for w in grid])
+        with np.errstate(all="ignore"):
+            values = _dE_dOmega(grid, r_f, *_overlap(grid, omega_c, cfg),
+                                cfg)
         idx = np.nonzero(np.diff(np.sign(values)) != 0)[0]
         if idx.size:
             roots = [brentq(slope, grid[i], grid[i + 1],
@@ -387,15 +411,22 @@ def classify_zero_T(cfg):
     the cloud, G drops, and the threshold g_bf* rises ahead of g_bf, so
     the second bracket would never change sign and every configuration
     would be labelled coexisting.  Freezing the width at its g_bf = 0
-    value keeps the sweep of Y and r_fc over g_bf meaningful.
+    value keeps the sweep of Y and r_fc over g_bf meaningful.  At
+    g_bf = 0 the slope A hbar N_f^(5/3) - (3/4) hbar omega_f^2 N_f /
+    Omega^2 has the unique root
+
+        Omega_c = omega_f sqrt((3/4) N_f / (A N_f^(5/3))),
+
+    which is used in closed form.
     """
     boson = solve_omega_c(cfg)
     if not boson.is_local_minimum:
         raise DomainError(
             "boson energy functional has no local minimum (collapsed "
             "regime); zero-T classification is undefined")
-    decoupled = cfg.with_field("interaction.g_bf", 0.0)
-    Omega_c = solve_Omega_c(boson.omega_c, decoupled)
+    _, A, _ = _mode_factors(cfg)
+    Omega_c = cfg.omega_f * math.sqrt(
+        0.75 * cfg.N_f / (A * cfg.N_f ** (5.0 / 3.0)))
     Y = stability_Y(Omega_c, boson.omega_c, cfg)
     _, _, det = energy_hessian(Omega_c, boson.omega_c, cfg)
     r_fc = separation_radius(Omega_c, boson.omega_c, cfg)

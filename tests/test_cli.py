@@ -12,7 +12,7 @@ import pytest
 import bfmix
 from bfmix import cli
 from bfmix.errors import ConfigError, NumericError
-from bfmix.scan_engine import ScanTable
+from bfmix.scan_engine import PRESET_TAGS, ScanTable
 
 
 def base_config(**overrides):
@@ -329,3 +329,66 @@ def test_import_loads_no_scipy():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def _overflow_config(g_bb=0.05, g_ff=0.01, scan=None):
+    cfg = base_config(interaction={"g_bb": g_bb, "g_bf": 1e200,
+                                   "g_ff": g_ff})
+    cfg["thermal"]["temperature"] = 5.0
+    if scan is not None:
+        cfg["scan"] = scan
+    return cfg
+
+
+_OVERFLOW_SCAN = {"observable": "Z", "variables": [
+    {"field": "interaction.g_bb", "values": [0.05, 1e200]}]}
+
+
+def test_z_overflow_exit_codes(tmp_path, capsys):
+    # g_bf = 1e200: the cross term overflows and Z = -inf, a valid result
+    path = write_config(tmp_path, _overflow_config(scan=_OVERFLOW_SCAN))
+    assert cli.main(["finite-t", "--config", path]) == 0
+    header, row = data_lines(capsys.readouterr().out)
+    record = dict(zip(header.split(","), row.split(",")))
+    assert record["Z"] == "-inf" and record["stable"] == "false"
+    assert cli.main(["window", "--config", path]) == 0
+    header, row = data_lines(capsys.readouterr().out)
+    assert row.endswith(",OK")
+    assert cli.main(["scan", "--config", path]) == 0
+    out, err = capsys.readouterr()
+    assert data_lines(out)[1:] == ["0.050000000000000003,-inf,OK",
+                                   "9.9999999999999997e+199,-inf,OK"]
+    assert err == ""
+
+    # all three couplings at 1e200: Z = inf - inf is not a number
+    path = write_config(tmp_path, _overflow_config(
+        g_bb=1e200, g_ff=1e200, scan=_OVERFLOW_SCAN), name="huge.json")
+    for command in ("finite-t", "window"):
+        assert cli.main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error:") and "Traceback" not in err
+    assert cli.main(["scan", "--config", path]) == 0
+    assert data_lines(capsys.readouterr().out)[1:] == [
+        "0.050000000000000003,-inf,OK",
+        "9.9999999999999997e+199,nan,ERROR:NumericError"]
+
+
+@pytest.mark.parametrize("command", [*PRESET_TAGS, "overflow-scan"])
+def test_fresh_process_writes_nothing_to_stderr(tmp_path, command):
+    # numpy warns on stderr about overflow in array arithmetic unless it
+    # is told not to; no run, the coupling plane included, may print one
+    argv = [command]
+    if command == "overflow-scan":
+        argv = ["scan", "--config", write_config(tmp_path, _overflow_config(
+            g_ff=1e200, scan=_OVERFLOW_SCAN))]
+    src = str(Path(bfmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONWARNINGS", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "bfmix", *argv, "--out",
+         str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert (tmp_path / "out.csv").stat().st_size > 0

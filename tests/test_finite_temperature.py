@@ -12,7 +12,7 @@ import pytest
 
 from bfmix.config import CompatMode, MixtureConfig
 from bfmix.constants import atomic_mass, hbar, k_B, pi
-from bfmix.errors import ConfigError, DomainError
+from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix import finite_temperature as ft
 from bfmix.specfun import PolyOrder, fermi_f_log
 
@@ -61,6 +61,23 @@ def test_state_memo_ignores_couplings():
         other = make_cfg(g_bb=-0.02, g_bf=0.1, g_ff=0.5, mode=mode)
         assert ft.thermal_state(other, T) is first
     assert ft._thermal_state.cache_info().misses == misses
+
+
+def test_z_overflow_is_minus_inf_or_numeric_error():
+    # the cross term alone overflowing gives Z = -inf, the right sign;
+    # every coupling overflowing gives inf - inf, which is an error
+    T = 2.0 * make_cfg().temperature_unit
+    for mode in CompatMode:
+        cfg = make_cfg(g_bf=1e200, mode=mode)
+        report = ft.stability_matrix(ft.thermal_state(cfg, T), cfg)
+        assert report.Z == -math.inf
+        assert math.isfinite(report.dmu_b_drho_f)
+        assert not report.stable
+        huge = make_cfg(g_bb=1e200, g_bf=1e200, g_ff=1e200, mode=mode)
+        with pytest.raises(NumericError, match="not a number"):
+            ft.stability_matrix(ft.thermal_state(huge, T), huge)
+        with pytest.raises(NumericError):
+            ft.critical_window(huge, (T, 10.0 * T))
 
 
 def test_fermion_round_trip():
@@ -415,10 +432,8 @@ def test_window_deterministic():
     cfg = make_cfg()
     unit = cfg.temperature_unit
     ft._thermal_state.cache_clear()
-    ft._f12_of_ln_z.cache_clear()
     w1 = ft.critical_window(cfg, (0.5 * unit, 50.0 * unit))
     ft._thermal_state.cache_clear()
-    ft._f12_of_ln_z.cache_clear()
     w2 = ft.critical_window(cfg, (0.5 * unit, 50.0 * unit))
     assert w1.T_c2 == w2.T_c2
     assert w1 == w2

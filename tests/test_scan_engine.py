@@ -1,13 +1,16 @@
 """Scan engine tests: grids, presets, determinism, and error rows."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from bfmix import finite_temperature as ft
+from bfmix import scan_engine
 from bfmix.config import CompatMode, MixtureConfig
 from bfmix.constants import atomic_mass
-from bfmix.errors import ConfigError
+from bfmix.errors import ConfigError, NumericError
 from bfmix.scan_engine import (
     PRESET_TAGS,
     ScanRange,
@@ -55,6 +58,21 @@ def test_range_validation():
         ScanRange("interaction.g_bb", 0.0, 1.0, 5, scale="log")
     with pytest.raises(ConfigError):
         ScanRange("interaction.g_bb", values=())
+
+
+@pytest.mark.parametrize("kwargs, where", [
+    (dict(start=math.nan, stop=1.0, points=4), "scan.interaction.g_bb.from"),
+    (dict(start=0.0, stop=math.inf, points=4), "scan.interaction.g_bb.to"),
+    (dict(start=-math.inf, stop=1.0, points=4, scale="log"),
+     "scan.interaction.g_bb.from"),
+    (dict(values=(0.1, math.nan)), "scan.interaction.g_bb.values[1]"),
+    (dict(values=(math.inf,)), "scan.interaction.g_bb.values[0]"),
+    (dict(values=(True, 0.1)), "scan.interaction.g_bb.values[0]"),
+])
+def test_range_rejects_non_finite(kwargs, where):
+    # built directly, not through scan_spec_from_dict
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        ScanRange("interaction.g_bb", **kwargs)
 
 
 def test_spec_validation_precedes_evaluation():
@@ -310,3 +328,157 @@ def test_phase_and_regime_observables():
     table_r = run_scan(spec_r)
     assert all(isinstance(row[1], str) for row in table_r.rows)
     assert all(row[-1] == "OK" for row in table_r.rows)
+
+
+# ---------------------------------------------------------------------------
+# Z over a coupling plane
+# ---------------------------------------------------------------------------
+
+def _z_base(unit_system, mode, big=False):
+    """A Fig. 5 style box at T = 2 hbar omega_f / k_B.  With big, g_bf
+    and g_ff are 1e200, beyond the range where Z is a finite float.  The
+    SI box holds the same couplings converted, except 1e200 itself."""
+    g_bf, g_ff = (1e200, 1e200) if big else (0.2, 0.0)
+    args = dict(m_b=7.0 * atomic_mass, m_f=7.0 * atomic_mass,
+                omega_b=166.0, omega_f=166.0, N_b=1000.0, N_f=10000.0,
+                g_bb=0.0, compat_mode=mode)
+    osc = MixtureConfig.from_oscillator(g_bf=g_bf, g_ff=g_ff, volume=1000.0,
+                                        temperature=2.0, **args)
+    if unit_system == "oscillator":
+        return osc
+    return MixtureConfig.from_si(
+        g_bf=g_bf if big else osc.g_bf, g_ff=g_ff if big else osc.g_ff,
+        volume=osc.volume, temperature=osc.temperature, **args)
+
+
+_PLANE_AXES = {
+    "g_bf": (ScanRange("interaction.g_bf",
+                       values=(0.3, 0.02, -0.1, 0.0, 1e200, -1e200)),),
+    "g_bb,g_ff": (ScanRange("interaction.g_bb",
+                            values=(0.0, 0.05, -0.02, 1e200)),
+                  ScanRange("interaction.g_ff",
+                            values=(0.0, 0.03, 1e200, 0.1, 0.07))),
+    "g_bf,g_bb": (ScanRange("interaction.g_bf", values=(0.2, -0.3, 1e200)),
+                  ScanRange("interaction.g_bb",
+                            values=(0.01, 1e200, 0.0, -0.05, 0.07))),
+    "g_ff,g_bf": (ScanRange("interaction.g_ff", 0.0, 0.1, 4),
+                  ScanRange("interaction.g_bf", -0.3, 0.3, 7)),
+}
+
+
+@pytest.mark.parametrize("axes", sorted(_PLANE_AXES))
+@pytest.mark.parametrize("mode", list(CompatMode))
+@pytest.mark.parametrize("unit_system", ["oscillator", "si"])
+@pytest.mark.parametrize("big", [False, True])
+def test_coupling_plane_matches_per_point(monkeypatch, axes, mode,
+                                          unit_system, big):
+    base = _z_base(unit_system, mode, big)
+    variables = _PLANE_AXES[axes]
+    if unit_system == "si":
+        unit = _z_base("oscillator", mode).coupling_unit
+        variables = tuple(
+            ScanRange(r.field, values=tuple(v if abs(v) > 1e100 else v * unit
+                                            for v in r.grid()))
+            for r in variables)
+    spec = ScanSpec(base=base, variables=variables, observable="Z")
+
+    calls = {"state": 0, "matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(scan_engine, "thermal_state",
+                        counted("state", ft.thermal_state))
+    monkeypatch.setattr(scan_engine, "stability_matrix",
+                        counted("matrix", ft.stability_matrix))
+    table = run_scan(spec)
+    # one thermal state for the whole plane, no per-point matrix
+    assert calls == {"state": 1, "matrix": 0}
+
+    grids = [r.grid() for r in variables]
+    points = ([(u,) for u in grids[0]] if len(grids) == 1 else
+              [(u, v) for u in grids[0] for v in grids[1]])
+    assert len(table.rows) == len(points)
+    statuses = set()
+    for point, row in zip(points, table.rows):
+        cfg = base
+        for rng, value in zip(variables, point):
+            cfg = cfg.with_field(rng.field, base.field_to_si(rng.field,
+                                                             value))
+        try:
+            expected = ft.stability_matrix(
+                ft.thermal_state(cfg, cfg.temperature), cfg).Z
+            status = "OK"
+        except NumericError:
+            expected, status = math.nan, "ERROR:NumericError"
+        assert row[:-2] == point
+        assert row[-1] == status
+        statuses.add(status)
+        value = row[-2]
+        assert type(value) is float
+        assert (math.isnan(value) and math.isnan(expected)) \
+            or value == expected
+    assert "OK" in statuses
+    # all three couplings at 1e200 somewhere on the plane: Z = inf - inf
+    assert ("ERROR:NumericError" in statuses) == (
+        big and axes in ("g_bb,g_ff", "g_bf,g_bb"))
+
+
+def test_coupling_plane_overflow_signs():
+    base = _z_base("oscillator", CompatMode.PAPER)
+    spec = ScanSpec(base=base, observable="Z", variables=(
+        ScanRange("interaction.g_bf", values=(1e200, -1e200, 0.2)),))
+    values = [row[1] for row in run_scan(spec).rows]
+    # the cross term dominates: Z = -inf is the right sign, not an error
+    assert values[:2] == [-math.inf, -math.inf]
+    assert math.isfinite(values[2])
+
+
+def test_coupling_plane_state_error_fails_every_point(monkeypatch):
+    def broken(cfg, T):
+        raise NumericError("no fugacity")
+    monkeypatch.setattr(scan_engine, "thermal_state", broken)
+    spec = ScanSpec(base=_z_base("oscillator", CompatMode.PAPER),
+                    observable="Z", variables=(
+                        ScanRange("interaction.g_bb", 0.0, 0.1, 3),
+                        ScanRange("interaction.g_ff", 0.0, 0.1, 2)))
+    rows = run_scan(spec).rows
+    assert len(rows) == 6
+    assert all(math.isnan(row[2]) and row[3] == "ERROR:NumericError"
+               for row in rows)
+
+
+def test_z_scan_over_temperature_stays_per_point(monkeypatch):
+    # a temperature axis moves the thermal state, so it takes the
+    # per-point path, which builds each point's config once
+    spec = figure_preset("fig4")
+    spec = ScanSpec(base=spec.base, observable="Z", variables=(
+        spec.variables[0],
+        ScanRange("thermal.temperature", 0.5, 50.0, 4, scale="log")))
+    built = []
+    point_config = scan_engine._point_config
+    monkeypatch.setattr(scan_engine, "_point_config",
+                        lambda *a: built.append(1) or point_config(*a))
+    table = run_scan(spec)
+    assert len(built) == len(table.rows) == 12
+    assert all(row[-1] == "OK" and row[3] > 0 for row in table.rows)
+
+
+def test_coupling_plane_non_finite_si_coupling():
+    # with omega_b = 1e-100 rad/s the oscillator coupling unit is
+    # ~3e106 J m^3, so an input of 1e203 overflows in SI: the per-point
+    # path fails that point building its config, and so must the plane
+    base = osc_cfg(omega_b=1e-100, N_f=10000.0, volume=1000.0,
+                   temperature=2.0)
+    spec = ScanSpec(base=base, observable="Z", variables=(
+        ScanRange("interaction.g_bb", values=(0.1, 1e203)),
+        ScanRange("interaction.g_bf", values=(0.0, 0.2))))
+    rows = run_scan(spec).rows
+    assert [row[-1] for row in rows] == ["OK", "OK", "ERROR:ConfigError",
+                                         "ERROR:ConfigError"]
+    assert math.isfinite(rows[0][2]) and math.isnan(rows[2][2])
+    with pytest.raises(ConfigError):
+        base.with_field("interaction.g_bb",
+                        base.field_to_si("interaction.g_bb", 1e203))

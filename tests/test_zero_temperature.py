@@ -7,6 +7,8 @@ checked against central finite differences.
 """
 
 import math
+from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from bfmix.config import MixtureConfig, CompatMode
 from bfmix.constants import hbar, atomic_mass
 from bfmix.errors import DomainError
+from bfmix import zero_temperature as zt
 from bfmix.zero_temperature import (
     PhaseLabel, boson_energy, boson_energy_derivatives, solve_omega_c,
     critical_boson_number, overlap_G, overlap_G_derivatives,
@@ -265,6 +268,36 @@ def test_decoupled_Omega_c_closed_form():
         assert np.isclose(solve_Omega_c(166.0, cfg), closed, rtol=1e-10)
 
 
+def test_reference_width_is_the_decoupled_root():
+    # classify_zero_T takes the g_bf = 0 width in closed form.  It is the
+    # exact root to a few ulp: 5/3 is inexact in binary, so N_f ** (5/3)
+    # alone drifts by up to ~2 ulp at N_f = 1e6, and five more roundings
+    # follow (at most 6.1 ulp on 1001 points over [1, 1e6]).  It is the
+    # solver's root to the solver's tolerance: xtol = 1e-15 omega_f, so
+    # at N_f ~ 3000 Brent stops up to ~27 ulp away.
+    for mode, A in ((CompatMode.PAPER, 2.0), (CompatMode.DERIVED, 1.0)):
+        A_val = A * (6.0 * math.pi ** 2) ** (2.0 / 3.0) * 0.6 ** 1.5 \
+            / (2.0 * math.pi)
+        for omega_f in (50.0, 166.0, 1000.0):
+            for N_f in np.geomspace(1.0, 1e6, 19):
+                cfg = make_cfg(g_bf=0.03, N_f=float(N_f), omega_f=omega_f,
+                               mode=mode)
+                closed = classify_zero_T(cfg).Omega_c
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    N = Decimal(cfg.N_f)
+                    exact = Decimal(omega_f) * (
+                        Decimal(0.75) * N
+                        / (Decimal(A_val) * N ** (Decimal(5) / 3))).sqrt()
+                    error = abs(Decimal(closed) - exact)
+                assert error <= 8 * Decimal(math.ulp(closed)), (mode, N_f)
+                omega_c = solve_omega_c(cfg).omega_c
+                solved = solve_Omega_c(
+                    omega_c, cfg.with_field("interaction.g_bf", 0.0))
+                assert abs(closed - solved) <= (1e-15 * omega_f
+                                                + 8.0 * math.ulp(solved))
+
+
 def test_Omega_c_rises_with_attraction():
     values = [solve_Omega_c(166.0, make_cfg(g_bf=float(g)))
               for g in (0.0, -0.05, -0.1, -0.2)]
@@ -409,6 +442,57 @@ def test_gradient_cloud_matches_finite_differences():
             lambda r: fermion_energy(Omega, r, omega_c, cfg), r_f)
         assert np.isclose(dE_dO, fd_O, rtol=1e-6, atol=1e-40)
         assert np.isclose(dE_dr, fd_r, rtol=1e-6, atol=1e-40)
+
+
+def test_array_slope_matches_scalar_gradient():
+    # the bracket grid of _least_energy_Omega evaluates dE_f/dOmega as
+    # one array; it must agree with the checked scalar gradient, and the
+    # root it brackets must be a root of the slope at that r_f
+    # at g_bf = -0.2, N_b = 1e4 the root moves by 30% between r_f = 0
+    # and r_f = 1.5 a, more than one grid cell
+    for cfg in [make_cfg(g_bf=g_bf, N_b=N_b, mode=mode)
+                for mode in CompatMode
+                for g_bf, N_b in ((0.04, 1000.0), (-0.2, 1e4))]:
+        omega_c = solve_omega_c(cfg).omega_c
+        grid = np.geomspace(1e-3, 1e3, 121) * cfg.omega_f
+        scale = hbar * cfg.N_f ** (5.0 / 3.0)
+        for r_f in (0.0, 0.4 * cfg.osc_length, 1.5 * cfg.osc_length):
+            array = zt._dE_dOmega(grid, r_f, *zt._overlap(grid, omega_c, cfg),
+                                  cfg)
+            scalar = [fermion_energy_gradients(float(w), r_f, omega_c, cfg)[0]
+                      for w in grid]
+            assert isinstance(array, np.ndarray) and array.shape == grid.shape
+            np.testing.assert_allclose(array, scalar, rtol=1e-13, atol=0.0)
+            Omega = zt._least_energy_Omega(r_f, omega_c, cfg)
+            slope, _ = fermion_energy_gradients(Omega, r_f, omega_c, cfg)
+            assert abs(slope) <= 1e-9 * scale
+
+
+def test_boson_memo_ignores_fermion_fields_and_g_bf():
+    # solve_omega_c memoises on (m_b, omega_b, N_b, g_bb, compat_mode):
+    # a sweep over anything else reuses one solve
+    cfg = make_cfg(g_bb=0.0317)
+    first = solve_omega_c(cfg)
+    misses = zt._solve_omega_c.cache_info().misses
+    for path, value in (("interaction.g_bf", -0.3 * cfg.g_bf),
+                        ("interaction.g_ff", 1e-50),
+                        ("fermion.count", 7.0),
+                        ("fermion.omega", 90.0),
+                        ("fermion.mass", 6.0 * atomic_mass),
+                        ("thermal.volume", 1e-15)):
+        assert solve_omega_c(cfg.with_field(path, value)) is first
+    assert zt._solve_omega_c.cache_info().misses == misses
+    # every field the boson functional reads is part of the key
+    for path, value in (("interaction.g_bb", 1.01 * cfg.g_bb),
+                        ("boson.count", 999.0),
+                        ("boson.omega", 160.0),
+                        ("boson.mass", 6.0 * atomic_mass)):
+        other = cfg.with_field(path, value)
+        assert solve_omega_c(other).omega_c != first.omega_c, path
+    paper = solve_omega_c(replace(cfg, compat_mode=CompatMode.PAPER))
+    assert paper.omega_c != first.omega_c
+    zt._solve_omega_c.cache_clear()
+    assert solve_omega_c(cfg) == first
 
 
 # ---------------------------------------------------------------------------
