@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .brent import brentq
 from .config import CompatMode, MixtureConfig
 from .constants import h, hbar, k_B, pi
 from .errors import ConfigError, DomainError, NumericError
@@ -190,8 +191,9 @@ def stability_matrix(state, cfg):
     The beta-scaled entries are 4 ell_bb lambda_b^2 + lambda_b^3/g_(1/2)
     (second term exactly zero in the condensed phase), ell_ff lambda_f^2
     + lambda_f^3/f_(1/2), and ell_bf (lambda_b^2 + lambda_f^2); Z is
-    their determinant combination.  Z may be -inf, when the cross term
-    overflows; a Z that is not a number raises NumericError.
+    their determinant combination.  Z may be -inf, when the square of
+    the cross term overflows; a Z that is not a number raises
+    NumericError.
     """
     bb, ff, cross, Z = stability_entries(state, cfg, cfg.g_bb, cfg.g_bf,
                                          cfg.g_ff)
@@ -233,9 +235,10 @@ def stability_entries(state, cfg, g_bb, g_bf, g_ff):
     ff = ell_ff * lf ** 2 + (math.inf if f12 == 0.0 else lf ** 3 / f12)
     lam2 = lb ** 2 + lf ** 2
     cross = ell_bf * lam2
-    # squares as products: a float product overflows to inf where **
-    # raises, and numpy rounds products exactly as floats do
-    Z = bb * ff - ell_bf * ell_bf * (lam2 * lam2)
+    # square the rounded cross term as a product: a float product
+    # overflows to inf where ** raises, and no factor of it overflows
+    # unless cross^2 does (so g_bf = 0 gives Z = bb ff, never nan)
+    Z = bb * ff - cross * cross
     return bb, ff, cross, Z
 
 
@@ -248,9 +251,10 @@ def _z_of_T(cfg, T, r=0.0):
 def critical_window(cfg, T_range, r=0.0, rtol=None):
     """Scan Z over a log grid in T and bracket its roots.
 
-    400 samples, each sign change refined by bisection to rtol relative
-    (1e-8 by default).  The optional r evaluates the local-density
-    criterion at radius r instead of the homogeneous one.
+    400 samples, each sign change refined by Brent's method
+    (bfmix.brent) to within rtol T (rtol 1e-8 by default).  The optional
+    r evaluates the local-density criterion at radius r instead of the
+    homogeneous one.
     """
     T_lo, T_hi = T_range
     if not (0.0 < T_lo < T_hi):
@@ -265,45 +269,24 @@ def critical_window(cfg, T_range, r=0.0, rtol=None):
 
     roots = []
     for i in range(len(grid) - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0:
+        if values[i] == 0.0:
             roots.append(grid[i])
-            continue
-        if a * b < 0.0:
-            lo, hi = grid[i], grid[i + 1]
-            f_lo = a
-            while hi - lo > rtol * hi:
-                mid = 0.5 * (lo + hi)
-                f_mid = _z_of_T(cfg, mid, r)
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (f_lo < 0.0) == (f_mid < 0.0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
+        elif values[i] * values[i + 1] < 0.0:
+            roots.append(brentq(lambda T: _z_of_T(cfg, T, r), grid[i],
+                                grid[i + 1], xtol=0.5 * rtol * grid[i],
+                                maxiter=200))
     if values[-1] == 0.0:
         roots.append(grid[-1])
 
     n = len(roots)
     unstable_low = values[0] < 0.0
-    if n >= 2:
-        return TemperatureWindow(T_c1=roots[0], T_c2=roots[-1], exists=True,
-                                 n_sign_changes=n, multi_root=n > 2,
-                                 unstable_at_low_edge=unstable_low)
-    if n == 1:
-        # one crossing only: the root closes an interval open at an edge
-        if unstable_low:
-            return TemperatureWindow(T_c1=None, T_c2=roots[0], exists=False,
-                                     n_sign_changes=1, multi_root=False,
-                                     unstable_at_low_edge=True)
-        return TemperatureWindow(T_c1=roots[0], T_c2=None, exists=False,
-                                 n_sign_changes=1, multi_root=False,
-                                 unstable_at_low_edge=False)
-    return TemperatureWindow(T_c1=None, T_c2=None, exists=False,
-                             n_sign_changes=0, multi_root=False,
-                             unstable_at_low_edge=unstable_low)
+    lower, upper = (roots[0], roots[-1]) if roots else (None, None)
+    # one crossing only: the root closes an interval open at an edge
+    return TemperatureWindow(
+        T_c1=None if n == 1 and unstable_low else lower,
+        T_c2=None if n == 1 and not unstable_low else upper,
+        exists=n >= 2, n_sign_changes=n, multi_root=n > 2,
+        unstable_at_low_edge=unstable_low)
 
 
 def bec_temperature(cfg):

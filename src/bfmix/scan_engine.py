@@ -56,6 +56,11 @@ class ScanRange:
         if self.field not in _COLUMN_NAMES:
             raise ConfigError(f"unknown scan field '{self.field}'")
         where = f"scan.{self.field}"
+        # a count given beside values must still be one
+        if ((self.values is None or self.points is not None)
+                and (type(self.points) is not int or self.points < 2)):
+            raise ConfigError(f"config field '{where}.points' must be an "
+                              f"integer >= 2, got {self.points!r}")
         if self.values is not None:
             vals = tuple(_finite(v, f"{where}.values[{j}]")
                          for j, v in enumerate(self.values))
@@ -66,9 +71,6 @@ class ScanRange:
         for key, value in (("from", self.start), ("to", self.stop)):
             if value is not None:
                 _finite(value, f"{where}.{key}")
-        if self.points is None or self.points < 2:
-            raise ConfigError(
-                f"scan.{self.field}: points must be >= 2, got {self.points}")
         if self.start is None or self.stop is None or self.start == self.stop:
             raise ConfigError(
                 f"scan.{self.field}: need from != to, got "
@@ -529,10 +531,6 @@ def scan_spec_from_dict(base, mapping):
         if unknown:
             raise ConfigError(
                 f"unknown scan variable keys: {sorted(unknown)}")
-        points = entry.get("points")
-        if "points" in entry and (type(points) is not int or points < 2):
-            raise ConfigError(f"config field '{where}.points' must be an "
-                              f"integer >= 2, got {points!r}")
         values = entry.get("values")
         if "values" in entry:
             if not isinstance(values, list):
@@ -542,10 +540,15 @@ def scan_spec_from_dict(base, mapping):
                            for j, v in enumerate(values))
         start, stop = (_finite(entry[key], f"{where}.{key}")
                        if key in entry else None for key in ("from", "to"))
-        variables.append(ScanRange(
-            field=entry.get("field"), start=start, stop=stop, points=points,
-            scale=entry.get("scale", "linear"),
-            values=values))
+        try:
+            variables.append(ScanRange(
+                field=entry.get("field"), start=start, stop=stop,
+                points=entry.get("points"),
+                scale=entry.get("scale", "linear"), values=values))
+        except ConfigError as exc:
+            # ScanRange names the entry by its field; name it by index
+            raise ConfigError(
+                str(exc).replace(f"scan.{entry.get('field')}", where)) from None
     t_range = mapping.get("t_range")
     if t_range is not None:
         if (not isinstance(t_range, list) or len(t_range) != 2):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .brent import brentq
 from .constants import hbar, pi
 from .errors import DomainError, NumericError
 
@@ -95,9 +96,14 @@ def tf_boson_profile(cfg, grid):
     return mu_b, n_b
 
 
+# overflow in the density arithmetic fails the bracket search, which
+# raises NumericError; it is not also a numpy warning
+@np.errstate(all="ignore")
 def tf_fermion_profile(cfg, mu_b, n_b, grid):
     """Fermion density on the grid for the potential trap + g_bf n_b(r);
-    returns (e_F, n_f) with e_F fixed by the normalization to N_f."""
+    returns (e_F, n_f) with e_F fixed by the normalization to N_f: a
+    doubling search brackets it, Brent's method (bfmix.brent) refines it
+    to 1e-10 relative."""
     grid = np.asarray(grid, dtype=float)
     V_eff = 0.5 * cfg.m_f * cfg.omega_f ** 2 * grid ** 2 + cfg.g_bf * n_b
     pref = (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2)
@@ -122,13 +128,8 @@ def tf_fermion_profile(cfg, mu_b, n_b, grid):
             "fermion normalization bracket failed to capture N_f; the "
             "grid span may not cover the cloud")
 
-    while hi - lo > 1e-10 * max(abs(hi), abs(lo)):
-        mid = 0.5 * (lo + hi)
-        if count(mid) < cfg.N_f:
-            lo = mid
-        else:
-            hi = mid
-    e_F = 0.5 * (lo + hi)
+    e_F = brentq(lambda e: count(e) - cfg.N_f, lo, hi,
+                 xtol=1e-10 * max(abs(hi), abs(lo)), maxiter=200)
     return e_F, pref * np.maximum(0.0, e_F - V_eff) ** 1.5
 
 

@@ -373,6 +373,18 @@ def test_z_overflow_exit_codes(tmp_path, capsys):
         "9.9999999999999997e+199,nan,ERROR:NumericError"]
 
 
+def _run_fresh(tmp_path, argv):
+    # a fresh interpreter on this checkout, with numpy's default warnings
+    src = str(Path(bfmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "bfmix", *argv, "--out",
+         str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("command", [*PRESET_TAGS, "overflow-scan"])
 def test_fresh_process_writes_nothing_to_stderr(tmp_path, command):
     # numpy warns on stderr about overflow in array arithmetic unless it
@@ -381,14 +393,17 @@ def test_fresh_process_writes_nothing_to_stderr(tmp_path, command):
     if command == "overflow-scan":
         argv = ["scan", "--config", write_config(tmp_path, _overflow_config(
             g_ff=1e200, scan=_OVERFLOW_SCAN))]
-    src = str(Path(bfmix.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.pop("PYTHONWARNINGS", None)
-    result = subprocess.run(
-        [sys.executable, "-m", "bfmix", *argv, "--out",
-         str(tmp_path / "out.csv")],
-        env=env, capture_output=True, text=True, timeout=120)
+    result = _run_fresh(tmp_path, argv)
     assert result.returncode == 0
     assert result.stderr == ""
     assert (tmp_path / "out.csv").stat().st_size > 0
+
+
+def test_fresh_process_tf_overflow_prints_only_the_error(tmp_path):
+    # g_bf = 1e200 overflows the fermion density: the normalization
+    # bracket fails with exit 2, and numpy adds no warning of its own
+    path = write_config(tmp_path, _overflow_config())
+    result = _run_fresh(tmp_path, ["tf", "--config", path])
+    assert result.returncode == 2
+    assert result.stderr.startswith("numeric error: ")
+    assert result.stderr == result.stderr.splitlines()[0] + "\n"

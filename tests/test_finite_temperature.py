@@ -16,7 +16,8 @@ from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix import finite_temperature as ft
 from bfmix.specfun import PolyOrder, fermi_f_log
 
-from oracles import bose_g_quadrature, central_diff, fermi_f_quadrature
+from oracles import bose_g_quadrature, central_diff, fermi_f_quadrature, \
+    homogeneous_z
 
 
 def make_cfg(N_b=1000.0, N_f=10000.0, g_bb=0.05, g_bf=0.3, g_ff=0.01,
@@ -78,6 +79,47 @@ def test_z_overflow_is_minus_inf_or_numeric_error():
             ft.stability_matrix(ft.thermal_state(huge, T), huge)
         with pytest.raises(NumericError):
             ft.critical_window(huge, (T, 10.0 * T))
+
+
+def _light_boson_cfg(g_bf, mode):
+    # a 1e-200 kg boson has lambda_b ~ 1e81 m, so (lb^2 + lf^2)^2
+    # overflows at any coupling
+    return MixtureConfig.from_si(
+        m_b=1e-200, m_f=7.0 * atomic_mass, omega_b=166.0, omega_f=166.0,
+        N_b=1000.0, N_f=10000.0, g_bb=1e-50, g_bf=g_bf, g_ff=1e-51,
+        volume=1e-12, compat_mode=mode), 1e-7
+
+
+def _long_cross_length_cfg(mode):
+    # ell_bf ~ 1e155 m squares to inf; at a physical wavelength the
+    # cross term ell_bf lam2 ~ 1e145 squares to a finite ~1e291
+    ell_per_unit = ft.coupling_lengths(make_cfg(g_bf=1.0, mode=mode))[1]
+    return (make_cfg(g_bf=1e155 / ell_per_unit, mode=mode),
+            2.0 * make_cfg().temperature_unit)
+
+
+@pytest.mark.parametrize("mode", list(CompatMode))
+@pytest.mark.parametrize("case", ["decoupled", "weak g_bf", "long ell_bf"])
+def test_z_finite_where_a_factor_square_overflows(mode, case):
+    # Z squares the rounded cross term, so it is finite wherever that
+    # square is, whichever of ell_bf^2 and lam2^2 overflows on its own
+    cfg, T = {"decoupled": lambda: _light_boson_cfg(0.0, mode),
+              "weak g_bf": lambda: _light_boson_cfg(1e-100, mode),
+              "long ell_bf": lambda: _long_cross_length_cfg(mode)}[case]()
+    state = ft.thermal_state(cfg, T)
+    ell_bf = ft.coupling_lengths(cfg)[1]
+    lam2 = state.lambda_b ** 2 + state.lambda_f ** 2
+    assert math.inf in (ell_bf * ell_bf, lam2 * lam2)
+    bb, ff, cross, Z = ft.stability_entries(state, cfg, cfg.g_bb, cfg.g_bf,
+                                            cfg.g_ff)
+    assert math.isfinite(cross * cross)
+    assert Z == bb * ff - cross * cross
+    if case == "decoupled":
+        assert cross == 0.0 and Z == bb * ff
+    assert -math.inf < Z < math.inf and (Z < 0.0) == (case == "long ell_bf")
+    report = ft.stability_matrix(state, cfg)
+    assert report.Z == Z
+    assert report.stable == (Z > 0.0)
 
 
 def test_fermion_round_trip():
@@ -437,6 +479,60 @@ def test_window_deterministic():
     w2 = ft.critical_window(cfg, (0.5 * unit, 50.0 * unit))
     assert w1.T_c2 == w2.T_c2
     assert w1 == w2
+
+
+# (label, make_cfg overrides, t_range in hbar omega_f / k_B)
+_ORACLE_WINDOWS = [
+    ("repulsive-paper", dict(g_bf=0.3), (0.5, 50.0)),
+    ("repulsive-heavy-fermion", dict(g_bf=0.3, m_f_u=40.0), (0.5, 50.0)),
+    ("attractive-derived", dict(g_bb=-0.03, g_ff=-10.0, g_bf=0.025,
+                                m_f_u=6.0, mode=CompatMode.DERIVED),
+     (0.5, 80.0)),
+    ("attractive-paper", dict(g_bb=-0.03, g_ff=-10.0, g_bf=0.025,
+                              m_f_u=6.0), (0.5, 80.0)),
+]
+
+
+@pytest.mark.parametrize("overrides, span",
+                         [case[1:] for case in _ORACLE_WINDOWS],
+                         ids=[case[0] for case in _ORACLE_WINDOWS])
+def test_window_edges_bracket_oracle_sign_change(overrides, span):
+    # each edge lies within rtol T of a sign change of the independent Z
+    rtol = 1e-8
+    cfg = make_cfg(**overrides)
+    unit = cfg.temperature_unit
+    w = ft.critical_window(cfg, (span[0] * unit, span[1] * unit), rtol=rtol)
+    edges = [(T, sign) for T, sign in ((w.T_c1, -1.0), (w.T_c2, 1.0))
+             if T is not None]
+    assert edges
+    ells = ft.coupling_lengths(cfg)
+
+    def z_oracle(T):
+        return homogeneous_z(T, cfg.m_b, cfg.m_f, cfg.N_b / cfg.volume,
+                             cfg.N_f / cfg.volume, *ells)
+
+    for T, sign in edges:
+        # Z rises through T_c2 (recovery) and falls through T_c1 (onset)
+        assert sign * z_oracle(T * (1.0 - 2.0 * rtol)) < 0.0
+        assert sign * z_oracle(T * (1.0 + 2.0 * rtol)) > 0.0
+
+
+def test_single_onset_crossing_structure():
+    """Cut just above its lower root, a two-sided window keeps one
+    stable-to-unstable crossing: T_c1 only, stable at the low edge."""
+    cfg = lda_cfg()
+    unit = cfg.temperature_unit
+    r = 100.0 * cfg.osc_length
+    full = ft.critical_window(cfg, (1e2 * unit, 1e7 * unit), r=r)
+    assert full.exists
+    w = ft.critical_window(cfg, (1e2 * unit, 1.1 * full.T_c1), r=r)
+    assert w.n_sign_changes == 1
+    assert not w.exists and not w.multi_root
+    assert not w.unstable_at_low_edge
+    assert w.T_c2 is None
+    assert w.T_c1 == pytest.approx(full.T_c1, rel=2e-8)
+    assert ft.lda_local_stability(cfg, 0.99 * w.T_c1, r).Z > 0.0
+    assert ft.lda_local_stability(cfg, 1.01 * w.T_c1, r).Z < 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,15 @@ def test_range_rejects_non_finite(kwargs, where):
         ScanRange("interaction.g_bb", **kwargs)
 
 
+@pytest.mark.parametrize("points", [2.5, 4.0, True, "10", None, 1])
+def test_range_rejects_non_integer_points(points):
+    # built directly; a float count used to reach np.linspace and raise
+    # a bare TypeError from grid()
+    with pytest.raises(ConfigError,
+                       match=re.escape("scan.interaction.g_bb.points")):
+        ScanRange("interaction.g_bb", 0.0, 1.0, points)
+
+
 def test_spec_validation_precedes_evaluation():
     base = osc_cfg()
     with pytest.raises(ConfigError):
