@@ -1,7 +1,9 @@
 """Command-line front end: parse a config, dispatch, write CSV.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 I/O error.  Diagnostics go to stderr; data only to --out or stdout.
+3 I/O error, 4 internal error (an unexpected exception, reported on one
+line as its type and message).  Diagnostics go to stderr; data only to
+--out or stdout.
 """
 
 import argparse
@@ -273,6 +275,11 @@ def main(argv=None):
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code
         return 0 if code is None else int(code)
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 4
     return 0
 
 

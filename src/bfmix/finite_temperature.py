@@ -125,8 +125,9 @@ def _thermal_wavelength(mass, T):
 
 def thermal_state(cfg, T):
     """Wavelengths, densities, and fugacities at temperature T [K]."""
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"temperature must be positive and finite, "
+                          f"got {T}")
     V = cfg.require_volume()
     return _thermal_state(cfg.m_b, cfg.m_f, cfg.N_b / V, cfg.N_f / V,
                           float(T))
@@ -249,35 +250,41 @@ def _z_of_T(cfg, T, r=0.0):
 
 
 def critical_window(cfg, T_range, r=0.0, rtol=None):
-    """Scan Z over a log grid in T and bracket its roots.
+    """Sample Z on a log grid in T and bracket its roots.
 
-    400 samples, each sign change refined by Brent's method
-    (bfmix.brent) to within rtol T (rtol 1e-8 by default).  The optional
-    r evaluates the local-density criterion at radius r instead of the
-    homogeneous one.
+    Each change between Z < 0 (unstable) and Z >= 0 is refined by
+    Brent's method (bfmix.brent) to within rtol T (rtol 1e-8 by
+    default).  The optional r evaluates the local-density criterion at
+    radius r instead of the homogeneous one.
+
+    The grid holds 2 samples, the ends of T_range, for the homogeneous
+    criterion (r = 0) with g_bb >= 0 and g_ff >= 0, and 400 otherwise.
+    In J m^3 the cross entry does not depend on T, and each diagonal
+    entry is its coupling plus an ideal-gas term that does not decrease
+    with T at fixed density, so there Z (k_B T)^2 does not decrease:
+    Z changes sign at most once, from negative to positive, and the end
+    signs decide whether it does.  Attractive diagonal couplings and
+    the trap-damped fugacities of r > 0 admit two crossings, which the
+    400 samples resolve.
     """
     T_lo, T_hi = T_range
-    if not (0.0 < T_lo < T_hi):
+    if not (0.0 < T_lo < T_hi < math.inf):
         raise DomainError(
-            f"need 0 < T_lo < T_hi, got [{T_lo}, {T_hi}]")
+            f"need 0 < T_lo < T_hi < inf, got [{T_lo}, {T_hi}]")
     if rtol is None:
         rtol = _ROOT_RTOL
     elif not 0.0 < rtol < 1.0:
         raise ConfigError(f"window rtol must be in (0, 1), got {rtol}")
-    grid = np.geomspace(T_lo, T_hi, _WINDOW_SAMPLES)
+    monotone = r == 0.0 and cfg.g_bb >= 0.0 and cfg.g_ff >= 0.0
+    grid = np.geomspace(T_lo, T_hi, 2 if monotone else _WINDOW_SAMPLES)
     values = [_z_of_T(cfg, T, r) for T in grid]
 
-    roots = []
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            roots.append(grid[i])
-        elif values[i] * values[i + 1] < 0.0:
-            roots.append(brentq(lambda T: _z_of_T(cfg, T, r), grid[i],
-                                grid[i + 1], xtol=0.5 * rtol * grid[i],
-                                maxiter=200))
-    if values[-1] == 0.0:
-        roots.append(grid[-1])
-
+    # Z >= 0 is stable, so an edge is where Z < 0 starts or stops; a
+    # stretch of Z = 0 (an ideal condensate without g_bf) is no edge
+    roots = [brentq(lambda T: _z_of_T(cfg, T, r), grid[i], grid[i + 1],
+                    xtol=0.5 * rtol * grid[i], maxiter=200)
+             for i in range(len(grid) - 1)
+             if (values[i] < 0.0) != (values[i + 1] < 0.0)]
     n = len(roots)
     unstable_low = values[0] < 0.0
     lower, upper = (roots[0], roots[-1]) if roots else (None, None)

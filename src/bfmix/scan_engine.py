@@ -29,7 +29,11 @@ from .zero_temperature import classify_zero_T, solve_Omega_c, solve_omega_c
 
 __all__ = ["ScanRange", "ScanSpec", "ScanTable", "run_scan",
            "figure_preset", "scan_spec_from_dict", "OBSERVABLES",
-           "PRESET_TAGS"]
+           "PRESET_TAGS", "MAX_SCAN_POINTS"]
+
+# the most grid points one axis, or the product of two, may hold; a
+# larger scan is refused before its grid is allocated
+MAX_SCAN_POINTS = 1_000_000
 
 # CSV column of each sweepable field: its MixtureConfig attribute, with
 # the two thermal fields shortened
@@ -58,9 +62,11 @@ class ScanRange:
         where = f"scan.{self.field}"
         # a count given beside values must still be one
         if ((self.values is None or self.points is not None)
-                and (type(self.points) is not int or self.points < 2)):
+                and (type(self.points) is not int
+                     or not 2 <= self.points <= MAX_SCAN_POINTS)):
             raise ConfigError(f"config field '{where}.points' must be an "
-                              f"integer >= 2, got {self.points!r}")
+                              f"integer from 2 to {MAX_SCAN_POINTS}, got "
+                              f"{self.points!r}")
         if self.values is not None:
             vals = tuple(_finite(v, f"{where}.values[{j}]")
                          for j, v in enumerate(self.values))
@@ -82,6 +88,9 @@ class ScanRange:
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
             raise ConfigError(
                 f"scan.{self.field}: log scale needs positive endpoints")
+
+    def size(self):
+        return len(self.values) if self.values is not None else self.points
 
     def grid(self):
         if self.values is not None:
@@ -198,6 +207,14 @@ def _validate(spec):
         if rng.field in seen:
             raise ConfigError(f"field '{rng.field}' swept twice")
         seen.add(rng.field)
+    sizes = [rng.size() for rng in spec.variables]
+    if math.prod(sizes) > MAX_SCAN_POINTS:
+        where = " x ".join(f"'scan.variables[{i}]' ({rng.field})"
+                           for i, rng in enumerate(spec.variables))
+        raise ConfigError(
+            f"the scan grid over {where} has "
+            f"{' x '.join(map(str, sizes))} points, more than "
+            f"{MAX_SCAN_POINTS}")
     if spec.observable in ("T_c1", "T_c2"):
         if spec.t_range is None:
             raise ConfigError(

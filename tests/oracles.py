@@ -132,8 +132,13 @@ def fermi_f_quadrature(nu, z, abs_tol=1e-13):
     """
     if z == 0.0:
         return 0.0
-    mu = math.log(z)
+    return fermi_f_quadrature_log(nu, math.log(z), abs_tol)
 
+
+def fermi_f_quadrature_log(nu, mu, abs_tol=1e-13):
+    """f_nu at ln z = mu, by the quadrature of fermi_f_quadrature; it
+    reaches the deeply degenerate range past exp's overflow
+    (ln z > 709)."""
     def integrand(t):
         return t ** (2.0 * nu - 1.0) * expit(mu - t * t)
 

@@ -92,6 +92,20 @@ def test_window_with_strong_coupling(tmp_path, capsys):
     assert float(record["T_c2_K"]) > 0
 
 
+def test_unexpected_exception_exits_4_on_one_line(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken(args):
+        raise RuntimeError("handler broke\nacross two lines")
+
+    monkeypatch.setitem(cli._DISPATCH, "window", broken)
+    path = write_config(tmp_path, base_config())
+    assert cli.main(["window", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: RuntimeError: handler broke across two lines"]
+
+
 def test_window_missing_t_range(tmp_path, capsys):
     cfg = base_config()
     del cfg["thermal"]["t_range"]

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from bfmix.config import CompatMode, MixtureConfig
-from bfmix.constants import atomic_mass, hbar, k_B, pi
+from bfmix.brent import brentq
+from bfmix.constants import atomic_mass, h, hbar, k_B, pi
 from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix import finite_temperature as ft
 from bfmix.specfun import PolyOrder, fermi_f_log
 
 from oracles import bose_g_quadrature, central_diff, fermi_f_quadrature, \
-    homogeneous_z
+    fermi_f_quadrature_log, homogeneous_z
 
 
 def make_cfg(N_b=1000.0, N_f=10000.0, g_bb=0.05, g_bf=0.3, g_ff=0.01,
@@ -136,6 +137,9 @@ def test_thermal_state_input_validation():
         ft.thermal_state(cfg, 0.0)
     with pytest.raises(DomainError):
         ft.thermal_state(cfg, -1e-9)
+    for T in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="positive and finite"):
+            ft.thermal_state(cfg, T)
     with pytest.raises(ConfigError):
         ft.thermal_state(make_cfg(volume=None), 1e-9)
 
@@ -468,6 +472,11 @@ def test_window_input_validation():
         ft.critical_window(cfg, (1e-9, 1e-9))
     with pytest.raises(DomainError):
         ft.critical_window(cfg, (0.0, 1e-9))
+    # a non-finite edge is refused before any Z is evaluated
+    for span in ((1e-9, math.inf), (1e-9, math.nan), (math.nan, 1e-9),
+                 (math.inf, math.inf)):
+        with pytest.raises(DomainError, match="< inf"):
+            ft.critical_window(cfg, span)
 
 
 def test_window_deterministic():
@@ -533,6 +542,160 @@ def test_single_onset_crossing_structure():
     assert w.T_c1 == pytest.approx(full.T_c1, rel=2e-8)
     assert ft.lda_local_stability(cfg, 0.99 * w.T_c1, r).Z > 0.0
     assert ft.lda_local_stability(cfg, 1.01 * w.T_c1, r).Z < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the monotone structure that lets critical_window sample two ends
+# ---------------------------------------------------------------------------
+
+def _ideal_term(mass, rho, phase_density, slope):
+    """(T, k_B T lambda^3 / slope) at the T where rho lambda^3 equals
+    phase_density, for number density rho of one species."""
+    lam = (phase_density / rho) ** (1.0 / 3.0)
+    T = h ** 2 / (2.0 * pi * mass * k_B * lam ** 2)
+    return T, k_B * T * lam ** 3 / slope
+
+
+def _assert_rising(Ts, terms):
+    assert all(a < b for a, b in zip(Ts, Ts[1:]))
+    assert all(a <= b for a, b in zip(terms, terms[1:]))
+
+
+@pytest.mark.parametrize("m_f_u", [6.0, 40.0])
+def test_fermion_ideal_term_does_not_decrease_in_T(m_f_u):
+    """k_B T lambda_f^3 / f_(1/2)(z_f) at fixed density, from the
+    quadrature oracles, from the deeply degenerate gas (ln z_f = 1e3)
+    to the classical one (ln z_f = -30); the package's ff entry agrees
+    at every one of these temperatures."""
+    cfg = make_cfg(m_f_u=m_f_u, g_bb=0.0, g_bf=0.0, g_ff=0.0)
+    rho = cfg.N_f / cfg.volume
+    Ts, terms = [], []
+    for ln_z in (1e3, 300.0, 100.0, 30.0, 10.0, 3.0, 1.0, 0.0, -1.0,
+                 -3.0, -10.0, -30.0):
+        T, term = _ideal_term(cfg.m_f, rho,
+                              fermi_f_quadrature_log(1.5, ln_z, 0.0),
+                              fermi_f_quadrature_log(0.5, ln_z, 0.0))
+        ff = ft.stability_entries(ft.thermal_state(cfg, T), cfg,
+                                  0.0, 0.0, 0.0)[1]
+        assert k_B * T * ff == pytest.approx(term, rel=1e-11)
+        Ts.append(T)
+        terms.append(term)
+    _assert_rising(Ts, terms)
+
+
+@pytest.mark.parametrize("m_b_u", [7.0, 40.0])
+def test_boson_ideal_term_does_not_decrease_in_T(m_b_u):
+    """k_B T lambda_b^3 / g_(1/2)(z_b) at fixed density: exactly zero
+    in the condensed gas, then rising from the condensation edge
+    (ln z_b = -1e-4) to the classical gas (ln z_b = -30), from the
+    quadrature oracles; the package's bb entry agrees throughout."""
+    cfg = make_cfg(m_b_u=m_b_u, g_bb=0.0, g_bf=0.0, g_ff=0.0)
+    rho = cfg.N_b / cfg.volume
+    T_c = ft.bec_temperature(cfg)
+    Ts = [0.1 * T_c, 0.5 * T_c, 0.99 * T_c]
+    terms = [0.0, 0.0, 0.0]
+    for T in Ts:
+        state = ft.thermal_state(cfg, T)
+        assert state.condensed
+        assert ft.stability_entries(state, cfg, 0.0, 0.0, 0.0)[0] == 0.0
+    for ln_z in (-1e-4, -1e-3, -1e-2, -0.1, -1.0, -3.0, -10.0, -30.0):
+        z = math.exp(ln_z)
+        T, term = _ideal_term(cfg.m_b, rho, bose_g_quadrature(1.5, z, 0.0),
+                              bose_g_quadrature(0.5, z, 0.0))
+        bb = ft.stability_entries(ft.thermal_state(cfg, T), cfg,
+                                  0.0, 0.0, 0.0)[0]
+        assert k_B * T * bb == pytest.approx(term, rel=1e-11)
+        Ts.append(T)
+        terms.append(term)
+    _assert_rising(Ts, terms)
+
+
+@pytest.mark.parametrize("mode", list(CompatMode))
+def test_scaled_coupling_parts_do_not_depend_on_T(mode):
+    # k_B T times each entry, less its ideal part, is the coupling in
+    # J m^3 (a fixed multiple of it in paper mode) at every T
+    cfg = make_cfg(g_bb=0.05, g_bf=-0.3, g_ff=0.01, mode=mode)
+    unit = cfg.temperature_unit
+    parts = []
+    for ttilde in (0.5, 5.0, 50.0):
+        state = ft.thermal_state(cfg, ttilde * unit)
+        bb, ff, cross, _ = ft.stability_entries(state, cfg, cfg.g_bb,
+                                                cfg.g_bf, cfg.g_ff)
+        bb0, ff0, _, _ = ft.stability_entries(state, cfg, 0.0, 0.0, 0.0)
+        kT = k_B * state.T
+        parts.append((kT * (bb - bb0), kT * (ff - ff0), kT * cross))
+    assert parts[0][0] > 0.0 and parts[0][1] > 0.0 and parts[0][2] < 0.0
+    for later in parts[1:]:
+        assert later == pytest.approx(parts[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("g_ff", [0.0, -1e-6])
+def test_zero_z_stretch_is_no_window(g_ff):
+    """An ideal condensate without g_bf has Z = 0 exactly below T_c and
+    Z > 0 above it.  Z >= 0 is stable, so no edge is reported, whether
+    the two ends (g_ff = 0) or the 400 samples (g_ff < 0) are read."""
+    cfg = make_cfg(g_bb=0.0, g_bf=0.0, g_ff=g_ff)
+    unit = cfg.temperature_unit
+    span = (0.5 * unit, 50.0 * unit)
+    assert span[0] < ft.bec_temperature(cfg) < span[1]
+    assert ft._z_of_T(cfg, span[0]) == 0.0 < ft._z_of_T(cfg, span[1])
+    w = ft.critical_window(cfg, span)
+    assert (w.n_sign_changes, w.exists, w.unstable_at_low_edge) \
+        == (0, False, False)
+    assert w.T_c1 is None and w.T_c2 is None
+
+
+def _grid_window(cfg, T_range, rtol):
+    """(n_sign_changes, unstable_at_low_edge, roots) of 400 log-spaced
+    samples of Z, each change between Z < 0 and Z >= 0 refined by Brent
+    to rtol T."""
+    grid = np.geomspace(*T_range, 400)
+    values = [ft._z_of_T(cfg, T) for T in grid]
+    roots = [brentq(lambda T: ft._z_of_T(cfg, T), lo, hi,
+                    xtol=0.5 * rtol * lo, maxiter=200)
+             for lo, hi, z_lo, z_hi in zip(grid, grid[1:], values,
+                                           values[1:])
+             if (z_lo < 0.0) != (z_hi < 0.0)]
+    return len(roots), values[0] < 0.0, roots
+
+
+def test_repulsive_window_matches_grid_scan():
+    """With g_bb, g_ff >= 0 at r = 0 the window read from the two end
+    signs has the crossings, flags and edges of a 400-sample scan."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rtol = 1e-8
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        mode=st.sampled_from(list(CompatMode)),
+        m_b_u=st.sampled_from([6.0, 7.0, 40.0]),
+        m_f_u=st.sampled_from([6.0, 7.0, 40.0]),
+        N_b=st.floats(300.0, 3000.0),
+        N_f=st.floats(1e3, 3e4),
+        volume=st.floats(500.0, 2000.0),
+        g_bb=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+        g_ff=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+        g_bf=st.floats(-0.5, 0.5),
+        t_lo=st.floats(0.3, 1.0),
+        t_hi=st.floats(10.0, 80.0))
+    def check(mode, m_b_u, m_f_u, N_b, N_f, volume, g_bb, g_ff, g_bf,
+              t_lo, t_hi):
+        cfg = make_cfg(N_b=N_b, N_f=N_f, g_bb=g_bb, g_bf=g_bf, g_ff=g_ff,
+                       volume=volume, m_b_u=m_b_u, m_f_u=m_f_u, mode=mode)
+        span = (t_lo * cfg.temperature_unit, t_hi * cfg.temperature_unit)
+        n, unstable_low, roots = _grid_window(cfg, span, rtol)
+        w = ft.critical_window(cfg, span, rtol=rtol)
+        assert n <= 1
+        assert (w.n_sign_changes, w.exists, w.unstable_at_low_edge) \
+            == (n, False, unstable_low)
+        edges = [T for T in (w.T_c1, w.T_c2) if T is not None]
+        assert len(edges) == n
+        for edge, root in zip(edges, roots):
+            assert abs(edge - root) <= 2.0 * rtol * root
+
+    check()
 
 
 # ---------------------------------------------------------------------------

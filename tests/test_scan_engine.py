@@ -84,6 +84,37 @@ def test_range_rejects_non_integer_points(points):
         ScanRange("interaction.g_bb", 0.0, 1.0, points)
 
 
+def test_scan_grid_size_is_capped():
+    # only the errors are asserted and no grid is built on the way, so a
+    # tree without the cap fails these checks rather than allocating
+    with pytest.raises(ConfigError,
+                       match=re.escape("scan.interaction.g_bb.points")):
+        ScanRange("interaction.g_bb", 0.0, 1.0, 1_000_001)
+    assert ScanRange("interaction.g_bb", 0.0, 1.0, 1_000_000).size() \
+        == scan_engine.MAX_SCAN_POINTS
+    with pytest.raises(ConfigError,
+                       match=re.escape("scan.variables[0].points")):
+        scan_spec_from_dict(osc_cfg(), {
+            "observable": "omega_c",
+            "variables": [{"field": "interaction.g_bb", "from": 0.0,
+                           "to": 1.0, "points": 10 ** 9}]})
+    axis = {"from": 0.0, "to": 1.0, "points": 1001}
+    with pytest.raises(ConfigError, match=re.escape(
+            "'scan.variables[0]' (interaction.g_bb) x "
+            "'scan.variables[1]' (interaction.g_bf) has 1001 x 1001")):
+        scan_spec_from_dict(osc_cfg(), {
+            "observable": "omega_c",
+            "variables": [dict(axis, field="interaction.g_bb"),
+                          dict(axis, field="interaction.g_bf")]})
+    # a spec built directly meets the same check, which run_scan makes
+    # before grid()
+    spec = ScanSpec(base=osc_cfg(), observable="omega_c", variables=(
+        ScanRange("interaction.g_bb", values=(0.0,) * 1001),
+        ScanRange("interaction.g_bf", 0.0, 1.0, 1000)))
+    with pytest.raises(ConfigError, match="1001 x 1000 points"):
+        scan_engine._validate(spec)
+
+
 def test_spec_validation_precedes_evaluation():
     base = osc_cfg()
     with pytest.raises(ConfigError):
