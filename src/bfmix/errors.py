@@ -18,5 +18,7 @@ class DomainError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A solver failed: bracket expansion exhausted, bisection did not
-    converge, or quadrature could not reach the requested accuracy."""
+    """Overflow or an exhausted search: a Fermi integral that is not
+    finite, a Z that is not a number, or no result after the bounded
+    expansions for Omega_c, the critical N_b or the Thomas-Fermi e_F and
+    grid span."""

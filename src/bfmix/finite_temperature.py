@@ -271,6 +271,8 @@ def critical_window(cfg, T_range, r=0.0, rtol=None):
     if not (0.0 < T_lo < T_hi < math.inf):
         raise DomainError(
             f"need 0 < T_lo < T_hi < inf, got [{T_lo}, {T_hi}]")
+    if not r >= 0.0:
+        raise DomainError(f"radius must be >= 0, got {r}")
     if rtol is None:
         rtol = _ROOT_RTOL
     elif not 0.0 < rtol < 1.0:

@@ -38,6 +38,16 @@ Evaluation strategy
 The zeta values, the eta(2k) values and the Gauss-Legendre nodes are
 frozen literals; tests pin them against scipy and numpy.
 
+Fugacity inversion
+------------------
+rho lambda^3 = x = h_(3/2)(z), h = g or f, is solved for mu = ln z by one
+Brent call on ln h_(3/2)(e^mu) = ln x, inside a bracket two bounds prove:
+* h_(3/2)(z) <= zeta(3/2) z < e z for 0 < z <= 1, so the lower end is
+  min(ln x, 0) - 1;
+* g_(3/2)(z) <= zeta(3/2) for z <= 1, so the Bose upper end is 0, and
+  f_(3/2)(e^mu) >= mu^(3/2) / Gamma(5/2) for mu > 0, so the Fermi upper
+  end is (3 sqrt(pi) x / 4)^(2/3) + 1.
+
 g_(1/2) diverges at z = 1.  For z >= 1 - 1e-13 the function returns
 ``math.inf`` as the documented divergence signal; thermodynamic callers
 map it to the condensed-phase convention lambda^3/g_(1/2) -> 0.
@@ -66,10 +76,6 @@ class PolyOrder(enum.Enum):
     ONE_HALF = 0.5
     THREE_HALVES = 1.5
     FIVE_HALVES = 2.5
-
-    @property
-    def nu(self):
-        return self.value
 
 
 def _as_order(nu):
@@ -303,53 +309,50 @@ def _sommerfeld(order, mu):
     return acc
 
 
+def _ln_fugacity(species, x):
+    """ln z with h_(3/2)(z) = x, by one Brent call on ln h_(3/2)(e^mu)
+    = ln x, close to linear in mu, inside the bracket of the module
+    docstring.  Below ln z = -40, h_(3/2)(z) = z to double precision, so
+    ln h_(3/2) = mu there: that keeps ln z exact for subnormal x, whose
+    z rounds to a coarse grid."""
+    if not x >= 0.0:
+        raise DomainError(f"phase-space density must be >= 0, got {x}")
+    if x == 0.0:
+        return -math.inf
+    ln_x = math.log(x)
+    if species is Species.BOSE:
+        hi = 0.0
+        def h32(mu):
+            return bose_g(PolyOrder.THREE_HALVES, math.exp(mu))
+    else:
+        hi = (0.75 * math.sqrt(math.pi) * x) ** (2.0 / 3.0) + 1.0
+        def h32(mu):
+            return fermi_f_log(PolyOrder.THREE_HALVES, mu)
+
+    def resid(mu):
+        return mu - ln_x if mu < -40.0 else math.log(h32(mu)) - ln_x
+    # xtol is finer than the float spacing 1.1e-16 just below z = 1
+    return brentq(resid, min(ln_x, 0.0) - 1.0, hi, xtol=1e-16, maxiter=200)
+
+
 def bose_fugacity_from_density(rho_lambda3):
     """Invert rho lambda^3 = g_(3/2)(z) for the Bose fugacity.
 
     At or above the condensation value g_(3/2)(1) = 2.612..., the result
     is z = 1 with the condensed marker set.
     """
-    if not rho_lambda3 >= 0.0:
-        raise DomainError(f"phase-space density must be >= 0, got {rho_lambda3}")
-    if rho_lambda3 == 0.0:
-        return Fugacity(0.0, Species.BOSE)
     if rho_lambda3 >= ZETA_3_2:
         return Fugacity(1.0, Species.BOSE, condensed=True)
-    z = brentq(lambda zz: bose_g(PolyOrder.THREE_HALVES, zz) - rho_lambda3,
-               0.0, 1.0, xtol=1e-300, maxiter=200)
-    return Fugacity(z, Species.BOSE)
+    mu = _ln_fugacity(Species.BOSE, rho_lambda3)
+    return Fugacity(math.exp(mu), Species.BOSE, ln_z=mu)
 
 
 def fermi_fugacity_from_density(rho_lambda3):
     """Invert rho lambda^3 = f_(3/2)(z) for the Fermi fugacity.
 
     f_(3/2) is strictly increasing and unbounded, so a root always
-    exists.  Solved in z on [0, 1] for small densities and in mu = ln z
-    above f_(3/2)(1), where the Sommerfeld estimate
-    mu ~ (3 sqrt(pi) x / 4)^(2/3) seeds the bracket.
+    exists; z is inf where ln z passes exp's overflow.
     """
-    if not rho_lambda3 >= 0.0:
-        raise DomainError(f"phase-space density must be >= 0, got {rho_lambda3}")
-    x = rho_lambda3
-    if x == 0.0:
-        return Fugacity(0.0, Species.FERMI)
-    f32_at_1 = _ETA_TABLE[PolyOrder.THREE_HALVES][0]
-    if x <= f32_at_1:
-        z = brentq(lambda zz: fermi_f(PolyOrder.THREE_HALVES, zz) - x,
-                   0.0, 1.0, xtol=1e-300, maxiter=200)
-        return Fugacity(z, Species.FERMI)
-
-    def resid(mu):
-        return fermi_f_log(PolyOrder.THREE_HALVES, mu) - x
-
-    mu_est = (0.75 * math.sqrt(math.pi) * x) ** (2.0 / 3.0)
-    lo, hi = 0.0, max(2.0, 1.5 * mu_est + 2.0)
-    for _ in range(60):
-        if resid(hi) >= 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise NumericError("fermi fugacity bracket expansion exhausted")
-    mu = brentq(resid, lo, hi, xtol=1e-13 * max(1.0, mu_est), maxiter=200)
-    z = math.exp(mu) if mu < 709.0 else math.inf
-    return Fugacity(z, Species.FERMI, ln_z=mu)
+    mu = _ln_fugacity(Species.FERMI, rho_lambda3)
+    return Fugacity(math.exp(mu) if mu < 709.0 else math.inf,
+                    Species.FERMI, ln_z=mu)

@@ -161,7 +161,10 @@ def _build_grid(cfg, mu_b, span_factor, n_points):
     return h * np.arange(n_points), R_b
 
 
-def tf_profiles(cfg, n_points=2000):
+_GRID_POINTS = 2000
+
+
+def tf_profiles(cfg):
     """Both density profiles on a shared grid, plus the regime label.
 
     The grid spans 1.5x the larger estimated cloud radius and is widened
@@ -170,7 +173,7 @@ def tf_profiles(cfg, n_points=2000):
     mu_b = boson_chemical_potential(cfg)
     span_factor = 1.5
     for _ in range(8):
-        grid, R_b = _build_grid(cfg, mu_b, span_factor, n_points)
+        grid, R_b = _build_grid(cfg, mu_b, span_factor, _GRID_POINTS)
         _, n_b = tf_boson_profile(cfg, grid)
         e_F, n_f = tf_fermion_profile(cfg, mu_b, n_b, grid)
         if n_f[-1] <= 1e-12 * n_f.max():

@@ -106,12 +106,7 @@ def _interaction_C(cfg):
 
 def boson_energy(omega, cfg):
     """Variational condensate energy E_b(omega)."""
-    if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    s, _, _ = _mode_factors(cfg)
-    N = cfg.N_b
-    return (0.75 * N * hbar * (omega + cfg.omega_b ** 2 / omega)
-            + s * cfg.g_bb * N * N * _interaction_C(cfg) * omega ** 1.5)
+    return boson_energy_derivatives(omega, cfg)[0]
 
 
 def boson_energy_derivatives(omega, cfg):
@@ -131,24 +126,15 @@ def boson_energy_derivatives(omega, cfg):
     return E, dE, d2E
 
 
-def _expandable_bracket_root(f, omega_ref):
-    """Root of f on the documented bracket policy: start at
-    [1e-3, 1e3] * omega_ref, widen by one decade per side up to 10 times,
-    then give up with NumericError."""
-    lo, hi = 1e-3 * omega_ref, 1e3 * omega_ref
-    flo, fhi = f(lo), f(hi)
-    for _ in range(10):
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi < 0.0:
-            return brentq(f, lo, hi, xtol=1e-15 * omega_ref, maxiter=300)
-        lo, hi = lo / 10.0, hi * 10.0
-        flo, fhi = f(lo), f(hi)
-    raise NumericError(
-        "no sign change of the stationarity condition in the bracket "
-        f"[{lo:.3e}, {hi:.3e}] rad/s after 10 decade expansions")
+def _repulsive_bracket(trap):
+    """[omega_b / sqrt(1 + u), omega_b], u = k + 1e-12 with k = 2 s g_bb
+    N_b C sqrt(omega_b) / hbar.  The slope is (3/4) N_b hbar (k (1 +
+    u)^(-1/4) - u) <= -(3/4) N_b hbar 1e-12 at the lower end, clear of
+    rounding however weak g_bb is, and > 0 at omega_b."""
+    s, _, _ = _mode_factors(trap)
+    k = (2.0 * s * trap.g_bb * trap.N_b * _interaction_C(trap)
+         * math.sqrt(trap.omega_b) / hbar)
+    return trap.omega_b / math.sqrt(1.0 + k + 1e-12), trap.omega_b
 
 
 def _critical_number_closed_form(cfg):
@@ -182,12 +168,18 @@ def solve_omega_c(cfg):
 @lru_cache(maxsize=4096)
 def _solve_omega_c(*fields):
     trap = _BosonTrap(*fields)
+
+    def slope(w):
+        return boson_energy_derivatives(w, trap)[1]
+
     N_crit = None
     if trap.g_bb == 0.0:
         omega_c = trap.omega_b
     elif trap.g_bb > 0.0:
-        omega_c = _expandable_bracket_root(
-            lambda w: boson_energy_derivatives(w, trap)[1], trap.omega_b)
+        # xtol scales with the lower end: strong repulsion puts the root
+        # decades below omega_b
+        lo, hi = _repulsive_bracket(trap)
+        omega_c = brentq(slope, lo, hi, xtol=1e-15 * lo, maxiter=300)
     else:
         N_crit = _critical_number_closed_form(trap)
         s, _, _ = _mode_factors(trap)
@@ -195,8 +187,7 @@ def _solve_omega_c(*fields):
         # inflection: d2E = 0 at omega^(5/2) = 2 hbar omega_b^2 / (s|g|N C)
         omega_infl = (2.0 * hbar * trap.omega_b ** 2
                       / (s * abs(trap.g_bb) * trap.N_b * C)) ** 0.4
-        slope_at_infl = boson_energy_derivatives(omega_infl, trap)[1]
-        if slope_at_infl <= 0.0:
+        if slope(omega_infl) <= 0.0:
             # slope never reaches zero from below: no stationary minimum
             E, _, d2E = boson_energy_derivatives(omega_infl, trap)
             return BosonVariationalResult(
@@ -204,8 +195,7 @@ def _solve_omega_c(*fields):
                 is_local_minimum=False, N_b_critical=N_crit)
         # minimum root lies in (omega_b, omega_infl): slope is negative
         # at omega_b for any attractive g_bb
-        omega_c = brentq(lambda w: boson_energy_derivatives(w, trap)[1],
-                         trap.omega_b, omega_infl,
+        omega_c = brentq(slope, trap.omega_b, omega_infl,
                          xtol=1e-15 * trap.omega_b, maxiter=300)
     E, _, d2E = boson_energy_derivatives(omega_c, trap)
     return BosonVariationalResult(
@@ -384,21 +374,24 @@ def solve_Omega_c(omega_c, cfg):
     return _least_energy_Omega(0.0, omega_c, cfg)
 
 
+def _threshold(G, cfg):
+    _, _, kappa = _mode_factors(cfg)
+    return cfg.m_f * cfg.omega_f ** 2 / (2.0 * cfg.N_b * kappa * G ** 2.5)
+
+
 def coupling_threshold(Omega_c, omega_c, cfg):
     """g_bf* = m_f omega_f^2 / (2 N_b kappa G^(5/2)), the coupling at
     which r_f = 0 stops being a minimum of E_f."""
-    _, _, kappa = _mode_factors(cfg)
-    G = overlap_G(Omega_c, omega_c, cfg)
-    return cfg.m_f * cfg.omega_f ** 2 / (2.0 * cfg.N_b * kappa * G ** 2.5)
+    return _threshold(overlap_G(Omega_c, omega_c, cfg), cfg)
 
 
 def separation_radius(Omega_c, omega_c, cfg):
     """Displaced root of dE_f/dr_f = 0: r_fc = sqrt((1/G) ln(g_bf/g_bf*))
     for g_bf > g_bf*, else 0.  Continuous at the threshold."""
-    g_star = coupling_threshold(Omega_c, omega_c, cfg)
+    G = overlap_G(Omega_c, omega_c, cfg)
+    g_star = _threshold(G, cfg)
     if cfg.g_bf <= g_star:
         return 0.0
-    G = overlap_G(Omega_c, omega_c, cfg)
     return math.sqrt(math.log(cfg.g_bf / g_star) / G)
 
 
@@ -442,32 +435,28 @@ def classify_zero_T(cfg):
         P=_P_part(Omega_c, cfg), Y=Y, hessian_det=det, phase=phase)
 
 
-def alternating_minimization(cfg, max_iter=200, rtol=1e-12):
+_DESCENT_MAX_ITER = 200
+_DESCENT_RTOL = 1e-12
+
+
+def alternating_minimization(cfg):
     """Joint (Omega, r_f) minimization by coordinate descent; returns
     (Omega, r_f, E_f).  Cross-check utility for the sequential solver."""
     boson = solve_omega_c(cfg)
     if not boson.is_local_minimum:
         raise DomainError("boson side has no minimum; nothing to refine")
     omega_c = boson.omega_c
-    _, _, kappa = _mode_factors(cfg)
     r_f = 0.0
     Omega = solve_Omega_c(omega_c, cfg)
-    for _ in range(max_iter):
+    for _ in range(_DESCENT_MAX_ITER):
         # best r_f at fixed Omega: r = 0 or the displaced root
-        G = overlap_G(Omega, omega_c, cfg)
-        r_candidates = [0.0]
-        if cfg.g_bf > 0.0:
-            arg = (2.0 * cfg.g_bf * kappa * cfg.N_b * G ** 2.5
-                   / (cfg.m_f * cfg.omega_f ** 2))
-            if arg > 1.0:
-                r_candidates.append(math.sqrt(math.log(arg) / G))
-        r_new = min(r_candidates,
+        r_new = min((0.0, separation_radius(Omega, omega_c, cfg)),
                     key=lambda r: fermion_energy(Omega, r, omega_c, cfg))
 
         Omega_new = _least_energy_Omega(r_new, omega_c, cfg)
 
-        converged = (abs(Omega_new - Omega) <= rtol * Omega
-                     and abs(r_new - r_f) <= rtol * max(r_f, 1e-300))
+        converged = (abs(Omega_new - Omega) <= _DESCENT_RTOL * Omega
+                     and abs(r_new - r_f) <= _DESCENT_RTOL * max(r_f, 1e-300))
         Omega, r_f = Omega_new, r_new
         if converged:
             break

@@ -15,6 +15,7 @@ from bfmix.brent import brentq
 from bfmix.constants import atomic_mass, h, hbar, k_B, pi
 from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix import finite_temperature as ft
+from bfmix.scan_engine import figure_preset
 from bfmix.specfun import PolyOrder, fermi_f_log
 
 from oracles import bose_g_quadrature, central_diff, fermi_f_quadrature, \
@@ -129,6 +130,22 @@ def test_fermion_round_trip():
         st = ft.thermal_state(cfg, ttilde * cfg.temperature_unit)
         x = st.rho_f * st.lambda_f ** 3
         assert np.isclose(fermi_f_quadrature(1.5, st.z_f.z), x, rtol=1e-10)
+
+
+def test_fig5_fermi_fugacity_against_mpmath():
+    # ln z_f = 15.8 at the fig5 state: ln z and f_(1/2), which every Z
+    # of fig5 divides by, to within 1e-15 of the exact inversion
+    mp = pytest.importorskip("mpmath")
+    cfg = figure_preset("fig5").base
+    st = ft.thermal_state(cfg, cfg.temperature)
+    x = st.rho_f * st.lambda_f ** 3
+    with mp.workdps(40):
+        mu = mp.findroot(
+            lambda m: mp.re(-mp.polylog(1.5, -mp.exp(m))) - x, st.z_f.ln_z)
+        f12 = float(mp.re(-mp.polylog(0.5, -mp.exp(mu))))
+        mu = float(mu)
+    assert abs(st.z_f.ln_z - mu) <= 1e-15 * mu
+    assert abs(fermi_f_log(0.5, st.z_f.ln_z) - f12) <= 1e-15 * f12
 
 
 def test_thermal_state_input_validation():
@@ -477,6 +494,11 @@ def test_window_input_validation():
                  (math.inf, math.inf)):
         with pytest.raises(DomainError, match="< inf"):
             ft.critical_window(cfg, span)
+    # a radius that is not >= 0 is refused, as lda_local_stability does
+    unit = cfg.temperature_unit
+    for r in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="radius"):
+            ft.critical_window(cfg, (0.5 * unit, 50.0 * unit), r=r)
 
 
 def test_window_deterministic():

@@ -15,7 +15,7 @@ import scipy.special
 from bfmix import constants, specfun, thomas_fermi, zero_temperature
 from bfmix.brent import _RTOL, brentq
 from bfmix.config import MixtureConfig
-from bfmix.specfun import PolyOrder, bose_g, fermi_f, fermi_f_log
+from bfmix.specfun import PolyOrder, bose_g, fermi_f
 
 M7 = 7.0 * sc.atomic_mass
 
@@ -78,44 +78,39 @@ def _zero_t_cfg(g_bb=0.05, g_bf=0.3):
 
 
 def _residual_cases():
-    """(f, a, b, xtol, maxiter) as the package calls brentq."""
+    """(f, a, b, xtol, maxiter) of each brentq call the package makes
+    while it inverts fugacities and solves the boson and fermion
+    frequencies, recorded from the package itself so the pins follow
+    its residuals, brackets and settings."""
     cases = []
-    for x in (1e-4, 0.3, 1.7, 2.6):
-        cases.append((lambda z, x=x: bose_g(1.5, z) - x,
-                      0.0, 1.0, 1e-300, 200))
-    for x in (1e-4, 0.3, 0.76):
-        cases.append((lambda z, x=x: fermi_f(1.5, z) - x,
-                      0.0, 1.0, 1e-300, 200))
-    for x in (0.9, 5.0, 300.0, 1e6):
-        mu_est = (0.75 * math.sqrt(math.pi) * x) ** (2.0 / 3.0)
-        hi = max(2.0, 1.5 * mu_est + 2.0)
-        cases.append((lambda mu, x=x: fermi_f_log(1.5, mu) - x,
-                      0.0, hi, 1e-13 * max(1.0, mu_est), 200))
-    for g_bb in (0.05, 2.0):
-        cfg = _zero_t_cfg(g_bb=g_bb)
-        cases.append((
-            lambda w, cfg=cfg: zero_temperature.boson_energy_derivatives(
-                w, cfg)[1],
-            1e-3 * cfg.omega_b, 1e3 * cfg.omega_b, 1e-15 * cfg.omega_b,
-            300))
-    cfg = _zero_t_cfg()
-    omega_c = zero_temperature.solve_omega_c(cfg).omega_c
 
-    def slope(w):
-        return zero_temperature.fermion_energy_gradients(
-            w, 0.0, omega_c, cfg)[0]
+    def recording(f, a, b, xtol, maxiter):
+        cases.append((f, a, b, xtol, maxiter))
+        return brentq(f, a, b, xtol=xtol, maxiter=maxiter)
 
-    # the bracket scan of solve_Omega_c
-    grid = np.geomspace(1e-3 * cfg.omega_f, 1e3 * cfg.omega_f, 121)
-    signs = np.sign([slope(w) for w in grid])
-    for i in np.nonzero(np.diff(signs) != 0)[0]:
-        cases.append((slope, grid[i], grid[i + 1], 1e-15 * cfg.omega_f,
-                      300))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specfun, "brentq", recording)
+        patch.setattr(zero_temperature, "brentq", recording)
+        zero_temperature._solve_omega_c.cache_clear()
+        for x in (1e-310, 1e-4, 0.3, 1.7, 2.6):
+            specfun.bose_fugacity_from_density(x)
+        for x in (1e-310, 1e-4, 0.3, 0.76, 0.9, 5.0, 300.0, 1e6, 1e30):
+            specfun.fermi_fugacity_from_density(x)
+        for g_bb in (0.05, 2.0, -1e-4):
+            zero_temperature.solve_omega_c(_zero_t_cfg(g_bb=g_bb))
+        cfg = _zero_t_cfg()
+        zero_temperature.solve_Omega_c(
+            zero_temperature.solve_omega_c(cfg).omega_c, cfg)
+    zero_temperature._solve_omega_c.cache_clear()
     return cases
 
 
 def test_brentq_roots_equal_scipy_on_package_residuals():
-    for f, a, b, xtol, maxiter in _residual_cases():
+    cases = _residual_cases()
+    # 14 fugacity inversions, 3 boson roots and the roots of the
+    # solve_Omega_c bracket scan
+    assert len(cases) == 18
+    for f, a, b, xtol, maxiter in cases:
         ours = brentq(f, a, b, xtol=xtol, maxiter=maxiter)
         theirs = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=_RTOL,
                                        maxiter=maxiter)
@@ -135,6 +130,8 @@ def test_solvers_unchanged_with_scipy_brentq(monkeypatch):
 
     monkeypatch.setattr(zero_temperature, "brentq", scipy_brentq)
     monkeypatch.setattr(specfun, "brentq", scipy_brentq)
+    # the boson solve is memoised; solve it again under scipy's brentq
+    zero_temperature._solve_omega_c.cache_clear()
     theirs = (zero_temperature.classify_zero_T(cfg),
               zero_temperature.solve_omega_c(_zero_t_cfg(g_bb=-1e-4)),
               [specfun.fermi_fugacity_from_density(x) for x in (0.5, 40.0)],

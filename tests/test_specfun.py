@@ -226,6 +226,41 @@ def test_fermi_fugacity_round_trip_up_to_ln_z_1e12():
             assert np.isclose(fermi_f_log(1.5, fug.ln_z), x, rtol=1e-12)
 
 
+# log-spaced from a subnormal density to the top of each range: near
+# Bose saturation, and ln z ~ 1.2e8 for the Fermi gas
+SWEEPS = [
+    (bose_fugacity_from_density, lambda fug: bose_g(1.5, fug.z),
+     ZETA_3_2 * (1.0 - 1e-4)),
+    (fermi_fugacity_from_density, lambda fug: fermi_f_log(1.5, fug.ln_z),
+     1e12),
+]
+
+
+@pytest.mark.parametrize("invert, h32, top", SWEEPS)
+def test_ln_z_over_the_whole_density_range(invert, h32, top):
+    xs = [float(x) for x in np.geomspace(1e-320, top, 400)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fugs = [invert(x) for x in xs]
+    ln_z = np.array([fug.ln_z for fug in fugs])
+    assert np.all(np.isfinite(ln_z))
+    assert np.all(np.diff(ln_z) > 0)
+    for x, fug in zip(xs, fugs):
+        if x <= 1e-200:
+            # h_(3/2)(z) = z to double precision this deep
+            assert abs(fug.ln_z - math.log(x)) <= 1e-12 * abs(math.log(x))
+        assert np.isclose(h32(fug), x, rtol=1e-12), (x, fug)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-305, 1e-310, 1e-320])
+@pytest.mark.parametrize("invert", [bose_fugacity_from_density,
+                                    fermi_fugacity_from_density])
+def test_subnormal_density_keeps_a_positive_fugacity(invert, x):
+    fug = invert(x)
+    assert fug.z > 0.0
+    assert abs(fug.ln_z - math.log(x)) <= 1e-12 * abs(math.log(x))
+
+
 def test_fugacity_monotone_in_density():
     xs = np.linspace(1e-3, ZETA_3_2 * 0.999, 50)
     zs = [bose_fugacity_from_density(float(x)).z for x in xs]

@@ -6,6 +6,7 @@ derivative-free golden-section minimizer; all analytic derivatives are
 checked against central finite differences.
 """
 
+import itertools
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -16,7 +17,8 @@ import pytest
 from bfmix.config import MixtureConfig, CompatMode
 from bfmix.constants import hbar, atomic_mass
 from bfmix.errors import DomainError
-from bfmix import zero_temperature as zt
+from bfmix import scan_engine, zero_temperature as zt
+from bfmix.scan_engine import figure_preset
 from bfmix.zero_temperature import (
     PhaseLabel, boson_energy, boson_energy_derivatives, solve_omega_c,
     critical_boson_number, overlap_G, overlap_G_derivatives,
@@ -26,8 +28,9 @@ from bfmix.zero_temperature import (
 )
 
 from oracles import (
-    gp_energy_quadrature, fermion_energy_quadrature, golden_minimize,
-    refine_minimum, central_diff, central_diff2, mixed_diff2,
+    bisect_root, gp_energy_quadrature, fermion_energy_quadrature,
+    golden_minimize, refine_minimum, central_diff, central_diff2,
+    mixed_diff2,
 )
 
 M7 = 7.0 * atomic_mass
@@ -124,6 +127,40 @@ def test_omega_c_residual_is_tiny():
         # natural slope scale of the functional
         scale = 0.75 * cfg.N_b * hbar
         assert abs(dE) / scale < 1e-9
+
+
+def _repulsive_traps():
+    """The repulsive boson traps of the fig1-fig3 grids, and oscillator-
+    unit (g_bb, N_b) from 1e-30 up to (1e12, 1e12) in both modes."""
+    traps = {}
+    for tag in ("fig1", "fig2", "fig3a", "fig3b"):
+        spec = figure_preset(tag)
+        axes = [[(rng, float(v)) for v in rng.grid()]
+                for rng in spec.variables]
+        for assignment in itertools.product(*axes):
+            cfg = scan_engine._point_config(spec, assignment)
+            traps[(cfg.N_b, cfg.g_bb)] = cfg
+    extremes = [make_cfg(g_bb=g_bb, N_b=N_b, mode=mode)
+                for g_bb in (1e-30, 1e-12, 1e-6, 1.0, 1e6, 1e12)
+                for N_b in (1.0, 1e3, 1e6, 1e12) for mode in CompatMode]
+    return [cfg for cfg in list(traps.values()) + extremes if cfg.g_bb > 0]
+
+
+def test_repulsive_bracket_holds_the_root():
+    traps = _repulsive_traps()
+    assert len(traps) == 201 + 48
+    for cfg in traps:
+        def slope(w):
+            return boson_energy_derivatives(w, cfg)[1]
+
+        lo, hi = zt._repulsive_bracket(cfg)
+        assert hi == cfg.omega_b
+        assert slope(lo) <= 0.0 <= slope(hi), (cfg.g_bb, cfg.N_b)
+        # the oracle brackets independently of the package
+        ref = bisect_root(slope, 1e-12 * cfg.omega_b, cfg.omega_b)
+        omega_c = solve_omega_c(cfg).omega_c
+        assert abs(omega_c - ref) <= 1e-12 * ref, \
+            (cfg.g_bb, cfg.N_b, omega_c, ref)
 
 
 def test_attractive_branch_minimum_and_collapse():
