@@ -2,15 +2,22 @@
 ``brentq`` (scipy/optimize/Zeros/brentq.c and its Python wrapper).
 
 Same iterates and the same stopping rule, with scipy's default rtol, so
-roots agree with ``scipy.optimize.brentq`` bit for bit; the same
-exception types are raised (ValueError for a non-positive xtol, a NaN
-function value or a bracket without a sign change, RuntimeError when
-maxiter runs out).
+roots agree with ``scipy.optimize.brentq`` bit for bit.  Its failures
+are numeric failures (NumericError) of scipy's types: RootError, also a
+ValueError, for a non-positive xtol, a NaN function value or a bracket
+without a sign change, and NumericError, a RuntimeError, when maxiter
+runs out.
 """
 
 import math
 
-__all__ = ["brentq"]
+from .errors import NumericError
+
+__all__ = ["brentq", "RootError"]
+
+
+class RootError(NumericError, ValueError):
+    """Brent cannot start or go on: the ValueError cases of scipy."""
 
 # scipy's default (and tightest) relative tolerance: 4 machine epsilons
 _RTOL = 4.0 * 2.220446049250313e-16
@@ -19,7 +26,7 @@ _RTOL = 4.0 * 2.220446049250313e-16
 def _value(f, x):
     fx = f(x)
     if math.isnan(fx):
-        raise ValueError(
+        raise RootError(
             f"The function value at x={x} is NaN; solver cannot continue.")
     return fx
 
@@ -31,7 +38,7 @@ def brentq(f, a, b, xtol, maxiter):
     (xtol + _RTOL * |x|) / 2, the same rule as scipy.
     """
     if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+        raise RootError(f"xtol too small ({xtol:g} <= 0)")
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
 
@@ -42,7 +49,7 @@ def brentq(f, a, b, xtol, maxiter):
     if fcur == 0:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise RootError("f(a) and f(b) must have different signs")
 
     for _ in range(maxiter):
         if (fpre != 0 and fcur != 0
@@ -90,4 +97,4 @@ def brentq(f, a, b, xtol, maxiter):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise NumericError(f"Failed to converge after {maxiter} iterations.")

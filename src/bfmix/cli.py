@@ -1,9 +1,10 @@
 """Command-line front end: parse a config, dispatch, write CSV.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 I/O error, 4 internal error (an unexpected exception, reported on one
-line as its type and message).  Diagnostics go to stderr; data only to
---out or stdout.
+Exit codes: 0 success, 1 configuration error, 2 numeric failure (a
+NumericError, or a float overflow or division by zero), 3 I/O error,
+4 internal error (an unexpected exception, reported on one line as its
+type and message).  Diagnostics go to stderr; data only to --out or
+stdout.
 """
 
 import argparse
@@ -268,6 +269,9 @@ def main(argv=None):
         return 1
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # float overflow or division by zero
+        print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ class DomainError(ValueError):
 
 class NumericError(RuntimeError):
     """Overflow or an exhausted search: a Fermi integral that is not
-    finite, a Z that is not a number, or no result after the bounded
+    finite, a Z that is not a number, a Brent call that cannot start or
+    does not converge (bfmix.brent), or no result after the bounded
     expansions for Omega_c, the critical N_b or the Thomas-Fermi e_F and
     grid span."""

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .brent import brentq
 from .config import CompatMode, MixtureConfig
 from .constants import h, hbar, k_B, pi
@@ -167,7 +165,8 @@ def helmholtz_free_energy(state, cfg):
     out += cfg.N_f * z_f.ln_z
     out -= (V / lb ** 3) * bose_g(PolyOrder.FIVE_HALVES, z_b.z)
     if not state.condensed:
-        out += cfg.N_b * z_b.ln_z + math.log1p(-z_b.z)
+        # ln(1 - z_b) from ln z_b: just above T_c, z_b rounds to 1
+        out += cfg.N_b * z_b.ln_z + math.log(-math.expm1(z_b.ln_z))
     out += 0.5 * ell_ff * state.rho_f * cfg.N_f * lf ** 2
     out += 2.0 * ell_bb * state.rho_b * cfg.N_b * lb ** 2
     out += ell_bf * (lb ** 2 + lf ** 2) * cfg.N_f * cfg.N_b / V
@@ -249,6 +248,13 @@ def _z_of_T(cfg, T, r=0.0):
     return stability_matrix(thermal_state(cfg, T), cfg).Z
 
 
+def _log_grid(lo, hi, n):
+    """n points from lo to hi, evenly spaced in log T, the ends exact."""
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (n - 1)
+    return [lo] + [10.0 ** (a + i * step) for i in range(1, n - 1)] + [hi]
+
+
 def critical_window(cfg, T_range, r=0.0, rtol=None):
     """Sample Z on a log grid in T and bracket its roots.
 
@@ -278,7 +284,7 @@ def critical_window(cfg, T_range, r=0.0, rtol=None):
     elif not 0.0 < rtol < 1.0:
         raise ConfigError(f"window rtol must be in (0, 1), got {rtol}")
     monotone = r == 0.0 and cfg.g_bb >= 0.0 and cfg.g_ff >= 0.0
-    grid = np.geomspace(T_lo, T_hi, 2 if monotone else _WINDOW_SAMPLES)
+    grid = _log_grid(T_lo, T_hi, 2 if monotone else _WINDOW_SAMPLES)
     values = [_z_of_T(cfg, T, r) for T in grid]
 
     # Z >= 0 is stable, so an edge is where Z < 0 starts or stops; a

@@ -11,9 +11,8 @@ other scan evaluates its points one after another in grid order.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
+from ._lazy import np
 from .config import _FIELD_PATHS, CompatMode, MixtureConfig, _finite
 from .constants import atomic_mass
 from .errors import ConfigError, DomainError, NumericError
@@ -57,7 +56,7 @@ class ScanRange:
     values: tuple = None
 
     def __post_init__(self):
-        if self.field not in _COLUMN_NAMES:
+        if not isinstance(self.field, str) or self.field not in _COLUMN_NAMES:
             raise ConfigError(f"unknown scan field '{self.field}'")
         where = f"scan.{self.field}"
         # a count given beside values must still be one
@@ -246,6 +245,11 @@ def _point_config(spec, assignment):
     return cfg
 
 
+# what fails one grid point instead of the scan; Python's float overflow
+# and division by zero are numeric failures like NumericError
+_POINT_FAILURES = (ConfigError, DomainError, NumericError, ArithmeticError)
+
+
 def _evaluate_point(spec, assignment):
     """(config, value, status) at one point; the config is None where it
     cannot be built."""
@@ -253,7 +257,7 @@ def _evaluate_point(spec, assignment):
     try:
         cfg = _point_config(spec, assignment)
         return cfg, OBSERVABLES[spec.observable](cfg, spec), "OK"
-    except (ConfigError, DomainError, NumericError) as exc:
+    except _POINT_FAILURES as exc:
         return cfg, math.nan, f"ERROR:{type(exc).__name__}"
 
 
@@ -282,7 +286,7 @@ def _coupling_plane(spec, grids):
             Z = np.broadcast_to(
                 stability_entries(state, base, **couplings)[3], shape)
             status[np.isnan(Z)] = "ERROR:NumericError"
-        except (ConfigError, DomainError, NumericError) as exc:
+        except _POINT_FAILURES as exc:
             Z = np.full(shape, math.nan)
             status[...] = f"ERROR:{type(exc).__name__}"
     for g in couplings.values():
@@ -299,7 +303,7 @@ def _temperature_extras(spec, cfg, value):
     if cfg is not None:
         try:
             return [T_K, T_K / fermi_temperature(cfg)]
-        except (ConfigError, DomainError, NumericError):
+        except _POINT_FAILURES:
             pass
     return [T_K, math.nan]
 

@@ -24,19 +24,21 @@ Evaluation strategy
                     accurate for the condensation machinery).
 * Fermi, 0.5<z<=1   the analogous expansion in mu = ln z with the Dirichlet
                     eta function: f_nu(e^mu) = sum_k eta(nu-k) mu^k / k!.
-* Fermi, 1<z<e^40   fixed composite Gauss-Legendre rule (20 nodes per panel)
-                    on the integral representation
-                    f_nu(z) = (2/Gamma(nu)) int_0^inf t^(2nu-1)
-                              sigma(mu - t^2) dt   (x = t^2, sigma = logistic),
-                    panel edges at x = mu-40, mu-36, ..., mu+40 clipped at
-                    0; the tail beyond x = mu + 40 is below 1e-17 of the
-                    total.
+* Fermi, 1<z<e^40   piecewise Chebyshev series in mu = ln z on the panels
+                    [2p, 2p + 2], p = 0..19, summed by Clenshaw's
+                    recurrence; 7 to 18 terms a panel, fitted against
+                    mpmath's polylog by tools/fit_fermi.py (relative
+                    error below 5e-16 on the fitted range).  The panels
+                    are 2 wide because the branch cuts of Li_nu(-e^mu)
+                    run along Im mu = +-pi.  The piecewise approach follows
+                    T. Fukushima, Appl. Math. Comput. 259 (2015) 708.
 * Fermi, z >= e^40  Sommerfeld series
                     f_nu(e^mu) = sum_k 2 eta(2k) mu^(nu-2k) / Gamma(nu+1-2k),
                     at most 13 terms; the neglected part is O(e^-mu).
 
-The zeta values, the eta(2k) values and the Gauss-Legendre nodes are
-frozen literals; tests pin them against scipy and numpy.
+The zeta and eta(2k) values are frozen literals pinned against scipy;
+the Chebyshev coefficients live in the generated module _fermi_cheb,
+and a test refits panels of it from mpmath bit for bit.
 
 Fugacity inversion
 ------------------
@@ -57,8 +59,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._fermi_cheb import COEFFICIENTS
 from .brent import brentq
 from .errors import DomainError, NumericError
 
@@ -222,10 +223,10 @@ def fermi_f_log(nu, ln_z):
     if ln_z <= 0.0:
         return _eta_expansion(order, ln_z)
     try:
-        if ln_z >= _SOMMERFELD_MU:
+        if ln_z < _SOMMERFELD_MU:
+            total = _fermi_chebyshev(order, ln_z)
+        else:  # NaN as well, which the sum passes on
             total = _sommerfeld(order, ln_z)
-        else:
-            total = _fermi_gauss_legendre(order, ln_z)
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
@@ -244,37 +245,23 @@ def fermi_f(nu, z):
     return fermi_f_log(order, math.log(z))
 
 
-# 20-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
-# weights (numpy.polynomial.legendre.leggauss(20), which is symmetric)
-_GL_POS_NODES = (
-    0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
-    0.5108670019508271, 0.636053680726515, 0.7463319064601508,
-    0.8391169718222188, 0.912234428251326, 0.9639719272779138,
-    0.993128599185095,
-)
-_GL_POS_WEIGHTS = (
-    0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
-    0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
-    0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
-    0.017614007139150893,
-)
-_GL_NODES = np.concatenate([-np.array(_GL_POS_NODES[::-1]),
-                            np.array(_GL_POS_NODES)])
-_GL_WEIGHTS = np.array(_GL_POS_WEIGHTS[::-1] + _GL_POS_WEIGHTS)
-# panel edges in x = t^2, relative to mu; panels of width 4 resolve the
-# logistic's poles at distance pi from the real axis
-_GL_EDGE_OFFSETS = np.arange(-40.0, 41.0, 4.0)
+# each panel's Chebyshev coefficients, highest degree first for Clenshaw
+_CHEBYSHEV = {order: tuple(tuple(reversed(panel))
+                           for panel in COEFFICIENTS[order.value])
+              for order in PolyOrder}
 
 
-def _fermi_gauss_legendre(order, mu):
-    """(2/Gamma(nu)) int_0^inf t^(2nu-1) sigma(mu - t^2) dt for
-    0 < mu < 40, by the fixed composite rule over t = sqrt(x)."""
-    nu = order.value
-    edges = np.sqrt(np.maximum(mu + _GL_EDGE_OFFSETS, 0.0))
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _GL_NODES
-    values = t ** (2.0 * nu - 1.0) / (1.0 + np.exp(t * t - mu))
-    return 2.0 / math.gamma(nu) * float(half @ (values @ _GL_WEIGHTS))
+def _fermi_chebyshev(order, mu):
+    """f_nu(e^mu) for 0 < mu < 40: the Chebyshev series of the panel
+    [2p, 2p + 2] holding mu, summed by Clenshaw's recurrence."""
+    p = int(0.5 * mu)
+    x = mu - (2 * p + 1)  # the panel mapped onto [-1, 1]
+    coefs = _CHEBYSHEV[order][p]
+    x2 = x + x
+    b1 = b2 = 0.0
+    for c in coefs:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return b1 - x * b2
 
 
 _SOMMERFELD_MU = 40.0

@@ -11,8 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .brent import brentq
 from .constants import hbar, pi
 from .errors import DomainError, NumericError
@@ -31,9 +30,9 @@ class TFRegime(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class TFProfiles:
-    radii: np.ndarray
-    n_b: np.ndarray
-    n_f: np.ndarray
+    radii: "np.ndarray"
+    n_b: "np.ndarray"
+    n_f: "np.ndarray"
     mu_b: float
     e_F: float
     R_b: float
@@ -96,41 +95,41 @@ def tf_boson_profile(cfg, grid):
     return mu_b, n_b
 
 
-# overflow in the density arithmetic fails the bracket search, which
-# raises NumericError; it is not also a numpy warning
-@np.errstate(all="ignore")
 def tf_fermion_profile(cfg, mu_b, n_b, grid):
     """Fermion density on the grid for the potential trap + g_bf n_b(r);
     returns (e_F, n_f) with e_F fixed by the normalization to N_f: a
     doubling search brackets it, Brent's method (bfmix.brent) refines it
     to 1e-10 relative."""
-    grid = np.asarray(grid, dtype=float)
-    V_eff = 0.5 * cfg.m_f * cfg.omega_f ** 2 * grid ** 2 + cfg.g_bf * n_b
-    pref = (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2)
-    shell = 4.0 * pi * grid ** 2
+    # overflow in the density arithmetic fails the bracket search, which
+    # raises NumericError; it is not also a numpy warning
+    with np.errstate(all="ignore"):
+        grid = np.asarray(grid, dtype=float)
+        V_eff = 0.5 * cfg.m_f * cfg.omega_f ** 2 * grid ** 2 + cfg.g_bf * n_b
+        pref = (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2)
+        shell = 4.0 * pi * grid ** 2
 
-    def count(e_F):
-        dens = pref * np.maximum(0.0, e_F - V_eff) ** 1.5
-        return simpson(shell * dens, x=grid)
+        def count(e_F):
+            dens = pref * np.maximum(0.0, e_F - V_eff) ** 1.5
+            return simpson(shell * dens, x=grid)
 
-    lo = float(V_eff.min())
-    # plateau height of the mean-field shift plus the ideal-gas guess
-    step = hbar * cfg.omega_f * (6.0 * cfg.N_f) ** (1.0 / 3.0) \
-        + max(0.0, cfg.g_bf * mu_b / cfg.g_bb) + hbar * cfg.omega_f
-    hi = lo + step
-    for _ in range(80):
-        if count(hi) >= cfg.N_f:
-            break
-        step *= 2.0
+        lo = float(V_eff.min())
+        # plateau height of the mean-field shift plus the ideal-gas guess
+        step = hbar * cfg.omega_f * (6.0 * cfg.N_f) ** (1.0 / 3.0) \
+            + max(0.0, cfg.g_bf * mu_b / cfg.g_bb) + hbar * cfg.omega_f
         hi = lo + step
-    else:
-        raise NumericError(
-            "fermion normalization bracket failed to capture N_f; the "
-            "grid span may not cover the cloud")
+        for _ in range(80):
+            if count(hi) >= cfg.N_f:
+                break
+            step *= 2.0
+            hi = lo + step
+        else:
+            raise NumericError(
+                "fermion normalization bracket failed to capture N_f; the "
+                "grid span may not cover the cloud")
 
-    e_F = brentq(lambda e: count(e) - cfg.N_f, lo, hi,
-                 xtol=1e-10 * max(abs(hi), abs(lo)), maxiter=200)
-    return e_F, pref * np.maximum(0.0, e_F - V_eff) ** 1.5
+        e_F = brentq(lambda e: count(e) - cfg.N_f, lo, hi,
+                     xtol=1e-10 * max(abs(hi), abs(lo)), maxiter=200)
+        return e_F, pref * np.maximum(0.0, e_F - V_eff) ** 1.5
 
 
 def classify_tf_regime(cfg):
@@ -155,6 +154,10 @@ def _build_grid(cfg, mu_b, span_factor, n_points):
         + max(0.0, cfg.g_bf * mu_b / cfg.g_bb)
     R_f = math.sqrt(2.0 * e_guess / (cfg.m_f * cfg.omega_f ** 2))
     span = span_factor * max(R_b, R_f)
+    if not 0.0 < R_b <= span < math.inf:
+        raise NumericError(
+            f"cloud radii out of float range: R_b = {R_b:g} m, "
+            f"R_f = {R_f:g} m")
     j = int(round(R_b / (span / (n_points - 1))))
     j = max(2, j + (j % 2))
     h = R_b / j

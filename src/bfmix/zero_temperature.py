@@ -41,8 +41,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import np
 from .brent import brentq
 from .config import MixtureConfig, CompatMode
 from .constants import hbar

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, CSV shape, flag handling, byte stability."""
 
+import contextlib
 import io
 import json
 import os
@@ -329,20 +330,118 @@ def test_bad_numeric_field_exit_1_names_field(tmp_path, capsys, section,
     assert "Traceback" not in err
 
 
+def _leaf_paths(node, prefix=()):
+    """Every key path and list index of a JSON config, sections too."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _leaf_paths(value, prefix + (key,))
+
+
+def test_mutated_config_never_exits_4(tmp_path):
+    """Any one field of a valid config set to any JSON value, or removed:
+    every command exits 0, 1, 2 or 3, never with a traceback.  The scan
+    lists its values, so no mutation can ask for a long grid."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    valid = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3,
+                                     "g_ff": 0.01})
+    valid["thermal"]["temperature"] = 5.0
+    valid["scan"] = {"observable": "Z", "variables": [
+        {"field": "thermal.temperature", "values": [0.5, 5.0, 50.0]}]}
+    paths = list(_leaf_paths(valid))
+    removed = object()
+    number = st.one_of(st.integers(),
+                       st.floats(allow_nan=True, allow_infinity=True))
+    json_scalar = st.one_of(number, st.none(), st.booleans(),
+                            st.text(max_size=6))
+    # most fields are numbers, so numbers come first and most often
+    value = st.one_of(
+        number, json_scalar, st.just(removed),
+        st.lists(json_scalar, max_size=3),
+        st.dictionaries(st.text(max_size=4), json_scalar, max_size=2))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(command=st.sampled_from(
+                          ["zero-t", "tf", "finite-t", "window", "scan"]),
+                      path=st.sampled_from(paths), new=value)
+    def check(command, path, new):
+        cfg = json.loads(json.dumps(valid))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if new is removed:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+        config = write_config(tmp_path, cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", config,
+                             "--out", str(tmp_path / "out.csv")])
+        assert code in (0, 1, 2, 3), (command, path, new, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+def _fresh_env():
+    # a fresh interpreter on this checkout
+    src = str(Path(bfmix.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _fresh_probe(code, *argv):
+    """stdout of `python -c code argv...` in a fresh interpreter."""
+    result = subprocess.run([sys.executable, "-c", code, *argv],
+                            env=_fresh_env(), capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 def test_import_loads_no_scipy():
     # scipy costs about 0.4 s of cold start and concurrent.futures (with
     # logging) several ms more; the runtime needs neither
-    src = str(Path(bfmix.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = ("import sys, bfmix.cli; "
              "print(sorted(m for m in sys.modules "
              "if m in ('scipy', 'concurrent.futures') "
              "or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert _fresh_probe(probe) == "[]"
+
+
+def test_import_loads_every_bfmix_module():
+    # bench/tracer.py wraps the functions of the modules that importing
+    # bfmix.cli loads; a module imported later would escape it
+    package = Path(bfmix.__file__).resolve().parent
+    expected = sorted(f"bfmix.{p.stem}" for p in package.glob("*.py")
+                      if p.stem not in ("__init__", "__main__"))
+    probe = ("import sys, bfmix.cli; print(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('bfmix.'))))")
+    assert _fresh_probe(probe).split() == expected
+
+
+# numpy's import costs more than a whole window run, and window,
+# finite-t and zero-t touch no array; presets, scans and tf do
+@pytest.mark.parametrize("command, loads_numpy", [
+    ("window", False), ("finite-t", False), ("zero-t", False),
+    ("tf", True), ("fig4", True)])
+def test_fresh_process_loads_numpy_only_for_arrays(tmp_path, command,
+                                                   loads_numpy):
+    argv = [command, "--out", str(tmp_path / "out.csv")]
+    if command != "fig4":
+        cfg = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3,
+                                       "g_ff": 0.01})
+        cfg["thermal"]["temperature"] = 5.0
+        argv += ["--config", write_config(tmp_path, cfg)]
+    probe = ("import sys; from bfmix import cli; "
+             "code = cli.main(sys.argv[1:]); "
+             "print(code, any(m.startswith('numpy.') for m in sys.modules))")
+    assert _fresh_probe(probe, *argv) == f"0 {loads_numpy}"
+    assert len(data_lines((tmp_path / "out.csv").read_text())) >= 2
 
 
 def _overflow_config(g_bb=0.05, g_ff=0.01, scan=None):
@@ -387,11 +486,25 @@ def test_z_overflow_exit_codes(tmp_path, capsys):
         "9.9999999999999997e+199,nan,ERROR:NumericError"]
 
 
+def test_float_overflow_is_a_numeric_failure(tmp_path, capsys):
+    # Python's scalar ** raises OverflowError where numpy would give inf:
+    # on its own it exits 2, in a scan it fails only its row
+    cfg = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3, "g_ff": 0.01})
+    cfg["fermion"]["mass_u"] = 1.5e173
+    assert cli.main(["zero-t", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("numeric error: OverflowError")
+    cfg["fermion"]["mass_u"] = 7.0
+    cfg["scan"] = {"observable": "Y", "variables": [
+        {"field": "fermion.mass", "values": [7.0, 1.5e173]}]}
+    assert cli.main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = data_lines(capsys.readouterr().out)[1:]
+    assert rows[0].endswith(",OK")
+    assert rows[1].endswith(",nan,nan,ERROR:OverflowError")
+
+
 def _run_fresh(tmp_path, argv):
     # a fresh interpreter on this checkout, with numpy's default warnings
-    src = str(Path(bfmix.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _fresh_env()
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run(
         [sys.executable, "-m", "bfmix", *argv, "--out",

@@ -192,6 +192,22 @@ def test_free_energy_ideal_decomposition():
     assert np.isclose(total, fermi_part + bose_part, rtol=1e-10)
 
 
+@pytest.mark.parametrize("eps", [1.5e-15, 3e-15, 6e-15, 1e-13])
+def test_free_energy_just_above_condensation(eps):
+    """Just above T_c, z_b rounds to 1 while the gas is not condensed;
+    ln(1 - z_b) must come from ln z_b, not from the rounded z_b."""
+    cfg = make_cfg()
+    T_c = ft.bec_temperature(cfg)
+    st = ft.thermal_state(cfg, T_c * (1.0 + eps))
+    assert st.z_b.z == 1.0 and not st.condensed
+    total = ft.helmholtz_free_energy(st, cfg)
+    # the sub-extensive ln(1 - z_b) is all that separates the two sides
+    below = ft.helmholtz_free_energy(
+        ft.thermal_state(cfg, T_c * (1.0 - 1e-13)), cfg)
+    assert math.isfinite(total)
+    assert np.isclose(total, below, rtol=1e-3)
+
+
 def test_free_energy_cross_term_structure():
     # fugacities ignore the couplings, so beta F is exactly linear in g_bf
     # and the cross term is proportional to N_b N_f / V
@@ -671,7 +687,7 @@ def _grid_window(cfg, T_range, rtol):
     """(n_sign_changes, unstable_at_low_edge, roots) of 400 log-spaced
     samples of Z, each change between Z < 0 and Z >= 0 refined by Brent
     to rtol T."""
-    grid = np.geomspace(*T_range, 400)
+    grid = np.geomspace(*T_range, 400).tolist()
     values = [ft._z_of_T(cfg, T) for T in grid]
     roots = [brentq(lambda T: ft._z_of_T(cfg, T), lo, hi,
                     xtol=0.5 * rtol * lo, maxiter=200)

@@ -6,12 +6,15 @@ quadrature of the integral representations; Euler-averaged alternating
 series), then frozen here as literals.
 """
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bfmix._fermi_cheb import COEFFICIENTS
 from bfmix.errors import DomainError
 from bfmix.specfun import (
     PolyOrder, Species, Fugacity, ZETA_3_2,
@@ -200,9 +203,14 @@ def test_fermi_fugacity_degenerate_regime_uses_log_scale():
 
 
 # ln z from the classical edge of the z > 1 branch to deep degeneracy,
-# with the seam between the Gauss-Legendre rule and the Sommerfeld series
+# with the seam between the Chebyshev panels and the Sommerfeld series
 ORACLE_LN_Z = [float(mu) for mu in 10.0 ** np.linspace(-4.0, 12.0, 33)] \
     + [1.0, 39.999999, 40.0, 40.000001, 1e6, 1e9]
+# the Chebyshev kernel's panels [2p, 2p + 2] for 0 < ln z < 40: every
+# midpoint, and one ulp on each side of every seam from 0 to 40
+PANEL_LN_Z = [2.0 * p + 1.0 for p in range(20)] + [
+    math.nextafter(2.0 * p, side) for p in range(21)
+    for side in (-math.inf, math.inf)]
 
 
 def test_fermi_f_log_against_mpmath_polylog():
@@ -210,10 +218,39 @@ def test_fermi_f_log_against_mpmath_polylog():
     with mp.workdps(30), warnings.catch_warnings():
         warnings.simplefilter("error")
         for nu in (0.5, 1.5, 2.5):
-            for mu in ORACLE_LN_Z:
+            for mu in ORACLE_LN_Z + PANEL_LN_Z:
                 ref = float(mp.re(-mp.polylog(nu, -mp.exp(mu))))
                 got = fermi_f_log(nu, mu)
                 assert abs(got - ref) <= 1e-14 * ref, (nu, mu, got, ref)
+
+
+def test_bose_g_against_mpmath_polylog():
+    """Series below z = 0.5, the Robinson expansion above it, up to
+    where g_(1/2) signals its divergence."""
+    mp = pytest.importorskip("mpmath")
+    zs = np.linspace(0.0, 1.0, 201)[1:-1].tolist() + [
+        1e-300, 1e-8, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+        0.9999, 1.0 - 1e-8, 1.0 - 1e-12]
+    with mp.workdps(30):
+        for nu in (0.5, 1.5, 2.5):
+            for z in zs:
+                ref = float(mp.polylog(nu, z))
+                got = bose_g(nu, z)
+                assert abs(got - ref) <= 1e-14 * ref, (nu, z, got, ref)
+
+
+def test_chebyshev_literals_refit_from_mpmath():
+    """tools/fit_fermi.py reproduces the frozen coefficients bit for bit
+    (checked on the first and the last panel of f_(1/2))."""
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parents[1] / "tools" / "fit_fermi.py"
+    spec = importlib.util.spec_from_file_location("fit_fermi", path)
+    fit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fit)
+    panels = COEFFICIENTS[0.5]
+    assert len(panels) == fit.PANELS
+    for p in (0, fit.PANELS - 1):
+        assert fit.panel_coefficients(0.5, p) == panels[p], p
 
 
 def test_fermi_fugacity_round_trip_up_to_ln_z_1e12():
