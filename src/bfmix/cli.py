@@ -8,8 +8,8 @@ stdout.
 """
 
 import argparse
-import csv
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -38,14 +38,20 @@ _WORKERS_ENV = "BFMIX_WORKERS"
 # CSV output
 # ---------------------------------------------------------------------------
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # as the csv module's QUOTE_MINIMAL
+
+
 def _cell(value):
+    if isinstance(value, float):
+        return f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    text = str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(table, stream):
@@ -56,11 +62,9 @@ def write_csv(table, stream):
     """
     for line in table.provenance:
         stream.write(f"# {line}\n")
-    writer = csv.writer(stream, quoting=csv.QUOTE_MINIMAL,
-                        lineterminator="\n")
-    writer.writerow(table.columns)
+    stream.write(",".join(map(_cell, table.columns)) + "\n")
     for row in table.rows:
-        writer.writerow([_cell(v) for v in row])
+        stream.write(",".join(map(_cell, row)) + "\n")
 
 
 def _emit(table, out_path):
@@ -177,9 +181,8 @@ def _run_tf(args):
     cfg, _ = _load(args)
     profiles = tf_profiles(cfg)
     columns = ("r", "n_b", "n_f", "status")
-    rows = tuple((float(r), float(nb), float(nf), "OK")
-                 for r, nb, nf in zip(profiles.radii, profiles.n_b,
-                                      profiles.n_f))
+    rows = tuple((r, nb, nf, "OK") for r, nb, nf
+                 in zip(profiles.radii, profiles.n_b, profiles.n_f))
     provenance = [f"bfmix {__version__}", f"mode: {cfg.compat_mode.value}",
                   "analysis: tf",
                   f"regime: {profiles.regime.value}",

@@ -56,7 +56,7 @@ def coupling_lengths(cfg):
 
 
 def _coupling_lengths(cfg, g_bb, g_bf, g_ff):
-    # the couplings [J m^3] are floats or arrays; cfg fixes the mapping
+    # the couplings are given in J m^3; cfg fixes the mapping
     if cfg.compat_mode is CompatMode.PAPER:
         a = cfg.osc_length
         unit = cfg.coupling_unit
@@ -217,9 +217,8 @@ def stability_matrix(state, cfg):
 
 def stability_entries(state, cfg, g_bb, g_bf, g_ff):
     """The beta-scaled entries (bb, ff, cross) and Z of stability_matrix
-    at the couplings g_bb, g_bf, g_ff [J m^3], which may be floats or
-    broadcastable arrays; every other input comes from state and cfg.
-    Array arithmetic follows numpy's error state."""
+    at the couplings g_bb, g_bf, g_ff [J m^3]; every other input comes
+    from state and cfg."""
     ell_bb, ell_bf, ell_ff = _coupling_lengths(cfg, g_bb, g_bf, g_ff)
     lb, lf = state.lambda_b, state.lambda_f
     if state.condensed:

@@ -3,20 +3,21 @@
 A scan varies one or two dotted config fields over fixed grids and
 tabulates a named observable at every point, and each row carries a
 per-point status instead of failing the whole sweep.  A Z scan whose
-swept fields are all couplings (g_bb, g_bf, g_ff) is one array
-expression over the coupling plane at a single thermal state; every
-other scan evaluates its points one after another in grid order.
+swept fields are all couplings (g_bb, g_bf, g_ff) evaluates the coupling
+plane from a single thermal state; every other scan builds each point's
+config.  Either way the points are evaluated in grid order.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import __version__
-from ._lazy import np
 from .config import _FIELD_PATHS, CompatMode, MixtureConfig, _finite
 from .constants import atomic_mass
 from .errors import ConfigError, DomainError, NumericError
 from .finite_temperature import (
+    _log_grid,
     critical_window,
     fermi_temperature,
     stability_entries,
@@ -39,7 +40,7 @@ MAX_SCAN_POINTS = 1_000_000
 _COLUMN_NAMES = {path: {"volume": "V", "temperature": "T"}.get(attr, attr)
                  for path, attr in _FIELD_PATHS.items()}
 
-# the fields a Z scan may sweep and still be one array expression
+# the fields a Z scan may sweep and still share one thermal state
 _COUPLING_FIELDS = ("interaction.g_bb", "interaction.g_bf",
                     "interaction.g_ff")
 
@@ -92,11 +93,14 @@ class ScanRange:
         return len(self.values) if self.values is not None else self.points
 
     def grid(self):
+        """The grid as a list of floats, both ends exact."""
         if self.values is not None:
-            return np.asarray(self.values, dtype=float)
+            return list(self.values)
         if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+            return _log_grid(self.start, self.stop, self.points)
+        step = (self.stop - self.start) / (self.points - 1)
+        return ([self.start + i * step for i in range(self.points - 1)]
+                + [self.stop])
 
 
 @dataclass(frozen=True)
@@ -263,37 +267,36 @@ def _evaluate_point(spec, assignment):
 
 def _coupling_plane(spec, grids):
     """(None, value, status) at every point of a Z scan over couplings,
-    in grid order, from one thermal state and one array expression.
+    in grid order, from one thermal state.
 
     The rows match the per-point path: a coupling that is not finite in
     SI fails its point with ConfigError, a thermal-state failure fails
     every other point, and a Z that is not a number is a NumericError.
     """
     base = spec.base
+    try:
+        state, failure = thermal_state(base, base.temperature), None
+    except _POINT_FAILURES as exc:
+        state, failure = None, f"ERROR:{type(exc).__name__}"
+    attrs = [_FIELD_PATHS[rng.field] for rng in spec.variables]
+    units = [base._input_unit(attr) for attr in attrs]
     couplings = {attr: getattr(base, attr) for attr in ("g_bb", "g_bf",
                                                         "g_ff")}
-    shape = tuple(len(grid) for grid in grids)
-    status = np.full(shape, "OK", dtype=object)
-    with np.errstate(all="ignore"):
-        for axis, (rng, grid) in enumerate(zip(spec.variables, grids)):
-            attr = _FIELD_PATHS[rng.field]
-            axis_shape = [1] * len(grids)
-            axis_shape[axis] = -1
-            couplings[attr] = (grid * base._input_unit(attr)
-                               ).reshape(axis_shape)
-        try:
-            state = thermal_state(base, base.temperature)
-            Z = np.broadcast_to(
-                stability_entries(state, base, **couplings)[3], shape)
-            status[np.isnan(Z)] = "ERROR:NumericError"
-        except _POINT_FAILURES as exc:
-            Z = np.full(shape, math.nan)
-            status[...] = f"ERROR:{type(exc).__name__}"
-    for g in couplings.values():
-        status[~np.broadcast_to(np.isfinite(g), shape)] = "ERROR:ConfigError"
-    Z = np.where(status == "OK", Z, math.nan)
-    return [(None, value, flag) for value, flag
-            in zip(Z.ravel().tolist(), status.ravel().tolist())]
+    results = []
+    for point in itertools.product(*grids):
+        for attr, unit, value in zip(attrs, units, point):
+            couplings[attr] = value * unit
+        Z, status = math.nan, failure
+        if not all(math.isfinite(g) for g in couplings.values()):
+            status = "ERROR:ConfigError"
+        elif failure is None:
+            try:
+                Z = stability_entries(state, base, **couplings)[3]
+                status = "ERROR:NumericError" if math.isnan(Z) else "OK"
+            except _POINT_FAILURES as exc:
+                status = f"ERROR:{type(exc).__name__}"
+        results.append((None, Z if status == "OK" else math.nan, status))
+    return results
 
 
 def _temperature_extras(spec, cfg, value):
@@ -312,8 +315,8 @@ def run_scan(spec, workers=None):
     """Evaluate the observable over the full grid.
 
     A Z scan that sweeps only couplings (g_bb, g_bf, g_ff) solves one
-    thermal state, which does not depend on them, and evaluates Z over
-    the whole coupling plane as one array expression.  Any other scan
+    thermal state, which does not depend on them, and evaluates Z at
+    every point of the coupling plane from it.  Any other scan
     builds each point's config once and evaluates its points one after
     another.  Both give the same rows.
 
@@ -323,11 +326,8 @@ def run_scan(spec, workers=None):
     """
     _validate(spec)
     grids = [rng.grid() for rng in spec.variables]
-    if len(grids) == 1:
-        assignments = [((spec.variables[0], v),) for v in grids[0]]
-    else:
-        assignments = [((spec.variables[0], u), (spec.variables[1], v))
-                       for u in grids[0] for v in grids[1]]
+    assignments = [tuple(zip(spec.variables, point))
+                   for point in itertools.product(*grids)]
     if spec.observable == "Z" and all(rng.field in _COUPLING_FIELDS
                                       for rng in spec.variables):
         results = _coupling_plane(spec, grids)
@@ -353,9 +353,8 @@ def run_scan(spec, workers=None):
                 row.extend(_temperature_extras(spec, cfg, v))
         row.append(value)
         if spec.observable == "Y":
-            sign = math.nan if isinstance(value, float) and math.isnan(value) \
-                else float(np.sign(value))
-            row.append(sign)
+            row.append(math.nan if math.isnan(value)
+                       else float((value > 0) - (value < 0)))
         row.append(status)
         rows.append(tuple(row))
 

@@ -49,6 +49,8 @@ Brent call on ln h_(3/2)(e^mu) = ln x, inside a bracket two bounds prove:
 * g_(3/2)(z) <= zeta(3/2) for z <= 1, so the Bose upper end is 0, and
   f_(3/2)(e^mu) >= mu^(3/2) / Gamma(5/2) for mu > 0, so the Fermi upper
   end is (3 sqrt(pi) x / 4)^(2/3) + 1.
+The Bose residual takes g_(3/2) from mu, not from z = e^mu, which
+rounds to 1 for |mu| < 1.1e-16: just above T_c, ln z is about -1e-26.
 
 g_(1/2) diverges at z = 1.  For z >= 1 - 1e-13 the function returns
 ``math.inf`` as the documented divergence signal; thermodynamic callers
@@ -144,6 +146,7 @@ _GAMMA_1_MINUS_NU = {order: math.gamma(1.0 - order.value) for order in PolyOrder
 
 ZETA_3_2 = _ZETA_TABLE[PolyOrder.THREE_HALVES][0]   # g_(3/2)(1) = 2.61237534...
 
+_LN_HALF = math.log(0.5)  # the power series hands over above it
 _SERIES_MAX_TERMS = 100_000
 _SERIES_RTOL = 1e-15
 
@@ -218,7 +221,7 @@ def fermi_f_log(nu, ln_z):
     order = _as_order(nu)
     if ln_z == -math.inf:
         return 0.0
-    if ln_z <= math.log(0.5):
+    if ln_z <= _LN_HALF:
         return _power_series(order.value, math.exp(ln_z), -1)
     if ln_z <= 0.0:
         return _eta_expansion(order, ln_z)
@@ -308,18 +311,23 @@ def _ln_fugacity(species, x):
         return -math.inf
     ln_x = math.log(x)
     if species is Species.BOSE:
-        hi = 0.0
+        # g_(3/2) from mu, not from z = e^mu (see the module docstring);
+        # a negligible xtol leaves Brent's relative tolerance in charge
+        hi, xtol = 0.0, 1e-300
         def h32(mu):
-            return bose_g(PolyOrder.THREE_HALVES, math.exp(mu))
+            if mu <= _LN_HALF:
+                return _power_series(1.5, math.exp(mu), +1)
+            return _robinson(PolyOrder.THREE_HALVES, -mu)
     else:
         hi = (0.75 * math.sqrt(math.pi) * x) ** (2.0 / 3.0) + 1.0
+        # finer than the float spacing 1.1e-16 just below z = 1
+        xtol = 1e-16
         def h32(mu):
             return fermi_f_log(PolyOrder.THREE_HALVES, mu)
 
     def resid(mu):
         return mu - ln_x if mu < -40.0 else math.log(h32(mu)) - ln_x
-    # xtol is finer than the float spacing 1.1e-16 just below z = 1
-    return brentq(resid, min(ln_x, 0.0) - 1.0, hi, xtol=1e-16, maxiter=200)
+    return brentq(resid, min(ln_x, 0.0) - 1.0, hi, xtol=xtol, maxiter=200)
 
 
 def bose_fugacity_from_density(rho_lambda3):

@@ -11,7 +11,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
 from .brent import brentq
 from .constants import hbar, pi
 from .errors import DomainError, NumericError
@@ -30,13 +29,32 @@ class TFRegime(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class TFProfiles:
-    radii: "np.ndarray"
-    n_b: "np.ndarray"
-    n_f: "np.ndarray"
+    radii: list         # grid radii [m]
+    n_b: list           # densities on the grid [1/m^3]
+    n_f: list
     mu_b: float
     e_F: float
     R_b: float
     regime: TFRegime
+
+
+def _pairwise_sum(v):
+    """sum(v) in numpy's pairwise order, equal to numpy.sum bit for bit:
+    eight running sums on up to 128 terms, longer lists halved."""
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+    total = 0.0
+    if n >= 8:
+        r = v[:8]
+        for i in range(8, n - n % 8, 8):
+            r = [a + b for a, b in zip(r, v[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5])
+                                                   + (r[6] + r[7]))
+    for term in v[n - n % 8:]:
+        total += term
+    return total
 
 
 def simpson(y, x):
@@ -44,17 +62,17 @@ def simpson(y, x):
     increasing grid x, computed as scipy.integrate.simpson does: for an
     even number of samples the last interval takes Cartwright's
     three-point correction."""
-    h = np.diff(x)
+    h = [b - a for a, b in zip(x, x[1:])]
     n = len(y)
     stop = n - 3 if n % 2 == 0 else n - 2
-    h0 = h[0:stop:2]
-    h1 = h[1:stop + 1:2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    terms = []
+    for i in range(0, stop, 2):
+        h0, h1 = h[i], h[i + 1]
+        hsum, h0divh1 = h0 + h1, h0 / h1
+        terms.append(hsum / 6.0 * (y[i] * (2.0 - 1.0 / h0divh1)
+                                   + y[i + 1] * (hsum * (hsum / (h0 * h1)))
+                                   + y[i + 2] * (2.0 - h0divh1)))
+    result = _pairwise_sum(terms)
     if n % 2 == 0:
         hm2, hm1 = h[-2], h[-1]
         alpha = (2 * (hm1 * hm1) + 3 * hm2 * hm1) / (6 * (hm1 + hm2))
@@ -88,11 +106,8 @@ def condensate_radius(cfg):
 def tf_boson_profile(cfg, grid):
     """Condensate density on the given radial grid; returns (mu_b, n_b)."""
     mu_b = boson_chemical_potential(cfg)
-    grid = np.asarray(grid, dtype=float)
-    n_b = np.maximum(
-        0.0, (mu_b - 0.5 * cfg.m_b * cfg.omega_b ** 2 * grid ** 2)
-        / cfg.g_bb)
-    return mu_b, n_b
+    k = 0.5 * cfg.m_b * cfg.omega_b ** 2
+    return mu_b, [max(0.0, (mu_b - k * (r * r)) / cfg.g_bb) for r in grid]
 
 
 def tf_fermion_profile(cfg, mu_b, n_b, grid):
@@ -100,36 +115,35 @@ def tf_fermion_profile(cfg, mu_b, n_b, grid):
     returns (e_F, n_f) with e_F fixed by the normalization to N_f: a
     doubling search brackets it, Brent's method (bfmix.brent) refines it
     to 1e-10 relative."""
-    # overflow in the density arithmetic fails the bracket search, which
-    # raises NumericError; it is not also a numpy warning
-    with np.errstate(all="ignore"):
-        grid = np.asarray(grid, dtype=float)
-        V_eff = 0.5 * cfg.m_f * cfg.omega_f ** 2 * grid ** 2 + cfg.g_bf * n_b
-        pref = (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2)
-        shell = 4.0 * pi * grid ** 2
+    k = 0.5 * cfg.m_f * cfg.omega_f ** 2
+    V_eff = [k * (r * r) + cfg.g_bf * nb for r, nb in zip(grid, n_b)]
+    pref = (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2)
+    shell = [4.0 * pi * (r * r) for r in grid]
 
-        def count(e_F):
-            dens = pref * np.maximum(0.0, e_F - V_eff) ** 1.5
-            return simpson(shell * dens, x=grid)
+    def density(e_F):
+        return [pref * max(0.0, e_F - V) ** 1.5 for V in V_eff]
 
-        lo = float(V_eff.min())
-        # plateau height of the mean-field shift plus the ideal-gas guess
-        step = hbar * cfg.omega_f * (6.0 * cfg.N_f) ** (1.0 / 3.0) \
-            + max(0.0, cfg.g_bf * mu_b / cfg.g_bb) + hbar * cfg.omega_f
+    def count(e_F):
+        return simpson([s * d for s, d in zip(shell, density(e_F))], grid)
+
+    lo = min(V_eff)
+    # plateau height of the mean-field shift plus the ideal-gas guess
+    step = hbar * cfg.omega_f * (6.0 * cfg.N_f) ** (1.0 / 3.0) \
+        + max(0.0, cfg.g_bf * mu_b / cfg.g_bb) + hbar * cfg.omega_f
+    hi = lo + step
+    for _ in range(80):
+        if count(hi) >= cfg.N_f:
+            break
+        step *= 2.0
         hi = lo + step
-        for _ in range(80):
-            if count(hi) >= cfg.N_f:
-                break
-            step *= 2.0
-            hi = lo + step
-        else:
-            raise NumericError(
-                "fermion normalization bracket failed to capture N_f; the "
-                "grid span may not cover the cloud")
+    else:
+        raise NumericError(
+            "fermion normalization bracket failed to capture N_f; the "
+            "grid span may not cover the cloud")
 
-        e_F = brentq(lambda e: count(e) - cfg.N_f, lo, hi,
-                     xtol=1e-10 * max(abs(hi), abs(lo)), maxiter=200)
-        return e_F, pref * np.maximum(0.0, e_F - V_eff) ** 1.5
+    e_F = brentq(lambda e: count(e) - cfg.N_f, lo, hi,
+                 xtol=1e-10 * max(abs(hi), abs(lo)), maxiter=200)
+    return e_F, density(e_F)
 
 
 def classify_tf_regime(cfg):
@@ -161,7 +175,7 @@ def _build_grid(cfg, mu_b, span_factor, n_points):
     j = int(round(R_b / (span / (n_points - 1))))
     j = max(2, j + (j % 2))
     h = R_b / j
-    return h * np.arange(n_points), R_b
+    return [h * i for i in range(n_points)], R_b
 
 
 _GRID_POINTS = 2000
@@ -179,7 +193,7 @@ def tf_profiles(cfg):
         grid, R_b = _build_grid(cfg, mu_b, span_factor, _GRID_POINTS)
         _, n_b = tf_boson_profile(cfg, grid)
         e_F, n_f = tf_fermion_profile(cfg, mu_b, n_b, grid)
-        if n_f[-1] <= 1e-12 * n_f.max():
+        if n_f[-1] <= 1e-12 * max(n_f):
             break
         span_factor *= 1.5
     else:

@@ -41,11 +41,11 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._lazy import np
 from .brent import brentq
 from .config import MixtureConfig, CompatMode
 from .constants import hbar
 from .errors import DomainError, NumericError
+from .finite_temperature import _log_grid
 
 __all__ = [
     "PhaseLabel", "BosonVariationalResult", "FermionVariationalResult",
@@ -238,7 +238,7 @@ def critical_boson_number(cfg):
 # ---------------------------------------------------------------------------
 
 def _overlap(Omega, omega_c, cfg):
-    """(G, dG/dOmega) for a float or an array Omega, unchecked."""
+    """(G, dG/dOmega) at Omega, unchecked."""
     m_f, m_b = cfg.m_f, cfg.m_b
     u = m_f * Omega + m_b * omega_c
     return (m_f * m_b * omega_c * Omega / (hbar * u),
@@ -284,14 +284,14 @@ def fermion_energy(Omega, r_f, omega_c, cfg):
 
 
 def _dE_dOmega(Omega, r_f, G, dG, cfg):
-    """dE_f/dOmega at Omega with overlap G and dG/dOmega there; floats
-    or arrays, unchecked."""
+    """dE_f/dOmega at Omega with overlap G and dG/dOmega there,
+    unchecked."""
     _, A, kappa = _mode_factors(cfg)
     N_f = cfg.N_f
     return (A * hbar * N_f ** (5.0 / 3.0)
             - 0.75 * hbar * cfg.omega_f ** 2 / Omega ** 2 * N_f
-            + cfg.g_bf * kappa * cfg.N_b * N_f * np.exp(-G * r_f ** 2) * dG
-            * (1.5 * np.sqrt(G) - G ** 1.5 * r_f ** 2))
+            + cfg.g_bf * kappa * cfg.N_b * N_f * math.exp(-G * r_f ** 2) * dG
+            * (1.5 * math.sqrt(G) - G ** 1.5 * r_f ** 2))
 
 
 def fermion_energy_gradients(Omega, r_f, omega_c, cfg):
@@ -305,7 +305,7 @@ def fermion_energy_gradients(Omega, r_f, omega_c, cfg):
     dE_dr = cfg.N_f * r_f * (cfg.m_f * cfg.omega_f ** 2
                              - 2.0 * cfg.g_bf * kappa * cfg.N_b
                              * G ** 2.5 * math.exp(-G * r_f ** 2))
-    return float(_dE_dOmega(Omega, r_f, G, dG, cfg)), dE_dr
+    return _dE_dOmega(Omega, r_f, G, dG, cfg), dE_dr
 
 
 def _hessian_brackets(Omega, omega_c, cfg):
@@ -350,15 +350,14 @@ def _least_energy_Omega(r_f, omega_c, cfg):
 
     lo, hi = 1e-3 * cfg.omega_f, 1e3 * cfg.omega_f
     for _ in range(10):
-        grid = np.geomspace(lo, hi, int(round(20 * math.log10(hi / lo))) + 1)
-        with np.errstate(all="ignore"):
-            values = _dE_dOmega(grid, r_f, *_overlap(grid, omega_c, cfg),
-                                cfg)
-        idx = np.nonzero(np.diff(np.sign(values)) != 0)[0]
-        if idx.size:
-            roots = [brentq(slope, grid[i], grid[i + 1],
-                            xtol=1e-15 * cfg.omega_f, maxiter=300)
-                     for i in idx]
+        grid = _log_grid(lo, hi, int(round(20 * math.log10(hi / lo))) + 1)
+        signs = [(v > 0) - (v < 0) for v in
+                 (_dE_dOmega(w, r_f, *_overlap(w, omega_c, cfg), cfg)
+                  for w in grid)]
+        roots = [brentq(slope, grid[i], grid[i + 1],
+                        xtol=1e-15 * cfg.omega_f, maxiter=300)
+                 for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
+        if roots:
             return min(roots,
                        key=lambda w: fermion_energy(w, r_f, omega_c, cfg))
         lo, hi = lo / 10.0, hi * 10.0

@@ -266,7 +266,8 @@ def test_criterion_06():
         / (flat_base.m_b * flat_base.omega_b ** 2)
     flat = flat_base.with_field("interaction.g_bf", flat_base.g_bb * ratio)
     prof = tf_profiles(flat)
-    inside = prof.n_f[prof.radii < prof.R_b * (1.0 - 1e-9)]
+    inside = np.asarray(prof.n_f)[np.asarray(prof.radii)
+                                  < prof.R_b * (1.0 - 1e-9)]
     spread = (inside.max() - inside.min()) / inside.mean()
     checks.append(("flat variation", classify_tf_regime(flat)
                    is TFRegime.FLAT and spread < 1e-8))
@@ -285,7 +286,7 @@ def test_criterion_06():
     for name, prof_x, cfg_x in (("flat", prof, flat), ("core", prof_c,
                                                        core),
                                 ("shell", prof_s, shell)):
-        r = prof_x.radii
+        r = np.asarray(prof_x.radii)
         nb = simpson(4.0 * pi * r * r * prof_x.n_b, x=r)
         nf = simpson(4.0 * pi * r * r * prof_x.n_f, x=r)
         checks.append((f"{name} norms",

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, CSV shape, flag handling, byte stability."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import bfmix
 from bfmix import cli
 from bfmix.errors import ConfigError, NumericError
-from bfmix.scan_engine import PRESET_TAGS, ScanTable
+from bfmix.scan_engine import PRESET_TAGS, ScanTable, figure_preset, run_scan
 
 
 def base_config(**overrides):
@@ -302,6 +303,24 @@ def test_csv_writer_conventions():
     assert "\r" not in text
 
 
+@pytest.mark.parametrize("tag", PRESET_TAGS)
+def test_preset_rows_are_floats_and_read_back_cell_for_cell(tag):
+    # write_csv joins cells with commas and quotes none: every value is a
+    # Python float but the status, and csv.reader must get back exactly
+    # the 17-digit floats and the statuses written
+    table = run_scan(figure_preset(tag))
+    for *values, status in table.rows:
+        assert all(type(v) is float for v in values)
+        assert type(status) is str
+    buf = io.StringIO()
+    cli.write_csv(table, buf)
+    lines = [line for line in buf.getvalue().splitlines(keepends=True)
+             if not line.startswith("#")]
+    assert list(csv.reader(lines)) == [list(table.columns)] + [
+        [f"{v:.17g}" for v in values] + [status]
+        for *values, status in table.rows]
+
+
 def test_output_bytes_stable(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -424,24 +443,26 @@ def test_import_loads_every_bfmix_module():
     assert _fresh_probe(probe).split() == expected
 
 
-# numpy's import costs more than a whole window run, and window,
-# finite-t and zero-t touch no array; presets, scans and tf do
-@pytest.mark.parametrize("command, loads_numpy", [
-    ("window", False), ("finite-t", False), ("zero-t", False),
-    ("tf", True), ("fig4", True)])
-def test_fresh_process_loads_numpy_only_for_arrays(tmp_path, command,
-                                                   loads_numpy):
-    argv = [command, "--out", str(tmp_path / "out.csv")]
-    if command != "fig4":
-        cfg = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3,
-                                       "g_ff": 0.01})
-        cfg["thermal"]["temperature"] = 5.0
-        argv += ["--config", write_config(tmp_path, cfg)]
-    probe = ("import sys; from bfmix import cli; "
-             "code = cli.main(sys.argv[1:]); "
-             "print(code, any(m.startswith('numpy.') for m in sys.modules))")
-    assert _fresh_probe(probe, *argv) == f"0 {loads_numpy}"
-    assert len(data_lines((tmp_path / "out.csv").read_text())) >= 2
+def test_every_command_runs_without_numpy(tmp_path):
+    # the runtime has no dependencies: with every numpy import made to
+    # fail, each subcommand and preset still exits 0 and writes its table
+    cfg = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3, "g_ff": 0.01})
+    cfg["thermal"]["temperature"] = 5.0
+    cfg["scan"] = {"observable": "Z", "variables": [
+        {"field": "interaction.g_bb", "from": 0.0, "to": 0.1, "points": 3},
+        {"field": "interaction.g_ff", "values": [0.0, 0.01]}]}
+    config = write_config(tmp_path, cfg)
+    commands = ["zero-t", "tf", "finite-t", "window", "scan", *PRESET_TAGS]
+    argvs = [[command, "--out", str(tmp_path / f"{command}.csv")]
+             + ([] if command in PRESET_TAGS else ["--config", config])
+             for command in commands]
+    probe = ("import json, sys; sys.modules['numpy'] = None; "
+             "from bfmix import cli; "
+             "print([cli.main(argv) for argv in json.loads(sys.argv[1])])")
+    assert _fresh_probe(probe, json.dumps(argvs)) == str([0] * len(commands))
+    for command in commands:
+        text = (tmp_path / f"{command}.csv").read_text()
+        assert len(data_lines(text)) >= 2
 
 
 def _overflow_config(g_bb=0.05, g_ff=0.01, scan=None):
@@ -503,7 +524,7 @@ def test_float_overflow_is_a_numeric_failure(tmp_path, capsys):
 
 
 def _run_fresh(tmp_path, argv):
-    # a fresh interpreter on this checkout, with numpy's default warnings
+    # a fresh interpreter on this checkout, with default warning filters
     env = _fresh_env()
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run(
@@ -514,8 +535,8 @@ def _run_fresh(tmp_path, argv):
 
 @pytest.mark.parametrize("command", [*PRESET_TAGS, "overflow-scan"])
 def test_fresh_process_writes_nothing_to_stderr(tmp_path, command):
-    # numpy warns on stderr about overflow in array arithmetic unless it
-    # is told not to; no run, the coupling plane included, may print one
+    # no run, the overflowing coupling plane included, may print a
+    # warning or anything else to stderr
     argv = [command]
     if command == "overflow-scan":
         argv = ["scan", "--config", write_config(tmp_path, _overflow_config(
@@ -527,8 +548,8 @@ def test_fresh_process_writes_nothing_to_stderr(tmp_path, command):
 
 
 def test_fresh_process_tf_overflow_prints_only_the_error(tmp_path):
-    # g_bf = 1e200 overflows the fermion density: the normalization
-    # bracket fails with exit 2, and numpy adds no warning of its own
+    # g_bf = 1e200 overflows the fermion density: exit 2 with the error
+    # on one line and nothing else on stderr
     path = write_config(tmp_path, _overflow_config())
     result = _run_fresh(tmp_path, ["tf", "--config", path])
     assert result.returncode == 2

@@ -42,7 +42,7 @@ def test_range_grid_log():
 
 def test_range_values_override():
     r = ScanRange("boson.count", values=(1000.0, 10000.0))
-    assert r.grid().tolist() == [1000.0, 10000.0]
+    assert np.asarray(r.grid()).tolist() == [1000.0, 10000.0]
 
 
 def test_range_validation():

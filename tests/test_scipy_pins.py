@@ -160,6 +160,15 @@ def test_brentq_exact_endpoint_roots():
 # Simpson on the Thomas-Fermi grid
 # ---------------------------------------------------------------------------
 
+def test_pairwise_sum_equals_numpy_sum():
+    # every branch: fewer than 8 terms, one block with and without a
+    # remainder, and the halving above 128 terms
+    rng = np.random.default_rng(11)
+    for n in [*range(0, 140), 255, 256, 257, 999, 1000, 4001]:
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+        assert thomas_fermi._pairwise_sum(v.tolist()) == np.sum(v), n
+
+
 @pytest.mark.parametrize("n_points", [2000, 2001])
 def test_simpson_equals_scipy_on_tf_grid(n_points):
     cfg = MixtureConfig.from_oscillator(
@@ -170,11 +179,11 @@ def test_simpson_equals_scipy_on_tf_grid(n_points):
     _, n_b = thomas_fermi.tf_boson_profile(cfg, grid)
     e_F, n_f = thomas_fermi.tf_fermion_profile(cfg, mu_b, n_b, grid)
     for density in (n_b, n_f):
-        y = 4.0 * math.pi * grid ** 2 * density
-        assert thomas_fermi.simpson(y, grid) == \
-            scipy.integrate.simpson(y, x=grid)
+        y = 4.0 * math.pi * np.asarray(grid) ** 2 * np.asarray(density)
+        assert thomas_fermi.simpson(y.tolist(), grid) == \
+            scipy.integrate.simpson(y, x=np.asarray(grid))
     # the even-length rule keeps scipy's last-interval correction, which
     # makes it exact for quadratics on any grid
     x = np.sort(np.random.default_rng(5).uniform(0.0, 3.0, 10))
-    assert np.isclose(thomas_fermi.simpson(x * x, x),
+    assert np.isclose(thomas_fermi.simpson((x * x).tolist(), x.tolist()),
                       (x[-1] ** 3 - x[0] ** 3) / 3.0, rtol=1e-13)

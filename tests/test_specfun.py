@@ -239,6 +239,25 @@ def test_bose_g_against_mpmath_polylog():
                 assert abs(got - ref) <= 1e-14 * ref, (nu, z, got, ref)
 
 
+@pytest.mark.parametrize("eps, bound", [(1e-10, 1e-6), (1e-13, 1e-2),
+                                        (1.5e-15, 5e-2)])
+def test_bose_ln_z_just_above_condensation_against_mpmath(eps, bound):
+    """At T = T_c (1 + eps), x = zeta(3/2) (1 + eps)^(-3/2) and ln z is
+    of order -eps^2, where z rounds to 1.  The bounds widen toward T_c
+    with the rounding of ln g_(3/2) - ln x near zeta(3/2)."""
+    mp = pytest.importorskip("mpmath")
+    x = ZETA_3_2 / (1.0 + eps) ** 1.5
+    with mp.workdps(60):
+        X = mp.mpf(x)
+        # Robinson: g_(3/2)(e^-alpha) = zeta(3/2) - 2 sqrt(pi alpha) + ...
+        guess = ((mp.zeta(1.5) - X) / (2 * mp.sqrt(mp.pi))) ** 2
+        alpha = mp.findroot(lambda a: mp.polylog(1.5, mp.exp(-a)) - X,
+                            (guess / 2, 2 * guess), solver="anderson")
+    ref = -float(alpha)
+    got = bose_fugacity_from_density(x).ln_z
+    assert abs(got - ref) <= bound * abs(ref), (got, ref)
+
+
 def test_chebyshev_literals_refit_from_mpmath():
     """tools/fit_fermi.py reproduces the frozen coefficients bit for bit
     (checked on the first and the last panel of f_(1/2))."""

@@ -49,6 +49,7 @@ def test_boson_profile_endpoints():
     cfg = make_cfg()
     prof = tf_profiles(cfg)
     mu_b, n_b = tf_boson_profile(cfg, prof.radii)
+    n_b = np.asarray(n_b)
     assert np.isclose(n_b[0], mu_b / cfg.g_bb, rtol=1e-14)
     # R_b sits on a grid node; the profile is zero there and beyond
     j = int(round(prof.R_b / (prof.radii[1] - prof.radii[0])))
@@ -68,7 +69,7 @@ def test_boson_profile_requires_repulsion():
 def test_normalizations_on_grid():
     for g_bf in (-0.03, 0.0, 0.05, 0.1):
         prof = tf_profiles(make_cfg(g_bf=g_bf))
-        r = prof.radii
+        r = np.asarray(prof.radii)
         # Simpson with the condensate edge snapped to an even node; the
         # trapezoid rule on the same grid misses 1e-6 (error 1.25(h/R_b)^2)
         n_b_int = simpson(4.0 * pi * r * r * prof.n_b, x=r)
@@ -112,7 +113,8 @@ def test_flat_regime_density_constant_inside():
         cfg = base.with_field("interaction.g_bf", base.g_bb * ratio)
         assert classify_tf_regime(cfg) is TFRegime.FLAT
         prof = tf_profiles(cfg)
-        inside = prof.n_f[prof.radii < prof.R_b * (1.0 - 1e-9)]
+        inside = np.asarray(prof.n_f)[np.asarray(prof.radii)
+                                      < prof.R_b * (1.0 - 1e-9)]
         spread = (inside.max() - inside.min()) / inside.mean()
         assert spread < 1e-8
 
@@ -169,6 +171,16 @@ def test_condensate_radius_consistency():
 
 def test_densities_nonnegative_and_fermions_decay():
     prof = tf_profiles(make_cfg(g_bf=0.1, N_f=500.0))
-    assert np.all(prof.n_b >= 0.0)
-    assert np.all(prof.n_f >= 0.0)
-    assert prof.n_f[-1] <= 1e-12 * prof.n_f.max()
+    n_b, n_f = np.asarray(prof.n_b), np.asarray(prof.n_f)
+    assert np.all(n_b >= 0.0)
+    assert np.all(n_f >= 0.0)
+    assert n_f[-1] <= 1e-12 * n_f.max()
+
+
+def test_profiles_hold_python_floats():
+    prof = tf_profiles(make_cfg())
+    for values in (prof.radii, prof.n_b, prof.n_f):
+        assert type(values) is list
+        assert all(type(v) is float for v in values)
+    for value in (prof.mu_b, prof.e_F, prof.R_b):
+        assert type(value) is float
