@@ -18,9 +18,15 @@ variational frequency Omega and center offset r_f gives
                       + g_bf kappa N_b N_f G^(3/2) e^(-G r_f^2)
 
 with the Gaussian-overlap width G = m_f m_b omega_c Omega /
-(hbar (m_f Omega + m_b omega_c)).  The sign structure of the Hessian at
-(Omega_c, r_f = 0) (the product Y of its two diagonal brackets) and the
-displaced root r_fc of dE_f/dr_f = 0 classify the phase.
+(hbar (m_f Omega + m_b omega_c)).  At r_f = 0 every root of
+dE_f/dOmega lies in a closed-form bracket (_Omega_bracket): a unique
+one between a lower bound and the g_bf = 0 root Omega_0 for repulsive
+g_bf, and one or more between Omega_0 and an upper bound for
+attractive g_bf, where the overlap term is a sigmoid in ln Omega;
+solve_Omega_c keeps the root of least energy.  The sign structure of
+the Hessian at (Omega_c, r_f = 0) (the product Y of its two diagonal
+brackets) and the displaced root r_fc of dE_f/dr_f = 0 classify the
+phase.
 
 compat_mode fixes three prefactors that differ between the two published
 forms of these functionals:
@@ -53,7 +59,7 @@ __all__ = [
     "critical_boson_number", "overlap_G", "overlap_G_derivatives",
     "fermion_energy", "fermion_energy_gradients", "solve_Omega_c",
     "separation_radius", "coupling_threshold", "stability_Y",
-    "energy_hessian", "classify_zero_T", "alternating_minimization",
+    "energy_hessian", "classify_zero_T",
 ]
 
 _A_DERIVED = (6.0 * math.pi ** 2) ** (2.0 / 3.0) * 0.6 ** 1.5 / (2.0 * math.pi)
@@ -237,14 +243,6 @@ def critical_boson_number(cfg):
 # fermion side
 # ---------------------------------------------------------------------------
 
-def _overlap(Omega, omega_c, cfg):
-    """(G, dG/dOmega) at Omega, unchecked."""
-    m_f, m_b = cfg.m_f, cfg.m_b
-    u = m_f * Omega + m_b * omega_c
-    return (m_f * m_b * omega_c * Omega / (hbar * u),
-            m_f * (m_b * omega_c) ** 2 / (hbar * u * u))
-
-
 def overlap_G(Omega, omega_c, cfg):
     """Gaussian-overlap width G = m_f m_b omega_c Omega /
     (hbar (m_f Omega + m_b omega_c))."""
@@ -255,10 +253,11 @@ def overlap_G_derivatives(Omega, omega_c, cfg):
     """(G, dG/dOmega, d2G/dOmega2), quotient-rule closed forms."""
     if not (Omega > 0 and omega_c > 0):
         raise DomainError("overlap_G requires positive frequencies")
-    G, dG = _overlap(Omega, omega_c, cfg)
-    u = cfg.m_f * Omega + cfg.m_b * omega_c
-    d2G = -2.0 * cfg.m_f ** 2 * (cfg.m_b * omega_c) ** 2 / (hbar * u ** 3)
-    return G, dG, d2G
+    m_f, m_b = cfg.m_f, cfg.m_b
+    u = m_f * Omega + m_b * omega_c
+    return (m_f * m_b * omega_c * Omega / (hbar * u),
+            m_f * (m_b * omega_c) ** 2 / (hbar * u * u),
+            -2.0 * m_f ** 2 * (m_b * omega_c) ** 2 / (hbar * u ** 3))
 
 
 def _P_part(Omega, cfg):
@@ -283,29 +282,23 @@ def fermion_energy(Omega, r_f, omega_c, cfg):
             * G ** 1.5 * math.exp(-G * r_f ** 2))
 
 
-def _dE_dOmega(Omega, r_f, G, dG, cfg):
-    """dE_f/dOmega at Omega with overlap G and dG/dOmega there,
-    unchecked."""
-    _, A, kappa = _mode_factors(cfg)
-    N_f = cfg.N_f
-    return (A * hbar * N_f ** (5.0 / 3.0)
-            - 0.75 * hbar * cfg.omega_f ** 2 / Omega ** 2 * N_f
-            + cfg.g_bf * kappa * cfg.N_b * N_f * math.exp(-G * r_f ** 2) * dG
-            * (1.5 * math.sqrt(G) - G ** 1.5 * r_f ** 2))
-
-
 def fermion_energy_gradients(Omega, r_f, omega_c, cfg):
     """(dE_f/dOmega, dE_f/dr_f), analytic."""
     if not Omega > 0:
         raise DomainError(f"Omega must be positive, got {Omega}")
     if not r_f >= 0:
         raise DomainError(f"r_f must be non-negative, got {r_f}")
-    _, _, kappa = _mode_factors(cfg)
+    _, A, kappa = _mode_factors(cfg)
     G, dG, _ = overlap_G_derivatives(Omega, omega_c, cfg)
-    dE_dr = cfg.N_f * r_f * (cfg.m_f * cfg.omega_f ** 2
-                             - 2.0 * cfg.g_bf * kappa * cfg.N_b
-                             * G ** 2.5 * math.exp(-G * r_f ** 2))
-    return _dE_dOmega(Omega, r_f, G, dG, cfg), dE_dr
+    N_f = cfg.N_f
+    dE_dO = (A * hbar * N_f ** (5.0 / 3.0)
+             - 0.75 * hbar * cfg.omega_f ** 2 / Omega ** 2 * N_f
+             + cfg.g_bf * kappa * cfg.N_b * N_f * math.exp(-G * r_f ** 2)
+             * dG * (1.5 * math.sqrt(G) - G ** 1.5 * r_f ** 2))
+    dE_dr = N_f * r_f * (cfg.m_f * cfg.omega_f ** 2
+                         - 2.0 * cfg.g_bf * kappa * cfg.N_b
+                         * G ** 2.5 * math.exp(-G * r_f ** 2))
+    return dE_dO, dE_dr
 
 
 def _hessian_brackets(Omega, omega_c, cfg):
@@ -339,37 +332,70 @@ def energy_hessian(Omega_c, omega_c, cfg):
     return d2_OO, d2_rr, d2_OO * d2_rr
 
 
-def _least_energy_Omega(r_f, omega_c, cfg):
-    """Root of dE_f/dOmega = 0 at fixed r_f; with several roots, the one
-    of least energy.  Sign changes are sought on a log grid of 20 points
-    per decade over [1e-3, 1e3] * omega_f, widened by one decade per side
-    up to 10 times."""
+def _decoupled_Omega(cfg):
+    """Omega_0 = omega_f sqrt((3/4) N_f / (A N_f^(5/3))), the unique root
+    of dE_f/dOmega at r_f = 0 and g_bf = 0."""
+    _, A, _ = _mode_factors(cfg)
+    return cfg.omega_f * math.sqrt(
+        0.75 * cfg.N_f / (A * cfg.N_f ** (5.0 / 3.0)))
 
-    def slope(Omega):
-        return fermion_energy_gradients(Omega, r_f, omega_c, cfg)[0]
 
-    lo, hi = 1e-3 * cfg.omega_f, 1e3 * cfg.omega_f
-    for _ in range(10):
-        grid = _log_grid(lo, hi, int(round(20 * math.log10(hi / lo))) + 1)
-        signs = [(v > 0) - (v < 0) for v in
-                 (_dE_dOmega(w, r_f, *_overlap(w, omega_c, cfg), cfg)
-                  for w in grid)]
-        roots = [brentq(slope, grid[i], grid[i + 1],
-                        xtol=1e-15 * cfg.omega_f, maxiter=300)
-                 for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
-        if roots:
-            return min(roots,
-                       key=lambda w: fermion_energy(w, r_f, omega_c, cfg))
-        lo, hi = lo / 10.0, hi * 10.0
-    raise NumericError(
-        "no sign change of dE_f/dOmega in the bracket "
-        f"[{lo:.3e}, {hi:.3e}] rad/s after 10 decade expansions")
+def _Omega_bracket(omega_c, cfg):
+    """[lo, hi] holding every root of dE_f/dOmega at r_f = 0.  In exact
+    arithmetic the slope is < 0 at lo and > 0 at hi for g_bf != 0; for
+    g_bf = 0 the bracket is the point Omega_0.
+
+    Omega^2 dE_f/dOmega = a Omega^2 - b + c q(Omega), with a = A hbar
+    N_f^(5/3), b = (3/4) hbar omega_f^2 N_f, c = g_bf kappa N_b N_f and
+    q = (3/2) Omega^2 sqrt(G) dG/dOmega = q_inf (x / (1 + x))^(5/2),
+    x = m_f Omega / (m_b omega_c), which rises from 0 to q_inf.  Omega_0
+    = sqrt(b / a) is the root at c = 0.
+
+    c > 0: the sum rises, so the root is unique, and it is c q > 0 at
+    Omega_0.  Below Omega_0 / sqrt(2), a Omega^2 <= b / 2, and as G <=
+    m_f Omega / hbar and dG/dOmega <= m_f / hbar, c q < b / 2 below
+    (b / (3 c (m_f / hbar)^(3/2)))^(2/5).
+    c <= 0: below Omega_0 the sum is negative, and at and above
+    sqrt((b + |c| q_inf) / a) it is at least |c| (q_inf - q) > 0.  That
+    end is written Omega_0 sqrt(1 + |c| q_inf / b), which never rounds
+    below Omega_0.
+    """
+    _, _, kappa = _mode_factors(cfg)
+    Omega_0 = _decoupled_Omega(cfg)
+    b = 0.75 * hbar * cfg.omega_f ** 2 * cfg.N_f
+    c = cfg.g_bf * kappa * cfg.N_b * cfg.N_f
+    if c > 0.0:
+        return min(Omega_0 / math.sqrt(2.0),
+                   (b / (3.0 * c * (cfg.m_f / hbar) ** 1.5)) ** 0.4), Omega_0
+    B = cfg.m_b * omega_c
+    q_inf = 1.5 * math.sqrt(B / hbar) * B * B / (hbar * cfg.m_f)
+    return Omega_0, Omega_0 * math.sqrt(1.0 - c * q_inf / b)
 
 
 def solve_Omega_c(omega_c, cfg):
     """Root of dE_f/dOmega = 0 at r_f = 0; with several roots, the one
-    of least energy is returned."""
-    return _least_energy_Omega(0.0, omega_c, cfg)
+    of least energy is returned.
+
+    Sign changes are sought on a log grid of 20 points per decade over
+    the bracket of _Omega_bracket, and Brent refines each one.  An end
+    whose computed slope contradicts its proven sign lies within
+    rounding of a root, so it is a candidate too.  A bracket that is
+    the single point Omega_0 (g_bf = 0, or a coupling too weak to move
+    the root by an ulp) thus returns Omega_0.
+    """
+
+    def slope(Omega):
+        return fermion_energy_gradients(Omega, 0.0, omega_c, cfg)[0]
+
+    lo, hi = _Omega_bracket(omega_c, cfg)
+    grid = _log_grid(lo, hi, max(2, round(20.0 * math.log10(hi / lo)) + 1))
+    signs = [(v > 0) - (v < 0) for v in map(slope, grid)]
+    roots = [w for w, wrong in ((lo, signs[0] >= 0), (hi, signs[-1] <= 0))
+             if wrong]
+    roots += [brentq(slope, grid[i], grid[i + 1],
+                     xtol=1e-15 * cfg.omega_f, maxiter=300)
+              for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
+    return min(roots, key=lambda w: fermion_energy(w, 0.0, omega_c, cfg))
 
 
 def _threshold(G, cfg):
@@ -402,22 +428,15 @@ def classify_zero_T(cfg):
     the cloud, G drops, and the threshold g_bf* rises ahead of g_bf, so
     the second bracket would never change sign and every configuration
     would be labelled coexisting.  Freezing the width at its g_bf = 0
-    value keeps the sweep of Y and r_fc over g_bf meaningful.  At
-    g_bf = 0 the slope A hbar N_f^(5/3) - (3/4) hbar omega_f^2 N_f /
-    Omega^2 has the unique root
-
-        Omega_c = omega_f sqrt((3/4) N_f / (A N_f^(5/3))),
-
-    which is used in closed form.
+    value, the closed form Omega_0 of _decoupled_Omega, keeps the sweep
+    of Y and r_fc over g_bf meaningful.
     """
     boson = solve_omega_c(cfg)
     if not boson.is_local_minimum:
         raise DomainError(
             "boson energy functional has no local minimum (collapsed "
             "regime); zero-T classification is undefined")
-    _, A, _ = _mode_factors(cfg)
-    Omega_c = cfg.omega_f * math.sqrt(
-        0.75 * cfg.N_f / (A * cfg.N_f ** (5.0 / 3.0)))
+    Omega_c = _decoupled_Omega(cfg)
     Y = stability_Y(Omega_c, boson.omega_c, cfg)
     _, _, det = energy_hessian(Omega_c, boson.omega_c, cfg)
     r_fc = separation_radius(Omega_c, boson.omega_c, cfg)
@@ -431,31 +450,3 @@ def classify_zero_T(cfg):
         Omega_c=Omega_c, r_fc=r_fc,
         G=overlap_G(Omega_c, boson.omega_c, cfg),
         P=_P_part(Omega_c, cfg), Y=Y, hessian_det=det, phase=phase)
-
-
-_DESCENT_MAX_ITER = 200
-_DESCENT_RTOL = 1e-12
-
-
-def alternating_minimization(cfg):
-    """Joint (Omega, r_f) minimization by coordinate descent; returns
-    (Omega, r_f, E_f).  Cross-check utility for the sequential solver."""
-    boson = solve_omega_c(cfg)
-    if not boson.is_local_minimum:
-        raise DomainError("boson side has no minimum; nothing to refine")
-    omega_c = boson.omega_c
-    r_f = 0.0
-    Omega = solve_Omega_c(omega_c, cfg)
-    for _ in range(_DESCENT_MAX_ITER):
-        # best r_f at fixed Omega: r = 0 or the displaced root
-        r_new = min((0.0, separation_radius(Omega, omega_c, cfg)),
-                    key=lambda r: fermion_energy(Omega, r, omega_c, cfg))
-
-        Omega_new = _least_energy_Omega(r_new, omega_c, cfg)
-
-        converged = (abs(Omega_new - Omega) <= _DESCENT_RTOL * Omega
-                     and abs(r_new - r_f) <= _DESCENT_RTOL * max(r_f, 1e-300))
-        Omega, r_f = Omega_new, r_new
-        if converged:
-            break
-    return Omega, r_f, fermion_energy(Omega, r_f, omega_c, cfg)

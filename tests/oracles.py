@@ -99,6 +99,26 @@ def bisect_root(f, lo, hi, rtol=1e-13, max_iter=250):
     return 0.5 * (lo + hi)
 
 
+def log_scan_sign_changes(f, lo, hi, n=4001):
+    """The cells (a, b) of an n-node log grid over [lo, hi] whose ends
+    differ in the sign of f, a zero counting as a sign of its own; f maps
+    the array of nodes to an array of values."""
+    x = np.geomspace(lo, hi, n)
+    s = np.sign(f(x))
+    return [(float(x[i]), float(x[i + 1]))
+            for i in np.flatnonzero(s[:-1] != s[1:])]
+
+
+def least_energy_root(slope, energy, lo, hi, n=4001):
+    """Among the roots of slope on [lo, hi], the one of least energy.
+
+    Every sign change of an n-node log scan is bisected until its
+    bracket is an ulp or two wide; slope and energy take one float."""
+    cells = log_scan_sign_changes(np.vectorize(slope), lo, hi, n)
+    return min((bisect_root(slope, a, b, rtol=2.0 ** -52) for a, b in cells),
+               key=energy)
+
+
 # ---------------------------------------------------------------------------
 # quantum-statistical functions by integral representation
 # ---------------------------------------------------------------------------

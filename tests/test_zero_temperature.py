@@ -24,13 +24,13 @@ from bfmix.zero_temperature import (
     critical_boson_number, overlap_G, overlap_G_derivatives,
     fermion_energy, fermion_energy_gradients, solve_Omega_c,
     separation_radius, coupling_threshold, stability_Y, energy_hessian,
-    classify_zero_T, alternating_minimization,
+    classify_zero_T,
 )
 
 from oracles import (
     bisect_root, gp_energy_quadrature, fermion_energy_quadrature,
     golden_minimize, refine_minimum, central_diff, central_diff2,
-    mixed_diff2,
+    mixed_diff2, least_energy_root, log_scan_sign_changes,
 )
 
 M7 = 7.0 * atomic_mass
@@ -360,6 +360,158 @@ def test_Omega_c_residual_is_tiny():
     assert abs(slope) / scale < 1e-9
 
 
+def _least_energy_Omega(r_f, omega_c, cfg):
+    """The oracle's least-energy root of dE_f/dOmega at fixed r_f, from
+    a 4001-node scan over [1e-6, 1e6] omega_f."""
+    return least_energy_root(
+        lambda w: fermion_energy_gradients(w, r_f, omega_c, cfg)[0],
+        lambda w: fermion_energy(w, r_f, omega_c, cfg),
+        1e-6 * cfg.omega_f, 1e6 * cfg.omega_f)
+
+
+def _slope_and_q(Omega, omega_c, cfg):
+    """dE_f/dOmega at r_f = 0 and q = (3/2) Omega^2 sqrt(G) dG/dOmega on
+    an array of Omega, written out from E_f and G."""
+    _, A, kappa = zt._mode_factors(cfg)
+    B = cfg.m_b * omega_c
+    u = cfg.m_f * Omega + B
+    G = cfg.m_f * B * Omega / (hbar * u)
+    dG = cfg.m_f * B * B / (hbar * u * u)
+    q = 1.5 * Omega ** 2 * np.sqrt(G) * dG
+    N_f = cfg.N_f
+    slope = (A * hbar * N_f ** (5.0 / 3.0)
+             + (cfg.g_bf * kappa * cfg.N_b * N_f * q
+                - 0.75 * hbar * cfg.omega_f ** 2 * N_f) / Omega ** 2)
+    return slope, q
+
+
+def _exact_slope_sign(Omega, omega_c, cfg):
+    """Sign of dE_f/dOmega at r_f = 0 in 50-digit decimals of the float
+    inputs, free of the rounding that blurs it near Omega_0 for weak
+    g_bf."""
+    _, A, kappa = zt._mode_factors(cfg)
+    D = Decimal
+    with localcontext() as ctx:
+        ctx.prec = 50
+        W, B, m_f, h = D(Omega), D(cfg.m_b) * D(omega_c), D(cfg.m_f), D(hbar)
+        u = m_f * W + B
+        sqrtG = (m_f * B * W / (h * u)).sqrt()
+        dG = m_f * B * B / (h * u * u)
+        N = D(cfg.N_f)
+        slope = (D(A) * h * N ** (D(5) / 3)
+                 - D(0.75) * h * D(cfg.omega_f) ** 2 * N / (W * W)
+                 + D(cfg.g_bf) * D(kappa) * D(cfg.N_b) * N
+                 * D(1.5) * sqrtG * dG)
+    return (slope > 0) - (slope < 0)
+
+
+def _fermion_cases():
+    """The fig1-fig3 grid points, and oscillator-unit configs with N_b,
+    N_f in {1, 1e6}, omega_f in {10, 3000} rad/s and g_bf = +-1e-30 up
+    to +-1e6 in both modes."""
+    cases = []
+    for tag in ("fig1", "fig2", "fig3a", "fig3b"):
+        spec = figure_preset(tag)
+        axes = [[(rng, float(v)) for v in rng.grid()]
+                for rng in spec.variables]
+        cases += [scan_engine._point_config(spec, assignment)
+                  for assignment in itertools.product(*axes)]
+    cases += [make_cfg(g_bf=sign * g, N_b=N_b, N_f=N_f, omega_f=omega_f,
+                       mode=mode)
+              for g in (1e-30, 1e-12, 1e-3, 1.0, 1e6) for sign in (1, -1)
+              for N_b in (1.0, 1e6) for N_f in (1.0, 1e6)
+              for omega_f in (10.0, 3000.0) for mode in CompatMode]
+    return cases
+
+
+def test_Omega_bracket_holds_every_root():
+    cases = _fermion_cases()
+    assert len(cases) == 1000 + 160
+    for cfg in cases:
+        omega_c = solve_omega_c(cfg).omega_c
+        _, A, _ = zt._mode_factors(cfg)
+        Omega_0 = cfg.omega_f * math.sqrt(
+            0.75 * cfg.N_f / (A * cfg.N_f ** (5.0 / 3.0)))
+        Omega_c = solve_Omega_c(omega_c, cfg)
+        if cfg.g_bf == 0.0:
+            assert Omega_c == Omega_0
+            continue
+        lo, hi = zt._Omega_bracket(omega_c, cfg)
+        assert (lo if cfg.g_bf < 0.0 else hi) == Omega_0
+        assert lo <= Omega_c <= hi, (cfg.g_bf, cfg.N_b, cfg.N_f)
+        nodes = np.geomspace(1e-6, 1e6, 4001) * cfg.omega_f
+        _, q = _slope_and_q(nodes, omega_c, cfg)
+        assert np.all(np.diff(q) > 0.0)
+        # the proven signs, at the ends moved out by their own rounding
+        assert _exact_slope_sign(lo - 8.0 * math.ulp(lo), omega_c, cfg) < 0
+        assert _exact_slope_sign(hi + 8.0 * math.ulp(hi), omega_c, cfg) > 0
+        cells = log_scan_sign_changes(
+            lambda w: _slope_and_q(w, omega_c, cfg)[0],
+            1e-6 * cfg.omega_f, 1e6 * cfg.omega_f)
+        assert cells
+        for a, b in cells:
+            assert a <= hi and b >= lo, (cfg.g_bf, cfg.N_b, a, b, lo, hi)
+
+
+@pytest.mark.parametrize("g_bf", [1e-30, -1e-30])
+def test_Omega_c_at_a_vanishing_coupling(g_bf):
+    # the bracket rounds to within ulps of Omega_0 and the computed slope
+    # there is rounding noise: an end contradicting its proven sign is
+    # the root
+    for mode in CompatMode:
+        for N_f in np.geomspace(1.0, 1e6, 25):
+            for omega_f in (10.0, 166.0, 3000.0):
+                cfg = make_cfg(g_bf=g_bf, N_f=float(N_f), omega_f=omega_f,
+                               mode=mode)
+                omega_c = solve_omega_c(cfg).omega_c
+                Omega_0 = solve_Omega_c(
+                    omega_c, cfg.with_field("interaction.g_bf", 0.0))
+                assert Omega_0 == zt._decoupled_Omega(cfg)
+                Omega_c = solve_Omega_c(omega_c, cfg)
+                assert abs(Omega_c - Omega_0) <= 1e-15 * omega_f
+
+
+def test_Omega_c_picks_the_least_energy_of_three_roots():
+    # q is a sigmoid in ln x, so strong attraction on a wide trap gives
+    # the slope three roots; the least energy is the lowest root in one
+    # case and the highest in the other
+    for g_bf, N_b, pick in ((-3.16, 1e4, 0), (-31.6, 1e3, 2)):
+        cfg = make_cfg(g_bf=g_bf, N_b=N_b, N_f=1000.0, omega_f=10.0)
+        omega_c = solve_omega_c(cfg).omega_c
+        cells = log_scan_sign_changes(
+            lambda w: _slope_and_q(w, omega_c, cfg)[0],
+            1e-6 * cfg.omega_f, 1e6 * cfg.omega_f)
+        assert len(cells) == 3
+        ref = _least_energy_Omega(0.0, omega_c, cfg)
+        assert cells[pick][0] <= ref <= cells[pick][1]
+        Omega_c = solve_Omega_c(omega_c, cfg)
+        assert abs(Omega_c - ref) <= 1e-15 * cfg.omega_f + 8.0 * math.ulp(ref)
+
+
+def test_Omega_c_is_the_least_energy_root():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        mode=st.sampled_from(list(CompatMode)),
+        N_b=st.floats(1.0, 1e6),
+        N_f=st.floats(1.0, 1e6),
+        omega_f=st.floats(10.0, 3000.0),
+        log_g=st.floats(-30.0, 6.0),
+        sign=st.sampled_from([1.0, -1.0]))
+    def check(mode, N_b, N_f, omega_f, log_g, sign):
+        cfg = make_cfg(g_bf=sign * 10.0 ** log_g, N_b=N_b, N_f=N_f,
+                       omega_f=omega_f, mode=mode)
+        omega_c = solve_omega_c(cfg).omega_c
+        ref = _least_energy_Omega(0.0, omega_c, cfg)
+        Omega_c = solve_Omega_c(omega_c, cfg)
+        assert abs(Omega_c - ref) <= 1e-15 * omega_f + 8.0 * math.ulp(ref)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # threshold, separation radius, Y
 # ---------------------------------------------------------------------------
@@ -482,17 +634,17 @@ def test_gradient_cloud_matches_finite_differences():
 
 
 def test_bracketed_Omega_is_a_root_of_the_slope():
-    # the root the bracket grid of _least_energy_Omega finds must be a
-    # root of the slope at that r_f; at g_bf = -0.2, N_b = 1e4 the root
-    # moves by 30% between r_f = 0 and r_f = 1.5 a, more than one grid
-    # cell
+    # solve_Omega_c at r_f = 0, and the oracle's scan at r_f > 0, must
+    # find a root of the slope at that r_f; at g_bf = -0.2, N_b = 1e4
+    # the root moves by 30% between r_f = 0 and r_f = 1.5 a
     for cfg in [make_cfg(g_bf=g_bf, N_b=N_b, mode=mode)
                 for mode in CompatMode
                 for g_bf, N_b in ((0.04, 1000.0), (-0.2, 1e4))]:
         omega_c = solve_omega_c(cfg).omega_c
         scale = hbar * cfg.N_f ** (5.0 / 3.0)
         for r_f in (0.0, 0.4 * cfg.osc_length, 1.5 * cfg.osc_length):
-            Omega = zt._least_energy_Omega(r_f, omega_c, cfg)
+            Omega = (_least_energy_Omega(r_f, omega_c, cfg) if r_f > 0.0
+                     else solve_Omega_c(omega_c, cfg))
             slope, _ = fermion_energy_gradients(Omega, r_f, omega_c, cfg)
             assert abs(slope) <= 1e-9 * scale
 
@@ -577,6 +729,25 @@ def test_modes_agree_without_interactions():
     # kinetic prefactors differ, so Omega_c differ; both must coexist
     assert res_p.phase is PhaseLabel.COEXISTING
     assert res_d.phase is PhaseLabel.COEXISTING
+
+
+def alternating_minimization(cfg):
+    """Joint (Omega, r_f) minimum of E_f by coordinate descent; returns
+    (Omega, r_f, E_f).  Each Omega step takes the oracle's least-energy
+    root at the current r_f."""
+    omega_c = solve_omega_c(cfg).omega_c
+    Omega, r_f = solve_Omega_c(omega_c, cfg), 0.0
+    for _ in range(200):
+        # best r_f at fixed Omega: r = 0 or the displaced root
+        r_new = min((0.0, separation_radius(Omega, omega_c, cfg)),
+                    key=lambda r: fermion_energy(Omega, r, omega_c, cfg))
+        Omega_new = _least_energy_Omega(r_new, omega_c, cfg)
+        converged = (abs(Omega_new - Omega) <= 1e-12 * Omega
+                     and abs(r_new - r_f) <= 1e-12 * max(r_f, 1e-300))
+        Omega, r_f = Omega_new, r_new
+        if converged:
+            break
+    return Omega, r_f, fermion_energy(Omega, r_f, omega_c, cfg)
 
 
 def test_alternating_minimization_fixed_point():
