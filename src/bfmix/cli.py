@@ -11,7 +11,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .config import CompatMode, load_config
@@ -146,7 +145,7 @@ def resolve_workers(flag_value, env_value):
 def _load(args):
     cfg, extras = load_config(args.config)
     if args.mode is not None:
-        cfg = replace(cfg, compat_mode=CompatMode(args.mode))
+        cfg = cfg.replace(compat_mode=CompatMode(args.mode))
     return cfg, extras
 
 
@@ -244,8 +243,8 @@ def _run_preset(args):
             f"preset '{args.subcommand}' embeds its configuration; "
             "--config is not accepted")
     if args.mode is not None:
-        spec = replace(spec, base=replace(spec.base,
-                                          compat_mode=CompatMode(args.mode)))
+        spec = spec._replace(base=spec.base.replace(
+            compat_mode=CompatMode(args.mode)))
     return run_scan(spec, workers=resolve_workers(
         args.workers, os.environ.get(_WORKERS_ENV)))
 

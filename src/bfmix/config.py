@@ -1,4 +1,4 @@
-"""Mixture configuration: one frozen dataclass, SI units internally.
+"""Mixture configuration: one immutable record, SI units internally.
 
 Two input unit systems are accepted:
 
@@ -21,7 +21,7 @@ energy functionals (see zero_temperature); Derived is the default.
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .constants import hbar, k_B, atomic_mass
 from .errors import ConfigError
@@ -42,39 +42,52 @@ class CompatMode(enum.Enum):
     DERIVED = "derived"
 
 
-@dataclass(frozen=True)
-class MixtureConfig:
-    """All physical parameters of one Bose-Fermi mixture, in SI."""
-    m_b: float              # boson mass [kg]
-    m_f: float              # fermion mass [kg]
-    omega_b: float          # boson trap frequency [rad/s]
-    omega_f: float          # fermion trap frequency [rad/s]
-    N_b: float              # boson count
-    N_f: float              # fermion count
-    g_bb: float             # boson-boson coupling [J m^3]
-    g_bf: float             # boson-fermion coupling [J m^3]
-    g_ff: float = 0.0       # fermion-fermion coupling [J m^3]
-    volume: float = None    # homogeneous volume [m^3], finite-T only
-    temperature: float = None   # default temperature [K], finite-T only
-    unit_system: UnitSystem = UnitSystem.SI
-    compat_mode: CompatMode = CompatMode.DERIVED
+# what each number of a MixtureConfig must be, in field order
+_RULES = (6 * ("strictly positive",) + 3 * ("a finite real",)
+          + 2 * ("positive and finite",))
 
-    def __post_init__(self):
-        for name in ("m_b", "m_f", "omega_b", "omega_f", "N_b", "N_f"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0
-                    and math.isfinite(value)):
-                raise ConfigError(f"{name} must be strictly positive, got {value}")
-        for name in ("g_bb", "g_bf", "g_ff"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite real, got {value}")
-        for name in ("volume", "temperature"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0
-                                          and math.isfinite(value)):
-                raise ConfigError(
-                    f"{name} must be positive and finite, got {value}")
+
+class MixtureConfig(namedtuple("MixtureConfig", (
+        "m_b",          # boson mass [kg]
+        "m_f",          # fermion mass [kg]
+        "omega_b",      # boson trap frequency [rad/s]
+        "omega_f",      # fermion trap frequency [rad/s]
+        "N_b",          # boson count
+        "N_f",          # fermion count
+        "g_bb",         # boson-boson coupling [J m^3]
+        "g_bf",         # boson-fermion coupling [J m^3]
+        "g_ff",         # fermion-fermion coupling [J m^3], default 0
+        "volume",       # homogeneous volume [m^3], finite-T only
+        "temperature",  # default temperature [K], finite-T only
+        "unit_system",
+        "compat_mode",
+), defaults=(0.0, None, None, UnitSystem.SI, CompatMode.DERIVED))):
+    """All physical parameters of one Bose-Fermi mixture, in SI.
+
+    Every number is checked on construction and stored as a builtin
+    float; ``replace`` builds a copy through the same checks."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        raw = super().__new__(cls, *args, **kwargs)
+        numbers = []
+        for name, value, rule in zip(cls._fields, raw, _RULES):
+            number = value if type(value) is float else _as_float(value)
+            if value is None and rule == "positive and finite":
+                number = None  # volume or temperature unset
+            elif not (math.isfinite(number)
+                      and (number > 0 or rule == "a finite real")):
+                raise ConfigError(f"{name} must be {rule}, got {value}")
+            numbers.append(number)
+        return tuple.__new__(cls, (*numbers, *raw[11:]))
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, checked as on
+        construction; an unknown field name raises TypeError."""
+        copy = MixtureConfig(*map(changes.pop, self._fields, self))
+        if changes:
+            raise TypeError(f"unknown MixtureConfig fields {sorted(changes)}")
+        return copy
 
     # oscillator-unit conversion anchors
     @property
@@ -149,7 +162,7 @@ class MixtureConfig:
         attr = _FIELD_PATHS.get(path)
         if attr is None:
             raise ConfigError(f"unknown config field path '{path}'")
-        return replace(self, **{attr: value_si})
+        return self.replace(**{attr: value_si})
 
     def field_to_si(self, path, value_input):
         """Convert a value of the dotted field from this config's input
@@ -175,7 +188,7 @@ class MixtureConfig:
     def _inputs_to_si(self, attrs):
         """Copy with the named attributes, which hold values in this
         config's input units, converted to SI; unset ones stay unset."""
-        return replace(self, **{
+        return self.replace(**{
             attr: getattr(self, attr) * self._input_unit(attr)
             for attr in attrs if getattr(self, attr) is not None})
 
@@ -223,15 +236,21 @@ def _require(mapping, key, section):
 _REQUIRED = object()
 
 
+def _as_float(value):
+    """value as a builtin float; NaN for anything but an int or float (a
+    bool is not a number here) and for an int beyond float range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
+
+
 def _finite(value, field):
     """value as a float if it is a finite real; booleans, strings, null,
     NaN and infinities are rejected naming the field."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer literal beyond float range
-            pass
+    number = _as_float(value)
     if not math.isfinite(number):
         raise ConfigError(
             f"config field '{field}' must be a finite number, got {value!r}")
@@ -326,8 +345,8 @@ def config_from_dict(data):
             a_ff=_number(inter, "a_ff", "interaction", default=0.0),
             **common)
         if unit_system is UnitSystem.OSCILLATOR:
-            cfg = replace(cfg, unit_system=UnitSystem.OSCILLATOR
-                          )._inputs_to_si(("volume", "temperature"))
+            cfg = cfg.replace(unit_system=UnitSystem.OSCILLATOR
+                              )._inputs_to_si(("volume", "temperature"))
     else:
         g_bb = _number(inter, "g_bb", "interaction")
         g_bf = _number(inter, "g_bf", "interaction")

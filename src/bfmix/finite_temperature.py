@@ -6,7 +6,7 @@ the low-temperature coupling criterion, and the local-density extension.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .brent import brentq
@@ -67,22 +67,24 @@ def _coupling_lengths(cfg, g_bb, g_bf, g_ff):
     return (ell_bb, ell_bf, ell_ff)
 
 
-@dataclass(frozen=True)
-class ThermalState:
+class ThermalState(namedtuple("ThermalState", (
+        "T",            # K
+        "beta",         # 1/(k_B T)
+        "lambda_b",     # thermal wavelengths [m]
+        "lambda_f",
+        "z_b",          # Fugacity
+        "z_f",
+        "rho_b",        # densities [1/m^3]
+        "rho_f",
+        "condensed",
+))):
     """Homogeneous equilibrium state at one temperature."""
-    T: float            # K
-    beta: float         # 1/(k_B T)
-    lambda_b: float     # thermal wavelengths [m]
-    lambda_f: float
-    z_b: Fugacity
-    z_f: Fugacity
-    rho_b: float        # densities [1/m^3]
-    rho_f: float
-    condensed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(namedtuple("StabilityReport", (
+        "dmu_b_drho_b", "dmu_f_drho_f", "dmu_b_drho_f", "dmu_f_drho_b",
+        "Z", "diagonal_ok", "stable"))):
     """Stability-matrix entries and the determinant criterion.
 
     The derivative entries are d mu_i / d rho_j in J m^3.  The matrix is
@@ -90,17 +92,12 @@ class StabilityReport:
     value Z is built from.  Z is the determinant form assembled from the
     beta-scaled, coupling-as-length entries, so it carries m^6.
     """
-    dmu_b_drho_b: float
-    dmu_f_drho_f: float
-    dmu_b_drho_f: float
-    dmu_f_drho_b: float
-    Z: float
-    diagonal_ok: tuple
-    stable: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TemperatureWindow:
+class TemperatureWindow(namedtuple("TemperatureWindow", (
+        "T_c1", "T_c2", "exists", "n_sign_changes", "multi_root",
+        "unstable_at_low_edge"))):
     """Roots of Z(T) = 0 inside a scanned range.
 
     exists is True only when two roots bracket an unstable interval.  A
@@ -109,12 +106,7 @@ class TemperatureWindow:
     temperature) and sets unstable_at_low_edge.  More than two sign
     changes set multi_root and keep the outermost pair.
     """
-    T_c1: float
-    T_c2: float
-    exists: bool
-    n_sign_changes: int
-    multi_root: bool
-    unstable_at_low_edge: bool
+    __slots__ = ()
 
 
 def _thermal_wavelength(mass, T):

@@ -10,7 +10,7 @@ config.  Either way the points are evaluated in grid order.
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__
 from .config import _FIELD_PATHS, CompatMode, MixtureConfig, _finite
@@ -45,49 +45,45 @@ _COUPLING_FIELDS = ("interaction.g_bb", "interaction.g_bf",
                     "interaction.g_ff")
 
 
-@dataclass(frozen=True)
-class ScanRange:
+class ScanRange(namedtuple("ScanRange",
+                           "field start stop points scale values",
+                           defaults=(None, None, None, "linear", None))):
     """Grid over one dotted config field, in the input units of the base
     config.  Either from/to/points/scale or an explicit values tuple."""
-    field: str
-    start: float = None
-    stop: float = None
-    points: int = None
-    scale: str = "linear"
-    values: tuple = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.field, str) or self.field not in _COLUMN_NAMES:
-            raise ConfigError(f"unknown scan field '{self.field}'")
-        where = f"scan.{self.field}"
+    def __new__(cls, *args, **kwargs):
+        field, start, stop, points, scale, values = super().__new__(
+            cls, *args, **kwargs)
+        if not isinstance(field, str) or field not in _COLUMN_NAMES:
+            raise ConfigError(f"unknown scan field '{field}'")
+        where = f"scan.{field}"
         # a count given beside values must still be one
-        if ((self.values is None or self.points is not None)
-                and (type(self.points) is not int
-                     or not 2 <= self.points <= MAX_SCAN_POINTS)):
+        if ((values is None or points is not None)
+                and (type(points) is not int
+                     or not 2 <= points <= MAX_SCAN_POINTS)):
             raise ConfigError(f"config field '{where}.points' must be an "
                               f"integer from 2 to {MAX_SCAN_POINTS}, got "
-                              f"{self.points!r}")
-        if self.values is not None:
-            vals = tuple(_finite(v, f"{where}.values[{j}]")
-                         for j, v in enumerate(self.values))
-            if not vals:
+                              f"{points!r}")
+        if values is not None:
+            values = tuple(_finite(v, f"{where}.values[{j}]")
+                           for j, v in enumerate(values))
+            if not values:
                 raise ConfigError(f"{where}: empty values list")
-            object.__setattr__(self, "values", vals)
-            return
-        for key, value in (("from", self.start), ("to", self.stop)):
-            if value is not None:
-                _finite(value, f"{where}.{key}")
-        if self.start is None or self.stop is None or self.start == self.stop:
-            raise ConfigError(
-                f"scan.{self.field}: need from != to, got "
-                f"[{self.start}, {self.stop}]")
-        if self.scale not in ("linear", "log"):
-            raise ConfigError(
-                f"scan.{self.field}: scale must be linear or log, "
-                f"got '{self.scale}'")
-        if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
-            raise ConfigError(
-                f"scan.{self.field}: log scale needs positive endpoints")
+        else:
+            for key, value in (("from", start), ("to", stop)):
+                if value is not None:
+                    _finite(value, f"{where}.{key}")
+            if start is None or stop is None or start == stop:
+                raise ConfigError(
+                    f"{where}: need from != to, got [{start}, {stop}]")
+            if scale not in ("linear", "log"):
+                raise ConfigError(
+                    f"{where}: scale must be linear or log, got '{scale}'")
+            if scale == "log" and (start <= 0 or stop <= 0):
+                raise ConfigError(
+                    f"{where}: log scale needs positive endpoints")
+        return tuple.__new__(cls, (field, start, stop, points, scale, values))
 
     def size(self):
         return len(self.values) if self.values is not None else self.points
@@ -103,23 +99,20 @@ class ScanRange:
                 + [self.stop])
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(namedtuple("ScanSpec", (
+        "base",             # MixtureConfig
+        "variables",        # tuple of one or two ScanRange
+        "observable",
+        "preset",
+        "t_range",          # (lo, hi) input units, for T_c1/T_c2
+        "caption_fixed",    # provenance: pinned by the figure
+        "reproduction",     # provenance: our choices
+), defaults=(None, None, (), ()))):
     """One or two swept fields, an observable, and the base config."""
-    base: MixtureConfig
-    variables: tuple
-    observable: str
-    preset: str = None
-    t_range: tuple = None       # (lo, hi) input units, for T_c1/T_c2
-    caption_fixed: tuple = ()   # provenance: pinned by the figure
-    reproduction: tuple = ()    # provenance: our choices
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScanTable:
-    columns: tuple
-    rows: tuple
-    provenance: tuple
+ScanTable = namedtuple("ScanTable", "columns rows provenance")
 
 
 # ---------------------------------------------------------------------------

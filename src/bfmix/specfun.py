@@ -59,7 +59,7 @@ map it to the condensed-phase convention lambda^3/g_(1/2) -> 0.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from ._fermi_cheb import COEFFICIENTS
 from .brent import brentq
@@ -92,27 +92,23 @@ class Species(enum.Enum):
     FERMI = "fermi"
 
 
-@dataclass(frozen=True)
-class Fugacity:
+class Fugacity(namedtuple("Fugacity", "z species condensed ln_z")):
     """Fugacity z = exp(beta mu0) of one component.
 
     ``ln_z`` duplicates log(z) but stays finite deep in the degenerate
     Fermi regime where z itself overflows to inf (ln z ~ E_F/k_B T can
     exceed 710).  ``condensed`` marks the Bose z = 1 saturation.
     """
-    z: float
-    species: Species
-    condensed: bool = False
-    ln_z: float = field(default=None)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ln_z is None:
-            object.__setattr__(self, "ln_z",
-                               math.log(self.z) if self.z > 0 else -math.inf)
-        if self.species is Species.BOSE and not 0.0 <= self.z <= 1.0:
-            raise DomainError(f"Bose fugacity must lie in [0, 1], got {self.z}")
-        if self.species is Species.FERMI and not self.z >= 0.0:
-            raise DomainError(f"Fermi fugacity must be >= 0, got {self.z}")
+    def __new__(cls, z, species, condensed=False, ln_z=None):
+        if species is Species.BOSE and not 0.0 <= z <= 1.0:
+            raise DomainError(f"Bose fugacity must lie in [0, 1], got {z}")
+        if species is Species.FERMI and not z >= 0.0:
+            raise DomainError(f"Fermi fugacity must be >= 0, got {z}")
+        if ln_z is None:
+            ln_z = math.log(z) if z > 0 else -math.inf
+        return super().__new__(cls, z, species, condensed, ln_z)
 
 
 # zeta(5/2 - j), j = 0..28: the row of order nu starts at j = 5/2 - nu.

@@ -9,7 +9,7 @@ at the trap center, spread evenly, or get pushed to the condensate edge.
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .brent import brentq
 from .constants import hbar, pi
@@ -27,15 +27,15 @@ class TFRegime(enum.Enum):
     SHELL = "shell"
 
 
-@dataclass(frozen=True, eq=False)
-class TFProfiles:
-    radii: list         # grid radii [m]
-    n_b: list           # densities on the grid [1/m^3]
-    n_f: list
-    mu_b: float
-    e_F: float
-    R_b: float
-    regime: TFRegime
+TFProfiles = namedtuple("TFProfiles", (
+    "radii",    # grid radii [m]
+    "n_b",      # densities on the grid [1/m^3]
+    "n_f",
+    "mu_b",     # boson chemical potential [J]
+    "e_F",      # Fermi energy [J]
+    "R_b",      # condensate radius [m]
+    "regime",   # TFRegime
+))
 
 
 def _pairwise_sum(v):

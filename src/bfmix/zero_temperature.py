@@ -44,7 +44,6 @@ printed equations for figure comparison.
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .brent import brentq
@@ -81,24 +80,23 @@ class PhaseLabel(enum.Enum):
     NO_MINIMUM = "no_minimum"
 
 
-@dataclass(frozen=True)
-class BosonVariationalResult:
-    omega_c: float             # stationary variational frequency [rad/s]
-    energy: float              # E_b(omega_c) [J]
-    second_derivative: float   # d2 E_b / d omega^2 at omega_c
-    is_local_minimum: bool
-    N_b_critical: float = None  # collapse threshold, attractive g_bb only
+BosonVariationalResult = namedtuple("BosonVariationalResult", (
+    "omega_c",            # stationary variational frequency [rad/s]
+    "energy",             # E_b(omega_c) [J]
+    "second_derivative",  # d2 E_b / d omega^2 at omega_c
+    "is_local_minimum",
+    "N_b_critical",       # collapse threshold, attractive g_bb only
+), defaults=(None,))
 
-
-@dataclass(frozen=True)
-class FermionVariationalResult:
-    Omega_c: float             # stationary fermion frequency [rad/s]
-    r_fc: float                # cloud-center displacement [m]
-    G: float                   # overlap width parameter [1/m^2]
-    P: float                   # Omega-only energy part at Omega_c [J]
-    Y: float                   # product of the two Hessian brackets
-    hessian_det: float         # det of the (Omega, r_f) Hessian at (Omega_c, 0)
-    phase: PhaseLabel
+FermionVariationalResult = namedtuple("FermionVariationalResult", (
+    "Omega_c",      # stationary fermion frequency [rad/s]
+    "r_fc",         # cloud-center displacement [m]
+    "G",            # overlap width parameter [1/m^2]
+    "P",            # Omega-only energy part at Omega_c [J]
+    "Y",            # product of the two Hessian brackets
+    "hessian_det",  # det of the (Omega, r_f) Hessian at (Omega_c, 0)
+    "phase",        # PhaseLabel
+))
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,16 @@ def test_import_loads_no_scipy():
     assert _fresh_probe(probe) == "[]"
 
 
+def test_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize (about 4 ms of
+    # cold start) and building each record as one costs more; the records
+    # are namedtuples, so none of these is loaded
+    probe = ("import sys, bfmix.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m in ('dataclasses', 'inspect')))")
+    assert _fresh_probe(probe) == "[]"
+
+
 def test_import_loads_every_bfmix_module():
     # bench/tracer.py wraps the functions of the modules that importing
     # bfmix.cli loads; a module imported later would escape it

@@ -187,3 +187,72 @@ def test_null_optional_field_is_unset():
     bad["interaction"]["g_bb"] = None
     with pytest.raises(ConfigError, match="interaction.g_bb"):
         config_from_dict(bad)
+
+
+SI_KW = dict(m_b=7.0 * atomic_mass, m_f=6.0 * atomic_mass, omega_b=166.0,
+             omega_f=166.0, N_b=1000.0, N_f=100.0, g_bb=1e-51, g_bf=0.0,
+             volume=1e-15, temperature=1e-7)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("N_b", True), ("g_bf", False), ("m_f", "7"), ("volume", "x"),
+    ("temperature", "1e-7"), ("N_f", 10 ** 400), ("g_bb", -10 ** 400),
+], ids=["bool", "false", "str", "str-volume", "str-temperature",
+        "big-int", "big-negative-int"])
+def test_non_numbers_rejected_naming_the_field(field, value):
+    # a bool is no count, a string no mass, and an int beyond float range
+    # no coupling: each is a ConfigError naming the field
+    with pytest.raises(ConfigError, match=field):
+        MixtureConfig(**dict(SI_KW, **{field: value}))
+
+
+def test_numbers_stored_as_builtin_floats():
+    # ints and numpy scalars are stored as floats, so the solvers never
+    # meet numpy bools; config_lines prints ints and floats alike
+    cfg = MixtureConfig(**dict(SI_KW, N_b=1000, N_f=np.float64(100.0),
+                               g_bf=np.float64(-1e-52), volume=1))
+    for value in cfg[:11]:
+        assert type(value) is float
+    assert cfg == MixtureConfig(**dict(SI_KW, g_bf=-1e-52, volume=1.0))
+
+
+def test_config_record_contract():
+    cfg = MixtureConfig(**SI_KW)
+    with pytest.raises(AttributeError):
+        cfg.N_b = 2.0
+    with pytest.raises(AttributeError):
+        cfg.extra = 1.0
+    # replace goes back through the checks; an unknown name raises
+    with pytest.raises(ConfigError, match="N_b"):
+        cfg.replace(N_b=-1.0)
+    with pytest.raises(TypeError, match="bogus"):
+        cfg.replace(bogus=1.0)
+    copy = cfg.replace(N_b=2000)
+    assert copy.N_b == 2000.0 and type(copy.N_b) is float
+    assert copy.replace(N_b=1000.0) == cfg
+    assert hash(copy.replace(N_b=1000.0)) == hash(cfg)
+    assert cfg.replace() == cfg
+    assert repr(cfg).startswith("MixtureConfig(m_b=")
+    assert "compat_mode=<CompatMode.DERIVED: 'derived'>" in repr(cfg)
+
+
+def test_result_records_are_immutable():
+    from bfmix.finite_temperature import (
+        critical_window, stability_matrix, thermal_state)
+    from bfmix.scan_engine import ScanTable, figure_preset
+    from bfmix.thomas_fermi import tf_profiles
+    from bfmix.zero_temperature import classify_zero_T, solve_omega_c
+
+    cfg = MixtureConfig(**dict(SI_KW, g_bf=1e-52))
+    state = thermal_state(cfg, cfg.temperature)
+    records = [state, state.z_b, stability_matrix(state, cfg),
+               critical_window(cfg, (1e-8, 1e-6)), solve_omega_c(cfg),
+               classify_zero_T(cfg), tf_profiles(cfg), figure_preset("fig1"),
+               ScanTable(columns=("Z",), rows=((1.0,),), provenance=())]
+    for record in records:
+        name = type(record).__name__
+        assert repr(record).startswith(f"{name}({record._fields[0]}=")
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None

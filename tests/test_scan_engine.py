@@ -522,3 +522,31 @@ def test_coupling_plane_non_finite_si_coupling():
     with pytest.raises(ConfigError):
         base.with_field("interaction.g_bb",
                         base.field_to_si("interaction.g_bb", 1e203))
+
+
+def test_range_record_contract():
+    r = ScanRange("boson.count", values=[1.0, 2])
+    assert r.values == (1.0, 2.0) and type(r.values) is tuple
+    assert all(type(v) is float for v in r.values)
+    assert repr(r).startswith("ScanRange(field='boson.count'")
+    with pytest.raises(AttributeError):
+        r.values = (3.0,)
+    assert hash(r) == hash(ScanRange("boson.count", values=(1.0, 2.0)))
+    for bad in (dict(start=0.0, stop=1.0, points=2.5),
+                dict(start=0.0, stop=math.nan, points=4),
+                dict(values=[1.0, "x"]), dict(start=1.0, stop=1.0, points=3)):
+        with pytest.raises(ConfigError, match=r"scan\.boson\.count"):
+            ScanRange("boson.count", **bad)
+
+
+def test_zero_t_scan_of_a_numpy_float_config():
+    # a numpy count is stored as a float: the sign lists of the Omega_c
+    # solve and of the sign_Y column subtract Python bools, not numpy ones
+    base = osc_cfg(N_f=np.geomspace(1e3, 1e6, 4)[1], g_bf=0.02)
+    gbf = ScanRange("interaction.g_bf", -0.1, 0.1, 5)
+    table = run_scan(ScanSpec(base=base, observable="Omega_c",
+                              variables=(gbf,)))
+    assert all(row[-1] == "OK" and row[1] > 0 for row in table.rows)
+    table = run_scan(ScanSpec(base=base, observable="Y", variables=(gbf,)))
+    assert table.columns == ("g_bf", "Y", "sign_Y", "status")
+    assert all(row[2] == np.sign(row[1]) for row in table.rows)

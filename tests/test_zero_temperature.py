@@ -8,7 +8,6 @@ checked against central finite differences.
 
 import itertools
 import math
-from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -360,6 +359,16 @@ def test_Omega_c_residual_is_tiny():
     assert abs(slope) / scale < 1e-9
 
 
+def test_Omega_c_of_a_numpy_float_count():
+    # the config stores numpy numbers as floats, so the bracket's sign
+    # list subtracts Python bools (numpy bools refuse subtraction)
+    N_f = np.geomspace(1e3, 1e6, 4)[1]
+    cfg = make_cfg(N_f=N_f)
+    assert type(cfg.N_f) is float
+    assert solve_Omega_c(166.0, cfg) == solve_Omega_c(
+        166.0, make_cfg(N_f=float(N_f)))
+
+
 def _least_energy_Omega(r_f, omega_c, cfg):
     """The oracle's least-energy root of dE_f/dOmega at fixed r_f, from
     a 4001-node scan over [1e-6, 1e6] omega_f."""
@@ -670,7 +679,7 @@ def test_boson_memo_ignores_fermion_fields_and_g_bf():
                         ("boson.mass", 6.0 * atomic_mass)):
         other = cfg.with_field(path, value)
         assert solve_omega_c(other).omega_c != first.omega_c, path
-    paper = solve_omega_c(replace(cfg, compat_mode=CompatMode.PAPER))
+    paper = solve_omega_c(cfg.replace(compat_mode=CompatMode.PAPER))
     assert paper.omega_c != first.omega_c
     zt._solve_omega_c.cache_clear()
     assert solve_omega_c(cfg) == first
