@@ -57,13 +57,20 @@ def write_csv(table, stream):
     """Provenance as '#' comment lines, then header, then rows.
 
     Floats carry 17 significant digits and lines end in LF, so repeated
-    runs of the same table are byte-identical.
+    runs of the same table are byte-identical.  Rows are equally long.
+    Each column formats each distinct object in it once (a grid value
+    repeats as one object), keyed on identity: == would merge 0.0 with
+    -0.0 and never match nan.
     """
     for line in table.provenance:
         stream.write(f"# {line}\n")
     stream.write(",".join(map(_cell, table.columns)) + "\n")
-    for row in table.rows:
-        stream.write(",".join(map(_cell, row)) + "\n")
+    columns = []
+    for column in zip(*table.rows):
+        unique = dict(zip(map(id, column), column))
+        text = {key: _cell(v) for key, v in unique.items()}
+        columns.append(map(text.__getitem__, map(id, column)))
+    stream.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
 
 def _emit(table, out_path):
@@ -85,39 +92,38 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_COMMANDS = {
+    "zero-t": "variational widths, stability product, phase label",
+    "tf": "semiclassical density profiles and regime",
+    "finite-t": "fugacities and the stability determinant at T",
+    "window": "unstable temperature window over thermal.t_range",
+    "scan": "run the config's scan section",
+    **{tag: f"figure preset {tag} (embedded config)" for tag in PRESET_TAGS},
+}
+
+
 def _build_parser():
-    parser = _Parser(prog="bfmix",
-                     description="Stability analysis of trapped "
-                                 "boson-fermion mixtures.")
+    # flat: every subcommand takes the same options; _load asks for --config
+    parser = _Parser(
+        prog="bfmix",
+        description="Stability analysis of trapped boson-fermion mixtures.",
+        epilog="subcommands:\n" + "\n".join(
+            f"  {name:<10}{text}" for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"bfmix {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    sub.required = True
-
-    def add(name, help_text, config_required=True):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=config_required,
-                        help="path to a JSON config file")
-        sp.add_argument("--out", help="output CSV path (default stdout)")
-        sp.add_argument("--mode", choices=["paper", "derived"],
+    parser.add_argument("subcommand", metavar="SUBCOMMAND",
+                        choices=_COMMANDS, help="one of those listed below")
+    parser.add_argument("--config", help="path to a JSON config file")
+    parser.add_argument("--out", help="output CSV path (default stdout)")
+    parser.add_argument("--mode", choices=["paper", "derived"],
                         help="override the config's compat_mode")
-        sp.add_argument("--tol", type=float,
-                        help="relative tolerance for window-edge "
-                             "refinement")
-        sp.add_argument("--workers", type=int,
+    parser.add_argument("--tol", type=float,
+                        help="relative tolerance for window-edge refinement")
+    parser.add_argument("--workers", type=int,
                         help=f"no-op kept for compatibility: validated, "
                              f"overrides ${_WORKERS_ENV}; scans always run "
                              f"serially")
-        return sp
-
-    add("zero-t", "variational widths, stability product, phase label")
-    add("tf", "semiclassical density profiles and regime")
-    add("finite-t", "fugacities and the stability determinant at T")
-    add("window", "unstable temperature window over thermal.t_range")
-    add("scan", "run the config's scan section")
-    for tag in PRESET_TAGS:
-        add(tag, f"figure preset {tag} (embedded config)",
-            config_required=False)
     return parser
 
 
@@ -143,6 +149,8 @@ def resolve_workers(flag_value, env_value):
 
 
 def _load(args):
+    if args.config is None:
+        raise ConfigError(f"'{args.subcommand}' needs --config PATH")
     cfg, extras = load_config(args.config)
     if args.mode is not None:
         cfg = cfg.replace(compat_mode=CompatMode(args.mode))

@@ -19,7 +19,6 @@ energy functionals (see zero_temperature); Derived is the default.
 """
 
 import enum
-import json
 import math
 from collections import namedtuple
 
@@ -77,7 +76,8 @@ class MixtureConfig(namedtuple("MixtureConfig", (
                 number = None  # volume or temperature unset
             elif not (math.isfinite(number)
                       and (number > 0 or rule == "a finite real")):
-                raise ConfigError(f"{name} must be {rule}, got {value}")
+                raise ConfigError(f"{name} must be {rule}, got "
+                                  f"{_shown(value)}")
             numbers.append(number)
         return tuple.__new__(cls, (*numbers, *raw[11:]))
 
@@ -252,9 +252,16 @@ def _finite(value, field):
     NaN and infinities are rejected naming the field."""
     number = _as_float(value)
     if not math.isfinite(number):
-        raise ConfigError(
-            f"config field '{field}' must be a finite number, got {value!r}")
+        raise ConfigError(f"config field '{field}' must be a finite "
+                          f"number, got {_shown(value)}")
     return number
+
+
+def _shown(value):
+    """repr(value) for a message, but no int beyond float range: past
+    4,300 digits, int-to-str raises ValueError."""
+    big = type(value) is int and math.isnan(_as_float(value))
+    return "an integer beyond float range" if big else repr(value)
 
 
 def _number(mapping, key, section, default=_REQUIRED):
@@ -368,13 +375,17 @@ def config_from_dict(data):
 
 def load_config(path):
     """Parse a JSON config file into (MixtureConfig, extras)."""
+    import json  # here, so that no preset run loads it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        # past 400 characters an integer is beyond float range: as inf,
+        # _finite rejects it, and it never meets int()'s digit limit
+        data = json.loads(text, parse_int=lambda text: (
+            float(text) if len(text) > 400 else int(text)))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config file {path} is not valid JSON "

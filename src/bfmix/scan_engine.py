@@ -3,9 +3,9 @@
 A scan varies one or two dotted config fields over fixed grids and
 tabulates a named observable at every point, and each row carries a
 per-point status instead of failing the whole sweep.  A Z scan whose
-swept fields are all couplings (g_bb, g_bf, g_ff) evaluates the coupling
-plane from a single thermal state; every other scan builds each point's
-config.  Either way the points are evaluated in grid order.
+swept fields are couplings (g_bb, g_bf, g_ff) and/or the temperature
+evaluates Z from one thermal state per temperature; every other scan
+builds each point's config.  Either way the rows are in grid order.
 """
 
 import itertools
@@ -40,9 +40,13 @@ MAX_SCAN_POINTS = 1_000_000
 _COLUMN_NAMES = {path: {"volume": "V", "temperature": "T"}.get(attr, attr)
                  for path, attr in _FIELD_PATHS.items()}
 
-# the fields a Z scan may sweep and still share one thermal state
-_COUPLING_FIELDS = ("interaction.g_bb", "interaction.g_bf",
-                    "interaction.g_ff")
+_T_FIELD = "thermal.temperature"
+
+# the fields a Z scan may sweep and still take one thermal state per
+# temperature; the entry of stability_entries that each coupling moves
+_PLANE_FIELDS = ("interaction.g_bb", "interaction.g_bf",
+                 "interaction.g_ff", _T_FIELD)
+_ENTRY_OF = {"g_bb": 0, "g_ff": 1, "g_bf": 2}
 
 
 class ScanRange(namedtuple("ScanRange",
@@ -247,71 +251,85 @@ def _point_config(spec, assignment):
 _POINT_FAILURES = (ConfigError, DomainError, NumericError, ArithmeticError)
 
 
-def _evaluate_point(spec, assignment):
-    """(config, value, status) at one point; the config is None where it
-    cannot be built."""
-    cfg = None
-    try:
-        cfg = _point_config(spec, assignment)
-        return cfg, OBSERVABLES[spec.observable](cfg, spec), "OK"
-    except _POINT_FAILURES as exc:
-        return cfg, math.nan, f"ERROR:{type(exc).__name__}"
-
-
-def _coupling_plane(spec, grids):
-    """(None, value, status) at every point of a Z scan over couplings,
-    in grid order, from one thermal state.
-
-    The rows match the per-point path: a coupling that is not finite in
-    SI fails its point with ConfigError, a thermal-state failure fails
-    every other point, and a Z that is not a number is a NumericError.
-    """
-    base = spec.base
-    try:
-        state, failure = thermal_state(base, base.temperature), None
-    except _POINT_FAILURES as exc:
-        state, failure = None, f"ERROR:{type(exc).__name__}"
-    attrs = [_FIELD_PATHS[rng.field] for rng in spec.variables]
-    units = [base._input_unit(attr) for attr in attrs]
-    couplings = {attr: getattr(base, attr) for attr in ("g_bb", "g_bf",
-                                                        "g_ff")}
-    results = []
-    for point in itertools.product(*grids):
-        for attr, unit, value in zip(attrs, units, point):
-            couplings[attr] = value * unit
-        Z, status = math.nan, failure
-        if not all(math.isfinite(g) for g in couplings.values()):
-            status = "ERROR:ConfigError"
-        elif failure is None:
-            try:
-                Z = stability_entries(state, base, **couplings)[3]
-                status = "ERROR:NumericError" if math.isnan(Z) else "OK"
-            except _POINT_FAILURES as exc:
-                status = f"ERROR:{type(exc).__name__}"
-        results.append((None, Z if status == "OK" else math.nan, status))
-    return results
-
-
-def _temperature_extras(spec, cfg, value):
-    """T in kelvin and T/T_F for a swept temperature axis, at the
-    point's config (None where it could not be built)."""
-    T_K = spec.base.field_to_si("thermal.temperature", value)
+def _fermi_T(cfg):
+    """T_F of a point's config, nan where it or T_F cannot be had."""
     if cfg is not None:
         try:
-            return [T_K, T_K / fermi_temperature(cfg)]
+            return fermi_temperature(cfg)
         except _POINT_FAILURES:
             pass
-    return [T_K, math.nan]
+    return math.nan
+
+
+def _evaluate_point(spec, point, with_T_F):
+    """(value, status, T_F) at one point; T_F only when with_T_F."""
+    cfg = None
+    try:
+        cfg = _point_config(spec, zip(spec.variables, point))
+        value, status = OBSERVABLES[spec.observable](cfg, spec), "OK"
+    except _POINT_FAILURES as exc:
+        value, status = math.nan, f"ERROR:{type(exc).__name__}"
+    return value, status, _fermi_T(cfg) if with_T_F else None
+
+
+def _z_grid(spec, grids):
+    """(Z, status, T_F) at every point of a Z scan over couplings and/or
+    the temperature, in grid order: one thermal state per temperature,
+    and one stability_entries call per coupling value, kept for the
+    entry it moves.  A point's Z is bb ff - cross^2, the operations of
+    stability_entries on the same operands, so Z is bit for bit the
+    per-point value.  So are the statuses: a point that builds no config
+    is a ConfigError, a state failure fails the points at its
+    temperature, and a Z that is not a number is a NumericError.
+    """
+    base = spec.base
+    attrs = [_FIELD_PATHS[rng.field] for rng in spec.variables]
+    si = {attr: [v * base._input_unit(attr) for v in grid]
+          for attr, grid in zip(attrs, grids)}
+    # None marks a coupling that is not finite in SI
+    axes = [(attr, [g if math.isfinite(g) else None for g in si[attr]])
+            for attr in attrs if attr != "temperature"]
+    moved = [_ENTRY_OF[attr] for attr, _ in axes]
+    fixed = [k for k in range(3) if k not in moved]
+    # where bb, ff and cross sit in a point's moved entries + fixed ones
+    bb, ff, cross = ((moved + fixed).index(k) for k in range(3))
+    couplings = {"g_bb": base.g_bb, "g_bf": base.g_bf, "g_ff": base.g_ff}
+    T_F, no_config = _fermi_T(base), (math.nan, "ERROR:ConfigError", math.nan)
+
+    def cell(e):
+        Z = e[bb] * e[ff] - e[cross] * e[cross]
+        return ((Z, "OK", T_F) if Z == Z
+                else (math.nan, "ERROR:NumericError", T_F))
+
+    planes = []
+    for T in si.get("temperature", [base.temperature]):
+        entries, failure = [values for _, values in axes], no_config
+        if 0.0 < T < math.inf:
+            try:
+                state = thermal_state(base, T)
+                at_base = stability_entries(state, base, **couplings)
+                rest = tuple(at_base[k] for k in fixed)
+                entries = [[None if g is None else stability_entries(
+                    state, base, **{**couplings, attr: g})[k] for g in values]
+                    for (attr, values), k in zip(axes, moved)]
+                failure = None
+            except _POINT_FAILURES as exc:
+                failure = (math.nan, f"ERROR:{type(exc).__name__}", T_F)
+        planes.append([no_config if None in point else failure
+                       or cell(point + rest)
+                       for point in itertools.product(*entries)])
+    if attrs[-1] == "temperature" and len(attrs) == 2:
+        planes = zip(*planes)  # the coupling is the outer axis
+    return list(itertools.chain.from_iterable(planes))
 
 
 def run_scan(spec, workers=None):
     """Evaluate the observable over the full grid.
 
-    A Z scan that sweeps only couplings (g_bb, g_bf, g_ff) solves one
-    thermal state, which does not depend on them, and evaluates Z at
-    every point of the coupling plane from it.  Any other scan
-    builds each point's config once and evaluates its points one after
-    another.  Both give the same rows.
+    A Z scan that sweeps only couplings and the temperature takes one
+    thermal state per temperature, which the couplings do not move
+    (_z_grid).  Any other scan builds each point's config and evaluates
+    its points one after another.  Both give the same rows.
 
     workers is accepted and ignored, so callers that pass a count keep
     working and get the same table.  The points are pure Python and
@@ -319,37 +337,39 @@ def run_scan(spec, workers=None):
     """
     _validate(spec)
     grids = [rng.grid() for rng in spec.variables]
-    assignments = [tuple(zip(spec.variables, point))
-                   for point in itertools.product(*grids)]
-    if spec.observable == "Z" and all(rng.field in _COUPLING_FIELDS
-                                      for rng in spec.variables):
-        results = _coupling_plane(spec, grids)
+    fields = [rng.field for rng in spec.variables]
+    t = fields.index(_T_FIELD) if _T_FIELD in fields else None
+    if spec.observable == "Z" and all(f in _PLANE_FIELDS for f in fields):
+        results = _z_grid(spec, grids)
     else:
-        results = [_evaluate_point(spec, a) for a in assignments]
+        results = [_evaluate_point(spec, point, t is not None)
+                   for point in itertools.product(*grids)]
 
     columns = []
-    for rng in spec.variables:
-        columns.append(_COLUMN_NAMES[rng.field])
-        if rng.field == "thermal.temperature":
+    for field in fields:
+        columns.append(_COLUMN_NAMES[field])
+        if field == _T_FIELD:
             columns.extend(["T_K", "T_over_TF"])
     columns.append(spec.observable)
     if spec.observable == "Y":
         columns.append("sign_Y")
     columns.append("status")
 
+    T_unit = spec.base._input_unit("temperature")
     rows = []
-    for assignment, (cfg, value, status) in zip(assignments, results):
-        row = []
-        for rng, v in assignment:
-            row.append(v)
-            if rng.field == "thermal.temperature":
-                row.extend(_temperature_extras(spec, cfg, v))
-        row.append(value)
+    for point, (value, status, T_F) in zip(itertools.product(*grids),
+                                           results):
+        if t is not None:
+            # T/T_F as the per-point division: nan where it would fail
+            T_K = point[t] * T_unit
+            point = (*point[:t + 1], T_K, T_K / T_F if T_F else math.nan,
+                     *point[t + 1:])
         if spec.observable == "Y":
-            row.append(math.nan if math.isnan(value)
-                       else float((value > 0) - (value < 0)))
-        row.append(status)
-        rows.append(tuple(row))
+            point += (value, math.nan if math.isnan(value)
+                      else float((value > 0) - (value < 0)))
+        else:
+            point += (value,)
+        rows.append((*point, status))
 
     return ScanTable(columns=tuple(columns), rows=tuple(rows),
                      provenance=_provenance(spec))

@@ -339,15 +339,21 @@ def _decoupled_Omega(cfg):
 
 
 def _Omega_bracket(omega_c, cfg):
-    """[lo, hi] holding every root of dE_f/dOmega at r_f = 0.  In exact
+    """The [lo, hi] of _bracketed_h."""
+    return _bracketed_h(omega_c, cfg)[1:]
+
+
+def _bracketed_h(omega_c, cfg):
+    """(h, lo, hi): h(Omega) = Omega^2 dE_f/dOmega at r_f = 0, and
+    [lo, hi] holding every root of dE_f/dOmega at r_f = 0.  In exact
     arithmetic the slope is < 0 at lo and > 0 at hi for g_bf != 0; for
     g_bf = 0 the bracket is the point Omega_0.
 
-    Omega^2 dE_f/dOmega = a Omega^2 - b + c q(Omega), with a = A hbar
-    N_f^(5/3), b = (3/4) hbar omega_f^2 N_f, c = g_bf kappa N_b N_f and
-    q = (3/2) Omega^2 sqrt(G) dG/dOmega = q_inf (x / (1 + x))^(5/2),
-    x = m_f Omega / (m_b omega_c), which rises from 0 to q_inf.  Omega_0
-    = sqrt(b / a) is the root at c = 0.
+    h(Omega) = a Omega^2 - b + c q(Omega), with a = A hbar N_f^(5/3),
+    b = (3/4) hbar omega_f^2 N_f, c = g_bf kappa N_b N_f and q = (3/2)
+    Omega^2 sqrt(G) dG/dOmega = q_inf (x / (1 + x))^(5/2), x = m_f Omega
+    / (m_b omega_c), which rises from 0 to q_inf.  Omega_0 = sqrt(b / a)
+    is the root at c = 0.
 
     c > 0: the sum rises, so the root is unique, and it is c q > 0 at
     Omega_0.  Below Omega_0 / sqrt(2), a Omega^2 <= b / 2, and as G <=
@@ -358,39 +364,45 @@ def _Omega_bracket(omega_c, cfg):
     end is written Omega_0 sqrt(1 + |c| q_inf / b), which never rounds
     below Omega_0.
     """
-    _, _, kappa = _mode_factors(cfg)
+    _, A, kappa = _mode_factors(cfg)
     Omega_0 = _decoupled_Omega(cfg)
+    a = A * hbar * cfg.N_f ** (5.0 / 3.0)
     b = 0.75 * hbar * cfg.omega_f ** 2 * cfg.N_f
     c = cfg.g_bf * kappa * cfg.N_b * cfg.N_f
-    if c > 0.0:
-        return min(Omega_0 / math.sqrt(2.0),
-                   (b / (3.0 * c * (cfg.m_f / hbar) ** 1.5)) ** 0.4), Omega_0
     B = cfg.m_b * omega_c
     q_inf = 1.5 * math.sqrt(B / hbar) * B * B / (hbar * cfg.m_f)
-    return Omega_0, Omega_0 * math.sqrt(1.0 - c * q_inf / b)
+    k, cq = cfg.m_f / B, c * q_inf
+
+    def h(Omega):
+        x = k * Omega
+        return a * Omega * Omega - b + cq * (x / (1.0 + x)) ** 2.5
+
+    if c > 0.0:
+        lo = min(Omega_0 / math.sqrt(2.0),
+                 (b / (3.0 * c * (cfg.m_f / hbar) ** 1.5)) ** 0.4)
+        return h, lo, Omega_0
+    return h, Omega_0, Omega_0 * math.sqrt(1.0 - c * q_inf / b)
 
 
 def solve_Omega_c(omega_c, cfg):
     """Root of dE_f/dOmega = 0 at r_f = 0; with several roots, the one
     of least energy is returned.
 
-    Sign changes are sought on a log grid of 20 points per decade over
-    the bracket of _Omega_bracket, and Brent refines each one.  An end
-    whose computed slope contradicts its proven sign lies within
+    Brent refines the sign changes of h = Omega^2 dE_f/dOmega over the
+    bracket of _bracketed_h: between its two ends for repulsive g_bf,
+    whose root is unique, else on a log grid of 20 points per decade.
+    An end whose computed h contradicts its proven sign lies within
     rounding of a root, so it is a candidate too.  A bracket that is
     the single point Omega_0 (g_bf = 0, or a coupling too weak to move
     the root by an ulp) thus returns Omega_0.
     """
-
-    def slope(Omega):
-        return fermion_energy_gradients(Omega, 0.0, omega_c, cfg)[0]
-
-    lo, hi = _Omega_bracket(omega_c, cfg)
-    grid = _log_grid(lo, hi, max(2, round(20.0 * math.log10(hi / lo)) + 1))
-    signs = [(v > 0) - (v < 0) for v in map(slope, grid)]
+    h, lo, hi = _bracketed_h(omega_c, cfg)
+    grid = [lo, hi] if cfg.g_bf > 0.0 else _log_grid(
+        lo, hi, max(2, round(20.0 * math.log10(hi / lo)) + 1))
+    signs = [(v > 0) - (v < 0) for v in map(h, grid)]
     roots = [w for w, wrong in ((lo, signs[0] >= 0), (hi, signs[-1] <= 0))
              if wrong]
-    roots += [brentq(slope, grid[i], grid[i + 1],
+    roots += [brentq(h, grid[i], grid[i + 1],
                      xtol=1e-15 * cfg.omega_f, maxiter=300)
               for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
     return min(roots, key=lambda w: fermion_energy(w, 0.0, omega_c, cfg))

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -288,6 +289,60 @@ def test_help_and_version_exit_0(capsys):
     assert cli.main(["--version"]) == 0
 
 
+def test_help_lists_every_subcommand(capsys):
+    assert cli.main(["--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("zero-t", "tf", "finite-t", "window", "scan", *PRESET_TAGS):
+        assert any(line.split()[:1] == [name] and len(line.split()) > 1
+                   for line in lines), name
+
+
+@pytest.mark.parametrize("command",
+                         ["zero-t", "tf", "finite-t", "window", "scan"])
+def test_command_without_config_exit_1_names_it(command, capsys):
+    assert cli.main([command]) == 1
+    err = capsys.readouterr().err
+    assert "--config" in err and len(err.splitlines()) == 1
+
+
+def test_huge_integer_literal_exit_1_names_field(tmp_path, capsys):
+    # 5,000 digits pass the int-from-string limit of 4,300
+    cfg = base_config()
+    cfg["boson"]["count"] = 0
+    text = json.dumps(cfg).replace('"count": 0', '"count": ' + "9" * 5000)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["zero-t", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "boson.count" in err and len(err.splitlines()) == 1
+
+
+def test_csv_writer_formats_each_object_once(monkeypatch):
+    # one float object many times down a column, and values == cannot
+    # tell apart (0.0 and -0.0) or match (nan): the bytes are those of
+    # formatting every cell, and each object is formatted once
+    shared = 0.1 + 0.2
+    column = [shared, 0.0, shared, -0.0, float("nan"), shared, math.inf,
+              float("nan"), -math.inf, shared, 0.0]
+    table = ScanTable(
+        columns=("x", "label", "y"),
+        rows=tuple((v, "OK" if i % 2 else 'a "b"', float(i))
+                   for i, v in enumerate(column)),
+        provenance=("line",))
+    expected = "# line\nx,label,y\n" + "".join(
+        ",".join(map(cli._cell, row)) + "\n" for row in table.rows)
+    formatted = []
+    cell = cli._cell
+    monkeypatch.setattr(cli, "_cell",
+                        lambda v: formatted.append(v) or cell(v))
+    buf = io.StringIO()
+    cli.write_csv(table, buf)
+    assert buf.getvalue() == expected
+    assert "\n0,OK,1\n" in expected and "\n-0,OK,3\n" in expected
+    objects = {id(v) for row in table.rows for v in row}
+    assert len(formatted) == len(objects) + len(table.columns)
+
+
 def test_csv_writer_conventions():
     table = ScanTable(
         columns=("a", "b", "c", "d"),
@@ -440,6 +495,16 @@ def test_import_loads_no_dataclasses():
              "print(sorted(m for m in sys.modules "
              "if m in ('dataclasses', 'inspect')))")
     assert _fresh_probe(probe) == "[]"
+
+
+def test_import_loads_no_json(tmp_path):
+    # only load_config parses JSON; neither the import nor a preset run
+    # loads the json package
+    probe = ("import sys, bfmix.cli; "
+             "assert bfmix.cli.main(['fig1', '--out', sys.argv[1]]) == 0; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'json' or m.startswith('json.')))")
+    assert _fresh_probe(probe, str(tmp_path / "fig1.csv")) == "[]"
 
 
 def test_import_loads_every_bfmix_module():

@@ -206,6 +206,12 @@ def test_non_numbers_rejected_naming_the_field(field, value):
         MixtureConfig(**dict(SI_KW, **{field: value}))
 
 
+def test_integer_past_the_digit_limit_rejected_naming_the_field():
+    # its message must not print the int: past 4,300 digits str() raises
+    with pytest.raises(ConfigError, match="N_b"):
+        MixtureConfig(**dict(SI_KW, N_b=10 ** 5000))
+
+
 def test_numbers_stored_as_builtin_floats():
     # ints and numpy scalars are stored as floats, so the solvers never
     # meet numpy bools; config_lines prints ints and floats alike

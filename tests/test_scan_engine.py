@@ -10,7 +10,7 @@ from bfmix import finite_temperature as ft
 from bfmix import scan_engine
 from bfmix.config import CompatMode, MixtureConfig
 from bfmix.constants import atomic_mass
-from bfmix.errors import ConfigError, NumericError
+from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix.scan_engine import (
     PRESET_TAGS,
     ScanRange,
@@ -403,7 +403,24 @@ _PLANE_AXES = {
                             values=(0.01, 1e200, 0.0, -0.05, 0.07))),
     "g_ff,g_bf": (ScanRange("interaction.g_ff", 0.0, 0.1, 4),
                   ScanRange("interaction.g_bf", -0.3, 0.3, 7)),
+    # temperatures of 0 and below build no config
+    "T": (ScanRange("thermal.temperature",
+                    values=(2.0, 0.0, 0.7, -1.0, 5.0)),),
+    "g_bf,T": (ScanRange("interaction.g_bf", values=(0.3, -0.1, 1e200)),
+               ScanRange("thermal.temperature",
+                         values=(0.5, 0.0, 3.0, -2.0, 6.0))),
+    "T,g_bb": (ScanRange("thermal.temperature",
+                         values=(1.0, -1.0, 0.0, 4.0)),
+               ScanRange("interaction.g_bb",
+                         values=(0.05, -0.02, 1e200, 0.0))),
 }
+
+
+def _same(a, b):
+    """a and b are the same cell: equal, or both nan floats."""
+    if type(a) is float and math.isnan(a):
+        return type(b) is float and math.isnan(b)
+    return type(a) is type(b) and a == b
 
 
 @pytest.mark.parametrize("axes", sorted(_PLANE_AXES))
@@ -415,27 +432,37 @@ def test_coupling_plane_matches_per_point(monkeypatch, axes, mode,
     base = _z_base(unit_system, mode, big)
     variables = _PLANE_AXES[axes]
     if unit_system == "si":
-        unit = _z_base("oscillator", mode).coupling_unit
+        osc = _z_base("oscillator", mode)
         variables = tuple(
-            ScanRange(r.field, values=tuple(v if abs(v) > 1e100 else v * unit
-                                            for v in r.grid()))
+            ScanRange(r.field, values=tuple(
+                v if abs(v) > 1e100 else osc.field_to_si(r.field, v)
+                for v in r.grid()))
             for r in variables)
     spec = ScanSpec(base=base, variables=variables, observable="Z")
+    fields = [r.field for r in variables]
+    t = (fields.index("thermal.temperature")
+         if "thermal.temperature" in fields else None)
+    temperatures = [base.temperature] if t is None else [
+        base.field_to_si(fields[t], v) for v in variables[t].grid() if v > 0]
+    # with a temperature axis, the state at its highest temperature fails
+    broken = None if t is None else max(temperatures)
 
     calls = {"state": 0, "matrix": 0}
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-    monkeypatch.setattr(scan_engine, "thermal_state",
-                        counted("state", ft.thermal_state))
-    monkeypatch.setattr(scan_engine, "stability_matrix",
-                        counted("matrix", ft.stability_matrix))
+    def state(cfg, T):
+        calls["state"] += 1
+        if T == broken:
+            raise DomainError("no state at this temperature")
+        return ft.thermal_state(cfg, T)
+
+    def matrix(*args):
+        calls["matrix"] += 1
+        return ft.stability_matrix(*args)
+    monkeypatch.setattr(scan_engine, "thermal_state", state)
+    monkeypatch.setattr(scan_engine, "stability_matrix", matrix)
     table = run_scan(spec)
-    # one thermal state for the whole plane, no per-point matrix
-    assert calls == {"state": 1, "matrix": 0}
+    # one thermal state per temperature, no per-point matrix
+    assert calls == {"state": len(temperatures), "matrix": 0}
 
     grids = [r.grid() for r in variables]
     points = ([(u,) for u in grids[0]] if len(grids) == 1 else
@@ -443,27 +470,43 @@ def test_coupling_plane_matches_per_point(monkeypatch, axes, mode,
     assert len(table.rows) == len(points)
     statuses = set()
     for point, row in zip(points, table.rows):
-        cfg = base
-        for rng, value in zip(variables, point):
-            cfg = cfg.with_field(rng.field, base.field_to_si(rng.field,
-                                                             value))
         try:
-            expected = ft.stability_matrix(
-                ft.thermal_state(cfg, cfg.temperature), cfg).Z
-            status = "OK"
-        except NumericError:
-            expected, status = math.nan, "ERROR:NumericError"
-        assert row[:-2] == point
-        assert row[-1] == status
+            cfg = base
+            for rng, value in zip(variables, point):
+                cfg = cfg.with_field(rng.field, base.field_to_si(rng.field,
+                                                                 value))
+        except ConfigError:
+            cfg = None
+        expected, status = math.nan, "ERROR:ConfigError"
+        if cfg is not None:
+            try:
+                expected = ft.stability_matrix(state(cfg, cfg.temperature),
+                                               cfg).Z
+                status = "OK"
+            except (DomainError, NumericError) as exc:
+                status = f"ERROR:{type(exc).__name__}"
+        head = point
+        if t is not None:
+            T_K = base.field_to_si(fields[t], point[t])
+            ratio = (math.nan if cfg is None
+                     else T_K / ft.fermi_temperature(cfg))
+            head = (*point[:t + 1], T_K, ratio, *point[t + 1:])
+        assert len(row) == len(head) + 2
+        assert all(map(_same, row, (*head, expected, status))), (row, head)
         statuses.add(status)
-        value = row[-2]
-        assert type(value) is float
-        assert (math.isnan(value) and math.isnan(expected)) \
-            or value == expected
     assert "OK" in statuses
+    assert ("ERROR:DomainError" in statuses) == (t is not None)
+    assert ("ERROR:ConfigError" in statuses) == (t is not None)
     # all three couplings at 1e200 somewhere on the plane: Z = inf - inf
     assert ("ERROR:NumericError" in statuses) == (
-        big and axes in ("g_bb,g_ff", "g_bf,g_bb"))
+        big and axes in ("g_bb,g_ff", "g_bf,g_bb", "T,g_bb"))
+
+    # and the per-point path writes the same table, cell for cell
+    monkeypatch.setattr(scan_engine, "_PLANE_FIELDS", ())
+    per_point = run_scan(spec)
+    assert per_point.columns == table.columns
+    assert all(len(a) == len(b) and all(map(_same, a, b))
+               for a, b in zip(per_point.rows, table.rows))
 
 
 def test_coupling_plane_overflow_signs():
@@ -490,19 +533,23 @@ def test_coupling_plane_state_error_fails_every_point(monkeypatch):
                for row in rows)
 
 
-def test_z_scan_over_temperature_stays_per_point(monkeypatch):
-    # a temperature axis moves the thermal state, so it takes the
-    # per-point path, which builds each point's config once
+def test_z_scan_over_temperature_takes_the_plane(monkeypatch):
+    # the thermal state depends on the temperature only, so a
+    # temperature axis takes the plane path: one state per temperature
+    # and no point config
     spec = figure_preset("fig4")
     spec = ScanSpec(base=spec.base, observable="Z", variables=(
         spec.variables[0],
         ScanRange("thermal.temperature", 0.5, 50.0, 4, scale="log")))
-    built = []
+    built, states = [], []
     point_config = scan_engine._point_config
     monkeypatch.setattr(scan_engine, "_point_config",
                         lambda *a: built.append(1) or point_config(*a))
+    monkeypatch.setattr(scan_engine, "thermal_state",
+                        lambda *a: states.append(1) or ft.thermal_state(*a))
     table = run_scan(spec)
-    assert len(built) == len(table.rows) == 12
+    assert len(built) == 0 and len(states) == 4
+    assert len(table.rows) == 12
     assert all(row[-1] == "OK" and row[3] > 0 for row in table.rows)
 
 
@@ -522,6 +569,45 @@ def test_coupling_plane_non_finite_si_coupling():
     with pytest.raises(ConfigError):
         base.with_field("interaction.g_bb",
                         base.field_to_si("interaction.g_bb", 1e203))
+
+
+def test_temperature_plane_fails_a_point_by_its_config_first(monkeypatch):
+    # beside a temperature whose state fails, the point whose coupling
+    # builds no config is a ConfigError, with T/T_F nan, as per point
+    base = osc_cfg(omega_b=1e-100, N_f=10000.0, volume=1000.0)
+    broken = base.field_to_si("thermal.temperature", 3.0)
+
+    def state(cfg, T):
+        if T == broken:
+            raise DomainError("no state at this temperature")
+        return ft.thermal_state(cfg, T)
+    monkeypatch.setattr(scan_engine, "thermal_state", state)
+    spec = ScanSpec(base=base, observable="Z", variables=(
+        ScanRange("interaction.g_bb", values=(0.1, 1e203)),
+        ScanRange("thermal.temperature", values=(2.0, 3.0))))
+    rows = run_scan(spec).rows
+    assert [row[-1] for row in rows] == ["OK", "ERROR:DomainError",
+                                         "ERROR:ConfigError",
+                                         "ERROR:ConfigError"]
+    assert [math.isnan(row[3]) for row in rows] == [False, False, True,
+                                                     True]
+    monkeypatch.setattr(scan_engine, "_PLANE_FIELDS", ())
+    assert all(map(_same, a, b) for a, b in zip(run_scan(spec).rows, rows))
+
+
+def test_temperature_plane_with_a_vanishing_fermi_temperature(monkeypatch):
+    # T_F underflows to 0 for a fermion mass of 1e300 kg: T/T_F is nan
+    # on both paths, where the per-point division by zero fails
+    base = MixtureConfig.from_si(
+        m_b=1e-26, m_f=1e300, omega_b=100.0, omega_f=100.0, N_b=1000.0,
+        N_f=1000.0, g_bb=1e-50, g_bf=1e-50, volume=1e-12)
+    assert ft.fermi_temperature(base) == 0.0
+    spec = ScanSpec(base=base, observable="Z", variables=(
+        ScanRange("thermal.temperature", values=(1e-6, 2e-6)),))
+    rows = run_scan(spec).rows
+    assert all(row[-1] == "OK" and math.isnan(row[2]) for row in rows)
+    monkeypatch.setattr(scan_engine, "_PLANE_FIELDS", ())
+    assert all(map(_same, a, b) for a, b in zip(run_scan(spec).rows, rows))
 
 
 def test_range_record_contract():

@@ -13,6 +13,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from bfmix.brent import brentq
 from bfmix.config import MixtureConfig, CompatMode
 from bfmix.constants import hbar, atomic_mass
 from bfmix.errors import DomainError
@@ -460,6 +461,42 @@ def test_Omega_bracket_holds_every_root():
         assert cells
         for a, b in cells:
             assert a <= hi and b >= lo, (cfg.g_bf, cfg.N_b, a, b, lo, hi)
+
+
+def test_repulsive_Omega_c_takes_one_brent_call(monkeypatch):
+    # g_bf > 0 has one root in the bracket: h is evaluated at its two
+    # ends, and one Brent call over the whole bracket refines it
+    evals, brent = [], []
+    bracketed = zt._bracketed_h
+
+    def counted_h(omega_c, cfg):
+        h, lo, hi = bracketed(omega_c, cfg)
+        return lambda w: evals.append(w) or h(w), lo, hi
+
+    def recording(f, a, b, xtol, maxiter):
+        brent.append((a, b, len(evals)))
+        root = brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+        brent.append(len(evals))
+        return root
+
+    spec = figure_preset("fig2")
+    for N_b in (1000.0, 10000.0):
+        for g_bf in (0.002, 0.05, 0.2):
+            cfg = spec.base.with_field("boson.count", N_b).with_field(
+                "interaction.g_bf",
+                spec.base.field_to_si("interaction.g_bf", g_bf))
+            omega_c = solve_omega_c(cfg).omega_c
+            expected = solve_Omega_c(omega_c, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(zt, "_bracketed_h", counted_h)
+                patch.setattr(zt, "brentq", recording)
+                evals.clear()
+                brent.clear()
+                assert solve_Omega_c(omega_c, cfg) == expected
+            lo, hi = zt._Omega_bracket(omega_c, cfg)
+            # the two ends, then Brent over [lo, hi], then nothing more
+            assert evals[:2] == [lo, hi]
+            assert brent == [(lo, hi, 2), len(evals)]
 
 
 @pytest.mark.parametrize("g_bf", [1e-30, -1e-30])
