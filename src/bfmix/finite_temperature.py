@@ -7,7 +7,6 @@ the low-temperature coupling criterion, and the local-density extension.
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 from .brent import brentq
 from .config import CompatMode, MixtureConfig
@@ -114,28 +113,21 @@ def _thermal_wavelength(mass, T):
 
 
 def thermal_state(cfg, T):
-    """Wavelengths, densities, and fugacities at temperature T [K]."""
+    """Wavelengths, densities, and fugacities at temperature T [K],
+    both fugacities inverted afresh on every call."""
     if not 0.0 < T < math.inf:
         raise DomainError(f"temperature must be positive and finite, "
                           f"got {T}")
     V = cfg.require_volume()
-    return _thermal_state(cfg.m_b, cfg.m_f, cfg.N_b / V, cfg.N_f / V,
-                          float(T))
-
-
-# The state depends on masses, densities and T only, so sweeps over
-# couplings, trap frequencies or compat mode reuse one fugacity
-# inversion per temperature.
-@lru_cache(maxsize=4096)
-def _thermal_state(m_b, m_f, rho_b, rho_f, T):
-    beta = 1.0 / (k_B * T)
-    lambda_b = _thermal_wavelength(m_b, T)
-    lambda_f = _thermal_wavelength(m_f, T)
+    T = float(T)
+    rho_b, rho_f = cfg.N_b / V, cfg.N_f / V
+    lambda_b = _thermal_wavelength(cfg.m_b, T)
+    lambda_f = _thermal_wavelength(cfg.m_f, T)
     z_b = bose_fugacity_from_density(rho_b * lambda_b ** 3)
     z_f = fermi_fugacity_from_density(rho_f * lambda_f ** 3)
-    return ThermalState(T=T, beta=beta, lambda_b=lambda_b, lambda_f=lambda_f,
-                        z_b=z_b, z_f=z_f, rho_b=rho_b, rho_f=rho_f,
-                        condensed=z_b.condensed)
+    return ThermalState(T=T, beta=1.0 / (k_B * T), lambda_b=lambda_b,
+                        lambda_f=lambda_f, z_b=z_b, z_f=z_f, rho_b=rho_b,
+                        rho_f=rho_f, condensed=z_b.condensed)
 
 
 def helmholtz_free_energy(state, cfg):

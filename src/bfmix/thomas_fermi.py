@@ -11,7 +11,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .brent import brentq
+from .brent import RootError, brentq
 from .constants import hbar, pi
 from .errors import DomainError, NumericError
 
@@ -19,6 +19,14 @@ __all__ = [
     "TFRegime", "TFProfiles", "tf_boson_profile", "tf_fermion_profile",
     "classify_tf_regime", "tf_profiles",
 ]
+
+_GRID_POINTS = 2000
+# each grid segment below R_b spans at least this many panels: Simpson
+# N_b to ~6e-8, and a cloud far inside the condensate stays resolved
+_MIN_PANELS = 64
+# Brent searches this fraction of max(|bound|, e_0) past each e_F bound,
+# room for Simpson's error on a cloud that few nodes resolve
+_BRACKET_PAD = 1e-2
 
 
 class TFRegime(enum.Enum):
@@ -110,11 +118,31 @@ def tf_boson_profile(cfg, grid):
     return mu_b, [max(0.0, (mu_b - k * (r * r)) / cfg.g_bb) for r in grid]
 
 
+def _fermi_energy_bounds(cfg, mu_b):
+    """(lo, hi) around the continuum e_F, from 0 <= n_b <= mu_b / g_bb.
+
+    With e_0 = hbar omega_f (6 N_f)^(1/3) and shift = g_bf mu_b / g_bb:
+    [e_0 + shift, e_0] for g_bf <= 0, else [e_0, min(e_0 + shift, e_1)].
+    The trap is bare outside R_b, so with x = (e / hbar omega_f)^(3/2)
+    the count is at least x^2/6 - b x, where b x bounds the bare count
+    inside R_b; e_1 is where that reaches N_f.
+    """
+    hw = hbar * cfg.omega_f
+    e_0 = hw * (6.0 * cfg.N_f) ** (1.0 / 3.0)
+    shift = cfg.g_bf * mu_b / cfg.g_bb
+    if shift <= 0.0:
+        return e_0 + shift, e_0
+    b = 2.0 / (9.0 * pi) * (4.0 * cfg.m_f * cfg.omega_f * mu_b
+                            / (hbar * cfg.m_b * cfg.omega_b ** 2)) ** 1.5
+    x = 3.0 * (b + math.hypot(b, math.sqrt(2.0 * cfg.N_f / 3.0)))
+    return e_0, min(e_0 + shift, hw * x ** (2.0 / 3.0))
+
+
 def tf_fermion_profile(cfg, mu_b, n_b, grid):
     """Fermion density on the grid for the potential trap + g_bf n_b(r);
-    returns (e_F, n_f) with e_F fixed by the normalization to N_f: a
-    doubling search brackets it, Brent's method (bfmix.brent) refines it
-    to 1e-10 relative."""
+    returns (e_F, n_f), e_F fixed by the normalization to N_f with one
+    Brent call to 1e-10 e_0 between the padded _fermi_energy_bounds.
+    An end of wrong sign or NaN is a NumericError, never the answer."""
     k = 0.5 * cfg.m_f * cfg.omega_f ** 2
     V_eff = [k * (r * r) + cfg.g_bf * nb for r, nb in zip(grid, n_b)]
     pref = (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2)
@@ -123,26 +151,19 @@ def tf_fermion_profile(cfg, mu_b, n_b, grid):
     def density(e_F):
         return [pref * max(0.0, e_F - V) ** 1.5 for V in V_eff]
 
-    def count(e_F):
-        return simpson([s * d for s, d in zip(shell, density(e_F))], grid)
+    def excess(e_F):
+        return simpson([s * d for s, d in zip(shell, density(e_F))],
+                       grid) - cfg.N_f
 
-    lo = min(V_eff)
-    # plateau height of the mean-field shift plus the ideal-gas guess
-    step = hbar * cfg.omega_f * (6.0 * cfg.N_f) ** (1.0 / 3.0) \
-        + max(0.0, cfg.g_bf * mu_b / cfg.g_bb) + hbar * cfg.omega_f
-    hi = lo + step
-    for _ in range(80):
-        if count(hi) >= cfg.N_f:
-            break
-        step *= 2.0
-        hi = lo + step
-    else:
-        raise NumericError(
-            "fermion normalization bracket failed to capture N_f; the "
-            "grid span may not cover the cloud")
-
-    e_F = brentq(lambda e: count(e) - cfg.N_f, lo, hi,
-                 xtol=1e-10 * max(abs(hi), abs(lo)), maxiter=200)
+    e_0 = hbar * cfg.omega_f * (6.0 * cfg.N_f) ** (1.0 / 3.0)
+    lo, hi = _fermi_energy_bounds(cfg, mu_b)
+    lo -= _BRACKET_PAD * max(abs(lo), e_0)
+    hi += _BRACKET_PAD * max(abs(hi), e_0)
+    try:
+        e_F = brentq(excess, lo, hi, xtol=1e-10 * e_0, maxiter=200)
+    except RootError as exc:
+        raise NumericError(f"no e_F on the padded bounds [{lo:g}, {hi:g}] "
+                           f"J: {exc}") from None
     return e_F, density(e_F)
 
 
@@ -161,44 +182,37 @@ def classify_tf_regime(cfg):
 
 
 def _build_grid(cfg, mu_b, span_factor, n_points):
-    # R_b is snapped onto an even-index node so the kink of both density
-    # profiles falls on a quadrature panel boundary
+    """(grid, R_b): n_points radii up to span_factor times the larger of
+    R_b and the fermion radius R_f at the upper e_F bound, uniform
+    between the edges min(R_f, R_b), R_b and the span.  Each edge sits
+    on an even node at least _MIN_PANELS panels above the one before, so
+    the kink of both profiles falls on a Simpson panel boundary and a
+    cloud far inside the condensate still spans that many panels."""
     R_b = math.sqrt(2.0 * mu_b / (cfg.m_b * cfg.omega_b ** 2))
-    e_guess = hbar * cfg.omega_f * (6.0 * cfg.N_f) ** (1.0 / 3.0) \
-        + max(0.0, cfg.g_bf * mu_b / cfg.g_bb)
-    R_f = math.sqrt(2.0 * e_guess / (cfg.m_f * cfg.omega_f ** 2))
+    R_f = math.sqrt(2.0 * _fermi_energy_bounds(cfg, mu_b)[1]
+                    / (cfg.m_f * cfg.omega_f ** 2))
     span = span_factor * max(R_b, R_f)
-    if not 0.0 < R_b <= span < math.inf:
+    if not (0.0 < R_f and 0.0 < R_b <= span < math.inf):
         raise NumericError(
             f"cloud radii out of float range: R_b = {R_b:g} m, "
             f"R_f = {R_f:g} m")
-    j = int(round(R_b / (span / (n_points - 1))))
-    j = max(2, j + (j % 2))
-    h = R_b / j
-    return [h * i for i in range(n_points)], R_b
-
-
-_GRID_POINTS = 2000
+    grid, start, low = [], 0, 0.0
+    for edge in sorted({min(R_f, R_b), R_b, span}):
+        stop = n_points - 1 if edge == span else max(
+            start + _MIN_PANELS, 2 * round(edge / span * (n_points - 1) / 2))
+        grid += [low + (edge - low) * (i / (stop - start))
+                 for i in range(stop - start)]
+        start, low = stop, edge
+    return grid + [span], R_b
 
 
 def tf_profiles(cfg):
-    """Both density profiles on a shared grid, plus the regime label.
-
-    The grid spans 1.5x the larger estimated cloud radius and is widened
-    when the fermion density has not decayed at the outer edge.
-    """
+    """Both density profiles on one grid that holds the whole cloud,
+    e_F from one Brent call between proven bounds, plus the regime
+    label."""
     mu_b = boson_chemical_potential(cfg)
-    span_factor = 1.5
-    for _ in range(8):
-        grid, R_b = _build_grid(cfg, mu_b, span_factor, _GRID_POINTS)
-        _, n_b = tf_boson_profile(cfg, grid)
-        e_F, n_f = tf_fermion_profile(cfg, mu_b, n_b, grid)
-        if n_f[-1] <= 1e-12 * max(n_f):
-            break
-        span_factor *= 1.5
-    else:
-        raise NumericError(
-            "fermion cloud still reaches the grid edge after 8 span "
-            "expansions")
+    grid, R_b = _build_grid(cfg, mu_b, 1.5, _GRID_POINTS)
+    _, n_b = tf_boson_profile(cfg, grid)
+    e_F, n_f = tf_fermion_profile(cfg, mu_b, n_b, grid)
     return TFProfiles(radii=grid, n_b=n_b, n_f=n_f, mu_b=mu_b, e_F=e_F,
                       R_b=R_b, regime=classify_tf_regime(cfg))

@@ -14,6 +14,7 @@ import pytest
 
 import bfmix
 from bfmix import cli
+from bfmix.constants import atomic_mass, hbar
 from bfmix.errors import ConfigError, NumericError
 from bfmix.scan_engine import PRESET_TAGS, ScanTable, figure_preset, run_scan
 
@@ -154,6 +155,51 @@ def test_tf_profile_table(tmp_path, capsys):
     assert lines[0] == "r,n_b,n_f,status"
     assert len(lines) > 1000
     assert any(line.startswith("# regime:") for line in out.splitlines())
+
+
+def _tf_table(capsys):
+    """(provenance fields, [(r, n_b, n_f)]) of a `tf` table on stdout."""
+    out = capsys.readouterr().out
+    fields = dict(line[2:].split(": ", 1) for line in out.splitlines()
+                  if line.startswith("# ") and ": " in line)
+    rows = [tuple(float(v) for v in line.split(",")[:3])
+            for line in data_lines(out)[1:]]
+    return fields, rows
+
+
+def test_tf_separated_shell(tmp_path, capsys):
+    # g_bf = 1e200 empties the condensate of fermions: they fill the bare
+    # trap outside R_b, so e_F lies between e_0 and the bound e_1 that
+    # counts the whole inside of R_b as lost
+    path = write_config(tmp_path, _overflow_config())
+    assert cli.main(["tf", "--config", path]) == 0
+    fields, rows = _tf_table(capsys)
+    assert fields["regime"] == "shell"
+    R_b, e_F = (float(fields[k].split()[0]) for k in ("R_b", "e_F"))
+    assert all(n_f == 0.0 for r, _, n_f in rows if r < R_b)
+    hbar_omega, m_f, N_f = hbar * 166.0, 7.0 * atomic_mass, 10000.0
+    e_0 = hbar_omega * (6.0 * N_f) ** (1.0 / 3.0)
+    # y = e^(3/2) solves y^2 / (6 (hbar omega)^3) - B y - N_f = 0
+    B = (2.0 * m_f / hbar ** 2) ** 1.5 / (6.0 * math.pi ** 2) \
+        * 4.0 * math.pi * R_b ** 3 / 3.0
+    a = 1.0 / (6.0 * hbar_omega ** 3)
+    e_1 = ((B + math.sqrt(B * B + 4.0 * a * N_f)) / (2.0 * a)) ** (2.0 / 3.0)
+    assert e_0 <= e_F <= e_1
+
+
+def test_tf_wide_fermion_cloud(tmp_path, capsys):
+    # Li-6 in a trap 1,000x weaker than the Rb-87 condensate's: the bare
+    # fermion radius is about 1,190 R_b, and the grid still reaches it
+    a0 = 5.29177210903e-11
+    path = write_config(tmp_path, {
+        "unit_system": "si", "compat_mode": "derived",
+        "boson": {"mass_u": 87.0, "omega": 3000.0, "count": 125},
+        "fermion": {"mass_u": 6.0, "omega": 3.0, "count": 7e5},
+        "interaction": {"a_bb": 100.0 * a0, "a_bf": 20.0 * a0}})
+    assert cli.main(["tf", "--config", path]) == 0
+    _, rows = _tf_table(capsys)
+    assert rows[-1][2] == 0.0
+    assert max(n_f for _, _, n_f in rows) > 0.0
 
 
 def test_scan_subcommand(tmp_path, capsys):
@@ -540,8 +586,8 @@ def test_every_command_runs_without_numpy(tmp_path):
         assert len(data_lines(text)) >= 2
 
 
-def _overflow_config(g_bb=0.05, g_ff=0.01, scan=None):
-    cfg = base_config(interaction={"g_bb": g_bb, "g_bf": 1e200,
+def _overflow_config(g_bb=0.05, g_ff=0.01, scan=None, g_bf=1e200):
+    cfg = base_config(interaction={"g_bb": g_bb, "g_bf": g_bf,
                                    "g_ff": g_ff})
     cfg["thermal"]["temperature"] = 5.0
     if scan is not None:
@@ -623,9 +669,9 @@ def test_fresh_process_writes_nothing_to_stderr(tmp_path, command):
 
 
 def test_fresh_process_tf_overflow_prints_only_the_error(tmp_path):
-    # g_bf = 1e200 overflows the fermion density: exit 2 with the error
+    # g_bf = -1e200 overflows the fermion density: exit 2 with the error
     # on one line and nothing else on stderr
-    path = write_config(tmp_path, _overflow_config())
+    path = write_config(tmp_path, _overflow_config(g_bf=-1e200))
     result = _run_fresh(tmp_path, ["tf", "--config", path])
     assert result.returncode == 2
     assert result.stderr.startswith("numeric error: ")

@@ -53,17 +53,15 @@ def test_state_at_condensation_temperature():
     assert st.condensed
 
 
-def test_state_memo_ignores_couplings():
+def test_state_ignores_couplings():
     # the state depends on masses, densities and T only, so a coupling
-    # sweep reuses one fugacity inversion per temperature
+    # sweep may share one fugacity inversion per temperature
     cfg = make_cfg()
     T = 3.0 * cfg.temperature_unit
     first = ft.thermal_state(cfg, T)
-    misses = ft._thermal_state.cache_info().misses
     for mode in (CompatMode.PAPER, CompatMode.DERIVED):
         other = make_cfg(g_bb=-0.02, g_bf=0.1, g_ff=0.5, mode=mode)
-        assert ft.thermal_state(other, T) is first
-    assert ft._thermal_state.cache_info().misses == misses
+        assert ft.thermal_state(other, T) == first
 
 
 def test_z_overflow_is_minus_inf_or_numeric_error():
@@ -520,9 +518,7 @@ def test_window_input_validation():
 def test_window_deterministic():
     cfg = make_cfg()
     unit = cfg.temperature_unit
-    ft._thermal_state.cache_clear()
     w1 = ft.critical_window(cfg, (0.5 * unit, 50.0 * unit))
-    ft._thermal_state.cache_clear()
     w2 = ft.critical_window(cfg, (0.5 * unit, 50.0 * unit))
     assert w1.T_c2 == w2.T_c2
     assert w1 == w2

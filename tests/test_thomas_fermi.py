@@ -1,10 +1,12 @@
 """Thomas-Fermi profiles against quadrature oracles and closed forms."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from bfmix import thomas_fermi
 from bfmix.config import MixtureConfig
 from bfmix.constants import hbar, atomic_mass, pi
 from bfmix.errors import DomainError
@@ -18,6 +20,7 @@ from scipy.integrate import simpson
 from oracles import bisect_root, kronrod_quad, condensate_number_quadrature
 
 M7 = 7.0 * atomic_mass
+A0 = 5.29177210903e-11  # Bohr radius [m]
 
 
 def make_cfg(g_bb=0.05, g_bf=0.02, N_b=1000.0, N_f=100.0,
@@ -184,3 +187,59 @@ def test_profiles_hold_python_floats():
         assert all(type(v) is float for v in values)
     for value in (prof.mu_b, prof.e_F, prof.R_b):
         assert type(value) is float
+
+
+def _wide_mixture(rng):
+    """A valid mixture: g_bb > 0, g_bf of either sign, and a bare-trap
+    fermion radius 1e-4 to 1e5 times the condensate radius."""
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+    args = dict(
+        m_b=log_uniform(1.0, 200.0) * atomic_mass,
+        m_f=log_uniform(1.0, 200.0) * atomic_mass,
+        omega_b=log_uniform(1.0, 1e4), N_b=log_uniform(10.0, 1e7),
+        N_f=log_uniform(1.0, 1e7), a_bb=log_uniform(1.0, 1e3) * A0,
+        a_bf=rng.choice((-1.0, 1.0)) * log_uniform(0.1, 1e3) * A0)
+    R_b = condensate_radius(MixtureConfig.from_scattering_lengths(
+        omega_f=1.0, **args))
+    R_f = log_uniform(1e-4, 1e5) * R_b
+    # the bare-trap radius sqrt(2 e_0 / (m_f omega_f^2)) set to R_f
+    omega_f = 2.0 * hbar * (6.0 * args["N_f"]) ** (1.0 / 3.0) \
+        / (args["m_f"] * R_f ** 2)
+    return MixtureConfig.from_scattering_lengths(omega_f=omega_f, **args)
+
+
+def test_profiles_normalized_for_any_cloud_ratio():
+    # one grid holds every cloud, with enough panels on R_b and on a
+    # cloud far inside the condensate for Simpson to keep both counts,
+    # also with the bosons switched off for the fermions
+    rng = random.Random(16)
+    mixtures = [_wide_mixture(rng) for _ in range(100)]
+    for cfg in mixtures + [cfg.replace(g_bf=0.0) for cfg in mixtures]:
+        prof = tf_profiles(cfg)
+        r = np.asarray(prof.radii)
+        assert prof.n_f[-1] == 0.0
+        n_f = simpson(4.0 * pi * r * r * np.asarray(prof.n_f), x=r)
+        n_b = simpson(4.0 * pi * r * r * np.asarray(prof.n_b), x=r)
+        assert abs(n_f / cfg.N_f - 1.0) <= 1e-9, cfg
+        assert abs(n_b / cfg.N_b - 1.0) <= 1e-6, cfg
+
+
+@pytest.mark.parametrize("cfg", [
+    make_cfg(g_bf=0.1),
+    # bare R_f / R_b about 1,190
+    MixtureConfig.from_scattering_lengths(
+        m_b=87.0 * atomic_mass, m_f=6.0 * atomic_mass, omega_b=3000.0,
+        omega_f=3.0, N_b=125.0, N_f=7e5, a_bb=100.0 * A0, a_bf=20.0 * A0),
+])
+def test_one_brent_call_per_profile(monkeypatch, cfg):
+    calls = []
+    real = thomas_fermi.brentq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(thomas_fermi, "brentq", counted)
+    tf_profiles(cfg)
+    assert len(calls) == 1
