@@ -23,27 +23,30 @@ class RootError(NumericError, ValueError):
 _RTOL = 4.0 * 2.220446049250313e-16
 
 
-def _value(f, x):
-    fx = f(x)
+def _value(f, x, fx=None):
+    if fx is None:
+        fx = f(x)
     if math.isnan(fx):
         raise RootError(
             f"The function value at x={x} is NaN; solver cannot continue.")
     return fx
 
 
-def brentq(f, a, b, xtol, maxiter):
+def brentq(f, a, b, xtol, maxiter, fa=None, fb=None):
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Converged when the bracket half-width is below
-    (xtol + _RTOL * |x|) / 2, the same rule as scipy.
+    (xtol + _RTOL * |x|) / 2, the same rule as scipy.  A caller that
+    already holds f(a) or f(b) passes it as fa or fb, and f is not
+    called there again; the iterates are the same.
     """
     if xtol <= 0:
         raise RootError(f"xtol too small ({xtol:g} <= 0)")
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
 
-    fpre = _value(f, xpre)
-    fcur = _value(f, xcur)
+    fpre = _value(f, xpre, fa)
+    fcur = _value(f, xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:

@@ -7,10 +7,9 @@ type and message).  Diagnostics go to stderr; data only to --out or
 stdout.
 """
 
-import argparse
 import os
-import re
 import sys
+from collections import namedtuple
 
 from . import __version__
 from .config import CompatMode, load_config
@@ -37,7 +36,7 @@ _WORKERS_ENV = "BFMIX_WORKERS"
 # CSV output
 # ---------------------------------------------------------------------------
 
-_NEEDS_QUOTES = re.compile('[,"\r\n]')  # as the csv module's QUOTE_MINIMAL
+_NEEDS_QUOTES = frozenset(',"\r\n')  # as the csv module's QUOTE_MINIMAL
 
 
 def _cell(value):
@@ -48,7 +47,7 @@ def _cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     text = str(value)
-    if _NEEDS_QUOTES.search(text):
+    if not _NEEDS_QUOTES.isdisjoint(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -85,13 +84,6 @@ def _emit(table, out_path):
 # argument handling
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with its own code 2 on bad arguments; route the
-    # message through the config-error path instead so main returns 1
-    def error(self, message):
-        raise ConfigError(message)
-
-
 _COMMANDS = {
     "zero-t": "variational widths, stability product, phase label",
     "tf": "semiclassical density profiles and regime",
@@ -101,30 +93,98 @@ _COMMANDS = {
     **{tag: f"figure preset {tag} (embedded config)" for tag in PRESET_TAGS},
 }
 
+# every subcommand takes every option: name -> (metavar, type, help)
+_OPTIONS = {
+    "--config": ("PATH", str, "path to a JSON config file"),
+    "--out": ("PATH", str, "output CSV path (default stdout)"),
+    "--mode": ("{paper,derived}", CompatMode,
+               "override the config's compat_mode"),
+    "--tol": ("FLOAT", float,
+              "relative tolerance for window-edge refinement"),
+    "--workers": ("INT", int,
+                  f"no-op kept for compatibility: validated, overrides "
+                  f"${_WORKERS_ENV}; scans always run serially"),
+}
+_FLAGS = ("--help", "--version")
 
-def _build_parser():
-    # flat: every subcommand takes the same options; _load asks for --config
-    parser = _Parser(
-        prog="bfmix",
-        description="Stability analysis of trapped boson-fermion mixtures.",
-        epilog="subcommands:\n" + "\n".join(
-            f"  {name:<10}{text}" for name, text in _COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version",
-                        version=f"bfmix {__version__}")
-    parser.add_argument("subcommand", metavar="SUBCOMMAND",
-                        choices=_COMMANDS, help="one of those listed below")
-    parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--out", help="output CSV path (default stdout)")
-    parser.add_argument("--mode", choices=["paper", "derived"],
-                        help="override the config's compat_mode")
-    parser.add_argument("--tol", type=float,
-                        help="relative tolerance for window-edge refinement")
-    parser.add_argument("--workers", type=int,
-                        help=f"no-op kept for compatibility: validated, "
-                             f"overrides ${_WORKERS_ENV}; scans always run "
-                             f"serially")
-    return parser
+_Args = namedtuple("_Args", ["subcommand"] + [o[2:] for o in _OPTIONS])
+
+
+def _help():
+    rows = [(f"{name} {metavar}", text)
+            for name, (metavar, _, text) in _OPTIONS.items()]
+    usage = " ".join(f"[{row}]" for row, _ in rows)
+    rows = [("-h, --help", "show this help and exit"),
+            ("--version", "show the version and exit"), *rows]
+    return "\n".join([
+        f"usage: bfmix SUBCOMMAND {usage}",
+        "", "Stability analysis of trapped boson-fermion mixtures.",
+        "", "options:", *(f"  {row:<26}{text}" for row, text in rows),
+        "", "subcommands:",
+        *(f"  {name:<10}{text}" for name, text in _COMMANDS.items())])
+
+
+def _is_option(arg):
+    # as argparse: "-" and negative numbers are values
+    return (arg.startswith("-") and arg != "-"
+            and not arg[1:].replace(".", "", 1).isdigit())
+
+
+def _option_name(arg):
+    """The option arg names: itself, or the one it is a prefix of."""
+    if arg == "-h":
+        return "--help"
+    if arg in _OPTIONS or arg in _FLAGS:
+        return arg
+    names = [name for name in (*_OPTIONS, *_FLAGS)
+             if arg.startswith("--") and name.startswith(arg)]
+    if len(names) == 1:
+        return names[0]
+    if names:
+        raise ConfigError(f"ambiguous option: {arg} could match "
+                          + ", ".join(names))
+    raise ConfigError(f"unrecognized arguments: {arg}")
+
+
+def _parse(argv):
+    """The subcommand and option values of argv, or None once --help or
+    --version has printed.  An option is `--name VALUE` or
+    `--name=VALUE`, before or after the subcommand, and a unique prefix
+    of its name stands for it; the last of a repeated option counts.
+    Every error is a ConfigError that names the argument."""
+    values = dict.fromkeys(_OPTIONS)
+    subcommand = None
+    args = iter(argv)
+    for arg in args:
+        if not _is_option(arg):
+            if subcommand is not None:
+                raise ConfigError(f"unrecognized arguments: {arg}")
+            if arg not in _COMMANDS:
+                raise ConfigError(
+                    f"argument SUBCOMMAND: invalid choice: {arg!r} "
+                    f"(choose from {', '.join(_COMMANDS)})")
+            subcommand = arg
+            continue
+        given, eq, value = arg.partition("=")
+        name = _option_name(given)
+        if name in _FLAGS:
+            if eq:
+                raise ConfigError(f"argument {name}: takes no value")
+            print(_help() if name == "--help" else f"bfmix {__version__}")
+            return None
+        metavar, kind, _ = _OPTIONS[name]
+        if not eq:
+            value = next(args, None)
+            if value is None or _is_option(value):
+                raise ConfigError(f"argument {name}: expected one argument")
+        try:
+            values[name] = kind(value)
+        except ValueError:
+            raise ConfigError(f"argument {name}: expected {metavar}, "
+                              f"got {value!r}") from None
+    if subcommand is None:
+        raise ConfigError("the following arguments are required: SUBCOMMAND")
+    return _Args(subcommand, *values.values())
 
 
 def resolve_workers(flag_value, env_value):
@@ -153,7 +213,7 @@ def _load(args):
         raise ConfigError(f"'{args.subcommand}' needs --config PATH")
     cfg, extras = load_config(args.config)
     if args.mode is not None:
-        cfg = cfg.replace(compat_mode=CompatMode(args.mode))
+        cfg = cfg.replace(compat_mode=args.mode)
     return cfg, extras
 
 
@@ -251,8 +311,7 @@ def _run_preset(args):
             f"preset '{args.subcommand}' embeds its configuration; "
             "--config is not accepted")
     if args.mode is not None:
-        spec = spec._replace(base=spec.base.replace(
-            compat_mode=CompatMode(args.mode)))
+        spec = spec._replace(base=spec.base.replace(compat_mode=args.mode))
     return run_scan(spec, workers=resolve_workers(
         args.workers, os.environ.get(_WORKERS_ENV)))
 
@@ -268,7 +327,9 @@ _DISPATCH = {
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:  # --help or --version
+            return 0
         if args.tol is not None and not 0.0 < args.tol < 1.0:
             raise ConfigError(f"--tol must be in (0, 1), got {args.tol}")
         handler = _DISPATCH.get(args.subcommand, _run_preset)
@@ -286,9 +347,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except SystemExit as exc:  # argparse --help / --version
-        code = exc.code
-        return 0 if code is None else int(code)
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}",

@@ -199,23 +199,29 @@ def stability_matrix(state, cfg):
     )
 
 
+def _bose_ideal(lb, z_b):
+    # lambda_b^3 / g_(1/2)(z_b), exactly zero in the condensed phase
+    if z_b.condensed:
+        return 0.0
+    g12 = bose_g(PolyOrder.ONE_HALF, z_b.z)
+    if g12 == 0.0:
+        return math.inf  # empty gas: ideal compressibility diverges
+    return lb ** 3 / g12 if math.isfinite(g12) else 0.0
+
+
+def _fermi_ideal(lf, z_f):
+    f12 = fermi_f_log(PolyOrder.ONE_HALF, z_f.ln_z)
+    return math.inf if f12 == 0.0 else lf ** 3 / f12
+
+
 def stability_entries(state, cfg, g_bb, g_bf, g_ff):
     """The beta-scaled entries (bb, ff, cross) and Z of stability_matrix
     at the couplings g_bb, g_bf, g_ff [J m^3]; every other input comes
     from state and cfg."""
     ell_bb, ell_bf, ell_ff = _coupling_lengths(cfg, g_bb, g_bf, g_ff)
     lb, lf = state.lambda_b, state.lambda_f
-    if state.condensed:
-        ideal_b = 0.0
-    else:
-        g12 = bose_g(PolyOrder.ONE_HALF, state.z_b.z)
-        if g12 == 0.0:
-            ideal_b = math.inf  # empty gas: ideal compressibility diverges
-        else:
-            ideal_b = lb ** 3 / g12 if math.isfinite(g12) else 0.0
-    f12 = fermi_f_log(PolyOrder.ONE_HALF, state.z_f.ln_z)
-    bb = 4.0 * ell_bb * lb ** 2 + ideal_b
-    ff = ell_ff * lf ** 2 + (math.inf if f12 == 0.0 else lf ** 3 / f12)
+    bb = 4.0 * ell_bb * lb ** 2 + _bose_ideal(lb, state.z_b)
+    ff = ell_ff * lf ** 2 + _fermi_ideal(lf, state.z_f)
     lam2 = lb ** 2 + lf ** 2
     cross = ell_bf * lam2
     # square the rounded cross term as a product: a float product
@@ -238,23 +244,74 @@ def _log_grid(lo, hi, n):
     return [lo] + [10.0 ** (a + i * step) for i in range(1, n - 1)] + [hi]
 
 
+def _turn(entry, T_lo, T_hi, e_lo, e_hi, xtol):
+    """The least T that Brent evaluates with entry(T) > 0, where entry
+    does not decrease and e_lo = entry(T_lo) <= 0 < e_hi = entry(T_hi):
+    within xtol of where entry turns positive, on its positive side."""
+    above = [T_hi]
+
+    def f(T):
+        e = entry(T)
+        if e > 0.0:
+            above.append(T)
+        # a stretch at exactly 0 (an ideal condensate) lies below the turn
+        return e if e != 0.0 else -e_hi
+
+    brentq(f, T_lo, T_hi, xtol=xtol, maxiter=200, fa=e_lo or -e_hi, fb=e_hi)
+    return min(above)
+
+
+def _cuts(cfg, T_lo, T_hi, xtol, no_cross):
+    """The T in (T_lo, T_hi] where bb or ff turns positive, sorted, each
+    from _turn on that entry alone, which needs only its own species'
+    fugacity inversion.  An entry of a repulsive coupling never turns,
+    and one of g = 0 turns only from a stretch at exactly 0 (bb of an
+    ideal condensate), which matters only without a cross entry."""
+    V = cfg.require_volume()
+    ell_bb, _, ell_ff = coupling_lengths(cfg)
+    rho_b, rho_f = cfg.N_b / V, cfg.N_f / V
+
+    def bb(T):
+        lb = _thermal_wavelength(cfg.m_b, T)
+        z_b = bose_fugacity_from_density(rho_b * lb ** 3)
+        return 4.0 * ell_bb * lb ** 2 + _bose_ideal(lb, z_b)
+
+    def ff(T):
+        lf = _thermal_wavelength(cfg.m_f, T)
+        z_f = fermi_fugacity_from_density(rho_f * lf ** 3)
+        return ell_ff * lf ** 2 + _fermi_ideal(lf, z_f)
+
+    cuts = []
+    for ell, entry in ((ell_bb, bb), (ell_ff, ff)):
+        if ell < 0.0 or (ell == 0.0 and no_cross):
+            e_lo, e_hi = entry(T_lo), entry(T_hi)
+            if e_lo <= 0.0 < e_hi:
+                cuts.append(_turn(entry, T_lo, T_hi, e_lo, e_hi, xtol))
+    return sorted(cuts)
+
+
 def critical_window(cfg, T_range, r=0.0, rtol=None):
-    """Sample Z on a log grid in T and bracket its roots.
+    """Edges of the unstable set Z < 0 inside T_range.
 
-    Each change between Z < 0 (unstable) and Z >= 0 is refined by
-    Brent's method (bfmix.brent) to within rtol T (rtol 1e-8 by
-    default).  The optional r evaluates the local-density criterion at
-    radius r instead of the homogeneous one.
+    Z is evaluated at the ends of a few pieces of T_range, and each
+    change between Z < 0 and Z >= 0 across a piece is refined by Brent's
+    method (bfmix.brent) to within rtol T (rtol 1e-8 by default).  The
+    optional r evaluates the local-density criterion at radius r instead
+    of the homogeneous one.
 
-    The grid holds 2 samples, the ends of T_range, for the homogeneous
-    criterion (r = 0) with g_bb >= 0 and g_ff >= 0, and 400 otherwise.
-    In J m^3 the cross entry does not depend on T, and each diagonal
-    entry is its coupling plus an ideal-gas term that does not decrease
-    with T at fixed density, so there Z (k_B T)^2 does not decrease:
-    Z changes sign at most once, from negative to positive, and the end
-    signs decide whether it does.  Attractive diagonal couplings and
-    the trap-damped fugacities of r > 0 admit two crossings, which the
-    400 samples resolve.
+    The homogeneous criterion (r = 0) cuts T_range where a diagonal
+    entry turns positive (_cuts), so into at most 3 pieces and 4 ends.
+    In J m^3 the cross entry C does not depend on T, each diagonal entry
+    is its coupling plus an ideal-gas term that does not decrease with
+    T, and Z (k_B T)^2 = D_bb D_ff - C^2.  On a piece where both D keep
+    one sign their product is monotone, so Z changes sign at most once;
+    where their signs differ, Z < 0.  With g_bb, g_ff >= 0 nothing is
+    cut: Z is sampled at the two ends of T_range and changes sign at
+    most once, from negative to positive.  With C = 0, Z = bb ff keeps
+    its sign on each piece, and the edges are the cuts themselves.
+
+    The trap-damped fugacities of r > 0 have no such structure: Z is
+    sampled at 400 points evenly spaced in log T.
     """
     T_lo, T_hi = T_range
     if not (0.0 < T_lo < T_hi < math.inf):
@@ -266,16 +323,27 @@ def critical_window(cfg, T_range, r=0.0, rtol=None):
         rtol = _ROOT_RTOL
     elif not 0.0 < rtol < 1.0:
         raise ConfigError(f"window rtol must be in (0, 1), got {rtol}")
-    monotone = r == 0.0 and cfg.g_bb >= 0.0 and cfg.g_ff >= 0.0
-    grid = _log_grid(T_lo, T_hi, 2 if monotone else _WINDOW_SAMPLES)
-    values = [_z_of_T(cfg, T, r) for T in grid]
+    no_cross = coupling_lengths(cfg)[1] == 0.0
+    if r > 0.0:
+        ends = _log_grid(T_lo, T_hi, _WINDOW_SAMPLES)
+    else:
+        ends = [T_lo, *_cuts(cfg, T_lo, T_hi, 0.5 * rtol * T_lo, no_cross),
+                T_hi]
+    values = [_z_of_T(cfg, T, r) for T in ends]
 
     # Z >= 0 is stable, so an edge is where Z < 0 starts or stops; a
     # stretch of Z = 0 (an ideal condensate without g_bf) is no edge
-    roots = [brentq(lambda T: _z_of_T(cfg, T, r), grid[i], grid[i + 1],
-                    xtol=0.5 * rtol * grid[i], maxiter=200)
-             for i in range(len(grid) - 1)
-             if (values[i] < 0.0) != (values[i + 1] < 0.0)]
+    changes = [i for i in range(len(ends) - 1)
+               if (values[i] < 0.0) != (values[i + 1] < 0.0)]
+    if r == 0.0 and no_cross:
+        # each cut lies on the positive side of its turn, so Z there has
+        # the sign of the piece it starts
+        roots = [ends[i + 1] for i in changes]
+    else:
+        roots = [brentq(lambda T: _z_of_T(cfg, T, r), ends[i], ends[i + 1],
+                        xtol=0.5 * rtol * ends[i], maxiter=200,
+                        fa=values[i], fb=values[i + 1])
+                 for i in changes]
     n = len(roots)
     unstable_low = values[0] < 0.0
     lower, upper = (roots[0], roots[-1]) if roots else (None, None)

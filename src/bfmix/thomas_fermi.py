@@ -142,14 +142,21 @@ def tf_fermion_profile(cfg, mu_b, n_b, grid):
     """Fermion density on the grid for the potential trap + g_bf n_b(r);
     returns (e_F, n_f), e_F fixed by the normalization to N_f with one
     Brent call to 1e-10 e_0 between the padded _fermi_energy_bounds.
-    An end of wrong sign or NaN is a NumericError, never the answer."""
+    An end of wrong sign or NaN is a NumericError, never the answer, and
+    so is a density beyond float range."""
     k = 0.5 * cfg.m_f * cfg.omega_f ** 2
     V_eff = [k * (r * r) + cfg.g_bf * nb for r, nb in zip(grid, n_b)]
     pref = (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2)
     shell = [4.0 * pi * (r * r) for r in grid]
 
     def density(e_F):
-        return [pref * max(0.0, e_F - V) ** 1.5 for V in V_eff]
+        try:
+            return [pref * max(0.0, e_F - V) ** 1.5 for V in V_eff]
+        except OverflowError:
+            raise NumericError(
+                f"the Thomas-Fermi fermion density overflows at e_F = "
+                f"{e_F:g} J: interaction.g_bf = {cfg.g_bf:g} J m^3 is out "
+                f"of float range") from None
 
     def excess(e_F):
         return simpson([s * d for s, d in zip(shell, density(e_F))],

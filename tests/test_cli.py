@@ -676,3 +676,105 @@ def test_fresh_process_tf_overflow_prints_only_the_error(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("numeric error: ")
     assert result.stderr == result.stderr.splitlines()[0] + "\n"
+
+
+def test_fresh_process_tf_overflow_names_the_density_and_field(tmp_path):
+    # g_bf = -1e300: the Thomas-Fermi fermion density overflows float
+    # range; exit 2 with one line that says so and names the coupling
+    path = write_config(tmp_path, _overflow_config(g_bf=-1e300))
+    result = _run_fresh(tmp_path, ["tf", "--config", path])
+    assert result.returncode == 2
+    line, = result.stderr.splitlines()
+    assert result.stderr == line + "\n"
+    assert line.startswith("numeric error: the Thomas-Fermi fermion "
+                           "density overflows")
+    assert "interaction.g_bf" in line
+
+
+# ---------------------------------------------------------------------------
+# the argument grammar
+# ---------------------------------------------------------------------------
+
+def _window_rows(argv, capsys):
+    assert cli.main(argv) == 0
+    return data_lines(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["window", "--config={path}"],
+    ["--config", "{path}", "window"],
+    ["--config={path}", "--tol", "1e-8", "window"],
+    ["window", "--conf", "{path}"],
+    ["window", "--c={path}", "--to=1e-8"],
+])
+def test_option_spellings_read_the_same(tmp_path, capsys, argv):
+    # --opt VALUE or --opt=VALUE, before or after the subcommand, and any
+    # unique prefix of the option's name
+    path = write_config(tmp_path, base_config())
+    expected = _window_rows(["window", "--config", path], capsys)
+    argv = [arg.format(path=path) for arg in argv]
+    assert _window_rows(argv, capsys) == expected
+
+
+def test_options_after_the_subcommand_set_the_output(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "w.csv"
+    assert cli.main(["--out=" + str(out), "window", "--mode=derived",
+                     "--config", path]) == 0
+    assert capsys.readouterr().out == ""
+    assert "# mode: derived" in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["window", "--bogus"], "--bogus"),
+    (["window", "--bogus=1"], "--bogus"),
+    (["window", "--config"], "--config"),
+    (["window", "--config", "--out", "x.csv"], "--config"),
+    (["window", "--config", "c.json", "extra"], "extra"),
+    (["window", "--tol", "abc"], "--tol"),
+    (["window", "--tol=1e-3x"], "--tol"),
+    (["scan", "--workers", "two"], "--workers"),
+    (["scan", "--workers=1.5"], "--workers"),
+    (["window", "--mode", "exact"], "--mode"),
+    (["window", "--help=yes"], "--help"),
+    (["frobnicate"], "frobnicate"),
+    ([], "SUBCOMMAND"),
+])
+def test_bad_argument_exit_1_names_it(capsys, argv, names):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: ") and names in line
+
+
+def test_help_and_version_by_prefix(capsys):
+    assert cli.main(["--he"]) == 0
+    assert "subcommands:" in capsys.readouterr().out.splitlines()
+    assert cli.main(["-h"]) == 0
+    assert "subcommands:" in capsys.readouterr().out.splitlines()
+    assert cli.main(["--vers"]) == 0
+    assert capsys.readouterr().out == f"bfmix {bfmix.__version__}\n"
+
+
+def test_help_lists_every_option(capsys):
+    assert cli.main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name in ("--config", "--out", "--mode", "--tol", "--workers",
+                 "--version"):
+        assert name in out
+
+
+def test_preset_run_loads_no_argparse_gettext_locale_or_re(tmp_path):
+    # without site (whose .pth hooks may load re themselves), importing
+    # bfmix.cli and running a preset loads none of these: the parser is
+    # the package's own and no cell is matched by a regular expression
+    code = ("import sys, bfmix.cli; "
+            "assert bfmix.cli.main(['fig1', '--out', sys.argv[1]]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('argparse', 'gettext', 'locale', 're')))")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(tmp_path / "fig1.csv")],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

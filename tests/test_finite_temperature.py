@@ -667,7 +667,7 @@ def test_scaled_coupling_parts_do_not_depend_on_T(mode):
 def test_zero_z_stretch_is_no_window(g_ff):
     """An ideal condensate without g_bf has Z = 0 exactly below T_c and
     Z > 0 above it.  Z >= 0 is stable, so no edge is reported, whether
-    the two ends (g_ff = 0) or the 400 samples (g_ff < 0) are read."""
+    g_ff = 0 or g_ff < 0 (whose ff entry is positive throughout)."""
     cfg = make_cfg(g_bb=0.0, g_bf=0.0, g_ff=g_ff)
     unit = cfg.temperature_unit
     span = (0.5 * unit, 50.0 * unit)
@@ -682,10 +682,12 @@ def test_zero_z_stretch_is_no_window(g_ff):
 def _grid_window(cfg, T_range, rtol):
     """(n_sign_changes, unstable_at_low_edge, roots) of 400 log-spaced
     samples of Z, each change between Z < 0 and Z >= 0 refined by Brent
-    to rtol T."""
+    to rtol T.  Brent reads a Z of exactly 0 as positive, so a stretch
+    of Z = 0 (an ideal condensate without g_bf) ends where Z < 0
+    starts, not at the last sample."""
     grid = np.geomspace(*T_range, 400).tolist()
     values = [ft._z_of_T(cfg, T) for T in grid]
-    roots = [brentq(lambda T: ft._z_of_T(cfg, T), lo, hi,
+    roots = [brentq(lambda T: ft._z_of_T(cfg, T) or 1.0, lo, hi,
                     xtol=0.5 * rtol * lo, maxiter=200)
              for lo, hi, z_lo, z_hi in zip(grid, grid[1:], values,
                                            values[1:])
@@ -693,14 +695,32 @@ def _grid_window(cfg, T_range, rtol):
     return len(roots), values[0] < 0.0, roots
 
 
-def test_repulsive_window_matches_grid_scan():
-    """With g_bb, g_ff >= 0 at r = 0 the window read from the two end
-    signs has the crossings, flags and edges of a 400-sample scan."""
+def _assert_window_matches_grid(cfg, span, rtol=1e-8):
+    n, unstable_low, roots = _grid_window(cfg, span, rtol)
+    w = ft.critical_window(cfg, span, rtol=rtol)
+    assert (w.n_sign_changes, w.exists, w.multi_root,
+            w.unstable_at_low_edge) == (n, n >= 2, n > 2, unstable_low)
+    edges = [T for T in (w.T_c1, w.T_c2) if T is not None]
+    assert len(edges) == min(n, 2)
+    for edge, root in zip(edges, roots[:1] + roots[-1:]):
+        assert abs(edge - root) <= 2.0 * rtol * root
+
+
+def _either_sign(hi, lo=None):
+    """Couplings of either sign up to hi (down to -hi, or to lo), with
+    exact zeros drawn on purpose."""
+    st = pytest.importorskip("hypothesis.strategies")
+    return st.one_of(st.just(0.0), st.floats(-hi if lo is None else lo, hi))
+
+
+def test_window_matches_grid_scan():
+    """At r = 0, for couplings of any sign, exact zeros and g_bf = 0
+    included, the window from the pieces between the cuts has the
+    crossings, flags and edges of a 400-sample scan."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    rtol = 1e-8
 
-    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(
         mode=st.sampled_from(list(CompatMode)),
@@ -709,9 +729,9 @@ def test_repulsive_window_matches_grid_scan():
         N_b=st.floats(300.0, 3000.0),
         N_f=st.floats(1e3, 3e4),
         volume=st.floats(500.0, 2000.0),
-        g_bb=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
-        g_ff=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
-        g_bf=st.floats(-0.5, 0.5),
+        g_bb=_either_sign(0.1),
+        g_ff=_either_sign(0.05, lo=-12.0),
+        g_bf=_either_sign(0.5),
         t_lo=st.floats(0.3, 1.0),
         t_hi=st.floats(10.0, 80.0))
     def check(mode, m_b_u, m_f_u, N_b, N_f, volume, g_bb, g_ff, g_bf,
@@ -719,15 +739,70 @@ def test_repulsive_window_matches_grid_scan():
         cfg = make_cfg(N_b=N_b, N_f=N_f, g_bb=g_bb, g_bf=g_bf, g_ff=g_ff,
                        volume=volume, m_b_u=m_b_u, m_f_u=m_f_u, mode=mode)
         span = (t_lo * cfg.temperature_unit, t_hi * cfg.temperature_unit)
-        n, unstable_low, roots = _grid_window(cfg, span, rtol)
-        w = ft.critical_window(cfg, span, rtol=rtol)
-        assert n <= 1
-        assert (w.n_sign_changes, w.exists, w.unstable_at_low_edge) \
-            == (n, False, unstable_low)
-        edges = [T for T in (w.T_c1, w.T_c2) if T is not None]
-        assert len(edges) == n
-        for edge, root in zip(edges, roots):
-            assert abs(edge - root) <= 2.0 * rtol * root
+        _assert_window_matches_grid(cfg, span)
+
+    check()
+
+
+@pytest.mark.parametrize("empty", ["N_b", "N_f"])
+@pytest.mark.parametrize("g_bf", [0.0, 0.025])
+def test_window_of_an_empty_gas(empty, g_bf):
+    """A gas so dilute that rho lambda^3 underflows to 0 has an infinite
+    ideal term, so its diagonal entry is +inf at every T; the window
+    still matches the grid scan."""
+    cfg = make_cfg(g_bb=-0.03, g_ff=-10.0, g_bf=g_bf, m_f_u=6.0,
+                   mode=CompatMode.DERIVED, **{empty: 5e-324})
+    unit = cfg.temperature_unit
+    span = (0.5 * unit, 80.0 * unit)
+    entries = ft.stability_entries(ft.thermal_state(cfg, span[0]), cfg,
+                                   cfg.g_bb, cfg.g_bf, cfg.g_ff)
+    assert entries[0 if empty == "N_b" else 1] == math.inf
+    _assert_window_matches_grid(cfg, span)
+
+
+def test_attractive_window_takes_few_z_evaluations(monkeypatch):
+    """Both diagonal couplings attractive (the bench's li7-li6-attractive
+    stratum): Z at the 4 piece ends and in 2 Brent calls, not at 400
+    samples."""
+    cfg = make_cfg(g_bb=-0.03, g_ff=-10.0, g_bf=0.025, m_f_u=6.0,
+                   mode=CompatMode.DERIVED)
+    unit = cfg.temperature_unit
+    calls = []
+    z_of_T = ft._z_of_T
+    monkeypatch.setattr(ft, "_z_of_T",
+                        lambda *args: calls.append(args) or z_of_T(*args))
+    w = ft.critical_window(cfg, (0.5 * unit, 80.0 * unit))
+    assert w.exists and w.n_sign_changes == 2
+    assert len(calls) <= 20
+
+
+def test_z_does_not_decrease_in_a_diagonal_coupling():
+    """dZ/dg_bb has the sign of ff, and dZ/dg_ff that of bb: Z does not
+    decrease in g_bb where D_ff > 0, nor in g_ff where D_bb > 0."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cfg = make_cfg(m_f_u=6.0)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        ttilde=st.floats(0.3, 80.0),
+        g=st.lists(_either_sign(12.0), min_size=4, max_size=4),
+        g_bf=_either_sign(0.5))
+    def check(ttilde, g, g_bf):
+        state = ft.thermal_state(cfg, ttilde * cfg.temperature_unit)
+        unit = cfg.coupling_unit
+        (lo_bb, hi_bb), (lo_ff, hi_ff) = sorted(g[:2]), sorted(g[2:])
+        bb, ff, _, Z_lo = ft.stability_entries(
+            state, cfg, lo_bb * unit, g_bf * unit, lo_ff * unit)
+        if ff > 0.0:
+            Z_hi = ft.stability_entries(state, cfg, hi_bb * unit,
+                                        g_bf * unit, lo_ff * unit)[3]
+            assert Z_hi >= Z_lo
+        if bb > 0.0:
+            Z_hi = ft.stability_entries(state, cfg, lo_bb * unit,
+                                        g_bf * unit, hi_ff * unit)[3]
+            assert Z_hi >= Z_lo
 
     check()
 
