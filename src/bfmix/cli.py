@@ -1,10 +1,10 @@
 """Command-line front end: parse a config, dispatch, write CSV.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure (a
-NumericError, or a float overflow or division by zero), 3 I/O error,
-4 internal error (an unexpected exception, reported on one line as its
-type and message).  Diagnostics go to stderr; data only to --out or
-stdout.
+NumericError, or a float overflow or division by zero), 3 I/O error
+(silent when the reader of stdout has gone), 4 internal error (an
+unexpected exception, reported on one line as its type and message).
+Diagnostics go to stderr; data only to --out or stdout.
 """
 
 import os
@@ -328,13 +328,13 @@ _DISPATCH = {
 def main(argv=None):
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        if args is None:  # --help or --version
-            return 0
-        if args.tol is not None and not 0.0 < args.tol < 1.0:
-            raise ConfigError(f"--tol must be in (0, 1), got {args.tol}")
-        handler = _DISPATCH.get(args.subcommand, _run_preset)
-        table = handler(args)
-        _emit(table, args.out)
+        if args is not None:  # else --help or --version has printed
+            if args.tol is not None and not 0.0 < args.tol < 1.0:
+                raise ConfigError(
+                    f"--tol must be in (0, 1), got {args.tol}")
+            handler = _DISPATCH.get(args.subcommand, _run_preset)
+            _emit(handler(args), args.out)
+        sys.stdout.flush()
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -344,6 +344,14 @@ def main(argv=None):
     except ArithmeticError as exc:  # float overflow or division by zero
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped reading: exit quietly, and point stdout at
+        # the null device so the interpreter's final flush of what is
+        # still buffered cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

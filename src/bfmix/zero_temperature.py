@@ -391,19 +391,22 @@ def solve_Omega_c(omega_c, cfg):
     Brent refines the sign changes of h = Omega^2 dE_f/dOmega over the
     bracket of _bracketed_h: between its two ends for repulsive g_bf,
     whose root is unique, else on a log grid of 20 points per decade.
-    An end whose computed h contradicts its proven sign lies within
-    rounding of a root, so it is a candidate too.  A bracket that is
+    Brent starts from the values of h the grid already holds.  An end
+    whose computed h contradicts its proven sign lies within rounding
+    of a root, so it is a candidate too.  A bracket that is
     the single point Omega_0 (g_bf = 0, or a coupling too weak to move
     the root by an ulp) thus returns Omega_0.
     """
     h, lo, hi = _bracketed_h(omega_c, cfg)
     grid = [lo, hi] if cfg.g_bf > 0.0 else _log_grid(
         lo, hi, max(2, round(20.0 * math.log10(hi / lo)) + 1))
-    signs = [(v > 0) - (v < 0) for v in map(h, grid)]
+    values = list(map(h, grid))
+    signs = [(v > 0) - (v < 0) for v in values]
     roots = [w for w, wrong in ((lo, signs[0] >= 0), (hi, signs[-1] <= 0))
              if wrong]
     roots += [brentq(h, grid[i], grid[i + 1],
-                     xtol=1e-15 * cfg.omega_f, maxiter=300)
+                     xtol=1e-15 * cfg.omega_f, maxiter=300,
+                     fa=values[i], fb=values[i + 1])
               for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
     return min(roots, key=lambda w: fermion_energy(w, 0.0, omega_c, cfg))
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import gc
+import importlib
 import io
 import json
 import math
@@ -689,6 +691,81 @@ def test_fresh_process_tf_overflow_names_the_density_and_field(tmp_path):
     assert line.startswith("numeric error: the Thomas-Fermi fermion "
                            "density overflows")
     assert "interaction.g_bf" in line
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+# ---------------------------------------------------------------------------
+
+def test_main_leaves_the_collector_as_it_was(tmp_path, capsys):
+    # tests and tracers call main in process: only the process entry
+    # freezes the collector
+    before = (gc.get_freeze_count(), gc.isenabled())
+    for argv in (["fig1", "--out", str(tmp_path / "fig1.csv")],
+                 ["fig1"], ["--version"], ["frobnicate"]):
+        cli.main(argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+    capsys.readouterr()
+
+
+def test_console_script_is_the_entry_python_m_runs(monkeypatch):
+    # pyproject's console script names the function `python -m bfmix`
+    # calls, and it freezes the collector before main and returns
+    # main's exit code
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(bfmix.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["bfmix"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setitem(entry.__globals__, "main",
+                        lambda: calls.append("main") or 7)
+    assert entry() == 7
+    assert calls == ["freeze", "main"]
+    probe = ("import gc, runpy, sys; from bfmix import cli; calls = []; "
+             "gc.freeze = lambda: calls.append('freeze'); "
+             "cli.main = lambda: calls.append(sys._getframe(1).f_code) "
+             "or 7\n"
+             "try: runpy.run_module('bfmix', run_name='__main__')\n"
+             "except SystemExit as exc: "
+             "print(calls[0], calls[1].co_filename, calls[1].co_name, "
+             "exc.code)")
+    code = entry.__code__
+    assert _fresh_probe(probe).split() == [
+        "freeze", code.co_filename, code.co_name, "7"]
+
+
+def test_fresh_process_stdout_matches_out(tmp_path):
+    # fig5 through a stdout pipe: the bytes of --out, and nothing on
+    # stderr
+    env = _fresh_env()
+    out = tmp_path / "fig5.csv"
+    to_file = subprocess.run(
+        [sys.executable, "-m", "bfmix", "fig5", "--out", str(out)],
+        env=env, capture_output=True, timeout=120)
+    to_pipe = subprocess.run([sys.executable, "-m", "bfmix", "fig5"],
+                             env=env, capture_output=True, timeout=120)
+    assert (to_file.returncode, to_file.stderr) == (0, b"")
+    assert (to_pipe.returncode, to_pipe.stderr) == (0, b"")
+    assert to_pipe.stdout == out.read_bytes()
+
+
+def test_fresh_process_broken_pipe_exits_3_quietly():
+    # a reader that stops after one line of fig5 (685 kB, beyond any
+    # pipe buffer): exit 3, the I/O code, and nothing on stderr
+    proc = subprocess.Popen([sys.executable, "-m", "bfmix", "fig5"],
+                            env=_fresh_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# bfmix ")
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    with proc.stderr:
+        assert (code, proc.stderr.read()) == (3, b"")
 
 
 # ---------------------------------------------------------------------------

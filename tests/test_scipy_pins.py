@@ -79,9 +79,9 @@ def _residual_cases():
     its residuals, brackets and settings."""
     cases = []
 
-    def recording(f, a, b, xtol, maxiter):
+    def recording(f, a, b, xtol, maxiter, fa=None, fb=None):
         cases.append((f, a, b, xtol, maxiter))
-        return brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+        return brentq(f, a, b, xtol=xtol, maxiter=maxiter, fa=fa, fb=fb)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(specfun, "brentq", recording)
@@ -119,7 +119,8 @@ def test_solvers_unchanged_with_scipy_brentq(monkeypatch):
             [specfun.fermi_fugacity_from_density(x) for x in (0.5, 40.0)],
             specfun.bose_fugacity_from_density(1.2))
 
-    def scipy_brentq(f, a, b, xtol, maxiter):
+    def scipy_brentq(f, a, b, xtol, maxiter, fa=None, fb=None):
+        # scipy takes no end values; it evaluates f at a and b itself
         return scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=_RTOL,
                                      maxiter=maxiter)
 

@@ -473,9 +473,9 @@ def test_repulsive_Omega_c_takes_one_brent_call(monkeypatch):
         h, lo, hi = bracketed(omega_c, cfg)
         return lambda w: evals.append(w) or h(w), lo, hi
 
-    def recording(f, a, b, xtol, maxiter):
+    def recording(f, a, b, xtol, maxiter, fa=None, fb=None):
         brent.append((a, b, len(evals)))
-        root = brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+        root = brentq(f, a, b, xtol=xtol, maxiter=maxiter, fa=fa, fb=fb)
         brent.append(len(evals))
         return root
 
