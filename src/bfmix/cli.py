@@ -8,6 +8,7 @@ Diagnostics go to stderr; data only to --out or stdout.
 """
 
 import os
+import stat
 import sys
 from collections import namedtuple
 
@@ -76,8 +77,16 @@ def _emit(table, out_path):
     if out_path is None:
         write_csv(table, sys.stdout)
         return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    # written in place, then a regular file is cut to the written length:
+    # truncating to zero first (open's "w") makes the close wait for the
+    # old blocks' writeback on ext4 (auto_da_alloc), 40-70 ms for a
+    # 300 kB table.  A device or a FIFO is written as before.
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
         write_csv(table, fh)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 # ---------------------------------------------------------------------------

@@ -42,15 +42,31 @@ and a test refits panels of it from mpmath bit for bit.
 
 Fugacity inversion
 ------------------
-rho lambda^3 = x = h_(3/2)(z), h = g or f, is solved for mu = ln z by one
-Brent call on ln h_(3/2)(e^mu) = ln x, inside a bracket two bounds prove:
-* h_(3/2)(z) <= zeta(3/2) z < e z for 0 < z <= 1, so the lower end is
-  min(ln x, 0) - 1;
-* g_(3/2)(z) <= zeta(3/2) for z <= 1, so the Bose upper end is 0, and
-  f_(3/2)(e^mu) >= mu^(3/2) / Gamma(5/2) for mu > 0, so the Fermi upper
-  end is (3 sqrt(pi) x / 4)^(2/3) + 1.
-The Bose residual takes g_(3/2) from mu, not from z = e^mu, which
-rounds to 1 for |mu| < 1.1e-16: just above T_c, ln z is about -1e-26.
+rho lambda^3 = x = h_(3/2)(z), h = g or f, is solved for mu = ln z
+without a root finder, after T. Fukushima, Appl. Math. Comput. 259 (2015)
+698 (his F_(1/2) inverse is the f_(3/2) one up to Gamma(3/2)).  Chebyshev
+panels, fitted from mpmath by tools/fit_fugacity.py into the generated
+module _fugacity_cheb, give mu:
+* x < e^-40: h_(3/2)(z) = z to double precision, so mu = ln x, exact
+  even for subnormal x, whose z rounds to a coarse grid;
+* Fermi, x <= 1: mu - ln x as a series in x; 1 < x < e^8: mu on the
+  panels p <= t = ln x <= p + 1, p = 0..7;
+* Bose, x <= 2: mu - ln x as a series in x.
+These guesses are good to about 1e-10.  One Newton step on
+ln h_(3/2)(e^mu) = ln x, whose slope is h_(1/2) / h_(3/2), squares their
+error for two kernel calls.  The Bose kernels take mu itself, not
+z = e^mu.  Two ranges need no step:
+* Bose, 2 < x < zeta(3/2): sqrt(-mu) is s times a series in
+  s = zeta(3/2) - x, kept to 1e-17.  Near condensation
+  sqrt(-mu) = s / (2 sqrt(pi)) + O(s^2), the square-root law of the
+  Robinson expansion, so the series keeps its relative accuracy as
+  s -> 0.  s is formed as (ZETA_3_2 - x) + ZETA_3_2_LO, the low part of
+  zeta(3/2), so it is exact to rounding even an ulp below ZETA_3_2,
+  where z = e^mu rounds to 1: just above T_c, ln z is about -1e-26.
+* Fermi, x >= e^8 (mu > 250): the Sommerfeld series reversed,
+  mu = y (1 - (pi^2/12) y^-2 - (pi^4/80) y^-4 - (247 pi^6/25920) y^-6
+  - (16291 pi^8/777600) y^-8), y = (3 sqrt(pi) x / 4)^(2/3), is exact to
+  double precision for every finite x.
 
 g_(1/2) diverges at z = 1.  For z >= 1 - 1e-13 the function returns
 ``math.inf`` as the documented divergence signal; thermodynamic callers
@@ -62,7 +78,8 @@ import math
 from collections import namedtuple
 
 from ._fermi_cheb import COEFFICIENTS
-from .brent import brentq
+from ._fugacity_cheb import (
+    BOSE, BOSE_X_SPLIT, FERMI, FERMI_T_MAX, FERMI_X_MAX, ZETA_3_2_LO)
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -250,17 +267,21 @@ _CHEBYSHEV = {order: tuple(tuple(reversed(panel))
               for order in PolyOrder}
 
 
-def _fermi_chebyshev(order, mu):
-    """f_nu(e^mu) for 0 < mu < 40: the Chebyshev series of the panel
-    [2p, 2p + 2] holding mu, summed by Clenshaw's recurrence."""
-    p = int(0.5 * mu)
-    x = mu - (2 * p + 1)  # the panel mapped onto [-1, 1]
-    coefs = _CHEBYSHEV[order][p]
-    x2 = x + x
+def _clenshaw(coefs, u):
+    """sum_j c_j T_j(u) for -1 <= u <= 1 by Clenshaw's recurrence, the
+    coefficients given highest degree first."""
+    u2 = u + u
     b1 = b2 = 0.0
     for c in coefs:
-        b1, b2 = c + x2 * b1 - b2, b1
-    return b1 - x * b2
+        b1, b2 = c + u2 * b1 - b2, b1
+    return b1 - u * b2
+
+
+def _fermi_chebyshev(order, mu):
+    """f_nu(e^mu) for 0 < mu < 40: the Chebyshev series of the panel
+    [2p, 2p + 2] holding mu."""
+    p = int(0.5 * mu)
+    return _clenshaw(_CHEBYSHEV[order][p], mu - (2 * p + 1))
 
 
 _SOMMERFELD_MU = 40.0
@@ -282,9 +303,15 @@ _SOMMERFELD_COEF = {
 def _sommerfeld(order, mu):
     """sum_k 2 eta(2k) mu^(nu-2k) / Gamma(nu+1-2k) for mu >= 40; the
     13th term is at most 1.1e-17 of the sum there, fewer terms suffice
-    above."""
+    above.  Where mu^nu alone passes the float range (mu > 2e123), the
+    first term is the sum and is formed from mu^(nu/2) twice, so it
+    overflows only when f_nu does."""
     inv_mu2 = 1.0 / (mu * mu)
-    power = mu ** order.value  # mu^(nu - 2k), maintained incrementally
+    try:
+        power = mu ** order.value  # mu^(nu - 2k), maintained incrementally
+    except OverflowError:
+        half = mu ** (0.5 * order.value)
+        return _SOMMERFELD_COEF[order][0] * half * half
     acc = 0.0
     for coef in _SOMMERFELD_COEF[order]:
         term = coef * power
@@ -295,35 +322,66 @@ def _sommerfeld(order, mu):
     return acc
 
 
+# the inverse panels of the module docstring, highest degree first
+_FERMI_INVERSE = tuple(tuple(reversed(panel)) for panel in FERMI)
+_BOSE_INVERSE = tuple(tuple(reversed(panel)) for panel in BOSE)
+_BOSE_S_SCALE = 2.0 / (ZETA_3_2 - BOSE_X_SPLIT)
+# y = _SOMMERFELD_Y x^(2/3), and the reversed series' coefficients of
+# y^-8, y^-6, y^-4, y^-2, in Horner's order
+_SOMMERFELD_Y = (0.75 * math.sqrt(math.pi)) ** (2.0 / 3.0)
+_SOMMERFELD_INVERSE = (-16291.0 * math.pi ** 8 / 777600.0,
+                       -247.0 * math.pi ** 6 / 25920.0,
+                       -math.pi ** 4 / 80.0, -math.pi ** 2 / 12.0)
+
+
+def _bose_g_of_mu(order, mu):
+    """g_nu(e^mu) for mu < 0, from mu itself (see the module docstring)."""
+    if mu <= _LN_HALF:
+        return _power_series(order.value, math.exp(mu), +1)
+    return _robinson(order, -mu)
+
+
 def _ln_fugacity(species, x):
-    """ln z with h_(3/2)(z) = x, by one Brent call on ln h_(3/2)(e^mu)
-    = ln x, close to linear in mu, inside the bracket of the module
-    docstring.  Below ln z = -40, h_(3/2)(z) = z to double precision, so
-    ln h_(3/2) = mu there: that keeps ln z exact for subnormal x, whose
-    z rounds to a coarse grid."""
+    """ln z with h_(3/2)(z) = x, range by range as the module docstring
+    says: a panel guess and one Newton step, or a value that needs none."""
     if not x >= 0.0:
         raise DomainError(f"phase-space density must be >= 0, got {x}")
     if x == 0.0:
         return -math.inf
-    ln_x = math.log(x)
+    if x == math.inf:
+        raise NumericError("phase-space density is not finite: inf")
+    t = math.log(x)
+    if t < -40.0:
+        return t
     if species is Species.BOSE:
-        # g_(3/2) from mu, not from z = e^mu (see the module docstring);
-        # a negligible xtol leaves Brent's relative tolerance in charge
-        hi, xtol = 0.0, 1e-300
-        def h32(mu):
-            if mu <= _LN_HALF:
-                return _power_series(1.5, math.exp(mu), +1)
-            return _robinson(PolyOrder.THREE_HALVES, -mu)
+        if x > BOSE_X_SPLIT:
+            s = (ZETA_3_2 - x) + ZETA_3_2_LO
+            w = s * _clenshaw(_BOSE_INVERSE[1], s * _BOSE_S_SCALE - 1.0)
+            return -w * w
+        mu = t + _clenshaw(_BOSE_INVERSE[0], x - 1.0)
+        h32 = _bose_g_of_mu(PolyOrder.THREE_HALVES, mu)
+        h12 = _bose_g_of_mu(PolyOrder.ONE_HALF, mu)
+    elif t >= FERMI_T_MAX:
+        # x^(2/3) from x = m 2^(3q + r): a power of x itself would carry
+        # the rounding of 2/3 times ln x, up to 2.6e-14 relative
+        m, e = math.frexp(x)
+        q, r = divmod(e, 3)
+        y = _SOMMERFELD_Y * math.ldexp(math.ldexp(m, r) ** (2.0 / 3.0), 2 * q)
+        v = 1.0 / (y * y)  # 0 once y * y overflows, as it should
+        series = 0.0
+        for a in _SOMMERFELD_INVERSE:
+            series = (series + a) * v
+        return y + y * series
     else:
-        hi = (0.75 * math.sqrt(math.pi) * x) ** (2.0 / 3.0) + 1.0
-        # finer than the float spacing 1.1e-16 just below z = 1
-        xtol = 1e-16
-        def h32(mu):
-            return fermi_f_log(PolyOrder.THREE_HALVES, mu)
-
-    def resid(mu):
-        return mu - ln_x if mu < -40.0 else math.log(h32(mu)) - ln_x
-    return brentq(resid, min(ln_x, 0.0) - 1.0, hi, xtol=xtol, maxiter=200)
+        if x <= FERMI_X_MAX:
+            mu = t + _clenshaw(_FERMI_INVERSE[0], x + x - 1.0)
+        else:
+            p = int(t)
+            mu = _clenshaw(_FERMI_INVERSE[p + 1], 2.0 * (t - p) - 1.0)
+        h32 = fermi_f_log(PolyOrder.THREE_HALVES, mu)
+        h12 = fermi_f_log(PolyOrder.ONE_HALF, mu)
+    # one Newton step on ln h_(3/2)(e^mu) = ln x, slope h_(1/2) / h_(3/2)
+    return mu - (math.log(h32) - t) * h32 / h12
 
 
 def bose_fugacity_from_density(rho_lambda3):

@@ -249,6 +249,31 @@ def test_scan_requires_section(tmp_path, capsys):
     assert "scan" in capsys.readouterr().err
 
 
+def test_out_over_a_longer_file_equals_a_fresh_write(tmp_path):
+    fresh = tmp_path / "fresh.csv"
+    assert cli.main(["fig3a", "--out", str(fresh)]) == 0
+    old = tmp_path / "old.csv"
+    assert cli.main(["fig1", "--out", str(old)]) == 0
+    old.write_bytes(old.read_bytes() * 3)  # longer than fig3a's table
+    link = tmp_path / "link.csv"
+    link.symlink_to(old)
+    assert cli.main(["fig3a", "--out", str(link)]) == 0
+    # a symlink keeps the link and writes its target
+    assert link.is_symlink()
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def test_out_to_a_device_or_a_fifo(tmp_path):
+    assert cli.main(["fig1", "--out", os.devnull]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+    assert cli.main(["fig3a", "--out", str(fifo)]) == 0
+    fresh = tmp_path / "fresh.csv"
+    assert cli.main(["fig3a", "--out", str(fresh)]) == 0
+    assert reader.communicate(timeout=60)[0] == fresh.read_bytes()
+
+
 def test_io_error_exit_3(capsys):
     assert cli.main(["fig1", "--out", "/nonexistent/dir/x.csv"]) == 3
     assert "i/o error" in capsys.readouterr().err

@@ -4,6 +4,7 @@ the scipy routine it replaces; scipy is a test dependency.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -74,9 +75,9 @@ def _zero_t_cfg(g_bb=0.05, g_bf=0.3):
 
 def _residual_cases():
     """(f, a, b, xtol, maxiter) of each brentq call the package makes
-    while it inverts fugacities and solves the boson and fermion
-    frequencies, recorded from the package itself so the pins follow
-    its residuals, brackets and settings."""
+    while it solves the boson and fermion frequencies, recorded from the
+    package itself so the pins follow its residuals, brackets and
+    settings.  Fugacity inversion takes no Brent call."""
     cases = []
 
     def recording(f, a, b, xtol, maxiter, fa=None, fb=None):
@@ -84,13 +85,8 @@ def _residual_cases():
         return brentq(f, a, b, xtol=xtol, maxiter=maxiter, fa=fa, fb=fb)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(specfun, "brentq", recording)
         patch.setattr(zero_temperature, "brentq", recording)
         zero_temperature._solve_omega_c.cache_clear()
-        for x in (1e-310, 1e-4, 0.3, 1.7, 2.6):
-            specfun.bose_fugacity_from_density(x)
-        for x in (1e-310, 1e-4, 0.3, 0.76, 0.9, 5.0, 300.0, 1e6, 1e30):
-            specfun.fermi_fugacity_from_density(x)
         for g_bb in (0.05, 2.0, -1e-4):
             zero_temperature.solve_omega_c(_zero_t_cfg(g_bb=g_bb))
         cfg = _zero_t_cfg()
@@ -102,9 +98,8 @@ def _residual_cases():
 
 def test_brentq_roots_equal_scipy_on_package_residuals():
     cases = _residual_cases()
-    # 14 fugacity inversions, 3 boson roots and the roots of the
-    # solve_Omega_c bracket scan
-    assert len(cases) == 18
+    # 3 boson roots and the root of the solve_Omega_c bracket scan
+    assert len(cases) == 4
     for f, a, b, xtol, maxiter in cases:
         ours = brentq(f, a, b, xtol=xtol, maxiter=maxiter)
         theirs = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=_RTOL,
@@ -125,7 +120,6 @@ def test_solvers_unchanged_with_scipy_brentq(monkeypatch):
                                      maxiter=maxiter)
 
     monkeypatch.setattr(zero_temperature, "brentq", scipy_brentq)
-    monkeypatch.setattr(specfun, "brentq", scipy_brentq)
     # the boson solve is memoised; solve it again under scipy's brentq
     zero_temperature._solve_omega_c.cache_clear()
     theirs = (zero_temperature.classify_zero_T(cfg),
@@ -133,6 +127,76 @@ def test_solvers_unchanged_with_scipy_brentq(monkeypatch):
               [specfun.fermi_fugacity_from_density(x) for x in (0.5, 40.0)],
               specfun.bose_fugacity_from_density(1.2))
     assert ours == theirs
+
+
+def _brent_ln_z(species, x):
+    """ln z by the root finder the inversion replaced: scipy's brentq on
+    ln h_(3/2)(e^mu) = ln x (mu - ln x below mu = -40), from
+    min(ln x, 0) - 1 up to 0 (Bose) or up to the Fermi bound
+    (3 sqrt(pi) x / 4)^(2/3), which f_(3/2)(e^mu) >= mu^(3/2) / Gamma(5/2)
+    proves.  The replaced code added 1 to that bound; here it is also
+    scaled by 1 + 1e-9 and formed without overflow, since above
+    x ~ 2e22 the +1 alone left the residual there within its rounding
+    of 0 (so the replaced code raised for some x), and above
+    x ~ 1.35e308 it overflowed.  An f_(3/2) past the float range
+    exceeds every x, so the residual reads +inf there."""
+    ln_x = math.log(x)
+    if species is specfun.Species.BOSE:
+        hi, xtol = 0.0, 1e-300
+
+        def h32(mu):
+            return specfun._bose_g_of_mu(PolyOrder.THREE_HALVES, mu)
+    else:
+        hi = ((0.75 * math.sqrt(math.pi)) ** (2.0 / 3.0) * x ** (2.0 / 3.0)
+              * (1.0 + 1e-9) + 1.0)
+        xtol = 1e-16
+
+        def h32(mu):
+            return specfun.fermi_f_log(1.5, mu)
+
+    def resid(mu):
+        if mu < -40.0:
+            return mu - ln_x
+        try:
+            return math.log(h32(mu)) - ln_x
+        except NumericError:
+            return math.inf
+    return scipy.optimize.brentq(resid, min(ln_x, 0.0) - 1.0, hi,
+                                 xtol=xtol, rtol=_RTOL, maxiter=200)
+
+
+@pytest.mark.parametrize("species, top", [
+    (specfun.Species.BOSE, math.nextafter(specfun.ZETA_3_2, 0.0)),
+    (specfun.Species.FERMI, sys.float_info.max),
+])
+def test_ln_z_equals_scipy_brentq_root(species, top):
+    """The panel guess and its Newton step give Brent's root, from a
+    subnormal density up to the top of the range.  Brent's root is
+    resolved only to the band where its residual reads 0 in floats:
+    one ulp of ln x over the residual's slope h_(1/2) / h_(3/2), up to
+    7.6e-14 relative near the largest float, where the new ln z is
+    within 1e-15 of mpmath (test_specfun)."""
+    with np.errstate(over="ignore"):
+        xs = [float(x) for x in np.geomspace(5e-324, top, 500)] + [top]
+    if species is specfun.Species.BOSE:  # and 2 to 40 ulp below zeta(3/2)
+        xs += [top - k * math.ulp(top) for k in range(1, 40)]
+    worst = 0.0
+    for x in xs:
+        ours = specfun._ln_fugacity(species, x)
+        theirs = _brent_ln_z(species, x)
+        if species is specfun.Species.BOSE:
+            slope = (specfun._bose_g_of_mu(PolyOrder.ONE_HALF, ours)
+                     / specfun._bose_g_of_mu(PolyOrder.THREE_HALVES, ours))
+        elif ours > 1e100:  # the Sommerfeld slope, where f_(3/2) may
+            slope = 1.5 / ours  # pass the float range
+        else:
+            slope = (specfun.fermi_f_log(0.5, ours)
+                     / specfun.fermi_f_log(1.5, ours))
+        gap = abs(ours - theirs)
+        worst = max(worst, gap / max(1.0, abs(theirs)))
+        bound = 1e-14 * max(1.0, abs(theirs)) + math.ulp(math.log(x)) / slope
+        assert gap <= bound, (x, ours, theirs)
+    print(f"{species.value}: largest |d ln z| / max(1, |ln z|) = {worst:.2e}")
 
 
 @pytest.mark.parametrize("f, xtol, maxiter, exc", [

@@ -8,14 +8,16 @@ series), then frozen here as literals.
 
 import importlib.util
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bfmix import _fugacity_cheb
 from bfmix._fermi_cheb import COEFFICIENTS
-from bfmix.errors import DomainError
+from bfmix.errors import DomainError, NumericError
 from bfmix.specfun import (
     PolyOrder, Species, Fugacity, ZETA_3_2,
     bose_g, fermi_f, fermi_f_log,
@@ -270,6 +272,72 @@ def test_chebyshev_literals_refit_from_mpmath():
     assert len(panels) == fit.PANELS
     for p in (0, fit.PANELS - 1):
         assert fit.panel_coefficients(0.5, p) == panels[p], p
+
+
+def _load_tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_inverse_panels_refit_from_mpmath(monkeypatch):
+    """tools/fit_fugacity.py reproduces the frozen inverse panels bit for
+    bit (the first and the last panel of each species, and the low part
+    of zeta(3/2)), and renders the frozen numbers into the module's exact
+    bytes."""
+    pytest.importorskip("mpmath")
+    fit = _load_tool("fit_fugacity")
+    frozen = {"fermi": _fugacity_cheb.FERMI, "bose": _fugacity_cheb.BOSE}
+    for species, count in fit.PANELS.items():
+        assert len(frozen[species]) == count
+        for i in (0, count - 1):
+            assert fit.panel_coefficients(species, i) == \
+                frozen[species][i], (species, i)
+    assert fit.zeta_3_2_lo() == _fugacity_cheb.ZETA_3_2_LO
+    monkeypatch.setattr(fit, "panel_coefficients",
+                        lambda species, i: frozen[species][i])
+    path = Path(_fugacity_cheb.__file__)
+    assert fit.render().encode("utf-8") == path.read_bytes()
+
+
+# from e^8 up: the Sommerfeld series to k = 7 leaves f_(3/2)(e^mu)
+# exact to far below an ulp (terms ~ Gamma(2k - 3/2) mu^(-2k))
+@pytest.mark.parametrize("x", [float(x) for x in np.geomspace(3e3, 1e308, 40)]
+                         + [1.7e308, sys.float_info.max])
+def test_fermi_ln_z_against_mpmath_sommerfeld(x):
+    mp = pytest.importorskip("mpmath")
+    got = fermi_fugacity_from_density(x).ln_z
+    with mp.workdps(40):
+        def f32(mu):
+            return mp.fsum(2 * mp.altzeta(2 * k) * mu ** (1.5 - 2 * k)
+                           / mp.gamma(2.5 - 2 * k) for k in range(8))
+        # solved for ln z / got, since findroot's step tolerance is absolute
+        ref = got * mp.findroot(lambda r: mp.log(f32(r * got) / x), 1)
+        assert abs(got - ref) <= 1e-15 * ref, (x, got, ref)
+        # the round trip through mpmath's forward formula
+        assert abs(f32(mp.mpf(got)) / x - 1) <= 2e-15
+
+
+@pytest.mark.parametrize("x", [1.7e308, sys.float_info.max])
+def test_fermi_ln_z_at_the_top_of_the_float_range(x):
+    """Every finite density inverts.  At 1.7e308 the forward kernel
+    returns x; at the largest float f_(3/2) of the nearest double to
+    ln z is itself past the float range, and one ulp below it is x."""
+    mu = fermi_fugacity_from_density(x).ln_z
+    assert math.isfinite(mu)
+    if x < sys.float_info.max:
+        assert abs(fermi_f_log(1.5, mu) / x - 1.0) <= 4.5e-16
+    else:
+        below = fermi_f_log(1.5, math.nextafter(mu, 0.0))
+        assert abs(below / x - 1.0) <= 4.5e-16
+
+
+def test_infinite_density_is_an_error_naming_it():
+    with pytest.raises(NumericError, match="phase-space density"):
+        fermi_fugacity_from_density(math.inf)
+    assert bose_fugacity_from_density(math.inf).condensed
 
 
 def test_fermi_fugacity_round_trip_up_to_ln_z_1e12():
