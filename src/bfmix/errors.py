@@ -18,8 +18,12 @@ class DomainError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Overflow or an exhausted search: a Fermi integral that is not
-    finite, a Z that is not a number, a Brent call that cannot start or
-    does not converge (bfmix.brent), or no result after the bounded
-    expansions for Omega_c, the critical N_b or the Thomas-Fermi e_F and
-    grid span."""
+    """A numeric failure on a valid input, raised for:
+
+    * a Fermi integral that is not finite, or an infinite phase-space
+      density given to the fugacity inversion (bfmix.specfun);
+    * a stability determinant Z that is not a number;
+    * a Brent call that cannot start or does not converge (bfmix.brent);
+    * a critical boson number beyond 2^60;
+    * a Thomas-Fermi fermion density or cloud radius beyond float
+      range, or no e_F between its padded bounds."""

@@ -17,6 +17,7 @@ from .specfun import (
     Fugacity,
     PolyOrder,
     Species,
+    _bose_g_of_mu,
     bose_fugacity_from_density,
     bose_g,
     fermi_f_log,
@@ -200,10 +201,11 @@ def stability_matrix(state, cfg):
 
 
 def _bose_ideal(lb, z_b):
-    # lambda_b^3 / g_(1/2)(z_b), exactly zero in the condensed phase
+    # lambda_b^3 / g_(1/2)(z_b), exactly zero in the condensed phase;
+    # g_(1/2) from ln z, which stays accurate where z rounds to 1
     if z_b.condensed:
         return 0.0
-    g12 = bose_g(PolyOrder.ONE_HALF, z_b.z)
+    g12 = _bose_g_of_mu(PolyOrder.ONE_HALF, z_b.ln_z)
     if g12 == 0.0:
         return math.inf  # empty gas: ideal compressibility diverges
     return lb ** 3 / g12 if math.isfinite(g12) else 0.0

@@ -12,41 +12,38 @@ thermodynamics of this package needs.
 
 Evaluation strategy
 -------------------
-* z <= 0.5          direct power series (relative cutoff 1e-15, at most
-                    1e5 terms).
-* Bose, z > 0.5     Robinson expansion in alpha = -ln z:
-                    g_nu(e^-alpha) = Gamma(1-nu) alpha^(nu-1)
-                                     + sum_k zeta(nu-k) (-alpha)^k / k!
-                    The expansion converges geometrically with ratio
-                    alpha/2pi < 0.12 on this range.  It applies to
-                    nu = 1/2 as well (the plain series is uselessly slow
-                    just below z = 1, where g_(1/2) must still be
-                    accurate for the condensation machinery).
-* Fermi, 0.5<z<=1   the analogous expansion in mu = ln z with the Dirichlet
-                    eta function: f_nu(e^mu) = sum_k eta(nu-k) mu^k / k!.
-* Fermi, 1<z<e^40   piecewise Chebyshev series in mu = ln z on the panels
-                    [2p, 2p + 2], p = 0..19, summed by Clenshaw's
-                    recurrence; 7 to 18 terms a panel, fitted against
-                    mpmath's polylog by tools/fit_fermi.py (relative
-                    error below 5e-16 on the fitted range).  The panels
-                    are 2 wide because the branch cuts of Li_nu(-e^mu)
-                    run along Im mu = +-pi.  The piecewise approach follows
-                    T. Fukushima, Appl. Math. Comput. 259 (2015) 708.
-* Fermi, z >= e^40  Sommerfeld series
-                    f_nu(e^mu) = sum_k 2 eta(2k) mu^(nu-2k) / Gamma(nu+1-2k),
-                    at most 13 terms; the neglected part is O(e^-mu).
-
-The zeta and eta(2k) values are frozen literals pinned against scipy;
-the Chebyshev coefficients live in the generated module _fermi_cheb,
-and a test refits panels of it from mpmath bit for bit.
+Every g_nu, and f_nu for ln z < 40, is a Chebyshev series sum_j c_j T_j(u)
+on a panel of its argument, -1 <= u <= 1, summed by Clenshaw's
+recurrence.  The piecewise approach follows T. Fukushima, Appl. Math.
+Comput. 259 (2015) 708.  Each panel is fitted against mpmath by
+tools/fit_panels.py, which writes the generated module _panels:
+* Bose, z <= 1/2      g_nu(z) / z in u = 4z - 1 (18 to 21 terms).
+* Bose, z > 1/2       g_nu(e^-alpha) = Gamma(1-nu) alpha^(nu-1) + R_nu(alpha),
+                      alpha = -ln z <= ln 2: the singular term is explicit,
+                      R_nu is a series in u = 2 alpha / ln 2 - 1 (10 or 11
+                      terms).  R_nu = sum_k zeta(nu-k) (-alpha)^k / k! is
+                      the regular part of Robinson's expansion, analytic
+                      for |alpha| < 2 pi.  The Bose kernels that take
+                      mu = ln z itself use the same two panels, so g_nu
+                      stays accurate where z = e^mu rounds to 1.
+* Fermi, ln z <= 0    f_nu(z) / z in u = 2z - 1 (18 to 21 terms).
+* Fermi, 0 < ln z < 40  f_nu(e^mu) on the panels [2p, 2p + 2] that hold
+                      mu = ln z, p = 0..19, in u = mu - 2p - 1 (7 to 19
+                      terms).  The panels are 2 wide because the branch
+                      cuts of Li_nu(-e^mu) run along Im mu = +-pi.
+* Fermi, z >= e^40    Sommerfeld series
+                      f_nu(e^mu) = sum_k 2 eta(2k) mu^(nu-2k) / Gamma(nu+1-2k),
+                      at most 13 terms; the neglected part is O(e^-mu).
+Against mpmath the relative error of every panel stays below 1.5e-15.
+The eta(2k) values and zeta(3/2) are frozen literals pinned against
+scipy, and a test refits panels of _panels from mpmath bit for bit.
 
 Fugacity inversion
 ------------------
 rho lambda^3 = x = h_(3/2)(z), h = g or f, is solved for mu = ln z
 without a root finder, after T. Fukushima, Appl. Math. Comput. 259 (2015)
 698 (his F_(1/2) inverse is the f_(3/2) one up to Gamma(3/2)).  Chebyshev
-panels, fitted from mpmath by tools/fit_fugacity.py into the generated
-module _fugacity_cheb, give mu:
+panels, fitted from mpmath by the same generator into _panels, give mu:
 * x < e^-40: h_(3/2)(z) = z to double precision, so mu = ln x, exact
   even for subnormal x, whose z rounds to a coarse grid;
 * Fermi, x <= 1: mu - ln x as a series in x; 1 < x < e^8: mu on the
@@ -68,18 +65,19 @@ z = e^mu.  Two ranges need no step:
   - (16291 pi^8/777600) y^-8), y = (3 sqrt(pi) x / 4)^(2/3), is exact to
   double precision for every finite x.
 
-g_(1/2) diverges at z = 1.  For z >= 1 - 1e-13 the function returns
-``math.inf`` as the documented divergence signal; thermodynamic callers
-map it to the condensed-phase convention lambda^3/g_(1/2) -> 0.
+g_(1/2) diverges at z = 1.  For z >= 1 - 1e-13 bose_g returns
+``math.inf`` as the documented divergence signal.  The stability matrix
+takes g_(1/2) from ln z instead (_bose_g_of_mu), which is finite for
+every ln z < 0 and inf only at ln z = 0, where lambda^3/g_(1/2) -> 0.
 """
 
 import enum
 import math
 from collections import namedtuple
 
-from ._fermi_cheb import COEFFICIENTS
-from ._fugacity_cheb import (
-    BOSE, BOSE_X_SPLIT, FERMI, FERMI_T_MAX, FERMI_X_MAX, ZETA_3_2_LO)
+from ._panels import (
+    BOSE_ALPHA, BOSE_INVERSE, BOSE_X_SPLIT, BOSE_Z, BOSE_ZETA, FERMI_INVERSE,
+    FERMI_MU, FERMI_T_MAX, FERMI_X_MAX, FERMI_Z, ZETA_3_2_LO)
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -128,86 +126,52 @@ class Fugacity(namedtuple("Fugacity", "z species condensed ln_z")):
         return super().__new__(cls, z, species, condensed, ln_z)
 
 
-# zeta(5/2 - j), j = 0..28: the row of order nu starts at j = 5/2 - nu.
-# The Robinson and eta expansions stop by k = 26 on their domains
-# (alpha, |mu| <= ln 2); nu - k is never 1, so the pole is never hit.
-_K_MAX = 26
-_ZETA_5_2_MINUS_J = (
-    1.3414872572509173, 2.612375348685488, -1.4603545088095866,
-    -0.2078862249773546, -0.025485201889833053, 0.00851692877785033,
-    0.004441011335479434, -0.0030916692472158364, -0.002671458019899229,
-    0.0027467679395368704, 0.0032690395726002216, -0.004416032873004892,
-    -0.00667217229646665, 0.011146122473942834, 0.020396978715942822,
-    -0.040574967481194636, -0.08717525590621737, 0.20117404938422698,
-    0.4962712199120593, -1.3032292507051177, -3.6297592997745847,
-    10.68732706902202, 33.16832578569471, -108.21747505877623,
-    -370.3018783754793, 1326.0458117490175, 4959.598315043067,
-    -19338.9419883747, -78486.148569218,
-)
-_ZETA_TABLE = {
-    order: list(_ZETA_5_2_MINUS_J[int(2.5 - order.value):][:_K_MAX + 1])
-    for order in PolyOrder
-}
-# Dirichlet eta: eta(s) = (1 - 2^(1-s)) zeta(s)
-_ETA_TABLE = {
-    order: [(1.0 - 2.0 ** (1.0 - (order.value - k))) * _ZETA_TABLE[order][k]
-            for k in range(_K_MAX + 1)]
-    for order in PolyOrder
-}
-# Gamma(1 - nu) prefactors of the non-analytic Robinson term
+# Gamma(1 - nu) prefactors of the singular term of g_nu near z = 1
 _GAMMA_1_MINUS_NU = {order: math.gamma(1.0 - order.value) for order in PolyOrder}
 
-ZETA_3_2 = _ZETA_TABLE[PolyOrder.THREE_HALVES][0]   # g_(3/2)(1) = 2.61237534...
+ZETA_3_2 = 2.612375348685488   # g_(3/2)(1)
 
-_LN_HALF = math.log(0.5)  # the power series hands over above it
-_SERIES_MAX_TERMS = 100_000
-_SERIES_RTOL = 1e-15
-
-
-def _power_series(nu, z, sign):
-    """sum_k sign^(k-1) z^k / k^nu, truncated at relative 1e-15."""
-    total = 0.0
-    zk = 1.0  # z^k, maintained incrementally
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        zk *= z
-        term = zk / k ** nu
-        if sign < 0 and k % 2 == 0:
-            term = -term
-        total += term
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            return total
-    return total
+_LN_HALF = math.log(0.5)  # the z panel of the Bose kernel ends here
+_ALPHA_SCALE = 2.0 / math.log(2.0)
 
 
-def _robinson(order, alpha):
-    """Bose function near z = 1: Gamma(1-nu) alpha^(nu-1) + zeta series."""
-    nu = order.value
-    row = _ZETA_TABLE[order]
-    acc = _GAMMA_1_MINUS_NU[order] * alpha ** (nu - 1.0) if alpha > 0.0 else 0.0
-    if alpha == 0.0:
-        return row[0]
-    fac = 1.0  # (-alpha)^k / k!
-    for k in range(_K_MAX + 1):
-        term = row[k] * fac
-        acc += term
-        fac *= -alpha / (k + 1)
-        if k > 2 and abs(term) <= 1e-17 * max(abs(acc), 1e-300):
-            break
-    return acc
+def _highest_first(family):
+    """A family's panels, each with its coefficients in the order
+    _clenshaw takes them."""
+    return tuple(tuple(reversed(panel)) for panel in family)
 
 
-def _eta_expansion(order, mu):
-    """Fermi function around z = 1: sum_k eta(nu-k) mu^k / k!, |mu| < pi."""
-    row = _ETA_TABLE[order]
-    acc = 0.0
-    fac = 1.0  # mu^k / k!
-    for k in range(_K_MAX + 1):
-        term = row[k] * fac
-        acc += term
-        fac *= mu / (k + 1)
-        if k > 2 and abs(term) <= 1e-17 * max(abs(acc), 1e-300):
-            break
-    return acc
+def _by_order(family):
+    """A family of _panels keyed by order: an equal run of panels each,
+    in the order of PolyOrder."""
+    n = len(family) // len(PolyOrder)
+    return {order: _highest_first(family[i * n:(i + 1) * n])
+            for i, order in enumerate(PolyOrder)}
+
+
+_BOSE_Z = _by_order(BOSE_Z)
+_BOSE_ALPHA = _by_order(BOSE_ALPHA)
+_FERMI_Z = _by_order(FERMI_Z)
+_FERMI_MU = _by_order(FERMI_MU)
+
+
+def _clenshaw(coefs, u):
+    """sum_j c_j T_j(u) for -1 <= u <= 1 by Clenshaw's recurrence, the
+    coefficients given highest degree first."""
+    u2 = u + u
+    b1 = b2 = 0.0
+    for c in coefs:
+        b1, b2 = c + u2 * b1 - b2, b1
+    return b1 - u * b2
+
+
+def _bose_near_one(order, alpha):
+    """g_nu(e^-alpha) for 0 <= alpha <= ln 2: the singular term and the
+    panel of the regular part; g_(1/2) is inf at alpha = 0."""
+    if alpha == 0.0 and order is PolyOrder.ONE_HALF:
+        return math.inf
+    return (_GAMMA_1_MINUS_NU[order] * alpha ** (order.value - 1.0)
+            + _clenshaw(_BOSE_ALPHA[order][0], alpha * _ALPHA_SCALE - 1.0))
 
 
 def bose_g(nu, z):
@@ -219,28 +183,33 @@ def bose_g(nu, z):
     order = _as_order(nu)
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"bose_g requires 0 <= z <= 1, got z={z}")
-    if z == 0.0:
-        return 0.0
     if order is PolyOrder.ONE_HALF and z >= 1.0 - 1e-13:
         return math.inf
     if z <= 0.5:
-        return _power_series(order.value, z, +1)
-    return _robinson(order, -math.log(z))
+        return z * _clenshaw(_BOSE_Z[order][0], 4.0 * z - 1.0)
+    return _bose_near_one(order, -math.log(z))
+
+
+def _bose_g_of_mu(order, mu):
+    """g_nu(e^mu) for mu <= 0, from mu itself: accurate where z = e^mu
+    rounds to 1 (just above T_c), 0 for mu = -inf."""
+    if mu <= _LN_HALF:
+        z = math.exp(mu)
+        return z * _clenshaw(_BOSE_Z[order][0], 4.0 * z - 1.0)
+    return _bose_near_one(order, -mu)
 
 
 def fermi_f_log(nu, ln_z):
     """Fermi integral as a function of mu = ln z; usable when z itself
     would overflow (degenerate regime, mu up to ~1e18)."""
     order = _as_order(nu)
-    if ln_z == -math.inf:
-        return 0.0
-    if ln_z <= _LN_HALF:
-        return _power_series(order.value, math.exp(ln_z), -1)
     if ln_z <= 0.0:
-        return _eta_expansion(order, ln_z)
+        z = math.exp(ln_z)
+        return z * _clenshaw(_FERMI_Z[order][0], z + z - 1.0)
     try:
         if ln_z < _SOMMERFELD_MU:
-            total = _fermi_chebyshev(order, ln_z)
+            p = int(0.5 * ln_z)
+            total = _clenshaw(_FERMI_MU[order][p], ln_z - (2 * p + 1))
         else:  # NaN as well, which the sum passes on
             total = _sommerfeld(order, ln_z)
     except OverflowError:
@@ -259,29 +228,6 @@ def fermi_f(nu, z):
     if z == 0.0:
         return 0.0
     return fermi_f_log(order, math.log(z))
-
-
-# each panel's Chebyshev coefficients, highest degree first for Clenshaw
-_CHEBYSHEV = {order: tuple(tuple(reversed(panel))
-                           for panel in COEFFICIENTS[order.value])
-              for order in PolyOrder}
-
-
-def _clenshaw(coefs, u):
-    """sum_j c_j T_j(u) for -1 <= u <= 1 by Clenshaw's recurrence, the
-    coefficients given highest degree first."""
-    u2 = u + u
-    b1 = b2 = 0.0
-    for c in coefs:
-        b1, b2 = c + u2 * b1 - b2, b1
-    return b1 - u * b2
-
-
-def _fermi_chebyshev(order, mu):
-    """f_nu(e^mu) for 0 < mu < 40: the Chebyshev series of the panel
-    [2p, 2p + 2] holding mu."""
-    p = int(0.5 * mu)
-    return _clenshaw(_CHEBYSHEV[order][p], mu - (2 * p + 1))
 
 
 _SOMMERFELD_MU = 40.0
@@ -323,8 +269,9 @@ def _sommerfeld(order, mu):
 
 
 # the inverse panels of the module docstring, highest degree first
-_FERMI_INVERSE = tuple(tuple(reversed(panel)) for panel in FERMI)
-_BOSE_INVERSE = tuple(tuple(reversed(panel)) for panel in BOSE)
+_FERMI_INVERSE = _highest_first(FERMI_INVERSE)
+(_BOSE_INVERSE,) = _highest_first(BOSE_INVERSE)
+(_BOSE_ZETA,) = _highest_first(BOSE_ZETA)
 _BOSE_S_SCALE = 2.0 / (ZETA_3_2 - BOSE_X_SPLIT)
 # y = _SOMMERFELD_Y x^(2/3), and the reversed series' coefficients of
 # y^-8, y^-6, y^-4, y^-2, in Horner's order
@@ -332,13 +279,6 @@ _SOMMERFELD_Y = (0.75 * math.sqrt(math.pi)) ** (2.0 / 3.0)
 _SOMMERFELD_INVERSE = (-16291.0 * math.pi ** 8 / 777600.0,
                        -247.0 * math.pi ** 6 / 25920.0,
                        -math.pi ** 4 / 80.0, -math.pi ** 2 / 12.0)
-
-
-def _bose_g_of_mu(order, mu):
-    """g_nu(e^mu) for mu < 0, from mu itself (see the module docstring)."""
-    if mu <= _LN_HALF:
-        return _power_series(order.value, math.exp(mu), +1)
-    return _robinson(order, -mu)
 
 
 def _ln_fugacity(species, x):
@@ -356,9 +296,9 @@ def _ln_fugacity(species, x):
     if species is Species.BOSE:
         if x > BOSE_X_SPLIT:
             s = (ZETA_3_2 - x) + ZETA_3_2_LO
-            w = s * _clenshaw(_BOSE_INVERSE[1], s * _BOSE_S_SCALE - 1.0)
+            w = s * _clenshaw(_BOSE_ZETA, s * _BOSE_S_SCALE - 1.0)
             return -w * w
-        mu = t + _clenshaw(_BOSE_INVERSE[0], x - 1.0)
+        mu = t + _clenshaw(_BOSE_INVERSE, x - 1.0)
         h32 = _bose_g_of_mu(PolyOrder.THREE_HALVES, mu)
         h12 = _bose_g_of_mu(PolyOrder.ONE_HALF, mu)
     elif t >= FERMI_T_MAX:

@@ -5,6 +5,7 @@ import csv
 import gc
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -509,6 +510,8 @@ def test_mutated_config_never_exits_4(tmp_path):
         st.lists(json_scalar, max_size=3),
         st.dictionaries(st.text(max_size=4), json_scalar, max_size=2))
 
+    names = itertools.count()
+
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(command=st.sampled_from(
@@ -523,7 +526,8 @@ def test_mutated_config_never_exits_4(tmp_path):
             del parent[path[-1]]
         else:
             parent[path[-1]] = new
-        config = write_config(tmp_path, cfg)
+        # a fresh name: rewriting one file in place waits for writeback
+        config = write_config(tmp_path, cfg, name=f"cfg{next(names)}.json")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main([command, "--config", config,

@@ -206,6 +206,26 @@ def test_free_energy_just_above_condensation(eps):
     assert np.isclose(total, below, rtol=1e-3)
 
 
+@pytest.mark.parametrize("eps", [3e-7, 2e-7, 1e-8, 1e-10])
+def test_bose_entry_just_above_condensation_against_mpmath(eps):
+    """Within about 2.5e-7 of T_c, z_b rounds to 1 - 1e-13 or above,
+    where bose_g signals the divergence of g_(1/2), and the rounded z_b
+    is coarse just outside it.  The bb entry takes g_(1/2) from ln z_b,
+    which stays accurate, so it keeps lambda_b^3 / g_(1/2)."""
+    mp = pytest.importorskip("mpmath")
+    cfg = figure_preset("fig4").base
+    st = ft.thermal_state(cfg, ft.bec_temperature(cfg) * (1.0 + eps))
+    assert not st.condensed
+    bb = ft.stability_entries(st, cfg, cfg.g_bb, cfg.g_bf, cfg.g_ff)[0]
+    ell_bb = ft.coupling_lengths(cfg)[0]
+    lb = st.lambda_b
+    with mp.workdps(60):
+        g12 = mp.polylog(0.5, mp.exp(st.z_b.ln_z))
+        ref = float(4 * mp.mpf(ell_bb) * mp.mpf(lb) ** 2
+                    + mp.mpf(lb) ** 3 / g12)
+    assert abs(bb - ref) <= 1e-12 * ref, (bb, ref)
+
+
 def test_free_energy_cross_term_structure():
     # fugacities ignore the couplings, so beta F is exactly linear in g_bf
     # and the cross term is proportional to N_b N_f / V

@@ -17,7 +17,7 @@ from bfmix import constants, specfun, thomas_fermi, zero_temperature
 from bfmix.brent import _RTOL, brentq
 from bfmix.config import MixtureConfig
 from bfmix.errors import NumericError
-from bfmix.specfun import PolyOrder, bose_g, fermi_f
+from bfmix.specfun import PolyOrder
 
 M7 = 7.0 * sc.atomic_mass
 
@@ -31,36 +31,11 @@ def test_constants_equal_scipy_codata():
 
 
 def test_zeta_and_eta_literals_equal_scipy():
-    for j, value in enumerate(specfun._ZETA_5_2_MINUS_J):
-        assert value == float(scipy.special.zeta(2.5 - j)), j
-    for order in PolyOrder:
-        assert specfun._ZETA_TABLE[order] == [
-            float(scipy.special.zeta(order.value - k))
-            for k in range(specfun._K_MAX + 1)]
     assert specfun._ETA_EVEN[0] == 0.5
     for k, value in enumerate(specfun._ETA_EVEN[1:], start=1):
         assert value == (1.0 - 2.0 ** (1 - 2 * k)) * float(
             scipy.special.zeta(2 * k)), k
     assert specfun.ZETA_3_2 == float(scipy.special.zeta(1.5))
-
-
-def test_short_tables_match_full_scipy_tables(monkeypatch):
-    # the tables stop at k = _K_MAX = 26; scipy's tables to k = 80 give
-    # bit-identical Robinson and eta expansions over their whole domains
-    zs = np.concatenate([np.linspace(0.5 + 1e-12, 1.0, 400), [0.5000001]])
-    shorter = [(bose_g(nu, z), fermi_f(nu, z))
-               for nu in (0.5, 1.5, 2.5) for z in zs if z < 1.0 - 1e-13]
-    full_zeta = {order: [float(scipy.special.zeta(order.value - k))
-                         for k in range(81)] for order in PolyOrder}
-    monkeypatch.setattr(specfun, "_K_MAX", 80)
-    monkeypatch.setattr(specfun, "_ZETA_TABLE", full_zeta)
-    monkeypatch.setattr(specfun, "_ETA_TABLE", {
-        order: [(1.0 - 2.0 ** (1.0 - (order.value - k))) * row[k]
-                for k in range(81)]
-        for order, row in full_zeta.items()})
-    full = [(bose_g(nu, z), fermi_f(nu, z))
-            for nu in (0.5, 1.5, 2.5) for z in zs if z < 1.0 - 1e-13]
-    assert shorter == full
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfmix import _fugacity_cheb
-from bfmix._fermi_cheb import COEFFICIENTS
+from bfmix import _panels
 from bfmix.errors import DomainError, NumericError
 from bfmix.specfun import (
     PolyOrder, Species, Fugacity, ZETA_3_2,
@@ -213,6 +212,11 @@ ORACLE_LN_Z = [float(mu) for mu in 10.0 ** np.linspace(-4.0, 12.0, 33)] \
 PANEL_LN_Z = [2.0 * p + 1.0 for p in range(20)] + [
     math.nextafter(2.0 * p, side) for p in range(21)
     for side in (-math.inf, math.inf)]
+# ln z <= 0 from -745, where z is the least subnormal, up to 0, and one
+# ulp on each side of ln 1/2 and of 0
+NEGATIVE_LN_Z = [-float(m) for m in np.geomspace(1e-12, 745.0, 20)] + [
+    math.nextafter(edge, side) for edge in (math.log(0.5), 0.0)
+    for side in (-math.inf, math.inf)]
 
 
 def test_fermi_f_log_against_mpmath_polylog():
@@ -220,22 +224,24 @@ def test_fermi_f_log_against_mpmath_polylog():
     with mp.workdps(30), warnings.catch_warnings():
         warnings.simplefilter("error")
         for nu in (0.5, 1.5, 2.5):
-            for mu in ORACLE_LN_Z + PANEL_LN_Z:
+            for mu in ORACLE_LN_Z + PANEL_LN_Z + NEGATIVE_LN_Z:
                 ref = float(mp.re(-mp.polylog(nu, -mp.exp(mu))))
                 got = fermi_f_log(nu, mu)
                 assert abs(got - ref) <= 1e-14 * ref, (nu, mu, got, ref)
 
 
 def test_bose_g_against_mpmath_polylog():
-    """Series below z = 0.5, the Robinson expansion above it, up to
-    where g_(1/2) signals its divergence."""
+    """The z panel below z = 0.5, the alpha panel above it, up to one ulp
+    below where g_(1/2) signals its divergence, and below z = 1."""
     mp = pytest.importorskip("mpmath")
     zs = np.linspace(0.0, 1.0, 201)[1:-1].tolist() + [
         1e-300, 1e-8, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
         0.9999, 1.0 - 1e-8, 1.0 - 1e-12]
+    top = {0.5: math.nextafter(1.0 - 1e-13, 0.0),
+           1.5: math.nextafter(1.0, 0.0), 2.5: math.nextafter(1.0, 0.0)}
     with mp.workdps(30):
         for nu in (0.5, 1.5, 2.5):
-            for z in zs:
+            for z in zs + [top[nu]]:
                 ref = float(mp.polylog(nu, z))
                 got = bose_g(nu, z)
                 assert abs(got - ref) <= 1e-14 * ref, (nu, z, got, ref)
@@ -260,20 +266,6 @@ def test_bose_ln_z_just_above_condensation_against_mpmath(eps, bound):
     assert abs(got - ref) <= bound * abs(ref), (got, ref)
 
 
-def test_chebyshev_literals_refit_from_mpmath():
-    """tools/fit_fermi.py reproduces the frozen coefficients bit for bit
-    (checked on the first and the last panel of f_(1/2))."""
-    pytest.importorskip("mpmath")
-    path = Path(__file__).resolve().parents[1] / "tools" / "fit_fermi.py"
-    spec = importlib.util.spec_from_file_location("fit_fermi", path)
-    fit = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fit)
-    panels = COEFFICIENTS[0.5]
-    assert len(panels) == fit.PANELS
-    for p in (0, fit.PANELS - 1):
-        assert fit.panel_coefficients(0.5, p) == panels[p], p
-
-
 def _load_tool(name):
     path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -282,24 +274,38 @@ def _load_tool(name):
     return tool
 
 
-def test_inverse_panels_refit_from_mpmath(monkeypatch):
-    """tools/fit_fugacity.py reproduces the frozen inverse panels bit for
-    bit (the first and the last panel of each species, and the low part
-    of zeta(3/2)), and renders the frozen numbers into the module's exact
-    bytes."""
+def _refit_ends(fit, families):
+    """Refit the first and the last panel of each family; each must equal
+    the frozen one bit for bit."""
+    for name in families:
+        degree, tol, panels = fit.FAMILIES[name]
+        frozen = getattr(_panels, name)
+        assert len(frozen) == len(panels), name
+        for i in sorted({0, len(panels) - 1}):
+            assert fit.panel_coefficients(panels[i], degree, tol) == \
+                frozen[i], (name, panels[i].label)
+
+
+def test_chebyshev_literals_refit_from_mpmath():
+    """tools/fit_panels.py reproduces the frozen forward panels bit for
+    bit (the first and the last panel of each family)."""
     pytest.importorskip("mpmath")
-    fit = _load_tool("fit_fugacity")
-    frozen = {"fermi": _fugacity_cheb.FERMI, "bose": _fugacity_cheb.BOSE}
-    for species, count in fit.PANELS.items():
-        assert len(frozen[species]) == count
-        for i in (0, count - 1):
-            assert fit.panel_coefficients(species, i) == \
-                frozen[species][i], (species, i)
-    assert fit.zeta_3_2_lo() == _fugacity_cheb.ZETA_3_2_LO
-    monkeypatch.setattr(fit, "panel_coefficients",
-                        lambda species, i: frozen[species][i])
-    path = Path(_fugacity_cheb.__file__)
-    assert fit.render().encode("utf-8") == path.read_bytes()
+    fit = _load_tool("fit_panels")
+    _refit_ends(fit, ("BOSE_Z", "BOSE_ALPHA", "FERMI_Z", "FERMI_MU"))
+
+
+def test_inverse_panels_refit_from_mpmath():
+    """tools/fit_panels.py reproduces the frozen inverse panels bit for
+    bit (the first and the last panel of each family, and the low part
+    of zeta(3/2)), and renders the frozen numbers of every family into
+    the module's exact bytes."""
+    pytest.importorskip("mpmath")
+    fit = _load_tool("fit_panels")
+    _refit_ends(fit, ("FERMI_INVERSE", "BOSE_INVERSE", "BOSE_ZETA"))
+    assert fit.zeta_3_2_lo() == _panels.ZETA_3_2_LO
+    frozen = {name: getattr(_panels, name) for name in fit.FAMILIES}
+    path = Path(_panels.__file__)
+    assert fit.render(frozen).encode("utf-8") == path.read_bytes()
 
 
 # from e^8 up: the Sommerfeld series to k = 7 leaves f_(3/2)(e^mu)
