@@ -24,6 +24,7 @@ class NumericError(RuntimeError):
       density given to the fugacity inversion (bfmix.specfun);
     * a stability determinant Z that is not a number;
     * a Brent call that cannot start or does not converge (bfmix.brent);
+    * a condensate width start or slope beyond float range;
     * a critical boson number beyond 2^60;
     * a Thomas-Fermi fermion density or cloud radius beyond float
       range, or no e_F between its padded bounds."""

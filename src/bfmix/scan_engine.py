@@ -239,11 +239,10 @@ def _validate(spec):
 # ---------------------------------------------------------------------------
 
 def _point_config(spec, assignment):
-    cfg = spec.base
-    for rng, value in assignment:
-        cfg = cfg.with_field(rng.field, spec.base.field_to_si(rng.field,
-                                                              value))
-    return cfg
+    """The base config with every swept field set, validated once."""
+    return spec.base.replace(**{
+        _FIELD_PATHS[rng.field]: spec.base.field_to_si(rng.field, value)
+        for rng, value in assignment})
 
 
 # what fails one grid point instead of the scan; Python's float overflow

@@ -19,7 +19,7 @@ variational frequency Omega and center offset r_f gives
 
 with the Gaussian-overlap width G = m_f m_b omega_c Omega /
 (hbar (m_f Omega + m_b omega_c)).  At r_f = 0 every root of
-dE_f/dOmega lies in a closed-form bracket (_Omega_bracket): a unique
+dE_f/dOmega lies in a closed-form bracket (_bracketed_h): a unique
 one between a lower bound and the g_bf = 0 root Omega_0 for repulsive
 g_bf, and one or more between Omega_0 and an upper bound for
 attractive g_bf, where the overlap term is a sigmoid in ln Omega;
@@ -44,7 +44,6 @@ printed equations for figure comparison.
 import enum
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 from .brent import brentq
 from .config import MixtureConfig, CompatMode
@@ -130,14 +129,16 @@ def boson_energy_derivatives(omega, cfg):
 
 
 def _repulsive_bracket(trap):
-    """[omega_b / sqrt(1 + u), omega_b], u = k + 1e-12 with k = 2 s g_bb
-    N_b C sqrt(omega_b) / hbar.  The slope is (3/4) N_b hbar (k (1 +
-    u)^(-1/4) - u) <= -(3/4) N_b hbar 1e-12 at the lower end, clear of
-    rounding however weak g_bb is, and > 0 at omega_b."""
+    """[omega_b / sqrt(1 + u), omega_b], u = k^(4/5) + 1e-12 with k =
+    2 s g_bb N_b C sqrt(omega_b) / hbar.  The slope is (3/4) N_b hbar (k
+    (1 + u)^(-1/4) - u) <= (3/4) N_b hbar (k u^(-1/4) - u) <= -(3/4) N_b
+    hbar 1e-12 at the lower end, clear of rounding however weak g_bb is,
+    and > 0 at omega_b.  The root lies within a factor (1 + k^(-4/5))^(1/2)
+    above the lower end."""
     s, _, _ = _mode_factors(trap)
     k = (2.0 * s * trap.g_bb * trap.N_b * _interaction_C(trap)
          * math.sqrt(trap.omega_b) / hbar)
-    return trap.omega_b / math.sqrt(1.0 + k + 1e-12), trap.omega_b
+    return trap.omega_b / math.sqrt(1.0 + k ** 0.8 + 1e-12), trap.omega_b
 
 
 def _critical_number_closed_form(cfg):
@@ -150,10 +151,12 @@ def _critical_number_closed_form(cfg):
             / (s * abs(cfg.g_bb) * _interaction_C(cfg) * omega_crit ** 2.5))
 
 
-# The fields the boson functional reads; solve_omega_c memoises on them,
-# so sweeps over fermion fields or g_bf reuse one solve per trap.
-_BosonTrap = namedtuple("_BosonTrap",
-                        ("m_b", "omega_b", "N_b", "g_bb", "compat_mode"))
+def _in_float_range(omega):
+    """omega, unless an extreme g_bb N_b rounded it to 0 or inf."""
+    if not 0.0 < omega < math.inf:
+        raise NumericError(f"condensate frequency {omega} is beyond float "
+                           "range")
+    return omega
 
 
 def solve_omega_c(cfg):
@@ -163,46 +166,46 @@ def solve_omega_c(cfg):
     Attractive g_bb: the lower root (a local minimum between omega_b and
     the inflection frequency) when it exists; otherwise the inflection
     frequency itself with is_local_minimum = False (collapsed regime).
+
+    Newton steps omega <- omega - dE/d2E from a start where dE < 0 (the
+    lower end of _repulsive_bracket, or omega_b for attractive g_bb) rise
+    to the root and never pass it: left of the root dE rises and is
+    concave, as both terms of d3E are negative for repulsive g_bb, and
+    d3E = N_b hbar omega_b^2 omega^-4 (-9/2 + (3/4) (omega /
+    omega_infl)^(5/2)) < 0 below the inflection for attractive g_bb.
+    The first step that does not rise ends the solve.  A non-finite dE
+    or d2E, or a start or inflection beyond float range, raises
+    NumericError.
     """
-    return _solve_omega_c(cfg.m_b, cfg.omega_b, cfg.N_b, cfg.g_bb,
-                          cfg.compat_mode)
-
-
-@lru_cache(maxsize=4096)
-def _solve_omega_c(*fields):
-    trap = _BosonTrap(*fields)
-
-    def slope(w):
-        return boson_energy_derivatives(w, trap)[1]
-
     N_crit = None
-    if trap.g_bb == 0.0:
-        omega_c = trap.omega_b
-    elif trap.g_bb > 0.0:
-        # xtol scales with the lower end: strong repulsion puts the root
-        # decades below omega_b
-        lo, hi = _repulsive_bracket(trap)
-        omega_c = brentq(slope, lo, hi, xtol=1e-15 * lo, maxiter=300)
-    else:
-        N_crit = _critical_number_closed_form(trap)
-        s, _, _ = _mode_factors(trap)
-        C = _interaction_C(trap)
+    omega = cfg.omega_b
+    if cfg.g_bb > 0.0:
+        omega = _in_float_range(_repulsive_bracket(cfg)[0])
+    elif cfg.g_bb < 0.0:
+        N_crit = _critical_number_closed_form(cfg)
+        s, _, _ = _mode_factors(cfg)
         # inflection: d2E = 0 at omega^(5/2) = 2 hbar omega_b^2 / (s|g|N C)
-        omega_infl = (2.0 * hbar * trap.omega_b ** 2
-                      / (s * abs(trap.g_bb) * trap.N_b * C)) ** 0.4
-        if slope(omega_infl) <= 0.0:
+        omega_infl = _in_float_range(
+            (2.0 * hbar * cfg.omega_b ** 2
+             / (s * abs(cfg.g_bb) * cfg.N_b * _interaction_C(cfg))) ** 0.4)
+        E, dE, d2E = boson_energy_derivatives(omega_infl, cfg)
+        if dE <= 0.0:
             # slope never reaches zero from below: no stationary minimum
-            E, _, d2E = boson_energy_derivatives(omega_infl, trap)
             return BosonVariationalResult(
                 omega_c=omega_infl, energy=E, second_derivative=d2E,
                 is_local_minimum=False, N_b_critical=N_crit)
-        # minimum root lies in (omega_b, omega_infl): slope is negative
-        # at omega_b for any attractive g_bb
-        omega_c = brentq(slope, trap.omega_b, omega_infl,
-                         xtol=1e-15 * trap.omega_b, maxiter=300)
-    E, _, d2E = boson_energy_derivatives(omega_c, trap)
+    while True:
+        E, dE, d2E = boson_energy_derivatives(omega, cfg)
+        if not (math.isfinite(dE) and math.isfinite(d2E)):
+            raise NumericError(
+                f"boson energy slope not finite at omega = {omega}")
+        # d2E <= 0 only by rounding next to the collapse: stop there
+        ahead = omega - dE / d2E if d2E > 0.0 else omega
+        if not ahead > omega:
+            break
+        omega = ahead
     return BosonVariationalResult(
-        omega_c=omega_c, energy=E, second_derivative=d2E,
+        omega_c=omega, energy=E, second_derivative=d2E,
         is_local_minimum=d2E > 0.0, N_b_critical=N_crit)
 
 
@@ -336,11 +339,6 @@ def _decoupled_Omega(cfg):
     _, A, _ = _mode_factors(cfg)
     return cfg.omega_f * math.sqrt(
         0.75 * cfg.N_f / (A * cfg.N_f ** (5.0 / 3.0)))
-
-
-def _Omega_bracket(omega_c, cfg):
-    """The [lo, hi] of _bracketed_h."""
-    return _bracketed_h(omega_c, cfg)[1:]
 
 
 def _bracketed_h(omega_c, cfg):

@@ -8,6 +8,8 @@ checked against central finite differences.
 
 import itertools
 import math
+import random
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from bfmix.brent import brentq
 from bfmix.config import MixtureConfig, CompatMode
 from bfmix.constants import hbar, atomic_mass
-from bfmix.errors import DomainError
+from bfmix.errors import DomainError, NumericError
 from bfmix import scan_engine, zero_temperature as zt
 from bfmix.scan_engine import figure_preset
 from bfmix.zero_temperature import (
@@ -161,6 +163,102 @@ def test_repulsive_bracket_holds_the_root():
         omega_c = solve_omega_c(cfg).omega_c
         assert abs(omega_c - ref) <= 1e-12 * ref, \
             (cfg.g_bb, cfg.N_b, omega_c, ref)
+
+
+def _omega_c_oracle(cfg, mp):
+    """(omega_c, k) from mpmath in 60 digits: omega_c = omega_b x^2, x
+    the root of f(x) = k x^5 + x^4 - 1 next to x = 1, found by geometric
+    bisection, with k = 2 s g_bb N_b C sqrt(omega_b) / hbar.  None for
+    omega_c where attractive g_bb leaves no root, since f peaks at x_m =
+    4 / (5 |k|) below 0."""
+    with mp.workdps(60):
+        s = mp.mpf(1 if cfg.compat_mode is CompatMode.PAPER else 0.5)
+        C = (mp.mpf(cfg.m_b) / (2 * mp.pi * mp.mpf(hbar))) ** 1.5
+        k = (2 * s * mp.mpf(cfg.g_bb) * mp.mpf(cfg.N_b) * C
+             * mp.sqrt(mp.mpf(cfg.omega_b)) / mp.mpf(hbar))
+
+        def f(x):
+            x4 = (x * x) ** 2
+            return k * x4 * x + (x4 - 1)
+
+        # the ends move out by 1e-30, clear of rounding for tiny |k|
+        pad = mp.mpf(1e-30)
+        if k > 0:
+            # f < 0 at (1 + k^(4/5))^(-1/4) and f >= 0 at (1 + k)^(-1/5)
+            a = (1 + k ** (4 / mp.mpf(5))) ** -0.25 * (1 - pad)
+            b = (1 + k) ** (-1 / mp.mpf(5)) * (1 + pad)
+        else:
+            x_m = 4 / (5 * -k)
+            if f(x_m) <= 0:
+                return None, k
+            # the root has x^4 - 1 = |k| x^5 <= (4/5) x^4 (as x <= x_m), so
+            # x^4 <= 5 and |k| <= x^4 - 1 <= 5^(5/4) |k|
+            a = (1 - k) ** 0.25 * (1 - pad)
+            b = min(x_m, (1 - 5 ** 1.25 * k) ** 0.25 * (1 + pad))
+        assert f(a) < 0 < f(b)
+        rtol = 1 + mp.mpf(1e-17)
+        while b > a * rtol:
+            mid = mp.sqrt(a * b)
+            a, b = (mid, b) if f(mid) < 0 else (a, mid)
+        return mp.mpf(cfg.omega_b) * a * a, k
+
+
+def _log_uniform_traps(count, seed=7):
+    """Boson traps with m_b, omega_b, N_b and |g_bb| drawn log-uniform
+    over 1e-40..1e-10 kg, 1e-20..1e20 rad/s, 1..1e30 and 1e-300..1e300
+    J m^3, g_bb of either sign, in a random mode."""
+    rng = random.Random(seed)
+    traps = []
+    for _ in range(count):
+        m_b, omega_b, N_b, g = (10.0 ** rng.uniform(lo, hi) for lo, hi in
+                                ((-40, -10), (-20, 20), (0, 30),
+                                 (-300, 300)))
+        traps.append(MixtureConfig.from_si(
+            m_b=m_b, m_f=m_b, omega_b=omega_b, omega_f=omega_b, N_b=N_b,
+            N_f=1.0, g_bb=rng.choice((1.0, -1.0)) * g, g_bf=0.0,
+            compat_mode=rng.choice(list(CompatMode))))
+    return traps
+
+
+def test_omega_c_against_mpmath_root():
+    mp = pytest.importorskip("mpmath")
+    attractive = []
+    for mode in CompatMode:
+        for g_bb in (-1e-30, -1e-6, -1e-3, -1.0, -1e6):
+            N_c = solve_omega_c(make_cfg(g_bb=g_bb, mode=mode)).N_b_critical
+            attractive += [make_cfg(g_bb=g_bb, N_b=ratio * N_c, mode=mode)
+                           for ratio in (1e-6, 0.1, 0.5, 0.9, 0.99,
+                                         1.01, 1.1, 2.0, 1e6)]
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    solved = failed = 0
+    for cfg in _repulsive_traps() + attractive + _log_uniform_traps(300):
+        ref, k = _omega_c_oracle(cfg, mp)
+        with mp.workdps(60):
+            w_b = mp.mpf(cfg.omega_b)
+            # the inflection, where x^5 = 4 / |k|
+            infl = w_b * (4 / abs(k)) ** (2 / mp.mpf(5))
+            omega = infl if ref is None else ref
+            formed = [omega ** 3, w_b ** 2 / omega ** 3]
+            if k < 0:
+                # and the collapse threshold's s |g_bb| C (sqrt5 w_b)^(5/2)
+                formed += [infl ** 3, abs(k) * hbar * (5 * w_b ** 2) ** 1.25
+                           / (2 * cfg.N_b * mp.sqrt(w_b))]
+        try:
+            res = solve_omega_c(cfg)
+        except (NumericError, ArithmeticError):
+            # a numeric failure, never a DomainError: a number the solve
+            # forms lies beyond float range
+            failed += 1
+            assert not all(tiny <= abs(v) <= huge for v in formed), cfg
+            continue
+        solved += 1
+        assert res.is_local_minimum == (ref is not None), cfg
+        # a collapsed trap returns the closed-form inflection X^0.4, whose
+        # float exponent is off 2/5 by 2.2e-17: up to 3.1e-14 at |ln X|
+        # <= 1,400
+        bound = 1e-14 if res.is_local_minimum else 1e-13
+        assert abs(res.omega_c - omega) <= bound * omega, (cfg, res, omega)
+    assert solved > 249 + 90 and failed > 0
 
 
 def test_attractive_branch_minimum_and_collapse():
@@ -446,7 +544,7 @@ def test_Omega_bracket_holds_every_root():
         if cfg.g_bf == 0.0:
             assert Omega_c == Omega_0
             continue
-        lo, hi = zt._Omega_bracket(omega_c, cfg)
+        _, lo, hi = zt._bracketed_h(omega_c, cfg)
         assert (lo if cfg.g_bf < 0.0 else hi) == Omega_0
         assert lo <= Omega_c <= hi, (cfg.g_bf, cfg.N_b, cfg.N_f)
         nodes = np.geomspace(1e-6, 1e6, 4001) * cfg.omega_f
@@ -493,7 +591,7 @@ def test_repulsive_Omega_c_takes_one_brent_call(monkeypatch):
                 evals.clear()
                 brent.clear()
                 assert solve_Omega_c(omega_c, cfg) == expected
-            lo, hi = zt._Omega_bracket(omega_c, cfg)
+            _, lo, hi = zt._bracketed_h(omega_c, cfg)
             # the two ends, then Brent over [lo, hi], then nothing more
             assert evals[:2] == [lo, hi]
             assert brent == [(lo, hi, 2), len(evals)]
@@ -695,21 +793,19 @@ def test_bracketed_Omega_is_a_root_of_the_slope():
             assert abs(slope) <= 1e-9 * scale
 
 
-def test_boson_memo_ignores_fermion_fields_and_g_bf():
-    # solve_omega_c memoises on (m_b, omega_b, N_b, g_bb, compat_mode):
-    # a sweep over anything else reuses one solve
+def test_boson_solve_ignores_fermion_fields_and_g_bf():
+    # solve_omega_c reads (m_b, omega_b, N_b, g_bb, compat_mode) only:
+    # a sweep over anything else gives the same solve bit for bit
     cfg = make_cfg(g_bb=0.0317)
     first = solve_omega_c(cfg)
-    misses = zt._solve_omega_c.cache_info().misses
     for path, value in (("interaction.g_bf", -0.3 * cfg.g_bf),
                         ("interaction.g_ff", 1e-50),
                         ("fermion.count", 7.0),
                         ("fermion.omega", 90.0),
                         ("fermion.mass", 6.0 * atomic_mass),
                         ("thermal.volume", 1e-15)):
-        assert solve_omega_c(cfg.with_field(path, value)) is first
-    assert zt._solve_omega_c.cache_info().misses == misses
-    # every field the boson functional reads is part of the key
+        assert solve_omega_c(cfg.with_field(path, value)) == first
+    # every field the boson functional reads moves the solve
     for path, value in (("interaction.g_bb", 1.01 * cfg.g_bb),
                         ("boson.count", 999.0),
                         ("boson.omega", 160.0),
@@ -718,7 +814,6 @@ def test_boson_memo_ignores_fermion_fields_and_g_bf():
         assert solve_omega_c(other).omega_c != first.omega_c, path
     paper = solve_omega_c(cfg.replace(compat_mode=CompatMode.PAPER))
     assert paper.omega_c != first.omega_c
-    zt._solve_omega_c.cache_clear()
     assert solve_omega_c(cfg) == first
 
 
