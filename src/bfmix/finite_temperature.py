@@ -180,8 +180,10 @@ def stability_matrix(state, cfg):
     the cross term overflows; a Z that is not a number raises
     NumericError.
     """
-    bb, ff, cross, Z = stability_entries(state, cfg, cfg.g_bb, cfg.g_bf,
-                                         cfg.g_ff)
+    lb, lf = state.lambda_b, state.lambda_f
+    bb, ff, cross, Z = _entries(cfg, lb, lf, cfg.g_bb, cfg.g_bf, cfg.g_ff,
+                                _bose_ideal(lb, state.z_b),
+                                _fermi_ideal(lf, state.z_f))
     if math.isnan(Z):
         raise NumericError(
             "the stability determinant Z is not a number: its terms "
@@ -220,10 +222,18 @@ def stability_entries(state, cfg, g_bb, g_bf, g_ff):
     """The beta-scaled entries (bb, ff, cross) and Z of stability_matrix
     at the couplings g_bb, g_bf, g_ff [J m^3]; every other input comes
     from state and cfg."""
-    ell_bb, ell_bf, ell_ff = _coupling_lengths(cfg, g_bb, g_bf, g_ff)
     lb, lf = state.lambda_b, state.lambda_f
-    bb = 4.0 * ell_bb * lb ** 2 + _bose_ideal(lb, state.z_b)
-    ff = ell_ff * lf ** 2 + _fermi_ideal(lf, state.z_f)
+    return _entries(cfg, lb, lf, g_bb, g_bf, g_ff, _bose_ideal(lb, state.z_b),
+                    _fermi_ideal(lf, state.z_f))
+
+
+def _entries(cfg, lb, lf, g_bb, g_bf, g_ff, bose_ideal, fermi_ideal):
+    """stability_entries at the thermal wavelengths lb, lf of a state,
+    from its coupling-free ideal terms, _bose_ideal and _fermi_ideal,
+    which a caller at several couplings computes once."""
+    ell_bb, ell_bf, ell_ff = _coupling_lengths(cfg, g_bb, g_bf, g_ff)
+    bb = 4.0 * ell_bb * lb ** 2 + bose_ideal
+    ff = ell_ff * lf ** 2 + fermi_ideal
     lam2 = lb ** 2 + lf ** 2
     cross = ell_bf * lam2
     # square the rounded cross term as a product: a float product

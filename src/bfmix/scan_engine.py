@@ -2,10 +2,12 @@
 
 A scan varies one or two dotted config fields over fixed grids and
 tabulates a named observable at every point, and each row carries a
-per-point status instead of failing the whole sweep.  A Z scan whose
-swept fields are couplings (g_bb, g_bf, g_ff) and/or the temperature
-evaluates Z from one thermal state per temperature; every other scan
-builds each point's config.  Either way the rows are in grid order.
+per-point status instead of failing the whole sweep.  A zero-T scan
+solves each trap, the points that differ only in g_bf, once.  A Z scan
+whose swept fields are couplings (g_bb, g_bf, g_ff) and/or the
+temperature evaluates Z from one thermal state per temperature; every
+other scan builds each point's config.  Either way the rows are in grid
+order.
 """
 
 import itertools
@@ -17,15 +19,21 @@ from .config import _FIELD_PATHS, CompatMode, MixtureConfig, _finite
 from .constants import atomic_mass
 from .errors import ConfigError, DomainError, NumericError
 from .finite_temperature import (
+    _bose_ideal,
+    _entries,
+    _fermi_ideal,
     _log_grid,
     critical_window,
     fermi_temperature,
-    stability_entries,
     stability_matrix,
     thermal_state,
 )
 from .thomas_fermi import classify_tf_regime
-from .zero_temperature import classify_zero_T, solve_Omega_c, solve_omega_c
+from .zero_temperature import (
+    _Omega_c_solver,
+    _zero_T_classifier,
+    solve_omega_c,
+)
 
 __all__ = ["ScanRange", "ScanSpec", "ScanTable", "run_scan",
            "figure_preset", "scan_spec_from_dict", "OBSERVABLES",
@@ -41,6 +49,7 @@ _COLUMN_NAMES = {path: {"volume": "V", "temperature": "T"}.get(attr, attr)
                  for path, attr in _FIELD_PATHS.items()}
 
 _T_FIELD = "thermal.temperature"
+_G_BF_FIELD = "interaction.g_bf"
 
 # the fields a Z scan may sweep and still take one thermal state per
 # temperature; the entry of stability_entries that each coupling moves
@@ -123,26 +132,22 @@ ScanTable = namedtuple("ScanTable", "columns rows provenance")
 # observables
 # ---------------------------------------------------------------------------
 
-def _obs_omega_c(cfg, spec):
-    return solve_omega_c(cfg).omega_c
+def _trap_omega_c(trap):
+    omega_c = solve_omega_c(trap).omega_c
+    return lambda g_bf: omega_c
 
 
-def _obs_Omega_c(cfg, spec):
+def _trap_Omega_c(trap):
     # the fully coupled width, which is what the frequency figure plots
-    boson = solve_omega_c(cfg)
-    return solve_Omega_c(boson.omega_c, cfg)
+    return _Omega_c_solver(solve_omega_c(trap).omega_c, trap)
 
 
-def _obs_Y(cfg, spec):
-    return classify_zero_T(cfg).Y
-
-
-def _obs_r_fc(cfg, spec):
-    return classify_zero_T(cfg).r_fc
-
-
-def _obs_phase(cfg, spec):
-    return classify_zero_T(cfg).phase.value
+def _classified(value_of):
+    """The per-trap form of one field of classify_zero_T's result."""
+    def trap_value(trap):
+        classify = _zero_T_classifier(trap)
+        return lambda g_bf: value_of(classify(g_bf))
+    return trap_value
 
 
 def _obs_regime(cfg, spec):
@@ -172,12 +177,20 @@ def _obs_T_c2(cfg, spec):
     return math.nan if T is None else T
 
 
+# the zero-T observables, evaluated per trap (_trap_grid): each maps a
+# trap's config to the observable as a function of g_bf
+_TRAP_OBSERVABLES = {
+    "omega_c": _trap_omega_c,
+    "Omega_c": _trap_Omega_c,
+    "Y": _classified(lambda result: result.Y),
+    "r_fc": _classified(lambda result: result.r_fc),
+    "phase": _classified(lambda result: result.phase.value),
+}
+
+# every observable: the zero-T ones, and the rest, which map one point's
+# config and the spec to the observable there
 OBSERVABLES = {
-    "omega_c": _obs_omega_c,
-    "Omega_c": _obs_Omega_c,
-    "Y": _obs_Y,
-    "r_fc": _obs_r_fc,
-    "phase": _obs_phase,
+    **_TRAP_OBSERVABLES,
     "regime": _obs_regime,
     "Z": _obs_Z,
     "T_c1": _obs_T_c1,
@@ -271,20 +284,72 @@ def _evaluate_point(spec, point, with_T_F):
     return value, status, _fermi_T(cfg) if with_T_F else None
 
 
-def _z_grid(spec, grids):
+def _trap_grid(spec, si_grids):
+    """(value, status, T_F) at every point of a zero-T scan, in grid
+    order, from the axes in SI; T_F only with a temperature axis.
+    Points that differ only in interaction.g_bf share one trap: the base
+    with every other swept field set, validated once.  On it the
+    observable's builder solves the boson and computes every g_bf-free
+    coefficient once, and each point adds only its coupling's share,
+    with the operations of the per-point functions.  The statuses are
+    those of one config per point: a trap or a coupling that builds no
+    config is a ConfigError with T_F nan, and a failing builder fails
+    every point of its trap.
+    """
+    build = _TRAP_OBSERVABLES[spec.observable]
+    base = spec.base
+    with_T_F = any(rng.field == _T_FIELD for rng in spec.variables)
+    attrs, trap_grids, couplings = [], [], [base.g_bf]
+    for rng, si in zip(spec.variables, si_grids):
+        if rng.field == _G_BF_FIELD:
+            # None marks a coupling that is not finite in SI
+            couplings = [g if math.isfinite(g) else None for g in si]
+        else:
+            attrs.append(_FIELD_PATHS[rng.field])
+            trap_grids.append(si)
+    no_config = (math.nan, "ERROR:ConfigError",
+                 math.nan if with_T_F else None)
+    results = []
+    for trap_point in itertools.product(*trap_grids):
+        trap = value_at = status = None
+        try:
+            trap = base.replace(**dict(zip(attrs, trap_point)))
+            value_at = build(trap)
+        except _POINT_FAILURES as exc:
+            status = f"ERROR:{type(exc).__name__}"
+        T_F = _fermi_T(trap) if with_T_F else None
+        for g in couplings:
+            if g is None:
+                results.append(no_config)
+            elif value_at is None:
+                results.append((math.nan, status, T_F))
+            else:
+                try:
+                    results.append((value_at(g), "OK", T_F))
+                except _POINT_FAILURES as exc:
+                    results.append((math.nan,
+                                    f"ERROR:{type(exc).__name__}", T_F))
+    if len(si_grids) == 2 and spec.variables[0].field == _G_BF_FIELD:
+        # the coupling is the outer axis
+        n = len(couplings)
+        results = [cell for j in range(n) for cell in results[j::n]]
+    return results
+
+
+def _z_grid(spec, si_grids):
     """(Z, status, T_F) at every point of a Z scan over couplings and/or
-    the temperature, in grid order: one thermal state per temperature,
-    and one stability_entries call per coupling value, kept for the
-    entry it moves.  A point's Z is bb ff - cross^2, the operations of
-    stability_entries on the same operands, so Z is bit for bit the
-    per-point value.  So are the statuses: a point that builds no config
-    is a ConfigError, a state failure fails the points at its
-    temperature, and a Z that is not a number is a NumericError.
+    the temperature, in grid order, from the axes in SI: one thermal
+    state per temperature, its two ideal terms computed once, and one
+    _entries call per coupling value, kept for the entry it moves.  A
+    point's Z is bb ff - cross^2, the operations of stability_entries on
+    the same operands, so Z is bit for bit the per-point value.  So are
+    the statuses: a point that builds no config is a ConfigError, a
+    state failure fails the points at its temperature, and a Z that is
+    not a number is a NumericError.
     """
     base = spec.base
     attrs = [_FIELD_PATHS[rng.field] for rng in spec.variables]
-    si = {attr: [v * base._input_unit(attr) for v in grid]
-          for attr, grid in zip(attrs, grids)}
+    si = dict(zip(attrs, si_grids))
     # None marks a coupling that is not finite in SI
     axes = [(attr, [g if math.isfinite(g) else None for g in si[attr]])
             for attr in attrs if attr != "temperature"]
@@ -306,10 +371,13 @@ def _z_grid(spec, grids):
         if 0.0 < T < math.inf:
             try:
                 state = thermal_state(base, T)
-                at_base = stability_entries(state, base, **couplings)
+                lb, lf = state.lambda_b, state.lambda_f
+                terms = {**couplings, "bose_ideal": _bose_ideal(lb, state.z_b),
+                         "fermi_ideal": _fermi_ideal(lf, state.z_f)}
+                at_base = _entries(base, lb, lf, **terms)
                 rest = tuple(at_base[k] for k in fixed)
-                entries = [[None if g is None else stability_entries(
-                    state, base, **{**couplings, attr: g})[k] for g in values]
+                entries = [[None if g is None else _entries(
+                    base, lb, lf, **{**terms, attr: g})[k] for g in values]
                     for (attr, values), k in zip(axes, moved)]
                 failure = None
             except _POINT_FAILURES as exc:
@@ -325,10 +393,12 @@ def _z_grid(spec, grids):
 def run_scan(spec, workers=None):
     """Evaluate the observable over the full grid.
 
-    A Z scan that sweeps only couplings and the temperature takes one
-    thermal state per temperature, which the couplings do not move
-    (_z_grid).  Any other scan builds each point's config and evaluates
-    its points one after another.  Both give the same rows.
+    A zero-T scan solves each trap once, and each point adds only its
+    g_bf's share (_trap_grid).  A Z scan that sweeps only couplings and
+    the temperature takes one thermal state per temperature, which the
+    couplings do not move (_z_grid).  Any other scan builds each point's
+    config and evaluates its points one after another.  Every path gives
+    the rows of one config per point.
 
     workers is accepted and ignored, so callers that pass a count keep
     working and get the same table.  The points are pure Python and
@@ -338,11 +408,26 @@ def run_scan(spec, workers=None):
     grids = [rng.grid() for rng in spec.variables]
     fields = [rng.field for rng in spec.variables]
     t = fields.index(_T_FIELD) if _T_FIELD in fields else None
-    if spec.observable == "Z" and all(f in _PLANE_FIELDS for f in fields):
-        results = _z_grid(spec, grids)
+    if spec.observable in _TRAP_OBSERVABLES:
+        grouped = _trap_grid
+    elif spec.observable == "Z" and all(f in _PLANE_FIELDS for f in fields):
+        grouped = _z_grid
     else:
+        grouped = None
+    if grouped is None:
         results = [_evaluate_point(spec, point, t is not None)
                    for point in itertools.product(*grids)]
+    else:
+        # each axis in SI once, as field_to_si converts its values
+        try:
+            si_grids = [[float(v) * spec.base._input_unit(_FIELD_PATHS[f])
+                         for v in grid] for f, grid in zip(fields, grids)]
+        except _POINT_FAILURES as exc:
+            # an input unit beyond float range fails every point's config
+            failed = (math.nan, f"ERROR:{type(exc).__name__}", math.nan)
+            results = [failed] * math.prod(map(len, grids))
+        else:
+            results = grouped(spec, si_grids)
 
     columns = []
     for field in fields:
@@ -354,15 +439,23 @@ def run_scan(spec, workers=None):
         columns.append("sign_Y")
     columns.append("status")
 
-    T_unit = spec.base._input_unit("temperature")
+    axes = list(grids)
+    if t is not None:
+        # one T_K per temperature, and one T/T_F per temperature and T_F
+        # object, shared by the rows at that temperature, so that
+        # write_csv formats each once
+        T_unit = spec.base._input_unit("temperature")
+        axes[t] = [(v, v * T_unit, {}) for v in grids[t]]
     rows = []
-    for point, (value, status, T_F) in zip(itertools.product(*grids),
+    for point, (value, status, T_F) in zip(itertools.product(*axes),
                                            results):
         if t is not None:
-            # T/T_F as the per-point division: nan where it would fail
-            T_K = point[t] * T_unit
-            point = (*point[:t + 1], T_K, T_K / T_F if T_F else math.nan,
-                     *point[t + 1:])
+            v, T_K, ratios = point[t]
+            ratio = ratios.get(id(T_F))
+            if ratio is None:
+                # T/T_F as the per-point division: nan where it would fail
+                ratio = ratios[id(T_F)] = T_K / T_F if T_F else math.nan
+            point = (*point[:t], v, T_K, ratio, *point[t + 1:])
         if spec.observable == "Y":
             point += (value, math.nan if math.isnan(value)
                       else float((value > 0) - (value < 0)))

@@ -271,6 +271,11 @@ def _P_part(Omega, cfg):
 def fermion_energy(Omega, r_f, omega_c, cfg):
     """Variational fermion energy E_f(Omega, r_f) at condensate width
     set by omega_c."""
+    return _fermion_energy(Omega, r_f, omega_c, cfg, cfg.g_bf)
+
+
+def _fermion_energy(Omega, r_f, omega_c, cfg, g_bf):
+    # E_f with the coupling g_bf in place of cfg's
     if not Omega > 0:
         raise DomainError(f"Omega must be positive, got {Omega}")
     if not r_f >= 0:
@@ -279,7 +284,7 @@ def fermion_energy(Omega, r_f, omega_c, cfg):
     G = overlap_G(Omega, omega_c, cfg)
     return (_P_part(Omega, cfg)
             + 0.5 * cfg.m_f * cfg.omega_f ** 2 * r_f ** 2 * cfg.N_f
-            + cfg.g_bf * kappa * cfg.N_b * cfg.N_f
+            + g_bf * kappa * cfg.N_b * cfg.N_f
             * G ** 1.5 * math.exp(-G * r_f ** 2))
 
 
@@ -303,34 +308,45 @@ def fermion_energy_gradients(Omega, r_f, omega_c, cfg):
 
 
 def _hessian_brackets(Omega, omega_c, cfg):
-    """The two diagonal factors of the (Omega, r_f) Hessian at r_f = 0:
-    bracket1 = (2 / 3 N_f) d2E/dOmega2, bracket2 = (1 / N_f) d2E/dr_f2.
-    The cross derivative vanishes at r_f = 0."""
+    """brackets(g_bf) -> the two diagonal factors of the (Omega, r_f)
+    Hessian at r_f = 0 on the trap of cfg, whose g_bf-free parts are
+    computed here once: bracket1 = (2 / 3 N_f) d2E/dOmega2, bracket2 =
+    (1 / N_f) d2E/dr_f2.  Each is linear in g_bf.  The cross derivative
+    vanishes at r_f = 0."""
     _, _, kappa = _mode_factors(cfg)
     G, dG, d2G = overlap_G_derivatives(Omega, omega_c, cfg)
     sqrtG = math.sqrt(G)
-    bracket1 = (hbar * cfg.omega_f ** 2 / Omega ** 3
-                + cfg.g_bf * kappa * cfg.N_b
-                * (sqrtG * d2G + dG * dG / (2.0 * sqrtG)))
-    bracket2 = (cfg.m_f * cfg.omega_f ** 2
-                - 2.0 * cfg.g_bf * kappa * cfg.N_b * G ** 2.5)
-    return bracket1, bracket2
+    free1 = hbar * cfg.omega_f ** 2 / Omega ** 3
+    slope1 = sqrtG * d2G + dG * dG / (2.0 * sqrtG)
+    free2 = cfg.m_f * cfg.omega_f ** 2
+    G52 = G ** 2.5
+    N_b = cfg.N_b
+
+    def brackets(g_bf):
+        return (free1 + g_bf * kappa * N_b * slope1,
+                free2 - 2.0 * g_bf * kappa * N_b * G52)
+    return brackets
+
+
+def _hessian_diagonal(b1, b2, N_f):
+    """(d2E/dOmega2, d2E/dr_f2, determinant) from the two brackets."""
+    d2_OO = 1.5 * N_f * b1
+    d2_rr = N_f * b2
+    return d2_OO, d2_rr, d2_OO * d2_rr
 
 
 def stability_Y(Omega_c, omega_c, cfg):
     """Product of the two Hessian brackets at (Omega_c, r_f = 0);
     positive means the undisplaced stationary point is a true minimum."""
-    b1, b2 = _hessian_brackets(Omega_c, omega_c, cfg)
+    b1, b2 = _hessian_brackets(Omega_c, omega_c, cfg)(cfg.g_bf)
     return b1 * b2
 
 
 def energy_hessian(Omega_c, omega_c, cfg):
     """(d2E/dOmega2, d2E/dr_f2, determinant) at (Omega_c, r_f = 0);
     the mixed derivative is identically zero there."""
-    b1, b2 = _hessian_brackets(Omega_c, omega_c, cfg)
-    d2_OO = 1.5 * cfg.N_f * b1
-    d2_rr = cfg.N_f * b2
-    return d2_OO, d2_rr, d2_OO * d2_rr
+    b1, b2 = _hessian_brackets(Omega_c, omega_c, cfg)(cfg.g_bf)
+    return _hessian_diagonal(b1, b2, cfg.N_f)
 
 
 def _decoupled_Omega(cfg):
@@ -342,16 +358,17 @@ def _decoupled_Omega(cfg):
 
 
 def _bracketed_h(omega_c, cfg):
-    """(h, lo, hi): h(Omega) = Omega^2 dE_f/dOmega at r_f = 0, and
-    [lo, hi] holding every root of dE_f/dOmega at r_f = 0.  In exact
-    arithmetic the slope is < 0 at lo and > 0 at hi for g_bf != 0; for
-    g_bf = 0 the bracket is the point Omega_0.
+    """bracket(g_bf) -> (h, lo, hi) on the trap of cfg, whose g_bf-free
+    coefficients are computed here once: h(Omega) = Omega^2 dE_f/dOmega
+    at r_f = 0, and [lo, hi] holding every root of dE_f/dOmega at r_f =
+    0.  In exact arithmetic the slope is < 0 at lo and > 0 at hi for
+    g_bf != 0; for g_bf = 0 the bracket is the point Omega_0.
 
     h(Omega) = a Omega^2 - b + c q(Omega), with a = A hbar N_f^(5/3),
     b = (3/4) hbar omega_f^2 N_f, c = g_bf kappa N_b N_f and q = (3/2)
     Omega^2 sqrt(G) dG/dOmega = q_inf (x / (1 + x))^(5/2), x = m_f Omega
     / (m_b omega_c), which rises from 0 to q_inf.  Omega_0 = sqrt(b / a)
-    is the root at c = 0.
+    is the root at c = 0.  Only c moves with g_bf.
 
     c > 0: the sum rises, so the root is unique, and it is c q > 0 at
     Omega_0.  Below Omega_0 / sqrt(2), a Omega^2 <= b / 2, and as G <=
@@ -366,20 +383,50 @@ def _bracketed_h(omega_c, cfg):
     Omega_0 = _decoupled_Omega(cfg)
     a = A * hbar * cfg.N_f ** (5.0 / 3.0)
     b = 0.75 * hbar * cfg.omega_f ** 2 * cfg.N_f
-    c = cfg.g_bf * kappa * cfg.N_b * cfg.N_f
     B = cfg.m_b * omega_c
     q_inf = 1.5 * math.sqrt(B / hbar) * B * B / (hbar * cfg.m_f)
-    k, cq = cfg.m_f / B, c * q_inf
+    k = cfg.m_f / B
+    low = Omega_0 / math.sqrt(2.0)
+    N_b, N_f, m_f = cfg.N_b, cfg.N_f, cfg.m_f
 
-    def h(Omega):
-        x = k * Omega
-        return a * Omega * Omega - b + cq * (x / (1.0 + x)) ** 2.5
+    def bracket(g_bf):
+        c = g_bf * kappa * N_b * N_f
+        cq = c * q_inf
 
-    if c > 0.0:
-        lo = min(Omega_0 / math.sqrt(2.0),
-                 (b / (3.0 * c * (cfg.m_f / hbar) ** 1.5)) ** 0.4)
-        return h, lo, Omega_0
-    return h, Omega_0, Omega_0 * math.sqrt(1.0 - c * q_inf / b)
+        def h(Omega):
+            x = k * Omega
+            return a * Omega * Omega - b + cq * (x / (1.0 + x)) ** 2.5
+
+        if c > 0.0:
+            # (m_f / hbar)^(3/2) stays here: it overflows for m_f above
+            # ~1e171 kg, which must fail only the points of repulsive g_bf
+            lo = min(low, (b / (3.0 * c * (m_f / hbar) ** 1.5)) ** 0.4)
+            return h, lo, Omega_0
+        return h, Omega_0, Omega_0 * math.sqrt(1.0 - c * q_inf / b)
+    return bracket
+
+
+def _Omega_c_solver(omega_c, cfg):
+    """solve(g_bf) -> the Omega_c of solve_Omega_c for cfg with the
+    coupling g_bf, on the trap of cfg, whose bracket coefficients are
+    computed here once."""
+    bracket = _bracketed_h(omega_c, cfg)
+    xtol = 1e-15 * cfg.omega_f
+
+    def solve(g_bf):
+        h, lo, hi = bracket(g_bf)
+        grid = [lo, hi] if g_bf > 0.0 else _log_grid(
+            lo, hi, max(2, round(20.0 * math.log10(hi / lo)) + 1))
+        values = list(map(h, grid))
+        signs = [(v > 0) - (v < 0) for v in values]
+        roots = [w for w, wrong in ((lo, signs[0] >= 0),
+                                    (hi, signs[-1] <= 0)) if wrong]
+        roots += [brentq(h, grid[i], grid[i + 1], xtol=xtol, maxiter=300,
+                         fa=values[i], fb=values[i + 1])
+                  for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
+        return min(roots, key=lambda w: _fermion_energy(w, 0.0, omega_c,
+                                                        cfg, g_bf))
+    return solve
 
 
 def solve_Omega_c(omega_c, cfg):
@@ -393,25 +440,22 @@ def solve_Omega_c(omega_c, cfg):
     whose computed h contradicts its proven sign lies within rounding
     of a root, so it is a candidate too.  A bracket that is
     the single point Omega_0 (g_bf = 0, or a coupling too weak to move
-    the root by an ulp) thus returns Omega_0.
+    the root by an ulp) thus returns Omega_0.  This is the per-trap
+    solver of _Omega_c_solver, which a scan builds once, at cfg.g_bf.
     """
-    h, lo, hi = _bracketed_h(omega_c, cfg)
-    grid = [lo, hi] if cfg.g_bf > 0.0 else _log_grid(
-        lo, hi, max(2, round(20.0 * math.log10(hi / lo)) + 1))
-    values = list(map(h, grid))
-    signs = [(v > 0) - (v < 0) for v in values]
-    roots = [w for w, wrong in ((lo, signs[0] >= 0), (hi, signs[-1] <= 0))
-             if wrong]
-    roots += [brentq(h, grid[i], grid[i + 1],
-                     xtol=1e-15 * cfg.omega_f, maxiter=300,
-                     fa=values[i], fb=values[i + 1])
-              for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
-    return min(roots, key=lambda w: fermion_energy(w, 0.0, omega_c, cfg))
+    return _Omega_c_solver(omega_c, cfg)(cfg.g_bf)
 
 
 def _threshold(G, cfg):
     _, _, kappa = _mode_factors(cfg)
     return cfg.m_f * cfg.omega_f ** 2 / (2.0 * cfg.N_b * kappa * G ** 2.5)
+
+
+def _radius(g_bf, g_star, G):
+    """r_fc at the coupling g_bf, given the threshold g_star and G."""
+    if g_bf <= g_star:
+        return 0.0
+    return math.sqrt(math.log(g_bf / g_star) / G)
 
 
 def coupling_threshold(Omega_c, omega_c, cfg):
@@ -424,10 +468,43 @@ def separation_radius(Omega_c, omega_c, cfg):
     """Displaced root of dE_f/dr_f = 0: r_fc = sqrt((1/G) ln(g_bf/g_bf*))
     for g_bf > g_bf*, else 0.  Continuous at the threshold."""
     G = overlap_G(Omega_c, omega_c, cfg)
+    return _radius(cfg.g_bf, _threshold(G, cfg), G)
+
+
+def _zero_T_classifier(cfg):
+    """classify(g_bf) -> the result of classify_zero_T for cfg with the
+    coupling g_bf.  Everything but the coupling's share is computed here
+    once per trap: the condensate width, the reference width, G, the
+    g_bf-free parts of both Hessian brackets, the threshold g_bf* and P.
+    """
+    boson = solve_omega_c(cfg)
+    if not boson.is_local_minimum:
+        raise DomainError(
+            "boson energy functional has no local minimum (collapsed "
+            "regime); zero-T classification is undefined")
+    omega_c = boson.omega_c
+    Omega_c = _decoupled_Omega(cfg)
+    brackets = _hessian_brackets(Omega_c, omega_c, cfg)
+    G = overlap_G(Omega_c, omega_c, cfg)
     g_star = _threshold(G, cfg)
-    if cfg.g_bf <= g_star:
-        return 0.0
-    return math.sqrt(math.log(cfg.g_bf / g_star) / G)
+    P = _P_part(Omega_c, cfg)
+    N_f = cfg.N_f
+
+    def classify(g_bf):
+        b1, b2 = brackets(g_bf)
+        Y = b1 * b2
+        _, _, det = _hessian_diagonal(b1, b2, N_f)
+        r_fc = _radius(g_bf, g_star, G)
+        if r_fc > 0.0:
+            phase = PhaseLabel.SHELL_SEPARATED
+        elif Y > 0.0 and det > 0.0:
+            phase = PhaseLabel.COEXISTING
+        else:
+            phase = PhaseLabel.NO_MINIMUM
+        return FermionVariationalResult(
+            Omega_c=Omega_c, r_fc=r_fc, G=G, P=P, Y=Y, hessian_det=det,
+            phase=phase)
+    return classify
 
 
 def classify_zero_T(cfg):
@@ -440,24 +517,7 @@ def classify_zero_T(cfg):
     the second bracket would never change sign and every configuration
     would be labelled coexisting.  Freezing the width at its g_bf = 0
     value, the closed form Omega_0 of _decoupled_Omega, keeps the sweep
-    of Y and r_fc over g_bf meaningful.
+    of Y and r_fc over g_bf meaningful.  This is the per-trap classifier
+    of _zero_T_classifier, which a scan builds once, at cfg.g_bf.
     """
-    boson = solve_omega_c(cfg)
-    if not boson.is_local_minimum:
-        raise DomainError(
-            "boson energy functional has no local minimum (collapsed "
-            "regime); zero-T classification is undefined")
-    Omega_c = _decoupled_Omega(cfg)
-    Y = stability_Y(Omega_c, boson.omega_c, cfg)
-    _, _, det = energy_hessian(Omega_c, boson.omega_c, cfg)
-    r_fc = separation_radius(Omega_c, boson.omega_c, cfg)
-    if r_fc > 0.0:
-        phase = PhaseLabel.SHELL_SEPARATED
-    elif Y > 0.0 and det > 0.0:
-        phase = PhaseLabel.COEXISTING
-    else:
-        phase = PhaseLabel.NO_MINIMUM
-    return FermionVariationalResult(
-        Omega_c=Omega_c, r_fc=r_fc,
-        G=overlap_G(Omega_c, boson.omega_c, cfg),
-        P=_P_part(Omega_c, cfg), Y=Y, hessian_det=det, phase=phase)
+    return _zero_T_classifier(cfg)(cfg.g_bf)

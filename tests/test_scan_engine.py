@@ -1,5 +1,6 @@
 """Scan engine tests: grids, presets, determinism, and error rows."""
 
+import itertools
 import math
 import re
 
@@ -8,7 +9,8 @@ import pytest
 
 from bfmix import finite_temperature as ft
 from bfmix import scan_engine
-from bfmix.config import CompatMode, MixtureConfig
+from bfmix import zero_temperature as zt
+from bfmix.config import _FIELD_PATHS, CompatMode, MixtureConfig, UnitSystem
 from bfmix.constants import atomic_mass
 from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix.scan_engine import (
@@ -18,6 +20,11 @@ from bfmix.scan_engine import (
     figure_preset,
     run_scan,
     scan_spec_from_dict,
+)
+from bfmix.zero_temperature import (
+    classify_zero_T,
+    solve_Omega_c,
+    solve_omega_c,
 )
 
 
@@ -608,6 +615,191 @@ def test_temperature_plane_with_a_vanishing_fermi_temperature(monkeypatch):
     assert all(row[-1] == "OK" and math.isnan(row[2]) for row in rows)
     monkeypatch.setattr(scan_engine, "_PLANE_FIELDS", ())
     assert all(map(_same, a, b) for a, b in zip(run_scan(spec).rows, rows))
+
+
+# ---------------------------------------------------------------------------
+# zero-T scans, one solve per trap
+# ---------------------------------------------------------------------------
+
+_ZERO_T = ("omega_c", "Omega_c", "Y", "r_fc", "phase")
+
+# a N_b of 0 or -5 and a temperature of 0 or below build no trap; g_bb =
+# -0.05 is a collapsed condensate at N_b = 1000, g_bb = -0.001 a
+# metastable one; N_b = 1e4 >= 100 N_f has no T_F (T_F >= T_c)
+_TRAP_AXES = {
+    "g_bf": (ScanRange("interaction.g_bf",
+                       values=(-0.2, -0.02, 0.0, 0.01, 0.05, 0.3)),),
+    "N_b": (ScanRange("boson.count", values=(1000.0, 0.0, 1e4, 50.0)),),
+    "N_b,g_bf": (ScanRange("boson.count", values=(1000.0, -5.0, 1e4)),
+                 ScanRange("interaction.g_bf", -0.2, 0.3, 6)),
+    "g_bb,g_bf": (ScanRange("interaction.g_bb",
+                            values=(0.05, -0.05, 0.0, -0.001)),
+                  ScanRange("interaction.g_bf",
+                            values=(0.04, -0.1, 0.0, 0.2))),
+    "g_bf,T": (ScanRange("interaction.g_bf", values=(0.03, -0.15, 0.0)),
+               ScanRange("thermal.temperature",
+                         values=(0.5, 0.0, 3.0, -2.0))),
+}
+
+
+def _zero_T_value(observable, cfg):
+    """The observable at one config, from the public solvers."""
+    if observable == "omega_c":
+        return solve_omega_c(cfg).omega_c
+    if observable == "Omega_c":
+        return solve_Omega_c(solve_omega_c(cfg).omega_c, cfg)
+    result = classify_zero_T(cfg)
+    return result.phase.value if observable == "phase" else getattr(
+        result, observable)
+
+
+def _counting_solves(monkeypatch):
+    """Count solve_omega_c calls from the scan engine and from
+    zero_temperature's own callers."""
+    calls = []
+    solve = zt.solve_omega_c
+
+    def counted(cfg):
+        calls.append(cfg)
+        return solve(cfg)
+    monkeypatch.setattr(zt, "solve_omega_c", counted)
+    monkeypatch.setattr(scan_engine, "solve_omega_c", counted)
+    return calls
+
+
+def _per_point_rows(spec):
+    """The rows of spec, each point evaluated alone on its own config."""
+    base, variables = spec.base, spec.variables
+    fields = [r.field for r in variables]
+    t = (fields.index("thermal.temperature")
+         if "thermal.temperature" in fields else None)
+    rows = []
+    for point in itertools.product(*[r.grid() for r in variables]):
+        try:
+            cfg = base
+            for rng, value in zip(variables, point):
+                cfg = cfg.with_field(rng.field,
+                                     base.field_to_si(rng.field, value))
+        except (ConfigError, ArithmeticError) as exc:
+            cfg, failure = None, exc
+        if cfg is None:
+            value, status = math.nan, f"ERROR:{type(failure).__name__}"
+        else:
+            try:
+                value, status = _zero_T_value(spec.observable, cfg), "OK"
+            except (DomainError, NumericError, ArithmeticError) as exc:
+                value, status = math.nan, f"ERROR:{type(exc).__name__}"
+        head = point
+        if t is not None:
+            T_K = base.field_to_si(fields[t], point[t])
+            try:
+                ratio = T_K / ft.fermi_temperature(cfg)
+            except (AttributeError, ConfigError, DomainError):
+                ratio = math.nan  # no config, or no T_F
+            head = (*point[:t + 1], T_K, ratio, *point[t + 1:])
+        if spec.observable == "Y":
+            head += (value, math.nan if math.isnan(value)
+                     else float(np.sign(value)))
+        else:
+            head += (value,)
+        rows.append((*head, status))
+    return rows
+
+
+@pytest.mark.parametrize("axes", sorted(_TRAP_AXES))
+@pytest.mark.parametrize("observable", _ZERO_T)
+@pytest.mark.parametrize("mode", list(CompatMode))
+@pytest.mark.parametrize("unit_system", ["oscillator", "si"])
+def test_trap_rows_match_per_point(monkeypatch, axes, observable, mode,
+                                   unit_system):
+    osc = osc_cfg(g_bf=0.02, volume=1000.0, compat_mode=mode)
+    base, variables = osc, _TRAP_AXES[axes]
+    if unit_system == "si":
+        base = MixtureConfig.from_si(
+            m_b=osc.m_b, m_f=osc.m_f, omega_b=osc.omega_b,
+            omega_f=osc.omega_f, N_b=osc.N_b, N_f=osc.N_f, g_bb=osc.g_bb,
+            g_bf=osc.g_bf, volume=osc.volume, compat_mode=mode)
+        variables = tuple(ScanRange(r.field, values=tuple(
+            osc.field_to_si(r.field, v) for v in r.grid()))
+            for r in variables)
+    spec = ScanSpec(base=base, variables=variables, observable=observable)
+    with monkeypatch.context() as patch:
+        calls = _counting_solves(patch)
+        table = run_scan(spec)
+    # one boson solve per trap that builds a config
+    traps = [r for r in variables if r.field != "interaction.g_bf"]
+    valid = 0
+    for point in itertools.product(*[r.grid() for r in traps]):
+        try:
+            base.replace(**{_FIELD_PATHS[r.field]: base.field_to_si(
+                r.field, v) for r, v in zip(traps, point)})
+            valid += 1
+        except ConfigError:
+            pass
+    assert len(calls) == valid
+
+    expected = _per_point_rows(spec)
+    assert len(table.rows) == len(expected)
+    for row, want in zip(table.rows, expected):
+        assert len(row) == len(want)
+        assert all(map(_same, row, want)), (row, want)
+    statuses = {row[-1] for row in table.rows}
+    assert "OK" in statuses
+    assert ("ERROR:ConfigError" in statuses) == (axes != "g_bf" and
+                                                 axes != "g_bb,g_bf")
+    # the collapsed condensate has no classification
+    assert ("ERROR:DomainError" in statuses) == (
+        axes == "g_bb,g_bf" and observable in ("Y", "r_fc", "phase"))
+
+
+@pytest.mark.parametrize("observable", _ZERO_T)
+def test_trap_rows_fail_as_per_point(observable):
+    # with omega_b = 1e-100 rad/s the oscillator coupling unit is ~1e106
+    # J m^3, so a g_bf of 1e203 is not finite in SI: that point builds no
+    # config, whatever its trap does
+    base = osc_cfg(omega_b=1e-100, g_bf=0.02, volume=1000.0)
+    spec = ScanSpec(base=base, observable=observable, variables=(
+        ScanRange("interaction.g_bf", values=(0.02, 1e203, -0.01)),
+        ScanRange("boson.count", values=(1000.0, 0.0))))
+    rows = run_scan(spec).rows
+    assert all(map(_same, a, b)
+               for a, b in zip(rows, _per_point_rows(spec)))
+    assert [row[-1] for row in rows][2:4] == ["ERROR:ConfigError"] * 2
+
+
+@pytest.mark.parametrize("observable", _ZERO_T + ("Z",))
+def test_overflowing_input_unit_fails_every_point(monkeypatch, observable):
+    # an oscillator coupling unit beyond float range fails every point's
+    # conversion to SI, so every point's config, on the grouped paths as
+    # per point
+    base = MixtureConfig(m_b=1e-300, m_f=1e-26, omega_b=1e-10,
+                         omega_f=100.0, N_b=10.0, N_f=10.0, g_bb=1e-50,
+                         g_bf=0.0, volume=1.0, temperature=1.0,
+                         unit_system=UnitSystem.OSCILLATOR)
+    with pytest.raises(OverflowError):
+        base.coupling_unit
+    spec = ScanSpec(base=base, observable=observable, variables=(
+        ScanRange("interaction.g_bf", values=(0.1, 0.2)),
+        ScanRange("thermal.temperature", values=(1.0, 2.0))))
+    rows = run_scan(spec).rows
+    assert [row[-1] for row in rows] == ["ERROR:OverflowError"] * 4
+    assert all(math.isnan(row[3]) for row in rows)  # T/T_F
+    if observable == "Z":
+        monkeypatch.setattr(scan_engine, "_PLANE_FIELDS", ())
+        per_point = run_scan(spec).rows
+    else:
+        per_point = _per_point_rows(spec)
+    assert all(map(_same, a, b) for a, b in zip(rows, per_point))
+
+
+def test_presets_solve_each_trap_once(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    counts = {}
+    for tag in ("fig1", "fig2", "fig3a", "fig3b"):
+        calls.clear()
+        run_scan(figure_preset(tag))
+        counts[tag] = len(calls)
+    assert counts == {"fig1": 200, "fig2": 2, "fig3a": 1, "fig3b": 1}
 
 
 def test_range_record_contract():

@@ -544,7 +544,7 @@ def test_Omega_bracket_holds_every_root():
         if cfg.g_bf == 0.0:
             assert Omega_c == Omega_0
             continue
-        _, lo, hi = zt._bracketed_h(omega_c, cfg)
+        _, lo, hi = zt._bracketed_h(omega_c, cfg)(cfg.g_bf)
         assert (lo if cfg.g_bf < 0.0 else hi) == Omega_0
         assert lo <= Omega_c <= hi, (cfg.g_bf, cfg.N_b, cfg.N_f)
         nodes = np.geomspace(1e-6, 1e6, 4001) * cfg.omega_f
@@ -568,8 +568,12 @@ def test_repulsive_Omega_c_takes_one_brent_call(monkeypatch):
     bracketed = zt._bracketed_h
 
     def counted_h(omega_c, cfg):
-        h, lo, hi = bracketed(omega_c, cfg)
-        return lambda w: evals.append(w) or h(w), lo, hi
+        bracket = bracketed(omega_c, cfg)
+
+        def counted(g_bf):
+            h, lo, hi = bracket(g_bf)
+            return lambda w: evals.append(w) or h(w), lo, hi
+        return counted
 
     def recording(f, a, b, xtol, maxiter, fa=None, fb=None):
         brent.append((a, b, len(evals)))
@@ -591,7 +595,7 @@ def test_repulsive_Omega_c_takes_one_brent_call(monkeypatch):
                 evals.clear()
                 brent.clear()
                 assert solve_Omega_c(omega_c, cfg) == expected
-            _, lo, hi = zt._bracketed_h(omega_c, cfg)
+            _, lo, hi = zt._bracketed_h(omega_c, cfg)(cfg.g_bf)
             # the two ends, then Brent over [lo, hi], then nothing more
             assert evals[:2] == [lo, hi]
             assert brent == [(lo, hi, 2), len(evals)]
