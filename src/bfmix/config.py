@@ -41,9 +41,24 @@ class CompatMode(enum.Enum):
     DERIVED = "derived"
 
 
-# what each number of a MixtureConfig must be, in field order
+# what each field of a MixtureConfig must be, in field order: a number
+# of the rule, or, for the unit system and the mode, anything
 _RULES = (6 * ("strictly positive",) + 3 * ("a finite real",)
-          + 2 * ("positive and finite",))
+          + 2 * ("positive and finite",) + 2 * (None,))
+
+
+def _checked(name, value, rule):
+    """value as stored in the field name of rule: a number as a builtin
+    float, an unset volume or temperature as None."""
+    if rule is None:
+        return value
+    number = value if type(value) is float else _as_float(value)
+    if value is None and rule == "positive and finite":
+        return None
+    if not (math.isfinite(number)
+            and (number > 0 or rule == "a finite real")):
+        raise ConfigError(f"{name} must be {rule}, got {_shown(value)}")
+    return number
 
 
 class MixtureConfig(namedtuple("MixtureConfig", (
@@ -64,30 +79,31 @@ class MixtureConfig(namedtuple("MixtureConfig", (
     """All physical parameters of one Bose-Fermi mixture, in SI.
 
     Every number is checked on construction and stored as a builtin
-    float; ``replace`` builds a copy through the same checks."""
+    float; ``replace`` checks the fields it changes the same way."""
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         raw = super().__new__(cls, *args, **kwargs)
-        numbers = []
-        for name, value, rule in zip(cls._fields, raw, _RULES):
-            number = value if type(value) is float else _as_float(value)
-            if value is None and rule == "positive and finite":
-                number = None  # volume or temperature unset
-            elif not (math.isfinite(number)
-                      and (number > 0 or rule == "a finite real")):
-                raise ConfigError(f"{name} must be {rule}, got "
-                                  f"{_shown(value)}")
-            numbers.append(number)
-        return tuple.__new__(cls, (*numbers, *raw[11:]))
+        return tuple.__new__(cls, map(_checked, cls._fields, raw, _RULES))
 
     def replace(self, **changes):
-        """A copy with the named fields changed, checked as on
-        construction; an unknown field name raises TypeError."""
-        copy = MixtureConfig(*map(changes.pop, self._fields, self))
-        if changes:
-            raise TypeError(f"unknown MixtureConfig fields {sorted(changes)}")
-        return copy
+        """A copy with the named fields changed, each checked as on
+        construction; every other field was checked when self was built.
+        An unknown field name raises TypeError."""
+        fields = list(self)
+        for name, value in changes.items():
+            i = _INDEX.get(name)
+            if i is None:
+                raise TypeError(f"unknown MixtureConfig fields "
+                                f"{sorted(changes.keys() - _INDEX.keys())}")
+            fields[i] = _checked(name, value, _RULES[i])
+        return tuple.__new__(MixtureConfig, fields)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _replace builds its copy here, so it checks every
+        # field too: replace relies on every config having been checked
+        return cls(*iterable)
 
     # oscillator-unit conversion anchors
     @property
@@ -192,6 +208,9 @@ class MixtureConfig(namedtuple("MixtureConfig", (
             attr: getattr(self, attr) * self._input_unit(attr)
             for attr in attrs if getattr(self, attr) is not None})
 
+
+# the position of each field of a MixtureConfig
+_INDEX = {name: i for i, name in enumerate(MixtureConfig._fields)}
 
 _FIELD_PATHS = {
     "boson.mass": "m_b",

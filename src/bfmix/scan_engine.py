@@ -2,12 +2,10 @@
 
 A scan varies one or two dotted config fields over fixed grids and
 tabulates a named observable at every point, and each row carries a
-per-point status instead of failing the whole sweep.  A zero-T scan
-solves each trap, the points that differ only in g_bf, once.  A Z scan
-whose swept fields are couplings (g_bb, g_bf, g_ff) and/or the
-temperature evaluates Z from one thermal state per temperature; every
-other scan builds each point's config.  Either way the rows are in grid
-order.
+per-point status instead of failing the whole sweep.  The points that
+differ only in the couplings an observable takes per point share one
+config and one build of the observable on it (a boson solve, a thermal
+state); the rows are those of one config per point, in grid order.
 """
 
 import itertools
@@ -25,7 +23,6 @@ from .finite_temperature import (
     _log_grid,
     critical_window,
     fermi_temperature,
-    stability_matrix,
     thermal_state,
 )
 from .thomas_fermi import classify_tf_regime
@@ -49,13 +46,6 @@ _COLUMN_NAMES = {path: {"volume": "V", "temperature": "T"}.get(attr, attr)
                  for path, attr in _FIELD_PATHS.items()}
 
 _T_FIELD = "thermal.temperature"
-_G_BF_FIELD = "interaction.g_bf"
-
-# the fields a Z scan may sweep and still take one thermal state per
-# temperature; the entry of stability_entries that each coupling moves
-_PLANE_FIELDS = ("interaction.g_bb", "interaction.g_bf",
-                 "interaction.g_ff", _T_FIELD)
-_ENTRY_OF = {"g_bb": 0, "g_ff": 1, "g_bf": 2}
 
 
 class ScanRange(namedtuple("ScanRange",
@@ -84,9 +74,9 @@ class ScanRange(namedtuple("ScanRange",
             if not values:
                 raise ConfigError(f"{where}: empty values list")
         else:
-            for key, value in (("from", start), ("to", stop)):
-                if value is not None:
-                    _finite(value, f"{where}.{key}")
+            start, stop = (None if value is None else
+                           _finite(value, f"{where}.{key}")
+                           for key, value in (("from", start), ("to", stop)))
             if start is None or stop is None or start == stop:
                 raise ConfigError(
                     f"{where}: need from != to, got [{start}, {stop}]")
@@ -131,70 +121,81 @@ ScanTable = namedtuple("ScanTable", "columns rows provenance")
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
+#
+# Each observable is name -> (fast, build).  fast names the couplings it
+# takes per point: the points that differ only in them form a group, whose
+# config is the base with every other swept field set.  build(cfg, spec)
+# returns (parts, combine, own) on a group's config: parts[k] maps a value
+# [J m^3] of the coupling fast[k] to an operand, own[k] is the operand at
+# the config's own value, which a scan that does not sweep fast[k] keeps,
+# and combine(*operands) gives the observable at one point.
 
-def _trap_omega_c(trap):
-    omega_c = solve_omega_c(trap).omega_c
-    return lambda g_bf: omega_c
+def _omega_c(cfg, spec):
+    omega_c = solve_omega_c(cfg).omega_c
+    return (float,), lambda g_bf: omega_c, (cfg.g_bf,)
 
 
-def _trap_Omega_c(trap):
+def _Omega_c(cfg, spec):
     # the fully coupled width, which is what the frequency figure plots
-    return _Omega_c_solver(solve_omega_c(trap).omega_c, trap)
+    solve = _Omega_c_solver(solve_omega_c(cfg).omega_c, cfg)
+    return (float,), solve, (cfg.g_bf,)
 
 
 def _classified(value_of):
-    """The per-trap form of one field of classify_zero_T's result."""
-    def trap_value(trap):
-        classify = _zero_T_classifier(trap)
-        return lambda g_bf: value_of(classify(g_bf))
-    return trap_value
+    """The builder of one field of classify_zero_T's result."""
+    def build(cfg, spec):
+        classify = _zero_T_classifier(cfg)
+        return (float,), lambda g_bf: value_of(classify(g_bf)), (cfg.g_bf,)
+    return build
 
 
-def _obs_regime(cfg, spec):
-    return classify_tf_regime(cfg).value
+def _regime(cfg, spec):
+    return (), lambda: classify_tf_regime(cfg).value, ()
 
 
-def _obs_Z(cfg, spec):
-    if cfg.temperature is None:
-        raise ConfigError(
-            "thermal.temperature is required for the Z observable")
-    return stability_matrix(thermal_state(cfg, cfg.temperature), cfg).Z
+def _Z(cfg, spec):
+    # the couplings move neither the state nor its two ideal terms; each
+    # part is the entry of _entries that its coupling moves
+    state = thermal_state(cfg, cfg.temperature)
+    lb, lf = state.lambda_b, state.lambda_f
+    ideal = (_bose_ideal(lb, state.z_b), _fermi_ideal(lf, state.z_f))
+    g_bb, g_bf, g_ff = cfg.g_bb, cfg.g_bf, cfg.g_ff
+    parts = (lambda g: _entries(cfg, lb, lf, g, g_bf, g_ff, *ideal)[0],
+             lambda g: _entries(cfg, lb, lf, g_bb, g_bf, g, *ideal)[1],
+             lambda g: _entries(cfg, lb, lf, g_bb, g, g_ff, *ideal)[2])
+    # bb, ff and cross at the config's own couplings, from one call
+    own = _entries(cfg, lb, lf, g_bb, g_bf, g_ff, *ideal)[:3]
+    return parts, _determinant, own
 
 
-def _window_of(cfg, spec):
-    lo = spec.base.field_to_si("thermal.temperature", spec.t_range[0])
-    hi = spec.base.field_to_si("thermal.temperature", spec.t_range[1])
-    return critical_window(cfg, (lo, hi))
+def _determinant(bb, ff, cross):
+    # Z as _entries forms it, from the same operands
+    Z = bb * ff - cross * cross
+    if Z != Z:
+        raise NumericError("the stability determinant Z is not a number")
+    return Z
 
 
-def _obs_T_c1(cfg, spec):
-    T = _window_of(cfg, spec).T_c1
-    return math.nan if T is None else T
+def _window_edge(edge):
+    """The builder of one edge of critical_window over spec.t_range, nan
+    where there is none."""
+    def build(cfg, spec):
+        T_range = [spec.base.field_to_si(_T_FIELD, T) for T in spec.t_range]
+        T = getattr(critical_window(cfg, T_range), edge)
+        return (), lambda: math.nan if T is None else T, ()
+    return build
 
 
-def _obs_T_c2(cfg, spec):
-    T = _window_of(cfg, spec).T_c2
-    return math.nan if T is None else T
-
-
-# the zero-T observables, evaluated per trap (_trap_grid): each maps a
-# trap's config to the observable as a function of g_bf
-_TRAP_OBSERVABLES = {
-    "omega_c": _trap_omega_c,
-    "Omega_c": _trap_Omega_c,
-    "Y": _classified(lambda result: result.Y),
-    "r_fc": _classified(lambda result: result.r_fc),
-    "phase": _classified(lambda result: result.phase.value),
-}
-
-# every observable: the zero-T ones, and the rest, which map one point's
-# config and the spec to the observable there
 OBSERVABLES = {
-    **_TRAP_OBSERVABLES,
-    "regime": _obs_regime,
-    "Z": _obs_Z,
-    "T_c1": _obs_T_c1,
-    "T_c2": _obs_T_c2,
+    "omega_c": (("g_bf",), _omega_c),
+    "Omega_c": (("g_bf",), _Omega_c),
+    "Y": (("g_bf",), _classified(lambda result: result.Y)),
+    "r_fc": (("g_bf",), _classified(lambda result: result.r_fc)),
+    "phase": (("g_bf",), _classified(lambda result: result.phase.value)),
+    "regime": ((), _regime),
+    "Z": (("g_bb", "g_ff", "g_bf"), _Z),
+    "T_c1": ((), _window_edge("T_c1")),
+    "T_c2": ((), _window_edge("T_c2")),
 }
 
 _UNITS = {
@@ -251,154 +252,92 @@ def _validate(spec):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _point_config(spec, assignment):
-    """The base config with every swept field set, validated once."""
-    return spec.base.replace(**{
-        _FIELD_PATHS[rng.field]: spec.base.field_to_si(rng.field, value)
-        for rng, value in assignment})
-
-
 # what fails one grid point instead of the scan; Python's float overflow
 # and division by zero are numeric failures like NumericError
 _POINT_FAILURES = (ConfigError, DomainError, NumericError, ArithmeticError)
 
 
-def _fermi_T(cfg):
-    """T_F of a point's config, nan where it or T_F cannot be had."""
+def _T_over_T_F(cfg):
+    """T/T_F of a config, nan where there is no config or no T_F, or T_F
+    is 0."""
     if cfg is not None:
         try:
-            return fermi_temperature(cfg)
+            return cfg.temperature / fermi_temperature(cfg)
         except _POINT_FAILURES:
             pass
     return math.nan
 
 
-def _evaluate_point(spec, point, with_T_F):
-    """(value, status, T_F) at one point; T_F only when with_T_F."""
-    cfg = None
-    try:
-        cfg = _point_config(spec, zip(spec.variables, point))
-        value, status = OBSERVABLES[spec.observable](cfg, spec), "OK"
-    except _POINT_FAILURES as exc:
-        value, status = math.nan, f"ERROR:{type(exc).__name__}"
-    return value, status, _fermi_T(cfg) if with_T_F else None
+def _grouped(spec, si_grids):
+    """(value, status, T/T_F) at every point, in grid order, from the axes
+    in SI; T/T_F only with a temperature axis.
 
-
-def _trap_grid(spec, si_grids):
-    """(value, status, T_F) at every point of a zero-T scan, in grid
-    order, from the axes in SI; T_F only with a temperature axis.
-    Points that differ only in interaction.g_bf share one trap: the base
-    with every other swept field set, validated once.  On it the
-    observable's builder solves the boson and computes every g_bf-free
-    coefficient once, and each point adds only its coupling's share,
-    with the operations of the per-point functions.  The statuses are
-    those of one config per point: a trap or a coupling that builds no
-    config is a ConfigError with T_F nan, and a failing builder fails
-    every point of its trap.
+    The points that differ only in the observable's fast couplings form
+    a group.  Its config, the base with every other swept field set, is
+    validated once, and on it the observable's build and parts run once,
+    with T/T_F; each point then combines its operands.  The statuses are
+    those of one config per point: a fast coupling that is not finite in
+    SI builds no config (ConfigError, T/T_F nan), and a group that builds
+    no config, or whose build or parts fail, fails each of its points.
     """
-    build = _TRAP_OBSERVABLES[spec.observable]
-    base = spec.base
-    with_T_F = any(rng.field == _T_FIELD for rng in spec.variables)
-    attrs, trap_grids, couplings = [], [], [base.g_bf]
-    for rng, si in zip(spec.variables, si_grids):
-        if rng.field == _G_BF_FIELD:
-            # None marks a coupling that is not finite in SI
-            couplings = [g if math.isfinite(g) else None for g in si]
-        else:
-            attrs.append(_FIELD_PATHS[rng.field])
-            trap_grids.append(si)
-    no_config = (math.nan, "ERROR:ConfigError",
-                 math.nan if with_T_F else None)
+    fast, build = OBSERVABLES[spec.observable]
+    attrs = [_FIELD_PATHS[rng.field] for rng in spec.variables]
+    # the axes in the order of evaluation: the groups', then the fast ones
+    # in the order of fast
+    order = sorted(range(len(attrs)), key=lambda i: fast.index(attrs[i])
+                   if attrs[i] in fast else -1)
+    slow = [i for i in order if attrs[i] not in fast]
+    # each fast coupling's values, None where not finite in SI; None for
+    # one not swept, whose operand is the group's own
+    si = dict(zip(attrs, si_grids))
+    swept = [None if name not in si else
+             [g if math.isfinite(g) else None for g in si[name]]
+             for name in fast]
+    with_T = "temperature" in attrs
+    no_config = (math.nan, "ERROR:ConfigError", math.nan if with_T else None)
     results = []
-    for trap_point in itertools.product(*trap_grids):
-        trap = value_at = status = None
+    for group in itertools.product(*(si_grids[i] for i in slow)):
+        cfg = failure = None
         try:
-            trap = base.replace(**dict(zip(attrs, trap_point)))
-            value_at = build(trap)
+            cfg = spec.base.replace(**{attrs[i]: v
+                                       for i, v in zip(slow, group)})
+            parts, combine, own = build(cfg, spec)
+            operands = [[op] if values is None else
+                        [None if g is None else part(g) for g in values]
+                        for part, values, op in zip(parts, swept, own)]
         except _POINT_FAILURES as exc:
-            status = f"ERROR:{type(exc).__name__}"
-        T_F = _fermi_T(trap) if with_T_F else None
-        for g in couplings:
-            if g is None:
+            failure = f"ERROR:{type(exc).__name__}"
+            # the points' values, a stand-in for each coupling not swept
+            operands = [values or [0.0] for values in swept]
+        ratio = _T_over_T_F(cfg) if with_T else None
+        for point in itertools.product(*operands):
+            if None in point:
                 results.append(no_config)
-            elif value_at is None:
-                results.append((math.nan, status, T_F))
+            elif failure:
+                results.append((math.nan, failure, ratio))
             else:
                 try:
-                    results.append((value_at(g), "OK", T_F))
+                    results.append((combine(*point), "OK", ratio))
                 except _POINT_FAILURES as exc:
-                    results.append((math.nan,
-                                    f"ERROR:{type(exc).__name__}", T_F))
-    if len(si_grids) == 2 and spec.variables[0].field == _G_BF_FIELD:
-        # the coupling is the outer axis
-        n = len(couplings)
-        results = [cell for j in range(n) for cell in results[j::n]]
+                    results.append((math.nan, f"ERROR:{type(exc).__name__}",
+                                    ratio))
+    if order == [1, 0]:
+        # the first axis was evaluated inside the second
+        n = len(si_grids[0])
+        results = [cell for i in range(n) for cell in results[i::n]]
     return results
-
-
-def _z_grid(spec, si_grids):
-    """(Z, status, T_F) at every point of a Z scan over couplings and/or
-    the temperature, in grid order, from the axes in SI: one thermal
-    state per temperature, its two ideal terms computed once, and one
-    _entries call per coupling value, kept for the entry it moves.  A
-    point's Z is bb ff - cross^2, the operations of stability_entries on
-    the same operands, so Z is bit for bit the per-point value.  So are
-    the statuses: a point that builds no config is a ConfigError, a
-    state failure fails the points at its temperature, and a Z that is
-    not a number is a NumericError.
-    """
-    base = spec.base
-    attrs = [_FIELD_PATHS[rng.field] for rng in spec.variables]
-    si = dict(zip(attrs, si_grids))
-    # None marks a coupling that is not finite in SI
-    axes = [(attr, [g if math.isfinite(g) else None for g in si[attr]])
-            for attr in attrs if attr != "temperature"]
-    moved = [_ENTRY_OF[attr] for attr, _ in axes]
-    fixed = [k for k in range(3) if k not in moved]
-    # where bb, ff and cross sit in a point's moved entries + fixed ones
-    bb, ff, cross = ((moved + fixed).index(k) for k in range(3))
-    couplings = {"g_bb": base.g_bb, "g_bf": base.g_bf, "g_ff": base.g_ff}
-    T_F, no_config = _fermi_T(base), (math.nan, "ERROR:ConfigError", math.nan)
-
-    def cell(e):
-        Z = e[bb] * e[ff] - e[cross] * e[cross]
-        return ((Z, "OK", T_F) if Z == Z
-                else (math.nan, "ERROR:NumericError", T_F))
-
-    planes = []
-    for T in si.get("temperature", [base.temperature]):
-        entries, failure = [values for _, values in axes], no_config
-        if 0.0 < T < math.inf:
-            try:
-                state = thermal_state(base, T)
-                lb, lf = state.lambda_b, state.lambda_f
-                terms = {**couplings, "bose_ideal": _bose_ideal(lb, state.z_b),
-                         "fermi_ideal": _fermi_ideal(lf, state.z_f)}
-                at_base = _entries(base, lb, lf, **terms)
-                rest = tuple(at_base[k] for k in fixed)
-                entries = [[None if g is None else _entries(
-                    base, lb, lf, **{**terms, attr: g})[k] for g in values]
-                    for (attr, values), k in zip(axes, moved)]
-                failure = None
-            except _POINT_FAILURES as exc:
-                failure = (math.nan, f"ERROR:{type(exc).__name__}", T_F)
-        planes.append([no_config if None in point else failure
-                       or cell(point + rest)
-                       for point in itertools.product(*entries)])
-    if attrs[-1] == "temperature" and len(attrs) == 2:
-        planes = zip(*planes)  # the coupling is the outer axis
-    return list(itertools.chain.from_iterable(planes))
 
 
 def run_scan(spec, workers=None):
     """Evaluate the observable over the full grid.
 
-    A zero-T scan solves each trap once, and each point adds only its
-    g_bf's share (_trap_grid).  A Z scan that sweeps only couplings and
-    the temperature takes one thermal state per temperature, which the
-    couplings do not move (_z_grid).  Any other scan builds each point's
-    config and evaluates its points one after another.  Every path gives
-    the rows of one config per point.
+    Each axis is converted to SI once.  The points that differ only in
+    the couplings the observable takes per point (g_bf for the zero-T
+    observables; g_bb, g_ff and g_bf for Z; none for the rest) share one
+    config, one build of the observable on it (a boson solve, a thermal
+    state) and one T/T_F, and each point adds only its couplings' share
+    (_grouped).  The rows are those of one config per point, in grid
+    order.
 
     workers is accepted and ignored, so callers that pass a count keep
     working and get the same table.  The points are pure Python and
@@ -408,26 +347,16 @@ def run_scan(spec, workers=None):
     grids = [rng.grid() for rng in spec.variables]
     fields = [rng.field for rng in spec.variables]
     t = fields.index(_T_FIELD) if _T_FIELD in fields else None
-    if spec.observable in _TRAP_OBSERVABLES:
-        grouped = _trap_grid
-    elif spec.observable == "Z" and all(f in _PLANE_FIELDS for f in fields):
-        grouped = _z_grid
+    try:
+        units = [spec.base._input_unit(_FIELD_PATHS[f]) for f in fields]
+    except _POINT_FAILURES as exc:
+        # an input unit beyond float range fails every point's config
+        failed = (math.nan, f"ERROR:{type(exc).__name__}", math.nan)
+        results = [failed] * math.prod(map(len, grids))
     else:
-        grouped = None
-    if grouped is None:
-        results = [_evaluate_point(spec, point, t is not None)
-                   for point in itertools.product(*grids)]
-    else:
-        # each axis in SI once, as field_to_si converts its values
-        try:
-            si_grids = [[float(v) * spec.base._input_unit(_FIELD_PATHS[f])
-                         for v in grid] for f, grid in zip(fields, grids)]
-        except _POINT_FAILURES as exc:
-            # an input unit beyond float range fails every point's config
-            failed = (math.nan, f"ERROR:{type(exc).__name__}", math.nan)
-            results = [failed] * math.prod(map(len, grids))
-        else:
-            results = grouped(spec, si_grids)
+        # each axis in SI, as field_to_si converts its values
+        results = _grouped(spec, [[v * unit for v in grid]
+                                  for grid, unit in zip(grids, units)])
 
     columns = []
     for field in fields:
@@ -441,21 +370,15 @@ def run_scan(spec, workers=None):
 
     axes = list(grids)
     if t is not None:
-        # one T_K per temperature, and one T/T_F per temperature and T_F
-        # object, shared by the rows at that temperature, so that
-        # write_csv formats each once
+        # one T_K per temperature, shared by the rows at that temperature
+        # as their T/T_F is, so that write_csv formats each once
         T_unit = spec.base._input_unit("temperature")
-        axes[t] = [(v, v * T_unit, {}) for v in grids[t]]
+        axes[t] = [(v, v * T_unit) for v in grids[t]]
     rows = []
-    for point, (value, status, T_F) in zip(itertools.product(*axes),
-                                           results):
+    for point, (value, status, ratio) in zip(itertools.product(*axes),
+                                             results):
         if t is not None:
-            v, T_K, ratios = point[t]
-            ratio = ratios.get(id(T_F))
-            if ratio is None:
-                # T/T_F as the per-point division: nan where it would fail
-                ratio = ratios[id(T_F)] = T_K / T_F if T_F else math.nan
-            point = (*point[:t], v, T_K, ratio, *point[t + 1:])
+            point = (*point[:t], *point[t], ratio, *point[t + 1:])
         if spec.observable == "Y":
             point += (value, math.nan if math.isnan(value)
                       else float((value > 0) - (value < 0)))
@@ -657,12 +580,8 @@ def scan_spec_from_dict(base, mapping):
             raise ConfigError(
                 f"unknown scan variable keys: {sorted(unknown)}")
         values = entry.get("values")
-        if "values" in entry:
-            if not isinstance(values, list):
-                raise ConfigError(
-                    f"config field '{where}.values' must be a list")
-            values = tuple(_finite(v, f"{where}.values[{j}]")
-                           for j, v in enumerate(values))
+        if "values" in entry and not isinstance(values, list):
+            raise ConfigError(f"config field '{where}.values' must be a list")
         start, stop = (_finite(entry[key], f"{where}.{key}")
                        if key in entry else None for key in ("from", "to"))
         try:

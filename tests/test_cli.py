@@ -227,6 +227,9 @@ _G_BB_SWEEP = {"field": "interaction.g_bb", "from": 0.0, "to": 0.1,
     (dict(_G_BB_SWEEP, to="1"), None, "scan.variables[0].to"),
     ({"field": "interaction.g_bb", "values": ["a"]}, None,
      "scan.variables[0].values"),
+    ({"field": "interaction.g_bb", "values": [0.1, None]}, None,
+     "scan.variables[0].values[1]"),
+    (dict(_G_BB_SWEEP, **{"from": None}), None, "scan.variables[0].from"),
     (_G_BB_SWEEP, ["a", 2], "scan.t_range[0]"),
     (dict(_G_BB_SWEEP, **{"from": float("nan")}), None,
      "scan.variables[0].from"),

@@ -206,6 +206,33 @@ def test_non_numbers_rejected_naming_the_field(field, value):
         MixtureConfig(**dict(SI_KW, **{field: value}))
 
 
+def test_replace_checks_what_it_changes():
+    # replace checks only the fields it changes, each as construction
+    # does: the same rejections, and ints and numpy scalars stored as
+    # floats
+    cfg = MixtureConfig(**SI_KW)
+    for field, value in (("N_b", True), ("g_bf", math.inf), ("m_f", "7"),
+                         ("volume", 0.0), ("temperature", -1e-7),
+                         ("g_bb", -10 ** 400), ("omega_b", math.nan)):
+        with pytest.raises(ConfigError, match=field):
+            cfg.replace(**{field: value})
+    for field in cfg._fields[:11]:
+        for value in (2, np.float64(3.0)):
+            copy = cfg.replace(**{field: value})
+            assert copy == MixtureConfig(**dict(SI_KW, **{field: value}))
+            assert all(type(v) is float for v in copy[:11])
+    assert cfg.replace(volume=None, temperature=None) == MixtureConfig(
+        **dict(SI_KW, volume=None, temperature=None))
+    assert cfg.replace(compat_mode=CompatMode.PAPER) == MixtureConfig(
+        **dict(SI_KW, compat_mode=CompatMode.PAPER))
+    # so every other way to a copy checks every field
+    with pytest.raises(ConfigError, match="N_b"):
+        cfg._replace(N_b=-1.0)
+    with pytest.raises(ConfigError, match="g_bb"):
+        MixtureConfig._make((*cfg[:6], "x", *cfg[7:]))
+    assert MixtureConfig._make(cfg) == cfg
+
+
 def test_integer_past_the_digit_limit_rejected_naming_the_field():
     # its message must not print the int: past 4,300 digits str() raises
     with pytest.raises(ConfigError, match="N_b"):

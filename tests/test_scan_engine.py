@@ -1,5 +1,6 @@
 """Scan engine tests: grids, presets, determinism, and error rows."""
 
+import io
 import itertools
 import math
 import re
@@ -10,10 +11,12 @@ import pytest
 from bfmix import finite_temperature as ft
 from bfmix import scan_engine
 from bfmix import zero_temperature as zt
+from bfmix.cli import write_csv
 from bfmix.config import _FIELD_PATHS, CompatMode, MixtureConfig, UnitSystem
 from bfmix.constants import atomic_mass
 from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix.scan_engine import (
+    OBSERVABLES,
     PRESET_TAGS,
     ScanRange,
     ScanSpec,
@@ -21,6 +24,7 @@ from bfmix.scan_engine import (
     run_scan,
     scan_spec_from_dict,
 )
+from bfmix.thomas_fermi import classify_tf_regime
 from bfmix.zero_temperature import (
     classify_zero_T,
     solve_Omega_c,
@@ -217,6 +221,14 @@ def test_fig4_temperature_columns():
     # T/T_F tracks the swept axis
     ratios = [row[3] for row in table.rows[:200]]
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_fig4_rows_share_each_temperature_cell():
+    # the rows at one temperature share its T, T_K and T/T_F objects, so
+    # write_csv formats each once per column
+    table = run_scan(figure_preset("fig4"))
+    for column in (1, 2, 3):
+        assert len({id(row[column]) for row in table.rows}) == 200
 
 
 def test_fig4_stability_families():
@@ -424,10 +436,84 @@ _PLANE_AXES = {
 
 
 def _same(a, b):
-    """a and b are the same cell: equal, or both nan floats."""
-    if type(a) is float and math.isnan(a):
-        return type(b) is float and math.isnan(b)
-    return type(a) is type(b) and a == b
+    """a and b are the same cell: of one type and equal, floats bit for
+    bit but for the sign and payload of nan (repr tells -0.0 from 0.0)."""
+    return type(a) is type(b) and (repr(a) == repr(b) if type(a) is float
+                                   else a == b)
+
+
+def _point_value(spec, cfg, state):
+    """The observable of spec at one point's config, from the public
+    functions; Z takes its thermal state from state."""
+    observable = spec.observable
+    if observable == "Z":
+        return ft.stability_matrix(state(cfg, cfg.temperature), cfg).Z
+    if observable == "regime":
+        return classify_tf_regime(cfg).value
+    if observable in ("T_c1", "T_c2"):
+        T_range = [spec.base.field_to_si("thermal.temperature", T)
+                   for T in spec.t_range]
+        T = getattr(ft.critical_window(cfg, T_range), observable)
+        return math.nan if T is None else T
+    if observable == "omega_c":
+        return solve_omega_c(cfg).omega_c
+    if observable == "Omega_c":
+        return solve_Omega_c(solve_omega_c(cfg).omega_c, cfg)
+    result = classify_zero_T(cfg)
+    return result.phase.value if observable == "phase" else getattr(
+        result, observable)
+
+
+# what fails one point of a scan
+_FAILURES = (ConfigError, DomainError, NumericError, ArithmeticError)
+
+
+def _per_point_rows(spec, state=ft.thermal_state):
+    """The rows of spec, each point evaluated alone on its own config."""
+    base, variables = spec.base, spec.variables
+    fields = [r.field for r in variables]
+    t = (fields.index("thermal.temperature")
+         if "thermal.temperature" in fields else None)
+    rows = []
+    for point in itertools.product(*[r.grid() for r in variables]):
+        try:
+            cfg = base
+            for rng, value in zip(variables, point):
+                cfg = cfg.with_field(rng.field,
+                                     base.field_to_si(rng.field, value))
+        except _FAILURES as exc:
+            cfg, failure = None, exc
+        if cfg is None:
+            value, status = math.nan, f"ERROR:{type(failure).__name__}"
+        else:
+            try:
+                value, status = _point_value(spec, cfg, state), "OK"
+            except _FAILURES as exc:
+                value, status = math.nan, f"ERROR:{type(exc).__name__}"
+        head = point
+        if t is not None:
+            T_K = base.field_to_si(fields[t], point[t])
+            try:
+                T_F = ft.fermi_temperature(cfg)
+                ratio = T_K / T_F if T_F else math.nan
+            except (AttributeError, *_FAILURES):
+                ratio = math.nan  # no config, or no T_F
+            head = (*point[:t + 1], T_K, ratio, *point[t + 1:])
+        if spec.observable == "Y":
+            head += (value, math.nan if math.isnan(value)
+                     else float(np.sign(value)))
+        else:
+            head += (value,)
+        rows.append((*head, status))
+    return rows
+
+
+def _assert_rows_match(rows, expected):
+    """rows and expected hold the same cells, cell for cell."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert len(row) == len(want)
+        assert all(map(_same, row, want)), (row, want)
 
 
 @pytest.mark.parametrize("axes", sorted(_PLANE_AXES))
@@ -455,6 +541,7 @@ def test_coupling_plane_matches_per_point(monkeypatch, axes, mode,
     broken = None if t is None else max(temperatures)
 
     calls = {"state": 0, "matrix": 0}
+    stability_matrix = ft.stability_matrix
 
     def state(cfg, T):
         calls["state"] += 1
@@ -464,9 +551,9 @@ def test_coupling_plane_matches_per_point(monkeypatch, axes, mode,
 
     def matrix(*args):
         calls["matrix"] += 1
-        return ft.stability_matrix(*args)
+        return stability_matrix(*args)
     monkeypatch.setattr(scan_engine, "thermal_state", state)
-    monkeypatch.setattr(scan_engine, "stability_matrix", matrix)
+    monkeypatch.setattr(ft, "stability_matrix", matrix)
     table = run_scan(spec)
     # one thermal state per temperature, no per-point matrix
     assert calls == {"state": len(temperatures), "matrix": 0}
@@ -508,12 +595,9 @@ def test_coupling_plane_matches_per_point(monkeypatch, axes, mode,
     assert ("ERROR:NumericError" in statuses) == (
         big and axes in ("g_bb,g_ff", "g_bf,g_bb", "T,g_bb"))
 
-    # and the per-point path writes the same table, cell for cell
-    monkeypatch.setattr(scan_engine, "_PLANE_FIELDS", ())
-    per_point = run_scan(spec)
-    assert per_point.columns == table.columns
-    assert all(len(a) == len(b) and all(map(_same, a, b))
-               for a, b in zip(per_point.rows, table.rows))
+    # and the per-point reference gives the same table, cell for cell
+    assert table.columns[-2:] == ("Z", "status")
+    _assert_rows_match(table.rows, _per_point_rows(spec, state))
 
 
 def test_coupling_plane_overflow_signs():
@@ -540,30 +624,30 @@ def test_coupling_plane_state_error_fails_every_point(monkeypatch):
                for row in rows)
 
 
-def test_z_scan_over_temperature_takes_the_plane(monkeypatch):
-    # the thermal state depends on the temperature only, so a
-    # temperature axis takes the plane path: one state per temperature
-    # and no point config
+def test_z_scan_over_temperature_builds_one_config_per_temperature(
+        monkeypatch):
+    # the couplings move neither the config's thermal state nor its T_F,
+    # so the points at one temperature share one config and one state
     spec = figure_preset("fig4")
     spec = ScanSpec(base=spec.base, observable="Z", variables=(
         spec.variables[0],
         ScanRange("thermal.temperature", 0.5, 50.0, 4, scale="log")))
     built, states = [], []
-    point_config = scan_engine._point_config
-    monkeypatch.setattr(scan_engine, "_point_config",
-                        lambda *a: built.append(1) or point_config(*a))
+    replace = MixtureConfig.replace
+    monkeypatch.setattr(MixtureConfig, "replace",
+                        lambda *a, **k: built.append(1) or replace(*a, **k))
     monkeypatch.setattr(scan_engine, "thermal_state",
                         lambda *a: states.append(1) or ft.thermal_state(*a))
     table = run_scan(spec)
-    assert len(built) == 0 and len(states) == 4
+    assert len(built) == 4 and len(states) == 4
     assert len(table.rows) == 12
     assert all(row[-1] == "OK" and row[3] > 0 for row in table.rows)
 
 
 def test_coupling_plane_non_finite_si_coupling():
     # with omega_b = 1e-100 rad/s the oscillator coupling unit is
-    # ~3e106 J m^3, so an input of 1e203 overflows in SI: the per-point
-    # path fails that point building its config, and so must the plane
+    # ~3e106 J m^3, so an input of 1e203 overflows in SI: that point
+    # builds no config, and so fails, beside the finite couplings
     base = osc_cfg(omega_b=1e-100, N_f=10000.0, volume=1000.0,
                    temperature=2.0)
     spec = ScanSpec(base=base, observable="Z", variables=(
@@ -598,13 +682,12 @@ def test_temperature_plane_fails_a_point_by_its_config_first(monkeypatch):
                                          "ERROR:ConfigError"]
     assert [math.isnan(row[3]) for row in rows] == [False, False, True,
                                                      True]
-    monkeypatch.setattr(scan_engine, "_PLANE_FIELDS", ())
-    assert all(map(_same, a, b) for a, b in zip(run_scan(spec).rows, rows))
+    _assert_rows_match(rows, _per_point_rows(spec, state))
 
 
-def test_temperature_plane_with_a_vanishing_fermi_temperature(monkeypatch):
-    # T_F underflows to 0 for a fermion mass of 1e300 kg: T/T_F is nan
-    # on both paths, where the per-point division by zero fails
+def test_temperature_plane_with_a_vanishing_fermi_temperature():
+    # T_F underflows to 0 for a fermion mass of 1e300 kg: T/T_F is nan,
+    # as in the per-point reference, where a division by zero would fail
     base = MixtureConfig.from_si(
         m_b=1e-26, m_f=1e300, omega_b=100.0, omega_f=100.0, N_b=1000.0,
         N_f=1000.0, g_bb=1e-50, g_bf=1e-50, volume=1e-12)
@@ -613,8 +696,7 @@ def test_temperature_plane_with_a_vanishing_fermi_temperature(monkeypatch):
         ScanRange("thermal.temperature", values=(1e-6, 2e-6)),))
     rows = run_scan(spec).rows
     assert all(row[-1] == "OK" and math.isnan(row[2]) for row in rows)
-    monkeypatch.setattr(scan_engine, "_PLANE_FIELDS", ())
-    assert all(map(_same, a, b) for a, b in zip(run_scan(spec).rows, rows))
+    _assert_rows_match(rows, _per_point_rows(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +724,6 @@ _TRAP_AXES = {
 }
 
 
-def _zero_T_value(observable, cfg):
-    """The observable at one config, from the public solvers."""
-    if observable == "omega_c":
-        return solve_omega_c(cfg).omega_c
-    if observable == "Omega_c":
-        return solve_Omega_c(solve_omega_c(cfg).omega_c, cfg)
-    result = classify_zero_T(cfg)
-    return result.phase.value if observable == "phase" else getattr(
-        result, observable)
-
-
 def _counting_solves(monkeypatch):
     """Count solve_omega_c calls from the scan engine and from
     zero_temperature's own callers."""
@@ -665,45 +736,6 @@ def _counting_solves(monkeypatch):
     monkeypatch.setattr(zt, "solve_omega_c", counted)
     monkeypatch.setattr(scan_engine, "solve_omega_c", counted)
     return calls
-
-
-def _per_point_rows(spec):
-    """The rows of spec, each point evaluated alone on its own config."""
-    base, variables = spec.base, spec.variables
-    fields = [r.field for r in variables]
-    t = (fields.index("thermal.temperature")
-         if "thermal.temperature" in fields else None)
-    rows = []
-    for point in itertools.product(*[r.grid() for r in variables]):
-        try:
-            cfg = base
-            for rng, value in zip(variables, point):
-                cfg = cfg.with_field(rng.field,
-                                     base.field_to_si(rng.field, value))
-        except (ConfigError, ArithmeticError) as exc:
-            cfg, failure = None, exc
-        if cfg is None:
-            value, status = math.nan, f"ERROR:{type(failure).__name__}"
-        else:
-            try:
-                value, status = _zero_T_value(spec.observable, cfg), "OK"
-            except (DomainError, NumericError, ArithmeticError) as exc:
-                value, status = math.nan, f"ERROR:{type(exc).__name__}"
-        head = point
-        if t is not None:
-            T_K = base.field_to_si(fields[t], point[t])
-            try:
-                ratio = T_K / ft.fermi_temperature(cfg)
-            except (AttributeError, ConfigError, DomainError):
-                ratio = math.nan  # no config, or no T_F
-            head = (*point[:t + 1], T_K, ratio, *point[t + 1:])
-        if spec.observable == "Y":
-            head += (value, math.nan if math.isnan(value)
-                     else float(np.sign(value)))
-        else:
-            head += (value,)
-        rows.append((*head, status))
-    return rows
 
 
 @pytest.mark.parametrize("axes", sorted(_TRAP_AXES))
@@ -738,11 +770,7 @@ def test_trap_rows_match_per_point(monkeypatch, axes, observable, mode,
             pass
     assert len(calls) == valid
 
-    expected = _per_point_rows(spec)
-    assert len(table.rows) == len(expected)
-    for row, want in zip(table.rows, expected):
-        assert len(row) == len(want)
-        assert all(map(_same, row, want)), (row, want)
+    _assert_rows_match(table.rows, _per_point_rows(spec))
     statuses = {row[-1] for row in table.rows}
     assert "OK" in statuses
     assert ("ERROR:ConfigError" in statuses) == (axes != "g_bf" and
@@ -762,16 +790,14 @@ def test_trap_rows_fail_as_per_point(observable):
         ScanRange("interaction.g_bf", values=(0.02, 1e203, -0.01)),
         ScanRange("boson.count", values=(1000.0, 0.0))))
     rows = run_scan(spec).rows
-    assert all(map(_same, a, b)
-               for a, b in zip(rows, _per_point_rows(spec)))
+    _assert_rows_match(rows, _per_point_rows(spec))
     assert [row[-1] for row in rows][2:4] == ["ERROR:ConfigError"] * 2
 
 
 @pytest.mark.parametrize("observable", _ZERO_T + ("Z",))
-def test_overflowing_input_unit_fails_every_point(monkeypatch, observable):
+def test_overflowing_input_unit_fails_every_point(observable):
     # an oscillator coupling unit beyond float range fails every point's
-    # conversion to SI, so every point's config, on the grouped paths as
-    # per point
+    # conversion to SI, so every point's config, as per point
     base = MixtureConfig(m_b=1e-300, m_f=1e-26, omega_b=1e-10,
                          omega_f=100.0, N_b=10.0, N_f=10.0, g_bb=1e-50,
                          g_bf=0.0, volume=1.0, temperature=1.0,
@@ -784,12 +810,127 @@ def test_overflowing_input_unit_fails_every_point(monkeypatch, observable):
     rows = run_scan(spec).rows
     assert [row[-1] for row in rows] == ["ERROR:OverflowError"] * 4
     assert all(math.isnan(row[3]) for row in rows)  # T/T_F
-    if observable == "Z":
-        monkeypatch.setattr(scan_engine, "_PLANE_FIELDS", ())
-        per_point = run_scan(spec).rows
-    else:
-        per_point = _per_point_rows(spec)
-    assert all(map(_same, a, b) for a, b in zip(rows, per_point))
+    _assert_rows_match(rows, _per_point_rows(spec))
+
+
+# ---------------------------------------------------------------------------
+# one config per group, for every observable
+# ---------------------------------------------------------------------------
+
+# a N_b of -5, a volume of 0 and a temperature of -1 build no config
+_GROUP_AXES = {
+    "N_b,g_bf": (ScanRange("boson.count", values=(1000.0, -5.0, 2000.0)),
+                 ScanRange("interaction.g_bf", values=(0.3, -0.1, 1e200))),
+    "V,T": (ScanRange("thermal.volume", values=(1000.0, 0.0, 500.0)),
+            ScanRange("thermal.temperature",
+                      values=(0.5, 2.0, -1.0, 6.0))),
+    "g_bb,V": (ScanRange("interaction.g_bb", values=(0.05, -0.0, 1e200)),
+               ScanRange("thermal.volume", values=(800.0, 1200.0))),
+}
+
+
+@pytest.mark.parametrize("axes", sorted(_GROUP_AXES))
+@pytest.mark.parametrize("mode", list(CompatMode))
+def test_z_scan_takes_one_state_per_group(monkeypatch, axes, mode):
+    spec = ScanSpec(base=_z_base("oscillator", mode), observable="Z",
+                    variables=_GROUP_AXES[axes])
+    states = []
+    monkeypatch.setattr(scan_engine, "thermal_state",
+                        lambda *a: states.append(1) or ft.thermal_state(*a))
+    table = run_scan(spec)
+    # one state per group that builds a config: per N_b, per (V, T)
+    # point, per V
+    assert len(states) == {"N_b,g_bf": 2, "V,T": 6, "g_bb,V": 2}[axes]
+    _assert_rows_match(table.rows, _per_point_rows(spec))
+    statuses = {row[-1] for row in table.rows}
+    assert "OK" in statuses
+    assert ("ERROR:ConfigError" in statuses) == (axes != "g_bb,V")
+
+
+@pytest.mark.parametrize("observable", ["regime", "T_c1", "T_c2"])
+@pytest.mark.parametrize("axes", ["g_bf,T", "g_bb,N_b"])
+def test_point_observables_match_per_point(monkeypatch, observable, axes):
+    # g_bb = 0 has no regime (a division by zero), nor g_bb < 0
+    variables = {
+        "g_bf,T": (ScanRange("interaction.g_bf", values=(0.3, 0.01, -0.2)),
+                   ScanRange("thermal.temperature", values=(2.0, -1.0))),
+        "g_bb,N_b": (ScanRange("interaction.g_bb",
+                               values=(0.05, 0.0, -0.01)),
+                     ScanRange("boson.count", values=(1000.0, 0.0))),
+    }[axes]
+    base = osc_cfg(N_f=10000.0, g_bf=0.3, g_ff=0.01, volume=1000.0)
+    spec = ScanSpec(base=base, observable=observable, variables=variables,
+                    t_range=(0.5, 50.0))
+    with monkeypatch.context() as patch:
+        built = []
+        replace = MixtureConfig.replace
+        patch.setattr(MixtureConfig, "replace",
+                      lambda *a, **k: built.append(1) or replace(*a, **k))
+        table = run_scan(spec)
+    # each point is its own group
+    assert len(built) == len(table.rows) == 6
+    _assert_rows_match(table.rows, _per_point_rows(spec))
+    assert "OK" in {row[-1] for row in table.rows}
+
+
+@pytest.mark.parametrize("tag", PRESET_TAGS)
+def test_preset_rows_match_per_point(tag):
+    spec = figure_preset(tag)
+    _assert_rows_match(run_scan(spec).rows, _per_point_rows(spec))
+
+
+# input-unit values of each field for the property test below: in range,
+# at 0 and below, and 1e200, beyond float range in SI for a coupling
+_FIELD_VALUES = {
+    "boson.mass": (7.0 * atomic_mass, 40.0 * atomic_mass, 0.0),
+    "fermion.mass": (7.0 * atomic_mass, 6.0 * atomic_mass, -1.0),
+    "boson.omega": (166.0, 50.0, 0.0),
+    "fermion.omega": (166.0, 400.0, -1.0),
+    "boson.count": (1000.0, 2e4, 0.0, 1e200),
+    "fermion.count": (1e4, 100.0, 0.0),
+    "interaction.g_bb": (0.05, 0.0, -0.0, -0.02, 1e200, -1e200),
+    "interaction.g_bf": (0.3, 0.02, 0.0, -0.0, -0.1, 1e200, -1e200),
+    "interaction.g_ff": (0.01, 0.0, -0.5, 1e200),
+    "thermal.volume": (1000.0, 100.0, 0.0, 1e200),
+    "thermal.temperature": (2.0, 0.5, 20.0, 0.0, -1.0),
+}
+
+
+def test_scan_rows_match_per_point_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        observable=st.sampled_from(sorted(OBSERVABLES)),
+        fields=st.lists(st.sampled_from(sorted(_FIELD_VALUES)), min_size=1,
+                        max_size=2, unique=True),
+        mode=st.sampled_from(list(CompatMode)),
+        si=st.booleans(),
+        data=st.data())
+    def check(observable, fields, mode, si, data):
+        osc = osc_cfg(N_f=1e4, g_bf=0.3, g_ff=0.01, volume=1000.0,
+                      temperature=2.0, compat_mode=mode)
+        variables = []
+        for field in fields:
+            values = data.draw(st.lists(st.sampled_from(
+                _FIELD_VALUES[field]), min_size=1, max_size=3))
+            if si:
+                values = [v if abs(v) > 1e100 else osc.field_to_si(field, v)
+                          for v in values]
+            variables.append(ScanRange(field, values=values))
+        t_range = (0.5, 50.0)
+        if si:
+            t_range = tuple(osc.field_to_si("thermal.temperature", T)
+                            for T in t_range)
+        spec = ScanSpec(
+            base=osc.replace(unit_system=UnitSystem.SI) if si else osc,
+            variables=tuple(variables), observable=observable,
+            t_range=t_range)
+        _assert_rows_match(run_scan(spec).rows, _per_point_rows(spec))
+
+    check()
 
 
 def test_presets_solve_each_trap_once(monkeypatch):
@@ -815,6 +956,24 @@ def test_range_record_contract():
                 dict(values=[1.0, "x"]), dict(start=1.0, stop=1.0, points=3)):
         with pytest.raises(ConfigError, match=r"scan\.boson\.count"):
             ScanRange("boson.count", **bad)
+
+
+def test_int_range_ends_are_written_as_floats():
+    # int ends are stored as floats, so the grid and the CSV hold floats
+    # only, and a log grid keeps no int end
+    rng = ScanRange("boson.count", 10 ** 20, 2 * 10 ** 20, 3)
+    assert (rng.start, rng.stop) == (1e20, 2e20)
+    assert all(type(v) is float for v in rng.grid())
+    log = ScanRange("boson.count", 10, 1000, 3, scale="log").grid()
+    assert log == [10.0, 100.0, 1000.0]
+    assert all(type(v) is float for v in log)
+    buf = io.StringIO()
+    write_csv(run_scan(ScanSpec(base=osc_cfg(), observable="omega_c",
+                                variables=(rng,))), buf)
+    rows = [line for line in buf.getvalue().splitlines()
+            if not line.startswith("#")][1:]
+    assert [row.split(",")[0] for row in rows] == ["1e+20", "1.5e+20",
+                                                    "2e+20"]
 
 
 def test_zero_t_scan_of_a_numpy_float_config():

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from bfmix.brent import brentq
-from bfmix.config import MixtureConfig, CompatMode
+from bfmix.config import _FIELD_PATHS, MixtureConfig, CompatMode
 from bfmix.constants import hbar, atomic_mass
 from bfmix.errors import DomainError, NumericError
-from bfmix import scan_engine, zero_temperature as zt
+from bfmix import zero_temperature as zt
 from bfmix.scan_engine import figure_preset
 from bfmix.zero_temperature import (
     PhaseLabel, boson_energy, boson_energy_derivatives, solve_omega_c,
@@ -131,16 +131,23 @@ def test_omega_c_residual_is_tiny():
         assert abs(dE) / scale < 1e-9
 
 
+def _grid_configs(tag):
+    """The config of each point of a figure preset's grid, in grid
+    order: the base with every swept field set."""
+    spec = figure_preset(tag)
+    return [spec.base.replace(**{
+        _FIELD_PATHS[rng.field]: spec.base.field_to_si(rng.field, v)
+        for rng, v in zip(spec.variables, point)})
+        for point in itertools.product(*[rng.grid()
+                                         for rng in spec.variables])]
+
+
 def _repulsive_traps():
     """The repulsive boson traps of the fig1-fig3 grids, and oscillator-
     unit (g_bb, N_b) from 1e-30 up to (1e12, 1e12) in both modes."""
     traps = {}
     for tag in ("fig1", "fig2", "fig3a", "fig3b"):
-        spec = figure_preset(tag)
-        axes = [[(rng, float(v)) for v in rng.grid()]
-                for rng in spec.variables]
-        for assignment in itertools.product(*axes):
-            cfg = scan_engine._point_config(spec, assignment)
+        for cfg in _grid_configs(tag):
             traps[(cfg.N_b, cfg.g_bb)] = cfg
     extremes = [make_cfg(g_bb=g_bb, N_b=N_b, mode=mode)
                 for g_bb in (1e-30, 1e-12, 1e-6, 1.0, 1e6, 1e12)
@@ -519,11 +526,7 @@ def _fermion_cases():
     to +-1e6 in both modes."""
     cases = []
     for tag in ("fig1", "fig2", "fig3a", "fig3b"):
-        spec = figure_preset(tag)
-        axes = [[(rng, float(v)) for v in rng.grid()]
-                for rng in spec.variables]
-        cases += [scan_engine._point_config(spec, assignment)
-                  for assignment in itertools.product(*axes)]
+        cases += _grid_configs(tag)
     cases += [make_cfg(g_bf=sign * g, N_b=N_b, N_f=N_f, omega_f=omega_f,
                        mode=mode)
               for g in (1e-30, 1e-12, 1e-3, 1.0, 1e6) for sign in (1, -1)
