@@ -88,6 +88,11 @@ class ScanRange(namedtuple("ScanRange",
                     f"{where}: log scale needs positive endpoints")
         return tuple.__new__(cls, (field, start, stop, points, scale, values))
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _replace builds its copy here: check it as above
+        return cls(*iterable)
+
     def size(self):
         return len(self.values) if self.values is not None else self.points
 

@@ -125,6 +125,11 @@ class Fugacity(namedtuple("Fugacity", "z species condensed ln_z")):
             ln_z = math.log(z) if z > 0 else -math.inf
         return super().__new__(cls, z, species, condensed, ln_z)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _replace builds its copy here: check it as above
+        return cls(*iterable)
+
 
 # Gamma(1 - nu) prefactors of the singular term of g_nu near z = 1
 _GAMMA_1_MINUS_NU = {order: math.gamma(1.0 - order.value) for order in PolyOrder}

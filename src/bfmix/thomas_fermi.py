@@ -1,17 +1,16 @@
 """Semiclassical density profiles of the trapped mixture.
 
 The condensate is an inverted parabola fixed by its normalization; the
-fermions fill the bare trap plus the mean-field shift g_bf n_b(r) up to a
-Fermi energy fixed by their own normalization.  The shape of the combined
-potential inside the condensate decides whether the fermions concentrate
-at the trap center, spread evenly, or get pushed to the condensate edge.
+fermions fill the trap plus the mean-field shift g_bf n_b(r) up to the
+Fermi energy at which Newton steps make their Simpson count N_f.  The
+shape of the combined potential inside the condensate decides whether the
+fermions gather at the center, spread evenly, or sit at its edge.
 """
 
 import enum
 import math
 from collections import namedtuple
 
-from .brent import RootError, brentq
 from .constants import hbar, pi
 from .errors import DomainError, NumericError
 
@@ -24,9 +23,6 @@ _GRID_POINTS = 2000
 # each grid segment below R_b spans at least this many panels: Simpson
 # N_b to ~6e-8, and a cloud far inside the condensate stays resolved
 _MIN_PANELS = 64
-# Brent searches this fraction of max(|bound|, e_0) past each e_F bound,
-# room for Simpson's error on a cloud that few nodes resolve
-_BRACKET_PAD = 1e-2
 
 
 class TFRegime(enum.Enum):
@@ -46,48 +42,26 @@ TFProfiles = namedtuple("TFProfiles", (
 ))
 
 
-def _pairwise_sum(v):
-    """sum(v) in numpy's pairwise order, equal to numpy.sum bit for bit:
-    eight running sums on up to 128 terms, longer lists halved."""
-    n = len(v)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
-    total = 0.0
-    if n >= 8:
-        r = v[:8]
-        for i in range(8, n - n % 8, 8):
-            r = [a + b for a, b in zip(r, v[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5])
-                                                   + (r[6] + r[7]))
-    for term in v[n - n % 8:]:
-        total += term
-    return total
-
-
-def simpson(y, x):
-    """Composite Simpson integral of samples y on the strictly
-    increasing grid x, computed as scipy.integrate.simpson does: for an
-    even number of samples the last interval takes Cartwright's
-    three-point correction."""
+def _simpson_weights(x):
+    """Weights w on the strictly increasing grid x such that sum(w_i y_i)
+    is scipy.integrate.simpson(y, x=x): composite Simpson on pairs of
+    intervals and, for an even number of samples, Cartwright's
+    three-point correction on the last interval."""
     h = [b - a for a, b in zip(x, x[1:])]
-    n = len(y)
-    stop = n - 3 if n % 2 == 0 else n - 2
-    terms = []
-    for i in range(0, stop, 2):
+    n = len(x)
+    w = [0.0] * n
+    for i in range(0, n - 3 if n % 2 == 0 else n - 2, 2):
         h0, h1 = h[i], h[i + 1]
-        hsum, h0divh1 = h0 + h1, h0 / h1
-        terms.append(hsum / 6.0 * (y[i] * (2.0 - 1.0 / h0divh1)
-                                   + y[i + 1] * (hsum * (hsum / (h0 * h1)))
-                                   + y[i + 2] * (2.0 - h0divh1)))
-    result = _pairwise_sum(terms)
+        c = (h0 + h1) / 6.0
+        w[i] += c * (2.0 - h1 / h0)
+        w[i + 1] += c * (h0 + h1) ** 2 / (h0 * h1)
+        w[i + 2] += c * (2.0 - h0 / h1)
     if n % 2 == 0:
         hm2, hm1 = h[-2], h[-1]
-        alpha = (2 * (hm1 * hm1) + 3 * hm2 * hm1) / (6 * (hm1 + hm2))
-        beta = (hm1 * hm1 + 3.0 * hm2 * hm1) / (6 * hm2)
-        eta = hm1 ** 3 / (6 * hm2 * (hm2 + hm1))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result
+        w[-1] += (2 * (hm1 * hm1) + 3 * hm2 * hm1) / (6 * (hm1 + hm2))
+        w[-2] += (hm1 * hm1 + 3.0 * hm2 * hm1) / (6 * hm2)
+        w[-3] -= hm1 ** 3 / (6 * hm2 * (hm2 + hm1))
+    return w
 
 
 def _require_repulsive_bosons(cfg):
@@ -118,60 +92,75 @@ def tf_boson_profile(cfg, grid):
     return mu_b, [max(0.0, (mu_b - k * (r * r)) / cfg.g_bb) for r in grid]
 
 
-def _fermi_energy_bounds(cfg, mu_b):
-    """(lo, hi) around the continuum e_F, from 0 <= n_b <= mu_b / g_bb.
-
-    With e_0 = hbar omega_f (6 N_f)^(1/3) and shift = g_bf mu_b / g_bb:
-    [e_0 + shift, e_0] for g_bf <= 0, else [e_0, min(e_0 + shift, e_1)].
-    The trap is bare outside R_b, so with x = (e / hbar omega_f)^(3/2)
-    the count is at least x^2/6 - b x, where b x bounds the bare count
-    inside R_b; e_1 is where that reaches N_f.
-    """
+def _fermi_energy_bound(cfg, mu_b):
+    """Upper bound on the continuum e_F from 0 <= n_b <= mu_b / g_bb: with
+    e_0 = hbar omega_f (6 N_f)^(1/3) and shift = g_bf mu_b / g_bb, e_0
+    for g_bf <= 0, else min(e_0 + shift, e_1).  The trap is bare outside
+    R_b, so with x = (e / hbar omega_f)^(3/2) the count is at least
+    x^2/6 - b x, where b x bounds the bare count inside R_b; e_1 is
+    where that reaches N_f."""
     hw = hbar * cfg.omega_f
     e_0 = hw * (6.0 * cfg.N_f) ** (1.0 / 3.0)
     shift = cfg.g_bf * mu_b / cfg.g_bb
     if shift <= 0.0:
-        return e_0 + shift, e_0
+        return e_0
     b = 2.0 / (9.0 * pi) * (4.0 * cfg.m_f * cfg.omega_f * mu_b
                             / (hbar * cfg.m_b * cfg.omega_b ** 2)) ** 1.5
     x = 3.0 * (b + math.hypot(b, math.sqrt(2.0 * cfg.N_f / 3.0)))
-    return e_0, min(e_0 + shift, hw * x ** (2.0 / 3.0))
+    return min(e_0 + shift, hw * x ** (2.0 / 3.0))
 
 
 def tf_fermion_profile(cfg, mu_b, n_b, grid):
     """Fermion density on the grid for the potential trap + g_bf n_b(r);
-    returns (e_F, n_f), e_F fixed by the normalization to N_f with one
-    Brent call to 1e-10 e_0 between the padded _fermi_energy_bounds.
-    An end of wrong sign or NaN is a NumericError, never the answer, and
-    so is a density beyond float range."""
+    returns (e_F, n_f), e_F where the grid's Simpson count of n_f is N_f,
+    by Newton steps from _fermi_energy_bound.  With weights >= 0, as on
+    every grid of _build_grid, the count is convex and increasing: a
+    step from below lands above the root, and from above none passes it.
+    A density beyond float range, no node below e_F, or a count off N_f
+    by over 1e-12 N_f is a NumericError, never the answer."""
     k = 0.5 * cfg.m_f * cfg.omega_f ** 2
     V_eff = [k * (r * r) + cfg.g_bf * nb for r, nb in zip(grid, n_b)]
     pref = (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2)
-    shell = [4.0 * pi * (r * r) for r in grid]
+    # pref stays on the density: one beyond float range makes n inf or nan
+    weights = [4.0 * pi * (r * r) * w
+               for r, w in zip(grid, _simpson_weights(grid))]
 
-    def density(e_F):
-        try:
-            return [pref * max(0.0, e_F - V) ** 1.5 for V in V_eff]
-        except OverflowError:
+    def count(e_F):
+        """(count, d count / d e_F), one sqrt a node that holds fermions."""
+        n = s = 0.0
+        for w, V in zip(weights, V_eff):
+            if e_F > V:
+                root = math.sqrt(e_F - V)
+                n += w * (pref * (e_F - V) * root)
+                s += w * root
+        slope = 1.5 * pref * s
+        if not (math.isfinite(n) and math.isfinite(slope)):
             raise NumericError(
                 f"the Thomas-Fermi fermion density overflows at e_F = "
                 f"{e_F:g} J: interaction.g_bf = {cfg.g_bf:g} J m^3 is out "
-                f"of float range") from None
+                f"of float range")
+        if slope == 0.0:
+            raise NumericError(f"no node of the Thomas-Fermi grid holds "
+                               f"fermions at e_F = {e_F:g} J")
+        return n, slope
 
-    def excess(e_F):
-        return simpson([s * d for s, d in zip(shell, density(e_F))],
-                       grid) - cfg.N_f
-
-    e_0 = hbar * cfg.omega_f * (6.0 * cfg.N_f) ** (1.0 / 3.0)
-    lo, hi = _fermi_energy_bounds(cfg, mu_b)
-    lo -= _BRACKET_PAD * max(abs(lo), e_0)
-    hi += _BRACKET_PAD * max(abs(hi), e_0)
-    try:
-        e_F = brentq(excess, lo, hi, xtol=1e-10 * e_0, maxiter=200)
-    except RootError as exc:
-        raise NumericError(f"no e_F on the padded bounds [{lo:g}, {hi:g}] "
-                           f"J: {exc}") from None
-    return e_F, density(e_F)
+    e_F = _fermi_energy_bound(cfg, mu_b)
+    n, slope = count(e_F)
+    if n < cfg.N_f:
+        e_F += (cfg.N_f - n) / slope
+        n, slope = count(e_F)
+    # a count below N_f after a fall is rounding at the root: keep it
+    while n >= cfg.N_f and (step := e_F - (n - cfg.N_f) / slope) < e_F:
+        e_F = step
+        n, slope = count(e_F)
+    if abs(n - cfg.N_f) > 1e-12 * cfg.N_f:
+        raise NumericError(
+            f"Newton steps on the Simpson count stop at e_F = {e_F:g} J, "
+            f"{n / cfg.N_f - 1.0:.2g} relative off N_f = {cfg.N_f:g}: the "
+            f"count is not convex on this grid")
+    # the densities the last count summed, each finite
+    return e_F, [pref * (e_F - V) * math.sqrt(e_F - V) if e_F > V else 0.0
+                 for V in V_eff]
 
 
 def classify_tf_regime(cfg):
@@ -196,7 +185,7 @@ def _build_grid(cfg, mu_b, span_factor, n_points):
     the kink of both profiles falls on a Simpson panel boundary and a
     cloud far inside the condensate still spans that many panels."""
     R_b = math.sqrt(2.0 * mu_b / (cfg.m_b * cfg.omega_b ** 2))
-    R_f = math.sqrt(2.0 * _fermi_energy_bounds(cfg, mu_b)[1]
+    R_f = math.sqrt(2.0 * _fermi_energy_bound(cfg, mu_b)
                     / (cfg.m_f * cfg.omega_f ** 2))
     span = span_factor * max(R_b, R_f)
     if not (0.0 < R_f and 0.0 < R_b <= span < math.inf):
@@ -215,7 +204,7 @@ def _build_grid(cfg, mu_b, span_factor, n_points):
 
 def tf_profiles(cfg):
     """Both density profiles on one grid that holds the whole cloud,
-    e_F from one Brent call between proven bounds, plus the regime
+    e_F from Newton steps on the grid's Simpson count, plus the regime
     label."""
     mu_b = boson_chemical_potential(cfg)
     grid, R_b = _build_grid(cfg, mu_b, 1.5, _GRID_POINTS)

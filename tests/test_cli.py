@@ -314,6 +314,22 @@ def test_mode_override(tmp_path, capsys):
     assert "# mode: derived" in out.splitlines()
 
 
+def test_preset_mode_override(tmp_path, capsys):
+    # fig3a is a paper-mode preset: --mode derived reruns it in that mode
+    def y_column(path):
+        rows = csv.DictReader(data_lines(path.read_text()))
+        return [row["Y"] for row in rows]
+
+    paper, derived, again = (tmp_path / name for name in ("p", "d", "a"))
+    assert cli.main(["fig3a", "--out", str(paper)]) == 0
+    for out in (derived, again):
+        assert cli.main(["fig3a", "--mode", "derived", "--out",
+                         str(out)]) == 0
+    assert "# mode: derived" in derived.read_text().splitlines()
+    assert y_column(derived) != y_column(paper)
+    assert derived.read_bytes() == again.read_bytes()
+
+
 def test_tol_validation(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     assert cli.main(["window", "--config", path, "--tol", "2.0"]) == 1

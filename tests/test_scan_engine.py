@@ -71,6 +71,19 @@ def test_range_validation():
         ScanRange("interaction.g_bb", values=())
 
 
+def test_range_replace_and_make_check_like_new():
+    # namedtuple's _replace and _make would otherwise skip __new__, and a
+    # 0-point axis would scan as one row
+    r = ScanRange("interaction.g_bb", 0.0, 0.1, 3)
+    with pytest.raises(ConfigError, match="points"):
+        r._replace(points=0)
+    with pytest.raises(ConfigError, match="unknown scan field 'nope'"):
+        ScanRange._make(("nope", 1, 2, 3, "linear", None))
+    assert ScanRange._make(r) == r
+    assert r._replace(points=5).grid() == ScanRange(
+        "interaction.g_bb", 0.0, 0.1, 5).grid()
+
+
 @pytest.mark.parametrize("kwargs, where", [
     (dict(start=math.nan, stop=1.0, points=4), "scan.interaction.g_bb.from"),
     (dict(start=0.0, stop=math.inf, points=4), "scan.interaction.g_bb.to"),

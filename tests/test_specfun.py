@@ -426,3 +426,14 @@ def test_fugacity_dataclass_invariants():
         Fugacity(-0.1, Species.FERMI)
     fug = Fugacity(0.5, Species.FERMI)
     assert np.isclose(fug.ln_z, math.log(0.5), rtol=1e-15)
+
+
+def test_fugacity_replace_and_make_check_like_new():
+    # namedtuple's _replace and _make would otherwise skip __new__
+    with pytest.raises(DomainError):
+        Fugacity(0.5, Species.BOSE)._replace(z=5.0)
+    with pytest.raises(DomainError):
+        Fugacity._make((-0.1, Species.FERMI, False, None))
+    fug = Fugacity(0.5, Species.BOSE)
+    assert Fugacity._make(fug) == fug
+    assert fug._replace(condensed=True).condensed is True

@@ -2,14 +2,15 @@
 
 import math
 import random
+import types
 
 import numpy as np
 import pytest
 
-from bfmix import thomas_fermi
+from bfmix import brent, thomas_fermi
 from bfmix.config import MixtureConfig
 from bfmix.constants import hbar, atomic_mass, pi
-from bfmix.errors import DomainError
+from bfmix.errors import DomainError, NumericError
 from bfmix.thomas_fermi import (
     TFRegime, tf_boson_profile, tf_fermion_profile, classify_tf_regime,
     tf_profiles, boson_chemical_potential, condensate_radius,
@@ -221,8 +222,13 @@ def test_profiles_normalized_for_any_cloud_ratio():
         assert prof.n_f[-1] == 0.0
         n_f = simpson(4.0 * pi * r * r * np.asarray(prof.n_f), x=r)
         n_b = simpson(4.0 * pi * r * r * np.asarray(prof.n_b), x=r)
-        assert abs(n_f / cfg.N_f - 1.0) <= 1e-9, cfg
+        assert abs(n_f / cfg.N_f - 1.0) <= 1e-13, cfg
         assert abs(n_b / cfg.N_b - 1.0) <= 1e-6, cfg
+
+
+def _scipy_count(grid, n_f):
+    r = np.asarray(grid)
+    return simpson(4.0 * pi * r * r * np.asarray(n_f), x=r)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -232,14 +238,65 @@ def test_profiles_normalized_for_any_cloud_ratio():
         m_b=87.0 * atomic_mass, m_f=6.0 * atomic_mass, omega_b=3000.0,
         omega_f=3.0, N_b=125.0, N_f=7e5, a_bb=100.0 * A0, a_bf=20.0 * A0),
 ])
-def test_one_brent_call_per_profile(monkeypatch, cfg):
-    calls = []
-    real = thomas_fermi.brentq
+def test_e_F_from_newton_steps_without_a_root_finder(monkeypatch, cfg):
+    # no root finder: each pass of the count checks its count and slope
+    # with math.isfinite, so the checks count the passes
+    assert not any(value is brent or getattr(value, "__module__", None)
+                   == brent.__name__ for value in vars(thomas_fermi).values())
+    checks = []
+    proxy = types.SimpleNamespace(**{
+        name: value for name, value in vars(math).items()
+        if not name.startswith("__")})
+    proxy.isfinite = lambda x: checks.append(x) or math.isfinite(x)
+    monkeypatch.setattr(thomas_fermi, "math", proxy)
+    prof = tf_profiles(cfg)
+    assert 2 <= len(checks) <= 2 * 16
+    assert abs(_scipy_count(prof.radii, prof.n_f) / cfg.N_f - 1.0) <= 1e-13
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(thomas_fermi, "brentq", counted)
-    tf_profiles(cfg)
-    assert len(calls) == 1
+@pytest.mark.parametrize("g_bf", [-1e200, -1e300])
+def test_overflowing_density_names_the_coupling(g_bf):
+    with pytest.raises(NumericError, match=r"^the Thomas-Fermi fermion "
+                       r"density overflows .* interaction\.g_bf = "):
+        tf_profiles(make_cfg(g_bf=g_bf))
+
+
+def _fermion_profile_on(cfg, grid):
+    mu_b, n_b = tf_boson_profile(cfg, grid)
+    return tf_fermion_profile(cfg, mu_b, n_b, grid)
+
+
+def test_grid_without_a_fermion_node_raises():
+    # the only node inside the cloud is r = 0, whose Simpson weight
+    # carries r^2 = 0
+    cfg = make_cfg()
+    R_b = condensate_radius(cfg)
+    grid = [0.0] + [R_b * (100.0 + i) for i in range(40)]
+    with pytest.raises(NumericError, match="no node"):
+        _fermion_profile_on(cfg, grid)
+
+
+def test_non_positive_simpson_weight_is_checked():
+    # pairs of intervals (a, 2h - a): for a < 2h/3 the longer one is more
+    # than twice the shorter and the even nodes take weights < 0, so the
+    # count need not be convex; e_F then holds N_f or the solve raises.
+    # Over the span of the profile's own grid both happen.
+    cfg = make_cfg()
+    span = tf_profiles(cfg).radii[-1]
+    outcomes = set()
+    for frac in (0.05, 0.2, 0.3):
+        for n_points in (41, 200, 2001):
+            h = span / (n_points - 1)
+            grid = [(i - i % 2) * h + (i % 2) * 2.0 * frac * h
+                    for i in range(n_points)]
+            assert min(thomas_fermi._simpson_weights(grid)) < 0.0
+            try:
+                e_F, n_f = _fermion_profile_on(cfg, grid)
+            except NumericError as exc:
+                assert "not convex" in str(exc)
+                outcomes.add("raised")
+                continue
+            assert math.isfinite(e_F)
+            assert abs(_scipy_count(grid, n_f) / cfg.N_f - 1.0) <= 1e-12
+            outcomes.add("held")
+    assert outcomes == {"raised", "held"}

@@ -20,7 +20,7 @@ from bfmix.config import _FIELD_PATHS, MixtureConfig, CompatMode
 from bfmix.constants import hbar, atomic_mass
 from bfmix.errors import DomainError, NumericError
 from bfmix import zero_temperature as zt
-from bfmix.scan_engine import figure_preset
+from bfmix.scan_engine import ScanRange, ScanSpec, figure_preset, run_scan
 from bfmix.zero_temperature import (
     PhaseLabel, boson_energy, boson_energy_derivatives, solve_omega_c,
     critical_boson_number, overlap_G, overlap_G_derivatives,
@@ -850,6 +850,21 @@ def test_strong_repulsion_shell_separates():
     assert np.isclose(res.r_fc,
                       separation_radius(Omega_ref, omega_c, strong),
                       rtol=1e-12)
+
+
+def test_strong_attraction_has_no_minimum():
+    # a heavy condensate pulls the light fermions in until the mixed
+    # energy curvature turns negative: Y < 0 with the clouds overlapping
+    cfg = MixtureConfig(
+        m_b=87.0 * atomic_mass, m_f=6.0 * atomic_mass, omega_b=166.0,
+        omega_f=166.0, N_b=1e4, N_f=100.0, g_bb=3.5e-49, g_bf=-1e-46)
+    res = classify_zero_T(cfg)
+    assert res.phase is PhaseLabel.NO_MINIMUM
+    assert res.Y < 0.0 and res.r_fc == 0.0
+    spec = ScanSpec(base=cfg, variables=(ScanRange(
+        "interaction.g_bf", values=(0.0, -1e-46)),), observable="phase")
+    assert [row[1:] for row in run_scan(spec).rows] == [
+        ("coexisting", "OK"), ("no_minimum", "OK")]
 
 
 def test_coexisting_interval_broadens_for_smaller_N_b():
