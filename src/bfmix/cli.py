@@ -28,9 +28,7 @@ from .scan_engine import (
 from .thomas_fermi import tf_profiles
 from .zero_temperature import classify_zero_T, solve_omega_c
 
-__all__ = ["main", "write_csv", "resolve_workers"]
-
-_WORKERS_ENV = "BFMIX_WORKERS"
+__all__ = ["main", "write_csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +100,16 @@ _COMMANDS = {
     **{tag: f"figure preset {tag} (embedded config)" for tag in PRESET_TAGS},
 }
 
+
+def _count(text):
+    """text as a non-negative int; a ValueError, which _parse reports
+    naming the option, for anything else."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
 # every subcommand takes every option: name -> (metavar, type, help)
 _OPTIONS = {
     "--config": ("PATH", str, "path to a JSON config file"),
@@ -110,9 +118,9 @@ _OPTIONS = {
                "override the config's compat_mode"),
     "--tol": ("FLOAT", float,
               "relative tolerance for window-edge refinement"),
-    "--workers": ("INT", int,
-                  f"no-op kept for compatibility: validated, overrides "
-                  f"${_WORKERS_ENV}; scans always run serially"),
+    "--workers": ("INT", _count,
+                  "accepted for compatibility and ignored; a non-negative "
+                  "integer"),
 }
 _FLAGS = ("--help", "--version")
 
@@ -194,27 +202,6 @@ def _parse(argv):
     if subcommand is None:
         raise ConfigError("the following arguments are required: SUBCOMMAND")
     return _Args(subcommand, *values.values())
-
-
-def resolve_workers(flag_value, env_value):
-    """Worker count from the flag, else the environment, else None.
-
-    The count is validated and handed to run_scan, which ignores it.
-    """
-    if flag_value is not None:
-        if flag_value < 0:
-            raise ConfigError(f"--workers must be >= 0, got {flag_value}")
-        return flag_value
-    if env_value is None or env_value == "":
-        return None
-    try:
-        n = int(env_value)
-    except ValueError:
-        raise ConfigError(
-            f"{_WORKERS_ENV} must be an integer, got {env_value!r}")
-    if n < 0:
-        raise ConfigError(f"{_WORKERS_ENV} must be >= 0, got {n}")
-    return n
 
 
 def _load(args):
@@ -309,8 +296,7 @@ def _run_scan(args):
     if extras.get("scan") is None:
         raise ConfigError("missing config field 'scan'")
     spec = scan_spec_from_dict(cfg, extras["scan"])
-    return run_scan(spec, workers=resolve_workers(
-        args.workers, os.environ.get(_WORKERS_ENV)))
+    return run_scan(spec)
 
 
 def _run_preset(args):
@@ -321,8 +307,7 @@ def _run_preset(args):
             "--config is not accepted")
     if args.mode is not None:
         spec = spec._replace(base=spec.base.replace(compat_mode=args.mode))
-    return run_scan(spec, workers=resolve_workers(
-        args.workers, os.environ.get(_WORKERS_ENV)))
+    return run_scan(spec)
 
 
 _DISPATCH = {

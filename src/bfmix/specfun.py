@@ -130,6 +130,18 @@ class Fugacity(namedtuple("Fugacity", "z species condensed ln_z")):
         # namedtuple's _replace builds its copy here: check it as above
         return cls(*iterable)
 
+    def _replace(self, **changes):
+        """A copy with the named fields changed and checked as on
+        construction.  z and ln_z name one number, so a change to either
+        alone sets the other: ln_z = log(z), z = exp(ln_z) or inf once
+        ln_z passes 709, as the fugacity inversions store it."""
+        if "z" in changes and "ln_z" not in changes:
+            changes["ln_z"] = None
+        elif "ln_z" in changes and "z" not in changes:
+            ln_z = changes["ln_z"]
+            changes["z"] = math.inf if ln_z >= 709.0 else math.exp(ln_z)
+        return super()._replace(**changes)
+
 
 # Gamma(1 - nu) prefactors of the singular term of g_nu near z = 1
 _GAMMA_1_MINUS_NU = {order: math.gamma(1.0 - order.value) for order in PolyOrder}

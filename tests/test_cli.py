@@ -17,8 +17,9 @@ import pytest
 
 import bfmix
 from bfmix import cli
+from bfmix.config import load_config
 from bfmix.constants import atomic_mass, hbar
-from bfmix.errors import ConfigError, NumericError
+from bfmix.errors import NumericError
 from bfmix.scan_engine import PRESET_TAGS, ScanTable, figure_preset, run_scan
 
 
@@ -138,6 +139,35 @@ def test_finite_t_row(tmp_path, capsys):
     assert 0.0 < float(record["z_b"]) < 1.0
     assert float(record["z_f"]) > 1.0
     assert record["stable"] in ("true", "false")
+
+
+def test_finite_t_si_couplings_print_the_oscillator_z(tmp_path, capsys):
+    # the oscillator config, converted to SI by hand: couplings in J m^3,
+    # volume in m^3, temperature in K; the Z cell is the same
+    osc = base_config(interaction={"g_bb": 0.05, "g_bf": 0.02,
+                                   "g_ff": 0.01})
+    osc["thermal"]["temperature"] = 5.0
+    osc_path = write_config(tmp_path, osc, "osc.json")
+    cfg, _ = load_config(osc_path)
+    si = {"unit_system": "si", "compat_mode": "paper",
+          "boson": {"mass_kg": cfg.m_b, "omega": cfg.omega_b,
+                    "count": cfg.N_b},
+          "fermion": {"mass_kg": cfg.m_f, "omega": cfg.omega_f,
+                      "count": cfg.N_f},
+          "interaction": {"g_bb": cfg.g_bb, "g_bf": cfg.g_bf,
+                          "g_ff": cfg.g_ff},
+          "thermal": {"volume": cfg.volume,
+                      "temperature": cfg.temperature}}
+    si_path = write_config(tmp_path, si, "si.json")
+    z_cells = []
+    for path in (osc_path, si_path):
+        assert cli.main(["finite-t", "--config", path]) == 0
+        header, row = data_lines(capsys.readouterr().out)
+        record = dict(zip(header.split(","), row.split(",")))
+        assert record["status"] == "OK"
+        z_cells.append(record["Z"])
+    assert z_cells[0] == z_cells[1]
+    assert float(z_cells[0]) != 0.0
 
 
 def test_zero_t_row(tmp_path, capsys):
@@ -337,35 +367,19 @@ def test_tol_validation(tmp_path, capsys):
     assert cli.main(["window", "--config", path, "--tol", "1e-4"]) == 0
 
 
-def test_workers_resolution():
-    assert cli.resolve_workers(4, "8") == 4
-    assert cli.resolve_workers(None, "8") == 8
-    assert cli.resolve_workers(None, None) is None
-    assert cli.resolve_workers(None, "") is None
-    assert cli.resolve_workers(0, "8") == 0
-    with pytest.raises(ConfigError):
-        cli.resolve_workers(-1, None)
-    with pytest.raises(ConfigError):
-        cli.resolve_workers(None, "abc")
-    with pytest.raises(ConfigError):
-        cli.resolve_workers(None, "-2")
-
-
-def test_workers_env_flows_into_scan(tmp_path, monkeypatch, capsys):
+def test_workers_env_is_ignored(tmp_path, monkeypatch, capsys):
     cfg = base_config()
     cfg["scan"] = {"observable": "omega_c",
                    "variables": [{"field": "interaction.g_bb",
                                   "from": 0.0, "to": 0.1, "points": 4}]}
     path = write_config(tmp_path, cfg)
+    plain, ignored = tmp_path / "plain.csv", tmp_path / "ignored.csv"
+    monkeypatch.delenv("BFMIX_WORKERS", raising=False)
+    assert cli.main(["scan", "--config", path, "--out", str(plain)]) == 0
     monkeypatch.setenv("BFMIX_WORKERS", "not-a-number")
-    assert cli.main(["scan", "--config", path]) == 1
-    assert "BFMIX_WORKERS" in capsys.readouterr().err
-    monkeypatch.setenv("BFMIX_WORKERS", "2")
-    assert cli.main(["scan", "--config", path]) == 0
-    capsys.readouterr()
-    # flag beats environment even when env is invalid
-    monkeypatch.setenv("BFMIX_WORKERS", "not-a-number")
-    assert cli.main(["scan", "--config", path, "--workers", "1"]) == 0
+    assert cli.main(["scan", "--config", path, "--out", str(ignored)]) == 0
+    assert capsys.readouterr().err == ""
+    assert ignored.read_bytes() == plain.read_bytes()
 
 
 def test_numeric_error_maps_to_exit_2(monkeypatch, capsys):
@@ -859,10 +873,12 @@ def test_options_after_the_subcommand_set_the_output(tmp_path, capsys):
     (["window", "--tol", "abc"], "--tol"),
     (["window", "--tol=1e-3x"], "--tol"),
     (["scan", "--workers", "two"], "--workers"),
+    (["scan", "--workers", "-1"], "--workers"),
     (["scan", "--workers=1.5"], "--workers"),
     (["window", "--mode", "exact"], "--mode"),
     (["window", "--help=yes"], "--help"),
     (["frobnicate"], "frobnicate"),
+    (["--", "fig1"], "ambiguous option: -- could match --config, "),
     ([], "SUBCOMMAND"),
 ])
 def test_bad_argument_exit_1_names_it(capsys, argv, names):

@@ -101,6 +101,8 @@ def test_with_field_and_field_to_si():
     assert cfg2.g_bf == cfg.g_bf
     with pytest.raises(ConfigError):
         cfg.with_field("interaction.bogus", 1.0)
+    with pytest.raises(ConfigError, match="'interaction.bogus'"):
+        cfg.field_to_si("interaction.bogus", 1.0)
 
 
 BASE_JSON = {
@@ -166,6 +168,32 @@ def test_si_scattering_length_config():
     assert cfg.g_bb < 0
     assert cfg.compat_mode is CompatMode.DERIVED  # default
     assert cfg.g_ff == 0.0
+
+
+def test_si_coupling_config_equals_from_si():
+    # couplings in J m^3, volume in m^3 and temperature in K, as given
+    g = dict(g_bb=3.1e-51, g_bf=-1.7e-51, g_ff=4.0e-52)
+    data = {
+        "unit_system": "si",
+        "boson": {"mass_kg": 7.0 * atomic_mass, "omega": 166.0,
+                  "count": 1000},
+        "fermion": {"mass_u": 6.0, "omega": 200.0, "count": 100},
+        "interaction": g,
+        "thermal": {"volume": 1e-15, "temperature": 1e-7},
+    }
+    cfg, _ = config_from_dict(data)
+    assert cfg == MixtureConfig.from_si(
+        m_b=7.0 * atomic_mass, m_f=6.0 * atomic_mass, omega_b=166.0,
+        omega_f=200.0, N_b=1000.0, N_f=100.0, volume=1e-15,
+        temperature=1e-7, **g)
+    assert cfg.unit_system is UnitSystem.SI
+
+
+def test_config_root_must_be_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(ConfigError, match="config root must be an object"):
+        load_config(str(path))
 
 
 def test_bad_t_range_rejected():

@@ -533,6 +533,10 @@ def test_window_input_validation():
     for r in (-1.0, math.nan):
         with pytest.raises(DomainError, match="radius"):
             ft.critical_window(cfg, (0.5 * unit, 50.0 * unit), r=r)
+    # the edge tolerance is relative: 0 and 1 are refused
+    for rtol in (0.0, 1.0):
+        with pytest.raises(ConfigError, match=r"rtol must be in \(0, 1\)"):
+            ft.critical_window(cfg, (0.5 * unit, 50.0 * unit), rtol=rtol)
 
 
 def test_window_deterministic():

@@ -164,6 +164,21 @@ def test_spec_validation_precedes_evaluation():
                           variables=(ScanRange("thermal.temperature",
                                                1.0, 10.0, 3),),
                           observable="Z"))
+    g_bf = (ScanRange("interaction.g_bf", 0.0, 0.1, 3),)
+    with pytest.raises(ConfigError, match="base must be a MixtureConfig"):
+        run_scan(ScanSpec(base=base._asdict(), variables=g_bf,
+                          observable="omega_c"))
+    with pytest.raises(ConfigError, match="must be ScanRange instances"):
+        run_scan(ScanSpec(base=base, variables=(("interaction.g_bf",
+                                                 0.0, 0.1, 3),),
+                          observable="omega_c"))
+    with pytest.raises(ConfigError, match=re.escape("got [5.0, 1.0]")):
+        run_scan(ScanSpec(base=osc_cfg(volume=1000.0), variables=g_bf,
+                          observable="T_c1", t_range=(5.0, 1.0)))
+    # Z needs a temperature, set or swept
+    with pytest.raises(ConfigError, match="needs thermal.temperature"):
+        run_scan(ScanSpec(base=osc_cfg(volume=1000.0), variables=g_bf,
+                          observable="Z"))
 
 
 def test_unknown_preset():
@@ -366,6 +381,8 @@ def test_spec_from_dict_values_and_t_range():
 
 def test_spec_from_dict_rejects_unknown_keys():
     base = osc_cfg()
+    with pytest.raises(ConfigError, match="'scan' must be an object"):
+        scan_spec_from_dict(base, [])
     with pytest.raises(ConfigError):
         scan_spec_from_dict(base, {"observable": "omega_c",
                                    "variables": [], "extra": 1})

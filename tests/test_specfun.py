@@ -8,6 +8,7 @@ series), then frozen here as literals.
 
 import importlib.util
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfmix import _panels
+from bfmix import _panels, specfun
 from bfmix.errors import DomainError, NumericError
 from bfmix.specfun import (
     PolyOrder, Species, Fugacity, ZETA_3_2,
@@ -118,6 +119,8 @@ def test_fermi_f_seams_are_continuous():
 def test_bose_g_half_divergence_signal():
     assert bose_g(0.5, 1.0) == math.inf
     assert bose_g(0.5, 1.0 - 1e-14) == math.inf
+    # the ln z kernel of the stability matrix signals it only at ln z = 0
+    assert specfun._bose_g_of_mu(PolyOrder.ONE_HALF, 0.0) == math.inf
     # just outside the signal window the value is large but finite
     val = bose_g(0.5, 1.0 - 1e-12)
     assert math.isfinite(val) and val > 1e5
@@ -437,3 +440,42 @@ def test_fugacity_replace_and_make_check_like_new():
     fug = Fugacity(0.5, Species.BOSE)
     assert Fugacity._make(fug) == fug
     assert fug._replace(condensed=True).condensed is True
+
+
+def test_fugacity_replace_keeps_z_and_ln_z_one_number():
+    # a change to z or ln_z alone sets the other; namedtuple's _replace
+    # would keep the other field's stale value
+    fug = Fugacity(0.5, Species.BOSE)
+    assert fug._replace(z=0.25).ln_z == math.log(0.25)
+    assert fug._replace(ln_z=-5.0).z == math.exp(-5.0)
+    with pytest.raises(DomainError, match="Bose fugacity"):
+        fug._replace(ln_z=1.0)
+    # a degenerate Fermi fugacity, z past exp's range, keeps its pair
+    deep = Fugacity(math.inf, Species.FERMI, ln_z=800.0)
+    assert deep._replace(condensed=True) == (math.inf, Species.FERMI,
+                                             True, 800.0)
+    assert deep._replace(ln_z=720.0).z == math.inf
+    assert deep._replace(ln_z=2.0).z == math.exp(2.0)
+    with pytest.raises(DomainError, match="Fermi fugacity"):
+        deep._replace(ln_z=math.nan)
+
+
+@pytest.mark.parametrize("nu, ln_z", [
+    (nu, ln_z) for nu in (0.5, 1.5, 2.5) for ln_z in (math.inf, math.nan)
+] + [(nu, ln_z) for nu in (1.5, 2.5) for ln_z in (1e300, 1e308)])
+def test_fermi_f_log_past_float_range_raises(nu, ln_z):
+    # f_(1/2) stays finite up to ln z = 1e308; f_(3/2) and f_(5/2) pass
+    # the float range there
+    with pytest.raises(NumericError, match=re.escape(f"ln z={ln_z}")):
+        fermi_f_log(nu, ln_z)
+    if ln_z == 1e308:
+        assert math.isfinite(fermi_f_log(0.5, ln_z))
+
+
+def test_fermi_f_log_catches_the_sommerfeld_overflow():
+    # past mu = 2e123 the series forms mu^(nu/2) twice; for nu = 5/2 and
+    # mu = 1e300 that power itself leaves the float range and raises
+    with pytest.raises(OverflowError):
+        specfun._sommerfeld(PolyOrder.FIVE_HALVES, 1e300)
+    with pytest.raises(NumericError, match="not finite at nu=2.5"):
+        fermi_f_log(2.5, 1e300)

@@ -261,6 +261,16 @@ def test_overflowing_density_names_the_coupling(g_bf):
         tf_profiles(make_cfg(g_bf=g_bf))
 
 
+def test_overflowing_grid_span_names_both_radii():
+    cfg = make_cfg()
+    mu_b = boson_chemical_potential(cfg)
+    assert thomas_fermi._build_grid(cfg, mu_b, 1.5, 41)[0][-1] < math.inf
+    # the radii are micrometres, so only an infinite factor overflows
+    with pytest.raises(NumericError, match=r"^cloud radii out of float "
+                       r"range: R_b = .* m, R_f = .* m$"):
+        thomas_fermi._build_grid(cfg, mu_b, math.inf, 41)
+
+
 def _fermion_profile_on(cfg, grid):
     mu_b, n_b = tf_boson_profile(cfg, grid)
     return tf_fermion_profile(cfg, mu_b, n_b, grid)

@@ -79,6 +79,24 @@ def test_paper_interaction_term_is_twice_derived():
         assert np.isclose(int_p, 2.0 * int_d, rtol=1e-12)
 
 
+@pytest.mark.parametrize("Omega, r_f, field", [
+    (0.0, 0.0, "Omega"), (-1.0, 0.0, "Omega"), (math.nan, 0.0, "Omega"),
+    (200.0, -1e-6, "r_f"), (200.0, math.nan, "r_f"),
+])
+def test_fermion_energy_rejects_out_of_domain_arguments(Omega, r_f, field):
+    cfg = make_cfg()
+    for energy in (fermion_energy, fermion_energy_gradients):
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            energy(Omega, r_f, 166.0, cfg)
+
+
+@pytest.mark.parametrize("Omega, omega_c", [
+    (0.0, 166.0), (166.0, 0.0), (-1.0, 166.0), (166.0, math.nan)])
+def test_overlap_rejects_non_positive_frequencies(Omega, omega_c):
+    with pytest.raises(DomainError, match="positive frequencies"):
+        overlap_G_derivatives(Omega, omega_c, make_cfg())
+
+
 def test_boson_energy_rejects_nonpositive_omega():
     cfg = make_cfg()
     with pytest.raises(DomainError):
@@ -297,6 +315,14 @@ def test_critical_number_requires_attraction():
         critical_boson_number(make_cfg(g_bb=0.05))
     with pytest.raises(DomainError):
         critical_boson_number(make_cfg(g_bb=0.0))
+
+
+def test_critical_number_search_ends():
+    # so attractive that one boson already collapses: the count is 1
+    assert critical_boson_number(make_cfg(g_bb=-1e3)) == 1.0
+    # so weak that 2^60 bosons still hold: the doubling gives up
+    with pytest.raises(NumericError, match="exceeds 2\\^60"):
+        critical_boson_number(make_cfg(g_bb=-1e-20))
 
 
 def test_critical_number_against_closed_form():
