@@ -213,12 +213,12 @@ def _load(args):
     return cfg, extras
 
 
-def _analysis_table(cfg, command, columns, row, extra_lines=()):
+def _analysis_table(cfg, command, columns, rows, extra_lines=()):
     provenance = [f"bfmix {__version__}", f"mode: {cfg.compat_mode.value}",
                   f"analysis: {command}"]
     provenance.extend(extra_lines)
     provenance.extend(config_lines(cfg))
-    return ScanTable(columns=tuple(columns), rows=(tuple(row),),
+    return ScanTable(columns=tuple(columns), rows=tuple(rows),
                      provenance=tuple(provenance))
 
 
@@ -236,7 +236,7 @@ def _run_zero_t(args):
            fermion.Omega_c, fermion.Y, fermion.r_fc, fermion.phase.value,
            "OK")
     return _analysis_table(
-        cfg, "zero-t", columns, row,
+        cfg, "zero-t", columns, (row,),
         ("units: omega_c, Omega_c in rad/s; r_fc in m",))
 
 
@@ -244,18 +244,15 @@ def _run_tf(args):
     cfg, _ = _load(args)
     profiles = tf_profiles(cfg)
     columns = ("r", "n_b", "n_f", "status")
-    rows = tuple((r, nb, nf, "OK") for r, nb, nf
-                 in zip(profiles.radii, profiles.n_b, profiles.n_f))
-    provenance = [f"bfmix {__version__}", f"mode: {cfg.compat_mode.value}",
-                  "analysis: tf",
-                  f"regime: {profiles.regime.value}",
-                  f"mu_b: {profiles.mu_b:.17g} J",
-                  f"e_F: {profiles.e_F:.17g} J",
-                  f"R_b: {profiles.R_b:.17g} m",
-                  "units: r in m; densities in 1/m^3"]
-    provenance.extend(config_lines(cfg))
-    return ScanTable(columns=columns, rows=rows,
-                     provenance=tuple(provenance))
+    rows = ((r, nb, nf, "OK") for r, nb, nf
+            in zip(profiles.radii, profiles.n_b, profiles.n_f))
+    return _analysis_table(
+        cfg, "tf", columns, rows,
+        (f"regime: {profiles.regime.value}",
+         f"mu_b: {profiles.mu_b:.17g} J",
+         f"e_F: {profiles.e_F:.17g} J",
+         f"R_b: {profiles.R_b:.17g} m",
+         "units: r in m; densities in 1/m^3"))
 
 
 def _run_finite_t(args):
@@ -271,7 +268,7 @@ def _run_finite_t(args):
            report.dmu_b_drho_b, report.dmu_f_drho_f, report.dmu_b_drho_f,
            report.dmu_f_drho_b, report.Z, report.stable, "OK")
     return _analysis_table(
-        cfg, "finite-t", columns, row,
+        cfg, "finite-t", columns, (row,),
         ("units: T_K in K; derivative entries in J m^3; Z in m^6",))
 
 
@@ -287,7 +284,7 @@ def _run_window(args):
            window.n_sign_changes, window.multi_root,
            window.unstable_at_low_edge, "OK")
     return _analysis_table(
-        cfg, "window", columns, row,
+        cfg, "window", columns, (row,),
         (f"window scan range: [{t_range[0]:.17g}, {t_range[1]:.17g}] K",))
 
 

@@ -3,6 +3,11 @@
 Free energy, chemical potentials, the stability matrix and its Z
 criterion, the critical-temperature window, the T_c / T_F text formulas,
 the low-temperature coupling criterion, and the local-density extension.
+
+The stability entries bb, ff and cross are built in one place, _parts,
+from a state's wavelengths and ln fugacities, and Z from them in one
+other, _determinant.  stability_matrix, stability_entries,
+lda_local_stability and the Z scan observable all go through the two.
 """
 
 import math
@@ -14,9 +19,7 @@ from .constants import h, hbar, k_B, pi
 from .errors import ConfigError, DomainError, NumericError
 from .specfun import (
     ZETA_3_2,
-    Fugacity,
     PolyOrder,
-    Species,
     _bose_g_of_mu,
     bose_fugacity_from_density,
     bose_g,
@@ -52,19 +55,21 @@ def coupling_lengths(cfg):
     the length in units of the boson oscillator length, which is what
     the figure captions quote.
     """
-    return _coupling_lengths(cfg, cfg.g_bb, cfg.g_bf, cfg.g_ff)
+    to_bb, to_bf, to_ff = _lengths(cfg)
+    return (to_bb(cfg.g_bb), to_bf(cfg.g_bf), to_ff(cfg.g_ff))
 
 
-def _coupling_lengths(cfg, g_bb, g_bf, g_ff):
-    # the couplings are given in J m^3; cfg fixes the mapping
+def _lengths(cfg):
+    """Each channel's map from a coupling [J m^3] to its length, in the
+    order of coupling_lengths: (bb, bf, ff)."""
     if cfg.compat_mode is CompatMode.PAPER:
         a = cfg.osc_length
         unit = cfg.coupling_unit
-        return (g_bb / unit * a, g_bf / unit * a, g_ff / unit * a)
-    ell_bb = cfg.m_b * g_bb / (4.0 * pi * hbar ** 2)
-    ell_ff = cfg.m_f * g_ff / (4.0 * pi * hbar ** 2)
-    ell_bf = cfg.reduced_mass * g_bf / (2.0 * pi * hbar ** 2)
-    return (ell_bb, ell_bf, ell_ff)
+        return (lambda g: g / unit * a,) * 3
+    m_b, m_red, m_f = cfg.m_b, cfg.reduced_mass, cfg.m_f
+    four, two = 4.0 * pi * hbar ** 2, 2.0 * pi * hbar ** 2
+    return (lambda g: m_b * g / four, lambda g: m_red * g / two,
+            lambda g: m_f * g / four)
 
 
 class ThermalState(namedtuple("ThermalState", (
@@ -180,17 +185,30 @@ def stability_matrix(state, cfg):
     the cross term overflows; a Z that is not a number raises
     NumericError.
     """
-    lb, lf = state.lambda_b, state.lambda_f
-    bb, ff, cross, Z = _entries(cfg, lb, lf, cfg.g_bb, cfg.g_bf, cfg.g_ff,
-                                _bose_ideal(lb, state.z_b),
-                                _fermi_ideal(lf, state.z_f))
-    if math.isnan(Z):
-        raise NumericError(
-            "the stability determinant Z is not a number: its terms "
-            f"overflow (entries bb = {bb:.3g}, ff = {ff:.3g}, "
-            f"cross = {cross:.3g} m^3)")
+    return _report(cfg, state.beta, state.lambda_b, state.lambda_f,
+                   state.z_b.ln_z, state.z_f.ln_z)
+
+
+def stability_entries(state, cfg, g_bb, g_bf, g_ff):
+    """The beta-scaled entries (bb, ff, cross) and Z of stability_matrix
+    at the couplings g_bb, g_bf, g_ff [J m^3]; every other input comes
+    from state and cfg.  A Z that is not a number raises the NumericError
+    of stability_matrix."""
+    bb, ff, cross = _parts(cfg, state.lambda_b, state.lambda_f,
+                           state.z_b.ln_z, state.z_f.ln_z)
+    bb, ff, cross = bb(g_bb), ff(g_ff), cross(g_bf)
+    return bb, ff, cross, _determinant(bb, ff, cross)
+
+
+def _report(cfg, beta, lb, lf, ln_zb, ln_zf):
+    """The StabilityReport at cfg's couplings, from the inverse
+    temperature, thermal wavelengths and ln fugacities of a state,
+    homogeneous or local."""
+    bb, ff, cross = _parts(cfg, lb, lf, ln_zb, ln_zf)
+    bb, ff, cross = bb(cfg.g_bb), ff(cfg.g_ff), cross(cfg.g_bf)
+    Z = _determinant(bb, ff, cross)
     diagonal_ok = (bb >= 0.0, ff >= 0.0)
-    kT = 1.0 / state.beta
+    kT = 1.0 / beta
     return StabilityReport(
         dmu_b_drho_b=bb * kT,
         dmu_f_drho_f=ff * kT,
@@ -202,51 +220,51 @@ def stability_matrix(state, cfg):
     )
 
 
-def _bose_ideal(lb, z_b):
-    # lambda_b^3 / g_(1/2)(z_b), exactly zero in the condensed phase;
-    # g_(1/2) from ln z, which stays accurate where z rounds to 1
-    if z_b.condensed:
-        return 0.0
-    g12 = _bose_g_of_mu(PolyOrder.ONE_HALF, z_b.ln_z)
+def _parts(cfg, lb, lf, ln_zb, ln_zf):
+    """The beta-scaled entries at thermal wavelengths lb, lf and ln
+    fugacities ln_zb, ln_zf, each a function of its own coupling [J m^3]:
+    (bb of g_bb, ff of g_ff, cross of g_bf).  No coupling moves the two
+    ideal terms, so they are computed once, here."""
+    to_bb, to_bf, to_ff = _lengths(cfg)
+    lb2, lf2 = lb ** 2, lf ** 2
+    lam2 = lb2 + lf2
+    bose, fermi = _bose_ideal(lb, ln_zb), _fermi_ideal(lf, ln_zf)
+    return (lambda g: 4.0 * to_bb(g) * lb2 + bose,
+            lambda g: to_ff(g) * lf2 + fermi,
+            lambda g: to_bf(g) * lam2)
+
+
+def _determinant(bb, ff, cross):
+    """Z from the entries; NumericError where it is not a number."""
+    # square the rounded cross term as a product: a float product
+    # overflows to inf where ** raises, and no factor of it overflows
+    # unless cross^2 does (so g_bf = 0 gives Z = bb ff, never nan)
+    Z = bb * ff - cross * cross
+    if Z != Z:
+        raise NumericError(
+            "the stability determinant Z is not a number: its terms "
+            f"overflow (entries bb = {bb:.3g}, ff = {ff:.3g}, "
+            f"cross = {cross:.3g} m^3)")
+    return Z
+
+
+def _bose_ideal(lb, ln_z):
+    # lambda_b^3 / g_(1/2)(z_b), with g_(1/2) from ln z, which stays
+    # accurate where z rounds to 1; a condensate's ln z = 0 gives
+    # g_(1/2) = inf and so exactly 0
+    g12 = _bose_g_of_mu(PolyOrder.ONE_HALF, ln_z)
     if g12 == 0.0:
         return math.inf  # empty gas: ideal compressibility diverges
     return lb ** 3 / g12 if math.isfinite(g12) else 0.0
 
 
-def _fermi_ideal(lf, z_f):
-    f12 = fermi_f_log(PolyOrder.ONE_HALF, z_f.ln_z)
+def _fermi_ideal(lf, ln_z):
+    f12 = fermi_f_log(PolyOrder.ONE_HALF, ln_z)
     return math.inf if f12 == 0.0 else lf ** 3 / f12
 
 
-def stability_entries(state, cfg, g_bb, g_bf, g_ff):
-    """The beta-scaled entries (bb, ff, cross) and Z of stability_matrix
-    at the couplings g_bb, g_bf, g_ff [J m^3]; every other input comes
-    from state and cfg."""
-    lb, lf = state.lambda_b, state.lambda_f
-    return _entries(cfg, lb, lf, g_bb, g_bf, g_ff, _bose_ideal(lb, state.z_b),
-                    _fermi_ideal(lf, state.z_f))
-
-
-def _entries(cfg, lb, lf, g_bb, g_bf, g_ff, bose_ideal, fermi_ideal):
-    """stability_entries at the thermal wavelengths lb, lf of a state,
-    from its coupling-free ideal terms, _bose_ideal and _fermi_ideal,
-    which a caller at several couplings computes once."""
-    ell_bb, ell_bf, ell_ff = _coupling_lengths(cfg, g_bb, g_bf, g_ff)
-    bb = 4.0 * ell_bb * lb ** 2 + bose_ideal
-    ff = ell_ff * lf ** 2 + fermi_ideal
-    lam2 = lb ** 2 + lf ** 2
-    cross = ell_bf * lam2
-    # square the rounded cross term as a product: a float product
-    # overflows to inf where ** raises, and no factor of it overflows
-    # unless cross^2 does (so g_bf = 0 gives Z = bb ff, never nan)
-    Z = bb * ff - cross * cross
-    return bb, ff, cross, Z
-
-
 def _z_of_T(cfg, T, r=0.0):
-    if r > 0.0:
-        return lda_local_stability(cfg, T, r).Z
-    return stability_matrix(thermal_state(cfg, T), cfg).Z
+    return lda_local_stability(cfg, T, r).Z
 
 
 def _log_grid(lo, hi, n):
@@ -286,12 +304,12 @@ def _cuts(cfg, T_lo, T_hi, xtol, no_cross):
     def bb(T):
         lb = _thermal_wavelength(cfg.m_b, T)
         z_b = bose_fugacity_from_density(rho_b * lb ** 3)
-        return 4.0 * ell_bb * lb ** 2 + _bose_ideal(lb, z_b)
+        return 4.0 * ell_bb * lb ** 2 + _bose_ideal(lb, z_b.ln_z)
 
     def ff(T):
         lf = _thermal_wavelength(cfg.m_f, T)
         z_f = fermi_fugacity_from_density(rho_f * lf ** 3)
-        return ell_ff * lf ** 2 + _fermi_ideal(lf, z_f)
+        return ell_ff * lf ** 2 + _fermi_ideal(lf, z_f.ln_z)
 
     cuts = []
     for ell, entry in ((ell_bb, bb), (ell_ff, ff)):
@@ -412,11 +430,12 @@ def low_T_criterion(cfg):
 
 
 def lda_local_stability(cfg, T, r):
-    """Stability matrix at radius r with trap-damped local fugacities.
+    """Stability matrix at radius r with trap-damped local fugacities;
+    at r = 0, stability_matrix of thermal_state(cfg, T).
 
-    ln z_i is shifted by -beta m_i omega_i^2 r^2 / 2 and the local
-    densities are recomputed from the ideal relations.  Working on ln z
-    keeps the deeply degenerate fermion branch finite.
+    ln z_i is shifted by -beta m_i omega_i^2 r^2 / 2, at the wavelengths
+    of the homogeneous state.  The entries read ln z alone, which keeps
+    the deeply degenerate fermion branch finite.
     """
     if not r >= 0.0:
         raise DomainError(f"radius must be >= 0, got {r}")
@@ -426,14 +445,4 @@ def lda_local_stability(cfg, T, r):
     beta = base.beta
     ln_zb = base.z_b.ln_z - 0.5 * beta * cfg.m_b * cfg.omega_b ** 2 * r ** 2
     ln_zf = base.z_f.ln_z - 0.5 * beta * cfg.m_f * cfg.omega_f ** 2 * r ** 2
-    zb_local = math.exp(ln_zb)
-    z_b = Fugacity(zb_local, Species.BOSE, ln_z=ln_zb)
-    z_f = Fugacity(math.exp(ln_zf) if ln_zf < 709.0 else math.inf,
-                   Species.FERMI, ln_z=ln_zf)
-    rho_b = bose_g(PolyOrder.THREE_HALVES, zb_local) / base.lambda_b ** 3
-    rho_f = (fermi_f_log(PolyOrder.THREE_HALVES, ln_zf)
-             / base.lambda_f ** 3)
-    local = ThermalState(T=base.T, beta=beta, lambda_b=base.lambda_b,
-                         lambda_f=base.lambda_f, z_b=z_b, z_f=z_f,
-                         rho_b=rho_b, rho_f=rho_f, condensed=False)
-    return stability_matrix(local, cfg)
+    return _report(cfg, beta, base.lambda_b, base.lambda_f, ln_zb, ln_zf)

@@ -17,10 +17,9 @@ from .config import _FIELD_PATHS, CompatMode, MixtureConfig, _finite
 from .constants import atomic_mass
 from .errors import ConfigError, DomainError, NumericError
 from .finite_temperature import (
-    _bose_ideal,
-    _entries,
-    _fermi_ideal,
+    _determinant,
     _log_grid,
+    _parts,
     critical_window,
     fermi_temperature,
     thermal_state,
@@ -159,26 +158,13 @@ def _regime(cfg, spec):
 
 
 def _Z(cfg, spec):
-    # the couplings move neither the state nor its two ideal terms; each
-    # part is the entry of _entries that its coupling moves
+    # the couplings move no part of the state; each part is the entry
+    # that its coupling moves
     state = thermal_state(cfg, cfg.temperature)
-    lb, lf = state.lambda_b, state.lambda_f
-    ideal = (_bose_ideal(lb, state.z_b), _fermi_ideal(lf, state.z_f))
-    g_bb, g_bf, g_ff = cfg.g_bb, cfg.g_bf, cfg.g_ff
-    parts = (lambda g: _entries(cfg, lb, lf, g, g_bf, g_ff, *ideal)[0],
-             lambda g: _entries(cfg, lb, lf, g_bb, g_bf, g, *ideal)[1],
-             lambda g: _entries(cfg, lb, lf, g_bb, g, g_ff, *ideal)[2])
-    # bb, ff and cross at the config's own couplings, from one call
-    own = _entries(cfg, lb, lf, g_bb, g_bf, g_ff, *ideal)[:3]
+    parts = _parts(cfg, state.lambda_b, state.lambda_f, state.z_b.ln_z,
+                   state.z_f.ln_z)
+    own = [part(g) for part, g in zip(parts, (cfg.g_bb, cfg.g_ff, cfg.g_bf))]
     return parts, _determinant, own
-
-
-def _determinant(bb, ff, cross):
-    # Z as _entries forms it, from the same operands
-    Z = bb * ff - cross * cross
-    if Z != Z:
-        raise NumericError("the stability determinant Z is not a number")
-    return Z
 
 
 def _window_edge(edge):

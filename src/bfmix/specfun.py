@@ -107,6 +107,12 @@ class Species(enum.Enum):
     FERMI = "fermi"
 
 
+def _exp_z(ln_z):
+    """z = exp(ln z), or inf once ln z reaches 709, near where exp
+    overflows: the z a Fugacity stores for its ln z."""
+    return math.inf if ln_z >= 709.0 else math.exp(ln_z)
+
+
 class Fugacity(namedtuple("Fugacity", "z species condensed ln_z")):
     """Fugacity z = exp(beta mu0) of one component.
 
@@ -133,13 +139,12 @@ class Fugacity(namedtuple("Fugacity", "z species condensed ln_z")):
     def _replace(self, **changes):
         """A copy with the named fields changed and checked as on
         construction.  z and ln_z name one number, so a change to either
-        alone sets the other: ln_z = log(z), z = exp(ln_z) or inf once
-        ln_z passes 709, as the fugacity inversions store it."""
+        alone sets the other: ln_z = log(z), z = _exp_z(ln_z), as the
+        fugacity inversions store it."""
         if "z" in changes and "ln_z" not in changes:
             changes["ln_z"] = None
         elif "ln_z" in changes and "z" not in changes:
-            ln_z = changes["ln_z"]
-            changes["z"] = math.inf if ln_z >= 709.0 else math.exp(ln_z)
+            changes["z"] = _exp_z(changes["ln_z"])
         return super()._replace(**changes)
 
 
@@ -360,5 +365,4 @@ def fermi_fugacity_from_density(rho_lambda3):
     exists; z is inf where ln z passes exp's overflow.
     """
     mu = _ln_fugacity(Species.FERMI, rho_lambda3)
-    return Fugacity(math.exp(mu) if mu < 709.0 else math.inf,
-                    Species.FERMI, ln_z=mu)
+    return Fugacity(_exp_z(mu), Species.FERMI, ln_z=mu)

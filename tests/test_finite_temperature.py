@@ -16,7 +16,7 @@ from bfmix.constants import atomic_mass, h, hbar, k_B, pi
 from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix import finite_temperature as ft
 from bfmix.scan_engine import figure_preset
-from bfmix.specfun import PolyOrder, fermi_f_log
+from bfmix.specfun import Fugacity, PolyOrder, Species, fermi_f_log
 
 from oracles import bose_g_quadrature, central_diff, fermi_f_quadrature, \
     fermi_f_quadrature_log, homogeneous_z
@@ -77,6 +77,9 @@ def test_z_overflow_is_minus_inf_or_numeric_error():
         huge = make_cfg(g_bb=1e200, g_bf=1e200, g_ff=1e200, mode=mode)
         with pytest.raises(NumericError, match="not a number"):
             ft.stability_matrix(ft.thermal_state(huge, T), huge)
+        with pytest.raises(NumericError, match="not a number"):
+            ft.stability_entries(ft.thermal_state(huge, T), huge, huge.g_bb,
+                                 huge.g_bf, huge.g_ff)
         with pytest.raises(NumericError):
             ft.critical_window(huge, (T, 10.0 * T))
 
@@ -951,11 +954,12 @@ def test_low_t_sign_study():
 # local-density approximation
 # ---------------------------------------------------------------------------
 
-def lda_cfg():
+def lda_cfg(mode=CompatMode.PAPER):
     # heavy boson, light fermion: the mass asymmetry opens a genuinely
     # unstable low-T region at these couplings
     return make_cfg(N_b=1000.0, N_f=10000.0, g_bb=0.05, g_bf=0.02,
-                    g_ff=0.01, volume=3e-3, m_b_u=41.0, m_f_u=6.0)
+                    g_ff=0.01, volume=3e-3, m_b_u=41.0, m_f_u=6.0,
+                    mode=mode)
 
 
 def test_lda_matches_homogeneous_at_center():
@@ -963,6 +967,33 @@ def test_lda_matches_homogeneous_at_center():
     T = 1e4 * cfg.temperature_unit
     assert (ft.lda_local_stability(cfg, T, 0.0)
             == ft.stability_matrix(ft.thermal_state(cfg, T), cfg))
+
+
+@pytest.mark.parametrize("mode", list(CompatMode))
+def test_lda_report_is_the_matrix_of_the_shifted_state(mode):
+    # off center, the report is stability_matrix of the homogeneous state
+    # with both ln z shifted by the trap and no condensate, field for
+    # field, whether or not the center is condensed
+    cfg = lda_cfg(mode)
+    a = cfg.osc_length
+    T_c = ft.bec_temperature(cfg)
+    centers = set()
+    for T in (0.3 * T_c, 0.9 * T_c, 1.5 * T_c, 30.0 * T_c):
+        base = ft.thermal_state(cfg, T)
+        centers.add(base.condensed)
+        beta = base.beta
+        for r in (1.0 * a, 100.0 * a, 3000.0 * a):
+            ln_zb = (base.z_b.ln_z
+                     - 0.5 * beta * cfg.m_b * cfg.omega_b ** 2 * r ** 2)
+            ln_zf = (base.z_f.ln_z
+                     - 0.5 * beta * cfg.m_f * cfg.omega_f ** 2 * r ** 2)
+            z_b = Fugacity(math.exp(ln_zb), Species.BOSE, ln_z=ln_zb)
+            z_f = Fugacity(math.exp(ln_zf) if ln_zf < 709.0 else math.inf,
+                           Species.FERMI, ln_z=ln_zf)
+            local = base._replace(z_b=z_b, z_f=z_f, condensed=False)
+            assert (ft.lda_local_stability(cfg, T, r)
+                    == ft.stability_matrix(local, cfg))
+    assert centers == {True, False}
 
 
 def test_lda_rejects_negative_radius():
