@@ -158,8 +158,8 @@ def _regime(cfg, spec):
 
 
 def _Z(cfg, spec):
-    # the couplings move no part of the state; each part is the entry
-    # that its coupling moves
+    # no coupling moves the state; each part is the entry its coupling
+    # moves
     state = thermal_state(cfg, cfg.temperature)
     parts = _parts(cfg, state.lambda_b, state.lambda_f, state.z_b.ln_z,
                    state.z_f.ln_z)
