@@ -25,6 +25,8 @@ class NumericError(RuntimeError):
     * a stability determinant Z that is not a number;
     * a Brent call that cannot start or does not converge (bfmix.brent);
     * a condensate width start or slope beyond float range;
+    * an attractive g_bf that puts the Omega_c bracket beyond float
+      range;
     * a critical boson number beyond 2^60;
     * a Thomas-Fermi fermion density or cloud radius beyond float
       range, or no e_F between its padded bounds."""

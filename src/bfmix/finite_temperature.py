@@ -4,10 +4,10 @@ Free energy, chemical potentials, the stability matrix and its Z
 criterion, the critical-temperature window, the T_c / T_F text formulas,
 the low-temperature coupling criterion, and the local-density extension.
 
-The stability entries bb, ff and cross are built in one place, _parts,
-from a state's wavelengths and ln fugacities, and Z from them in one
-other, _determinant.  stability_matrix, stability_entries,
-lda_local_stability and the Z scan observable all go through the two.
+Each species is built once: _species gives its wavelength and fugacity,
+and _bose_entry or _fermi_entry its diagonal stability entry.  _parts
+adds the cross entry and _determinant Z; thermal_state, the window cuts,
+every stability result and the Z scan observable go through them.
 """
 
 import math
@@ -114,8 +114,10 @@ class TemperatureWindow(namedtuple("TemperatureWindow", (
     __slots__ = ()
 
 
-def _thermal_wavelength(mass, T):
-    return h / math.sqrt(2.0 * pi * mass * k_B * T)
+def _species(mass, rho, T, invert):
+    """(thermal wavelength [m], invert(rho lambda^3)) of one species."""
+    lam = h / math.sqrt(2.0 * pi * mass * k_B * T)
+    return lam, invert(rho * lam ** 3)
 
 
 def thermal_state(cfg, T):
@@ -127,10 +129,8 @@ def thermal_state(cfg, T):
     V = cfg.require_volume()
     T = float(T)
     rho_b, rho_f = cfg.N_b / V, cfg.N_f / V
-    lambda_b = _thermal_wavelength(cfg.m_b, T)
-    lambda_f = _thermal_wavelength(cfg.m_f, T)
-    z_b = bose_fugacity_from_density(rho_b * lambda_b ** 3)
-    z_f = fermi_fugacity_from_density(rho_f * lambda_f ** 3)
+    lambda_b, z_b = _species(cfg.m_b, rho_b, T, bose_fugacity_from_density)
+    lambda_f, z_f = _species(cfg.m_f, rho_f, T, fermi_fugacity_from_density)
     return ThermalState(T=T, beta=1.0 / (k_B * T), lambda_b=lambda_b,
                         lambda_f=lambda_f, z_b=z_b, z_f=z_f, rho_b=rho_b,
                         rho_f=rho_f, condensed=z_b.condensed)
@@ -223,15 +223,31 @@ def _report(cfg, beta, lb, lf, ln_zb, ln_zf):
 def _parts(cfg, lb, lf, ln_zb, ln_zf):
     """The beta-scaled entries at thermal wavelengths lb, lf and ln
     fugacities ln_zb, ln_zf, each a function of its own coupling [J m^3]:
-    (bb of g_bb, ff of g_ff, cross of g_bf).  No coupling moves the two
-    ideal terms, so they are computed once, here."""
+    (bb of g_bb, ff of g_ff, cross of g_bf)."""
     to_bb, to_bf, to_ff = _lengths(cfg)
-    lb2, lf2 = lb ** 2, lf ** 2
-    lam2 = lb2 + lf2
-    bose, fermi = _bose_ideal(lb, ln_zb), _fermi_ideal(lf, ln_zf)
-    return (lambda g: 4.0 * to_bb(g) * lb2 + bose,
-            lambda g: to_ff(g) * lf2 + fermi,
+    lam2 = lb ** 2 + lf ** 2
+    return (_bose_entry(to_bb, lb, ln_zb), _fermi_entry(to_ff, lf, ln_zf),
             lambda g: to_bf(g) * lam2)
+
+
+def _bose_entry(to_bb, lb, ln_z):
+    """bb = 4 ell_bb lambda_b^2 + lambda_b^3 / g_(1/2)(z_b) as a function
+    of g_bb; no coupling moves the ideal term, so it is computed once."""
+    # g_(1/2) from ln z stays accurate where z rounds to 1; a condensate
+    # (g_(1/2) = inf) adds exactly 0, an empty gas (g_(1/2) = 0) inf
+    g12 = _bose_g_of_mu(PolyOrder.ONE_HALF, ln_z)
+    ideal = (math.inf if g12 == 0.0
+             else lb ** 3 / g12 if math.isfinite(g12) else 0.0)
+    lb2 = lb ** 2
+    return lambda g: 4.0 * to_bb(g) * lb2 + ideal
+
+
+def _fermi_entry(to_ff, lf, ln_z):
+    """ff = ell_ff lambda_f^2 + lambda_f^3 / f_(1/2)(z_f), as _bose_entry."""
+    f12 = fermi_f_log(PolyOrder.ONE_HALF, ln_z)
+    ideal = math.inf if f12 == 0.0 else lf ** 3 / f12
+    lf2 = lf ** 2
+    return lambda g: to_ff(g) * lf2 + ideal
 
 
 def _determinant(bb, ff, cross):
@@ -246,21 +262,6 @@ def _determinant(bb, ff, cross):
             f"overflow (entries bb = {bb:.3g}, ff = {ff:.3g}, "
             f"cross = {cross:.3g} m^3)")
     return Z
-
-
-def _bose_ideal(lb, ln_z):
-    # lambda_b^3 / g_(1/2)(z_b), with g_(1/2) from ln z, which stays
-    # accurate where z rounds to 1; a condensate's ln z = 0 gives
-    # g_(1/2) = inf and so exactly 0
-    g12 = _bose_g_of_mu(PolyOrder.ONE_HALF, ln_z)
-    if g12 == 0.0:
-        return math.inf  # empty gas: ideal compressibility diverges
-    return lb ** 3 / g12 if math.isfinite(g12) else 0.0
-
-
-def _fermi_ideal(lf, ln_z):
-    f12 = fermi_f_log(PolyOrder.ONE_HALF, ln_z)
-    return math.inf if f12 == 0.0 else lf ** 3 / f12
 
 
 def _z_of_T(cfg, T, r=0.0):
@@ -293,26 +294,25 @@ def _turn(entry, T_lo, T_hi, e_lo, e_hi, xtol):
 
 def _cuts(cfg, T_lo, T_hi, xtol, no_cross):
     """The T in (T_lo, T_hi] where bb or ff turns positive, sorted, each
-    from _turn on that entry alone, which needs only its own species'
-    fugacity inversion.  An entry of a repulsive coupling never turns,
-    and one of g = 0 turns only from a stretch at exactly 0 (bb of an
-    ideal condensate), which matters only without a cross entry."""
+    from _turn on that entry alone, built by _species and _bose_entry or
+    _fermi_entry from its own species.  An entry of a repulsive coupling
+    never turns, and one of zero length turns only from a stretch at
+    exactly 0 (bb of an ideal condensate), which matters only without a
+    cross entry."""
     V = cfg.require_volume()
-    ell_bb, _, ell_ff = coupling_lengths(cfg)
+    to_bb, _, to_ff = _lengths(cfg)
     rho_b, rho_f = cfg.N_b / V, cfg.N_f / V
 
     def bb(T):
-        lb = _thermal_wavelength(cfg.m_b, T)
-        z_b = bose_fugacity_from_density(rho_b * lb ** 3)
-        return 4.0 * ell_bb * lb ** 2 + _bose_ideal(lb, z_b.ln_z)
+        lb, z_b = _species(cfg.m_b, rho_b, T, bose_fugacity_from_density)
+        return _bose_entry(to_bb, lb, z_b.ln_z)(cfg.g_bb)
 
     def ff(T):
-        lf = _thermal_wavelength(cfg.m_f, T)
-        z_f = fermi_fugacity_from_density(rho_f * lf ** 3)
-        return ell_ff * lf ** 2 + _fermi_ideal(lf, z_f.ln_z)
+        lf, z_f = _species(cfg.m_f, rho_f, T, fermi_fugacity_from_density)
+        return _fermi_entry(to_ff, lf, z_f.ln_z)(cfg.g_ff)
 
     cuts = []
-    for ell, entry in ((ell_bb, bb), (ell_ff, ff)):
+    for ell, entry in ((to_bb(cfg.g_bb), bb), (to_ff(cfg.g_ff), ff)):
         if ell < 0.0 or (ell == 0.0 and no_cross):
             e_lo, e_hi = entry(T_lo), entry(T_hi)
             if e_lo <= 0.0 < e_hi:
@@ -329,16 +329,16 @@ def critical_window(cfg, T_range, r=0.0, rtol=None):
     optional r evaluates the local-density criterion at radius r instead
     of the homogeneous one.
 
-    The homogeneous criterion (r = 0) cuts T_range where a diagonal
-    entry turns positive (_cuts), so into at most 3 pieces and 4 ends.
-    In J m^3 the cross entry C does not depend on T, each diagonal entry
-    is its coupling plus an ideal-gas term that does not decrease with
-    T, and Z (k_B T)^2 = D_bb D_ff - C^2.  On a piece where both D keep
-    one sign their product is monotone, so Z changes sign at most once;
-    where their signs differ, Z < 0.  With g_bb, g_ff >= 0 nothing is
-    cut: Z is sampled at the two ends of T_range and changes sign at
-    most once, from negative to positive.  With C = 0, Z = bb ff keeps
-    its sign on each piece, and the edges are the cuts themselves.
+    The homogeneous criterion (r = 0) cuts T_range where a diagonal entry,
+    built for its species alone, turns positive (_cuts), so into at most 3
+    pieces and 4 ends.  In J m^3 the cross entry C does not depend on T,
+    each diagonal entry is its coupling plus an ideal-gas term that does
+    not decrease with T, and Z (k_B T)^2 = D_bb D_ff - C^2.  On a piece
+    where both D keep one sign their product is monotone, so Z changes sign
+    at most once; where their signs differ, Z < 0.  With g_bb, g_ff >= 0
+    nothing is cut: Z is sampled at the two ends of T_range and changes
+    sign at most once, from negative to positive.  With C = 0, Z = bb ff
+    keeps its sign on each piece, and the edges are the cuts themselves.
 
     The trap-damped fugacities of r > 0 have no such structure: Z is
     sampled at 400 points evenly spaced in log T.

@@ -402,7 +402,11 @@ def _bracketed_h(omega_c, cfg):
             # ~1e171 kg, which must fail only the points of repulsive g_bf
             lo = min(low, (b / (3.0 * c * (m_f / hbar) ** 1.5)) ** 0.4)
             return h, lo, Omega_0
-        return h, Omega_0, Omega_0 * math.sqrt(1.0 - c * q_inf / b)
+        hi = Omega_0 * math.sqrt(1.0 - c * q_inf / b)
+        if not hi < math.inf:
+            raise NumericError(f"interaction.g_bf = {g_bf:g} J m^3 is out of "
+                               f"float range: Omega_c's bracket ends at {hi}")
+        return h, Omega_0, hi
     return bracket
 
 
@@ -437,11 +441,12 @@ def solve_Omega_c(omega_c, cfg):
     bracket of _bracketed_h: between its two ends for repulsive g_bf,
     whose root is unique, else on a log grid of 20 points per decade.
     Brent starts from the values of h the grid already holds.  An end
-    whose computed h contradicts its proven sign lies within rounding
-    of a root, so it is a candidate too.  A bracket that is
-    the single point Omega_0 (g_bf = 0, or a coupling too weak to move
-    the root by an ulp) thus returns Omega_0.  This is the per-trap
-    solver of _Omega_c_solver, which a scan builds once, at cfg.g_bf.
+    whose computed h contradicts its proven sign lies within rounding of
+    a root, so it is a candidate too.  A bracket that is the single point
+    Omega_0 (g_bf = 0, or a coupling too weak to move the root by an ulp)
+    thus returns Omega_0.  An attractive g_bf whose bracket end is not a
+    finite number raises NumericError.  This is the per-trap solver of
+    _Omega_c_solver, which a scan builds once, at cfg.g_bf.
     """
     return _Omega_c_solver(omega_c, cfg)(cfg.g_bf)
 

@@ -708,6 +708,26 @@ def test_float_overflow_is_a_numeric_failure(tmp_path, capsys):
     assert rows[1].endswith(",nan,nan,ERROR:OverflowError")
 
 
+def test_attraction_beyond_the_Omega_c_bracket_fails_its_row(tmp_path,
+                                                              capsys):
+    # m_b = 1e-170 kg: q_inf underflows to 0, so at g_bf = -1e300 the
+    # attractive bracket's upper end is 0 * inf = nan, not a grid size
+    path = write_config(tmp_path, {
+        "unit_system": "si", "compat_mode": "derived",
+        "boson": {"mass_kg": 1e-170, "omega": 1.0, "count": 1e10},
+        "fermion": {"mass_kg": 1e-26, "omega": 1.0, "count": 1},
+        "interaction": {"g_bb": 0.0, "g_bf": -1e300, "g_ff": 0.0},
+        "scan": {"observable": "Omega_c", "variables": [
+            {"field": "interaction.g_bf", "values": [-1e300, -1e-60]}]}})
+    assert cli.main(["scan", "--config", path]) == 0
+    out, err = capsys.readouterr()
+    rows = data_lines(out)[1:]
+    assert rows[0] == "-1.0000000000000001e+300,nan,ERROR:NumericError"
+    assert rows[1].startswith("-9.9999999999999997e-61,")
+    assert rows[1].endswith(",OK")
+    assert err == ""
+
+
 def _run_fresh(tmp_path, argv):
     # a fresh interpreter on this checkout, with default warning filters
     env = _fresh_env()

@@ -771,6 +771,52 @@ def test_window_matches_grid_scan():
     check()
 
 
+def test_each_cut_lies_on_the_positive_side_of_its_turn():
+    """_turn's contract, read on the public entries: at every cut T* of
+    _cuts some diagonal entry of stability_entries is > 0, and it is
+    <= 0 at T* - 2 xtol, below the turn that T* lies within xtol of."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    found = []
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        mode=st.sampled_from(list(CompatMode)),
+        m_b_u=st.sampled_from([6.0, 7.0, 40.0]),
+        m_f_u=st.sampled_from([6.0, 7.0, 40.0]),
+        N_b=st.floats(300.0, 3000.0),
+        N_f=st.floats(1e3, 3e4),
+        volume=st.floats(500.0, 2000.0),
+        g_bb=_either_sign(0.1),
+        g_ff=_either_sign(0.05, lo=-12.0),
+        g_bf=_either_sign(0.5),
+        t_lo=st.floats(0.3, 1.0),
+        t_hi=st.floats(10.0, 80.0),
+        rtol=st.sampled_from([1e-8, 1e-3]))
+    def check(mode, m_b_u, m_f_u, N_b, N_f, volume, g_bb, g_ff, g_bf,
+              t_lo, t_hi, rtol):
+        cfg = make_cfg(N_b=N_b, N_f=N_f, g_bb=g_bb, g_bf=g_bf, g_ff=g_ff,
+                       volume=volume, m_b_u=m_b_u, m_f_u=m_f_u, mode=mode)
+        unit = cfg.temperature_unit
+        lo, hi = t_lo * unit, t_hi * unit
+        xtol = 0.5 * rtol * lo
+        no_cross = ft.coupling_lengths(cfg)[1] == 0.0
+
+        def diagonal(T):
+            return ft.stability_entries(ft.thermal_state(cfg, T), cfg,
+                                        cfg.g_bb, cfg.g_bf, cfg.g_ff)[:2]
+
+        for T in ft._cuts(cfg, lo, hi, xtol, no_cross):
+            assert lo < T <= hi
+            assert any(at > 0.0 >= below for at, below in
+                       zip(diagonal(T), diagonal(T - 2.0 * xtol)))
+            found.append(T)
+
+    check()
+    assert len(found) >= 50
+
+
 @pytest.mark.parametrize("empty", ["N_b", "N_f"])
 @pytest.mark.parametrize("g_bf", [0.0, 0.025])
 def test_window_of_an_empty_gas(empty, g_bf):

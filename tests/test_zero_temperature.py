@@ -648,6 +648,24 @@ def test_Omega_c_at_a_vanishing_coupling(g_bf):
                 assert abs(Omega_c - Omega_0) <= 1e-15 * omega_f
 
 
+@pytest.mark.parametrize("m_b, m_f, omega, N_b, N_f", [
+    # q_inf underflows to 0: the bracket's upper end is nan
+    (1e-170, 1e-26, 1.0, 1e10, 1.0),
+    # the figure masses and trap: the upper end overflows to inf
+    (7.0 * atomic_mass, 6.0 * atomic_mass, 166.0, 1e6, 1e4)])
+@pytest.mark.parametrize("mode", list(CompatMode))
+def test_Omega_c_bracket_beyond_float_range(m_b, m_f, omega, N_b, N_f,
+                                            mode):
+    """An attraction whose bracket end is not a finite number raises the
+    NumericError of a point failure, naming the coupling."""
+    cfg = MixtureConfig.from_si(m_b=m_b, m_f=m_f, omega_b=omega,
+                                omega_f=omega, N_b=N_b, N_f=N_f, g_bb=0.0,
+                                g_bf=-1e300, g_ff=0.0, compat_mode=mode)
+    omega_c = zt.solve_omega_c(cfg).omega_c
+    with pytest.raises(NumericError, match="interaction.g_bf"):
+        zt.solve_Omega_c(omega_c, cfg)
+
+
 def test_Omega_c_picks_the_least_energy_of_three_roots():
     # q is a sigmoid in ln x, so strong attraction on a wide trap gives
     # the slope three roots; the least energy is the lowest root in one

@@ -1,0 +1,97 @@
+"""Check that the working tree's bfmix prints what REV's does.
+
+    python tools/same_outputs.py REV
+
+Runs 162 CLI cases, each in a fresh process, once on the `src/` of
+commit REV (taken with `git archive` into a temporary directory) and
+once on the working tree's `src/`, and compares stdout, stderr and exit
+code byte for byte.  The cases are:
+
+* the six figure presets, each with no --mode, --mode paper and
+  --mode derived (18);
+* `window`, `tf`, `zero-t` and `finite-t` on the 18 mixtures that
+  bench/inputs.window_cases draws for seeds 21, 22 and 777 (72); their
+  configs set no temperature, so `finite-t` exits with its config error,
+  as `tf` and `zero-t` do on the attractive stratum's g_bb < 0;
+* `finite-t` on each of those mixtures at 4 temperatures spread evenly
+  in log T over its t_range (72).
+
+Every run that differs is listed.  The exit code is 0 when none does,
+1 when some do.
+"""
+
+import io
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import inputs  # noqa: E402  (bench/inputs.py, imported only)
+
+SEEDS = (21, 22, 777)
+MODES = ((), ("--mode", "paper"), ("--mode", "derived"))
+TEMPERATURES = 4
+
+
+def cases(work):
+    """The argv of every case; writes the configs they read into work."""
+    out = [[tag, *mode] for tag in inputs.PRESETS for mode in MODES]
+    for seed in SEEDS:
+        for i, params in enumerate(inputs.window_cases(seed)):
+            path = os.path.join(work, f"s{seed}_{i}.json")
+            inputs.write_config(params, path)
+            out += [[cmd, "--config", path]
+                    for cmd in ("window", "tf", "zero-t", "finite-t")]
+            lo, hi = params["t_range"]
+            for k in range(TEMPERATURES):
+                T = lo * math.exp(k / (TEMPERATURES - 1) * math.log(hi / lo))
+                path = os.path.join(work, f"s{seed}_{i}_T{k}.json")
+                inputs.write_config(dict(params, T=T), path)
+                out.append(["finite-t", "--config", path])
+    return out
+
+
+def run(src, argv, work):
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "bfmix", *argv], cwd=work,
+                          env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, timeout=300)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    rev = argv[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(os.path.join(tmp, "rev"), filter="data")
+        sides = (os.path.join(tmp, "rev", "src"), os.path.join(ROOT, "src"))
+        work = os.path.join(tmp, "work")
+        os.mkdir(work)
+        todo = cases(work)
+        differ = []
+        for args in todo:
+            (out_a, err_a, code_a), (out_b, err_b, code_b) = (
+                run(src, args, work) for src in sides)
+            what = [name for name, a, b in (("stdout", out_a, out_b),
+                                            ("stderr", err_a, err_b),
+                                            ("exit code", code_a, code_b))
+                    if a != b]
+            if what:
+                differ.append(args)
+                print(f"DIFFERS ({', '.join(what)}): bfmix {' '.join(args)}")
+    print(f"{len(todo) - len(differ)} of {len(todo)} runs identical to "
+          f"{rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
