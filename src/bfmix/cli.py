@@ -117,7 +117,7 @@ _OPTIONS = {
     "--mode": ("{paper,derived}", CompatMode,
                "override the config's compat_mode"),
     "--tol": ("FLOAT", float,
-              "relative tolerance for window-edge refinement"),
+              "relative window-edge tolerance, read by window only"),
     "--workers": ("INT", _count,
                   "accepted for compatibility and ignored; a non-negative "
                   "integer"),

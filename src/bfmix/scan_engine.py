@@ -223,11 +223,11 @@ def _validate(spec):
     if spec.observable in ("T_c1", "T_c2"):
         if spec.t_range is None:
             raise ConfigError(
-                "thermal.t_range is required for window observables")
+                "scan.t_range is required for window observables")
         lo, hi = spec.t_range
         if not (0.0 < lo < hi):
             raise ConfigError(
-                f"thermal.t_range must be increasing and positive, got "
+                f"scan.t_range must be increasing and positive, got "
                 f"[{lo}, {hi}]")
     if spec.observable in ("Z", "T_c1", "T_c2") and spec.base.volume is None:
         raise ConfigError(
@@ -416,7 +416,7 @@ def _provenance(spec):
                     f"{rng.points} points")
         lines.append(f"sweep: {rng.field} = {desc} (input units)")
     if spec.t_range is not None:
-        lines.append(f"window scan range: thermal.t_range = "
+        lines.append(f"window scan range: scan.t_range = "
                      f"[{spec.t_range[0]:g}, {spec.t_range[1]:g}] "
                      f"(input units)")
     if spec.caption_fixed:

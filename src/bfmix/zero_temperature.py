@@ -19,14 +19,13 @@ variational frequency Omega and center offset r_f gives
 
 with the Gaussian-overlap width G = m_f m_b omega_c Omega /
 (hbar (m_f Omega + m_b omega_c)).  At r_f = 0 every root of
-dE_f/dOmega lies in a closed-form bracket (_bracketed_h): a unique
-one between a lower bound and the g_bf = 0 root Omega_0 for repulsive
-g_bf, and one or more between Omega_0 and an upper bound for
-attractive g_bf, where the overlap term is a sigmoid in ln Omega;
-solve_Omega_c keeps the root of least energy.  The sign structure of
-the Hessian at (Omega_c, r_f = 0) (the product Y of its two diagonal
-brackets) and the displaced root r_fc of dE_f/dr_f = 0 classify the
-phase.
+dE_f/dOmega lies in a closed-form bracket (_bracketed_h): a unique one
+between a lower bound and the g_bf = 0 root Omega_0 for repulsive g_bf,
+and at most three, split at the <= 2 turns of h, between Omega_0 and an
+upper bound for attractive g_bf; solve_Omega_c keeps the root of least
+energy.  The sign structure of the Hessian at (Omega_c, r_f = 0) (the
+product Y of its two diagonal brackets) and the displaced root r_fc of
+dE_f/dr_f = 0 classify the phase.
 
 compat_mode fixes three prefactors that differ between the two published
 forms of these functionals:
@@ -49,7 +48,6 @@ from .brent import brentq
 from .config import MixtureConfig, CompatMode
 from .constants import hbar
 from .errors import DomainError, NumericError
-from .finite_temperature import _log_grid
 
 __all__ = [
     "PhaseLabel", "BosonVariationalResult", "FermionVariationalResult",
@@ -357,6 +355,14 @@ def _decoupled_Omega(cfg):
         0.75 * cfg.N_f / (A * cfg.N_f ** (5.0 / 3.0)))
 
 
+def _h_coefficients(omega_c, cfg):
+    _, A, kappa = _mode_factors(cfg)
+    B, N_b, N_f, omega_f = cfg.m_b * omega_c, cfg.N_b, cfg.N_f, cfg.omega_f
+    return (A * hbar * N_f ** (5.0 / 3.0), 0.75 * hbar * omega_f ** 2 * N_f,
+            cfg.m_f / B, 1.5 * math.sqrt(B / hbar) * B * B / (hbar * cfg.m_f),
+            lambda g_bf: g_bf * kappa * N_b * N_f)
+
+
 def _bracketed_h(omega_c, cfg):
     """bracket(g_bf) -> (h, lo, hi) on the trap of cfg, whose g_bf-free
     coefficients are computed here once: h(Omega) = Omega^2 dE_f/dOmega
@@ -366,9 +372,9 @@ def _bracketed_h(omega_c, cfg):
 
     h(Omega) = a Omega^2 - b + c q(Omega), with a = A hbar N_f^(5/3),
     b = (3/4) hbar omega_f^2 N_f, c = g_bf kappa N_b N_f and q = (3/2)
-    Omega^2 sqrt(G) dG/dOmega = q_inf (x / (1 + x))^(5/2), x = m_f Omega
-    / (m_b omega_c), which rises from 0 to q_inf.  Omega_0 = sqrt(b / a)
-    is the root at c = 0.  Only c moves with g_bf.
+    Omega^2 sqrt(G) dG/dOmega = q_inf (x / (1 + x))^(5/2), x = k Omega,
+    k = m_f / (m_b omega_c), which rises from 0 to q_inf.  Omega_0 =
+    sqrt(b / a) is the root at c = 0.  Only c moves with g_bf.
 
     c > 0: the sum rises, so the root is unique, and it is c q > 0 at
     Omega_0.  Below Omega_0 / sqrt(2), a Omega^2 <= b / 2, and as G <=
@@ -379,18 +385,12 @@ def _bracketed_h(omega_c, cfg):
     end is written Omega_0 sqrt(1 + |c| q_inf / b), which never rounds
     below Omega_0.
     """
-    _, A, kappa = _mode_factors(cfg)
+    a, b, k, q_inf, coupling = _h_coefficients(omega_c, cfg)
     Omega_0 = _decoupled_Omega(cfg)
-    a = A * hbar * cfg.N_f ** (5.0 / 3.0)
-    b = 0.75 * hbar * cfg.omega_f ** 2 * cfg.N_f
-    B = cfg.m_b * omega_c
-    q_inf = 1.5 * math.sqrt(B / hbar) * B * B / (hbar * cfg.m_f)
-    k = cfg.m_f / B
     low = Omega_0 / math.sqrt(2.0)
-    N_b, N_f, m_f = cfg.N_b, cfg.N_f, cfg.m_f
 
     def bracket(g_bf):
-        c = g_bf * kappa * N_b * N_f
+        c = coupling(g_bf)
         cq = c * q_inf
 
         def h(Omega):
@@ -400,7 +400,7 @@ def _bracketed_h(omega_c, cfg):
         if c > 0.0:
             # (m_f / hbar)^(3/2) stays here: it overflows for m_f above
             # ~1e171 kg, which must fail only the points of repulsive g_bf
-            lo = min(low, (b / (3.0 * c * (m_f / hbar) ** 1.5)) ** 0.4)
+            lo = min(low, (b / (3.0 * c * (cfg.m_f / hbar) ** 1.5)) ** 0.4)
             return h, lo, Omega_0
         hi = Omega_0 * math.sqrt(1.0 - c * q_inf / b)
         if not hi < math.inf:
@@ -410,17 +410,38 @@ def _bracketed_h(omega_c, cfg):
     return bracket
 
 
+def _h_turns(K):
+    """The roots (t, 1 - t^2) of t (1 - t^2)^3 = K < 216 / 7^(7/2), its peak
+    at t^2 = 1/7, by Newton steps from 0 on it and on s (1 - s)^(1/6) =
+    K^(1/3), s = 1 - t^2: concave and rising up to the peak, so one-sided."""
+    def rise(f, y, top, x=0.0):
+        value, slope = f(x)
+        ahead = min(x + (y - value) / slope, top) if slope > 0.0 else x
+        return rise(f, y, top, ahead) if ahead > x else x
+    if not 0.0 < K < 216.0 / 7.0 ** 3.5:
+        return ()
+    t = rise(lambda t: (t * (1 - t * t) ** 3,
+                        (1 - t * t) ** 2 * (1 - 7 * t * t)), K, 7 ** -0.5)
+    s = rise(lambda s: (s * (1 - s) ** (1 / 6), (1 - 7 / 6 * s)
+                        / (1 - s) ** (5 / 6)), K ** (1 / 3), 6 / 7)
+    return (t, 1 - t * t), (math.sqrt(1 - s), s)
+
+
 def _Omega_c_solver(omega_c, cfg):
     """solve(g_bf) -> the Omega_c of solve_Omega_c for cfg with the
     coupling g_bf, on the trap of cfg, whose bracket coefficients are
-    computed here once."""
+    computed here once.  h' = 2 a Omega (1 - t (1 - t^2)^3 / K), t^2 = x /
+    (1 + x), K = 4 a / (5 |c| q_inf k^2), for c < 0, and h' > 0 for c >= 0."""
     bracket = _bracketed_h(omega_c, cfg)
+    a, _, k, q_inf, coupling = _h_coefficients(omega_c, cfg)
     xtol = 1e-15 * cfg.omega_f
 
     def solve(g_bf):
         h, lo, hi = bracket(g_bf)
-        grid = [lo, hi] if g_bf > 0.0 else _log_grid(
-            lo, hi, max(2, round(20.0 * math.log10(hi / lo)) + 1))
+        cqk2 = -coupling(g_bf) * q_inf * k * k
+        turns = _h_turns(4.0 * a / (5.0 * cqk2) if cqk2 > 0.0 else math.inf)
+        grid = [lo, *(w for w in (t * t / k / v for t, v in turns)
+                      if lo < w < hi), hi]
         values = list(map(h, grid))
         signs = [(v > 0) - (v < 0) for v in values]
         roots = [w for w, wrong in ((lo, signs[0] >= 0),
@@ -437,16 +458,15 @@ def solve_Omega_c(omega_c, cfg):
     """Root of dE_f/dOmega = 0 at r_f = 0; with several roots, the one
     of least energy is returned.
 
-    Brent refines the sign changes of h = Omega^2 dE_f/dOmega over the
-    bracket of _bracketed_h: between its two ends for repulsive g_bf,
-    whose root is unique, else on a log grid of 20 points per decade.
-    Brent starts from the values of h the grid already holds.  An end
-    whose computed h contradicts its proven sign lies within rounding of
-    a root, so it is a candidate too.  A bracket that is the single point
-    Omega_0 (g_bf = 0, or a coupling too weak to move the root by an ulp)
-    thus returns Omega_0.  An attractive g_bf whose bracket end is not a
-    finite number raises NumericError.  This is the per-trap solver of
-    _Omega_c_solver, which a scan builds once, at cfg.g_bf.
+    Brent refines each sign change of h = Omega^2 dE_f/dOmega on the
+    bracket of _bracketed_h split at the <= 2 turns of h inside it: at
+    most three monotone pieces, so at most three roots.  An end whose
+    computed h contradicts its proven sign is within rounding of a root,
+    so a candidate too.  A bracket that is the single point Omega_0 (g_bf
+    = 0, or a coupling too weak to move the root by an ulp) thus returns
+    Omega_0.  An attractive g_bf whose bracket end is not a finite number
+    raises NumericError.  This is the per-trap solver of _Omega_c_solver,
+    which a scan builds once, at cfg.g_bf.
     """
     return _Omega_c_solver(omega_c, cfg)(cfg.g_bf)
 

@@ -368,3 +368,66 @@ def condensate_number_quadrature(mu_b, m_b, omega_b, g_bb):
 
     n_scale = mu_b * R ** 3 / g_bb
     return kronrod_quad(integrand, 0.0, R, abs_tol=1e-12 * n_scale)
+
+
+# ---------------------------------------------------------------------------
+# the fermion width Omega_c by dense high-precision sampling
+# ---------------------------------------------------------------------------
+
+def fermion_width_roots_mp(m_b, m_f, omega_c, omega_f, N_b, N_f, g_bf, A,
+                           kappa, hbar, lo, hi, n=20000, dps=40):
+    """Every root of dE_f/dOmega at r_f = 0 on [lo, hi] with its energy,
+    as (Omega, E_f) float pairs in rising Omega.
+
+    h = Omega^2 dE_f/dOmega is written out from E_f(Omega, 0) = A hbar
+    Omega N_f^(5/3) + (3/4) hbar omega_f^2 N_f / Omega + g_bf kappa N_b
+    N_f G^(3/2) and G = m_f B Omega / (hbar (m_f Omega + B)), B = m_b
+    omega_c, in dps-digit mpmath.  It is sampled at n log-spaced points,
+    and every sign change is bisected to below a float's resolution.
+    A pair of roots closer than the sampling step is missed."""
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    m_b, m_f, omega_c, omega_f, N_b, N_f, g_bf, A, kappa, hbar, lo, hi = (
+        ctx.mpf(v) for v in (m_b, m_f, omega_c, omega_f, N_b, N_f, g_bf, A,
+                             kappa, hbar, lo, hi))
+    B = m_b * omega_c
+    a = A * hbar * N_f ** (ctx.mpf(5) / 3)
+    b = 3 * hbar * omega_f ** 2 * N_f / 4
+    c = g_bf * kappa * N_b * N_f
+    G_top, c_dG_top = m_f * B / hbar, 3 * c * m_f * B * B / (2 * hbar)
+
+    def energy(W):
+        G = G_top * W / (m_f * W + B)
+        return a * W + b / W + c * G * ctx.sqrt(G)
+
+    def h(W):
+        # G = G_top W / u and (3/2) c dG/dOmega = c_dG_top / u^2, with
+        # u = m_f W + B
+        u = m_f * W + B
+        return W * W * (a + ctx.sqrt(G_top * W / u) * c_dG_top / (u * u)) - b
+
+    def sign(v):
+        return (v > 0) - (v < 0)
+
+    ratio = (hi / lo) ** (ctx.mpf(1) / (n - 1))
+    nodes = [lo]
+    for _ in range(n - 2):
+        nodes.append(nodes[-1] * ratio)
+    nodes.append(hi)
+    signs = [sign(h(W)) for W in nodes]
+    roots = []
+    for i in range(n - 1):
+        if signs[i] == signs[i + 1]:
+            continue
+        x0, x1 = nodes[i], nodes[i + 1]
+        while x1 - x0 > x0 * ctx.mpf(2) ** -64:
+            mid = (x0 + x1) / 2
+            if sign(h(mid)) == signs[i]:
+                x0 = mid
+            else:
+                x1 = mid
+        W = (x0 + x1) / 2
+        roots.append((float(W), float(energy(W))))
+    return roots

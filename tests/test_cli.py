@@ -283,6 +283,25 @@ def test_scan_requires_section(tmp_path, capsys):
     assert "scan" in capsys.readouterr().err
 
 
+def test_window_scan_reads_scan_t_range(tmp_path, capsys):
+    # a T_c2 scan reads scan.t_range; a config that sets only
+    # thermal.t_range fails naming the field the scan reads
+    cfg = base_config()
+    cfg["scan"] = {"observable": "T_c2", "variables": [
+        {"field": "interaction.g_bf", "values": [0.0, 0.5]}]}
+    assert "t_range" in cfg["thermal"]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["scan", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "scan.t_range" in err and "thermal.t_range" not in err
+    cfg["scan"]["t_range"] = [0.5, 50.0]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["scan", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "# window scan range: scan.t_range = [0.5, 50] (input units)" in (
+        out.splitlines())
+
+
 def test_out_over_a_longer_file_equals_a_fresh_write(tmp_path):
     fresh = tmp_path / "fresh.csv"
     assert cli.main(["fig3a", "--out", str(fresh)]) == 0

@@ -33,6 +33,7 @@ from oracles import (
     bisect_root, gp_energy_quadrature, fermion_energy_quadrature,
     golden_minimize, refine_minimum, central_diff, central_diff2,
     mixed_diff2, least_energy_root, log_scan_sign_changes,
+    fermion_width_roots_mp,
 )
 
 M7 = 7.0 * atomic_mass
@@ -705,6 +706,124 @@ def test_Omega_c_is_the_least_energy_root():
         assert abs(Omega_c - ref) <= 1e-15 * omega_f + 8.0 * math.ulp(ref)
 
     check()
+
+
+# the peak of t (1 - t^2)^3, at t^2 = 1/7, past which h turns nowhere
+_K_STAR = 216.0 / 7.0 ** 3.5
+
+
+def _mp_roots(omega_c, cfg):
+    """The oracle's roots of dE_f/dOmega at r_f = 0, with energies, over
+    the bracket of _bracketed_h."""
+    pytest.importorskip("mpmath")
+    _, A, kappa = zt._mode_factors(cfg)
+    _, lo, hi = zt._bracketed_h(omega_c, cfg)(cfg.g_bf)
+    return fermion_width_roots_mp(cfg.m_b, cfg.m_f, omega_c, cfg.omega_f,
+                                  cfg.N_b, cfg.N_f, cfg.g_bf, A, kappa, hbar,
+                                  lo, hi)
+
+
+@pytest.mark.parametrize("mode, m_b, m_f, N_f, g_bb, g_bf", [
+    ("derived", 7, 40, 7839551.378426642, 3.536597665157039e-49,
+     -9.265479438199114e-46),
+    ("paper", 6, 40, 8524906.39586016, 4.456622415481723e-49,
+     -7.622246502358562e-47),
+    ("derived", 7, 7, 42198.56151119284, 3.536597665157039e-49,
+     -1.626509656742307e-46),
+    ("derived", 87, 6, 13.747870197905632, 8.071492303166695e-51,
+     -2.547680639370601e-49)])
+def test_Omega_c_witness_scans_take_the_least_energy_root(mode, m_b, m_f,
+                                                          N_f, g_bb, g_bf):
+    # three roots, the lower two closer than a 20-per-decade log grid's
+    # step: a scan of Omega_c must still print the least-energy one
+    cfg = MixtureConfig.from_si(
+        m_b=m_b * atomic_mass, m_f=m_f * atomic_mass, omega_b=166.0,
+        omega_f=166.0, N_b=1000.0, N_f=N_f, g_bb=g_bb, g_bf=g_bf,
+        compat_mode=CompatMode(mode))
+    roots = _mp_roots(solve_omega_c(cfg).omega_c, cfg)
+    assert len(roots) == 3
+    assert math.log10(roots[1][0] / roots[0][0]) < 0.05
+    ref = min(roots, key=lambda root: root[1])[0]
+    spec = ScanSpec(base=cfg, variables=(ScanRange(
+        "interaction.g_bf", values=(g_bf,)),), observable="Omega_c")
+    [(_, Omega_c, status)] = run_scan(spec).rows
+    assert status == "OK"
+    assert abs(Omega_c - ref) <= 1e-10 * ref
+
+
+def test_Omega_c_on_the_near_tangent_family():
+    # traps where h nearly has a double root: K = K*(1 - delta) puts the
+    # two turns of h near t^2 = 1/7, and N_f is solved so that h there is
+    # eps b; with |eps| <= 50 delta^1.5 most draws have three close roots
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    masses = st.sampled_from([6.0, 7.0, 40.0, 41.0, 87.0])
+
+    @hypothesis.settings(max_examples=16, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        m_b=masses, m_f=masses, mode=st.sampled_from(list(CompatMode)),
+        g_bb=st.sampled_from([0.0, 3.536597665157039e-49]),
+        log_delta=st.floats(-5.0, math.log10(0.5)),
+        share=st.floats(-1.0, 1.0))
+    def check(m_b, m_f, mode, g_bb, log_delta, share):
+        delta = 10.0 ** log_delta
+        K, eps = _K_STAR * (1.0 - delta), share * 50.0 * delta ** 1.5
+        trap = MixtureConfig.from_si(
+            m_b=m_b * atomic_mass, m_f=m_f * atomic_mass, omega_b=166.0,
+            omega_f=166.0, N_b=1000.0, N_f=1.0, g_bb=g_bb, g_bf=0.0,
+            compat_mode=mode)
+        omega_c = solve_omega_c(trap).omega_c
+        _, A, kappa = zt._mode_factors(trap)
+        # h / N_f = a1 u Omega^2 - b1 + c1 q(Omega) with u = N_f^(2/3);
+        # at Omega = 1 / (6 k), t^2 = 1/7, and K fixes c1 q_inf
+        B = trap.m_b * omega_c
+        k = trap.m_f / B
+        q_inf = 1.5 * math.sqrt(B / hbar) * B * B / (hbar * trap.m_f)
+        a1, b1 = A * hbar, 0.75 * hbar * 166.0 ** 2
+        u = (1.0 + eps) * b1 * k * k / (
+            a1 * (1.0 / 36.0 - 4.0 / (5.0 * K * 7.0 ** 2.5)))
+        hypothesis.assume(u > 0.0)
+        c1 = 4.0 * a1 * u / (5.0 * K * k * k * q_inf)
+        cfg = trap.with_field("fermion.count", u ** 1.5).with_field(
+            "interaction.g_bf", -c1 / (kappa * 1000.0))
+        roots = _mp_roots(omega_c, cfg)
+        energies = sorted(E for _, E in roots)
+        # a tie between the two minima leaves either one right
+        hypothesis.assume(len(energies) == 1
+                          or energies[1] - energies[0] > 1e-12 * energies[0])
+        ref = min(roots, key=lambda root: root[1])[0]
+        assert abs(solve_Omega_c(omega_c, cfg) - ref) <= 1e-10 * ref
+
+    check()
+
+
+@pytest.mark.parametrize("K", [1e-300, 1e-12, 0.1, _K_STAR * (1.0 - 1e-6),
+                               _K_STAR * (1.0 - 1e-15)])
+def test_h_turns_straddle_the_peak(K):
+    mp = pytest.importorskip("mpmath")
+    (t1, v1), (t2, s) = zt._h_turns(K)
+    assert t1 < 7.0 ** -0.5 < t2
+    assert v1 == 1.0 - t1 * t1 and t2 == math.sqrt(1.0 - s)
+    with mp.workdps(50):
+        p1 = mp.mpf(t1) * (1 - mp.mpf(t1) ** 2) ** 3
+        p2 = mp.sqrt(1 - mp.mpf(s)) * mp.mpf(s) ** 3
+        # the upper turn solves for K^(1/3), whose pow rounds the exponent
+        # 1/3: |ln K| ulp of K more
+        assert abs(p1 - K) <= 8 * 2.0 ** -53 * K
+        assert abs(p2 - K) <= (8 + 3 * abs(math.log(K))) * 2.0 ** -53 * K
+
+
+def test_h_turns_never_pass_the_peak():
+    # the iterates rise, so the turns returned bound them: up to K* the
+    # lower stays at or below t^2 = 1/7 and the upper at or above
+    below = [_K_STAR * (1.0 - 2.0 ** -j) for j in range(20, 54)]
+    for K in [*below, math.nextafter(_K_STAR, 0.0)]:
+        (t1, _), (t2, s) = zt._h_turns(K)
+        assert t1 <= 7.0 ** -0.5 and s <= 6.0 / 7.0 and t2 >= t1
+    for K in (_K_STAR, math.nextafter(_K_STAR, 1.0), 1.0, 0.0, -1.0,
+              math.inf, math.nan):
+        assert zt._h_turns(K) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,14 @@ code byte for byte.  The cases are:
 * `finite-t` on each of those mixtures at 4 temperatures spread evenly
   in log T over its t_range (72).
 
-Every run that differs is listed.  The exit code is 0 when none does,
-1 when some do.
+Every run that differs is listed.  Where its stdout is a CSV table on
+both sides, with the same header and row count, each column whose cells
+differ is listed under it, with how many differ and the largest relative
+difference of its numeric cells.  The exit code is 0 when none does, 1
+when some do.
 """
 
+import csv
 import io
 import math
 import os
@@ -64,6 +68,51 @@ def run(src, argv, work):
     return proc.stdout, proc.stderr, proc.returncode
 
 
+def table(stdout):
+    """The rows of a CSV stdout, its '#' provenance lines dropped, or
+    None when it is not a table of at least a header and one row."""
+    try:
+        lines = stdout.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    return rows
+
+
+def relative_difference(x, y):
+    """|x - y| / max(|x|, |y|) of two numeric cells, inf where one is not
+    finite, None where one is not a number."""
+    try:
+        x, y = float(x), float(y)
+    except ValueError:
+        return None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def moved_columns(out_a, out_b):
+    """One line per column whose cells differ between two CSV stdouts of
+    one shape; none when either is not such a table."""
+    a, b = table(out_a), table(out_b)
+    if a is None or b is None or a[0] != b[0] or len(a) != len(b):
+        return []
+    lines = []
+    for j, name in enumerate(a[0]):
+        pairs = [(x[j], y[j]) for x, y in zip(a[1:], b[1:]) if x[j] != y[j]]
+        if not pairs:
+            continue
+        numeric = [d for d in (relative_difference(x, y) for x, y in pairs)
+                   if d is not None]
+        worst = (f"largest relative difference {max(numeric):.2g}"
+                 if numeric else "none numeric")
+        lines.append(f"  {name}: {len(pairs)} of {len(a) - 1} cells "
+                     f"differ, {worst}")
+    return lines
+
+
 def main(argv):
     if len(argv) != 1:
         sys.exit(__doc__)
@@ -88,6 +137,8 @@ def main(argv):
             if what:
                 differ.append(args)
                 print(f"DIFFERS ({', '.join(what)}): bfmix {' '.join(args)}")
+                for line in moved_columns(out_a, out_b):
+                    print(line)
     print(f"{len(todo) - len(differ)} of {len(todo)} runs identical to "
           f"{rev}")
     return 1 if differ else 0
