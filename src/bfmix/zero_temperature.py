@@ -449,8 +449,8 @@ def _Omega_c_solver(omega_c, cfg):
         roots += [brentq(h, grid[i], grid[i + 1], xtol=xtol, maxiter=300,
                          fa=values[i], fb=values[i + 1])
                   for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
-        return min(roots, key=lambda w: _fermion_energy(w, 0.0, omega_c,
-                                                        cfg, g_bf))
+        return min(roots, key=lambda w: _fermion_energy(
+            w, 0.0, omega_c, cfg, g_bf)) if roots[1:] else roots[0]
     return solve
 
 
