@@ -790,8 +790,8 @@ def test_Omega_c_on_the_near_tangent_family():
         roots = _mp_roots(omega_c, cfg)
         energies = sorted(E for _, E in roots)
         # a tie between the two minima leaves either one right
-        hypothesis.assume(len(energies) == 1
-                          or energies[1] - energies[0] > 1e-12 * energies[0])
+        hypothesis.assume(len(energies) == 1 or energies[1] - energies[0]
+                          > 1e-12 * abs(energies[0]))
         ref = min(roots, key=lambda root: root[1])[0]
         assert abs(solve_Omega_c(omega_c, cfg) - ref) <= 1e-10 * ref
 

@@ -88,6 +88,8 @@ def relative_difference(x, y):
         x, y = float(x), float(y)
     except ValueError:
         return None
+    if x == y:  # 0.0 and -0.0
+        return 0.0
     if not (math.isfinite(x) and math.isfinite(y)):
         return math.inf
     return abs(x - y) / max(abs(x), abs(y))
