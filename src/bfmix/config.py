@@ -160,16 +160,19 @@ class MixtureConfig(namedtuple("MixtureConfig", (
                                 a_bb, a_bf, a_ff=0.0, volume=None,
                                 temperature=None,
                                 compat_mode=CompatMode.DERIVED):
-        """Scattering lengths in meters; g = 4 pi hbar^2 a / m within a
-        species, g_bf = 2 pi hbar^2 a_bf / m_red across species."""
-        m_red = m_b * m_f / (m_b + m_f)
-        return cls(m_b=m_b, m_f=m_f, omega_b=omega_b, omega_f=omega_f,
-                   N_b=N_b, N_f=N_f,
-                   g_bb=4.0 * math.pi * hbar ** 2 * a_bb / m_b,
-                   g_bf=2.0 * math.pi * hbar ** 2 * a_bf / m_red,
-                   g_ff=4.0 * math.pi * hbar ** 2 * a_ff / m_f,
-                   volume=volume, temperature=temperature,
-                   unit_system=UnitSystem.SI, compat_mode=compat_mode)
+        """Scattering lengths in meters; see _with_lengths."""
+        return cls.from_si(m_b, m_f, omega_b, omega_f, N_b, N_f, 0.0, 0.0,
+                           0.0, volume, temperature, compat_mode
+                           )._with_lengths(a_bb, a_bf, a_ff)
+
+    def _with_lengths(self, a_bb, a_bf, a_ff):
+        """Copy with the couplings of the s-wave scattering lengths a_bb,
+        a_bf, a_ff in meters, from the checked masses: g = 4 pi hbar^2 a /
+        m within a species, g_bf = 2 pi hbar^2 a_bf / m_red across."""
+        return self.replace(
+            g_bb=4.0 * math.pi * hbar ** 2 * a_bb / self.m_b,
+            g_bf=2.0 * math.pi * hbar ** 2 * a_bf / self.reduced_mass,
+            g_ff=4.0 * math.pi * hbar ** 2 * a_ff / self.m_f)
 
     # ---- field paths for scans and error messages -------------------
 
@@ -292,6 +295,19 @@ def _number(mapping, key, section, default=_REQUIRED):
     return _finite(_require(mapping, key, section), f"{section}.{key}")
 
 
+def _t_range(value, where):
+    """value, a temperature range [lo, hi] at the config path where, as
+    a tuple of floats; each item must be a finite real and 0 < lo < hi."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(
+            f"{where} must be [T_lo, T_hi] with 0 < T_lo < T_hi")
+    lo, hi = (_finite(value[i], f"{where}[{i}]") for i in range(2))
+    if not 0 < lo < hi:
+        raise ConfigError(f"{where} must be [T_lo, T_hi] with 0 < T_lo "
+                          f"< T_hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def _species(mapping, section):
     if not isinstance(mapping, dict):
         raise ConfigError(f"'{section}' must be an object")
@@ -351,44 +367,25 @@ def config_from_dict(data):
     temperature = _number(thermal, "temperature", "thermal", default=None)
     t_range = thermal.get("t_range")
     if t_range is not None:
-        if not isinstance(t_range, (list, tuple)) or len(t_range) != 2:
-            raise ConfigError(
-                "thermal.t_range must be [T_lo, T_hi] with 0 < T_lo < T_hi")
-        t_range = [_finite(t_range[i], f"thermal.t_range[{i}]")
-                   for i in range(2)]
-        if not 0 < t_range[0] < t_range[1]:
-            raise ConfigError(
-                "thermal.t_range must be [T_lo, T_hi] with 0 < T_lo < T_hi")
+        t_range = _t_range(t_range, "thermal.t_range")
 
-    common = dict(m_b=m_b, m_f=m_f, omega_b=omega_b, omega_f=omega_f,
-                  N_b=N_b, N_f=N_f, volume=volume, temperature=temperature,
-                  compat_mode=compat_mode)
+    # one config in the input's units, every field checked, then one
+    # conversion; scattering lengths are SI meters in either unit system
+    family = ("a_bb", "a_bf", "a_ff") if has_a else ("g_bb", "g_bf", "g_ff")
+    x_bb, x_bf = (_number(inter, key, "interaction") for key in family[:2])
+    x_ff = _number(inter, family[2], "interaction", default=0.0)
+    cfg = MixtureConfig(m_b, m_f, omega_b, omega_f, N_b, N_f,
+                        *((0.0, 0.0, 0.0) if has_a else (x_bb, x_bf, x_ff)),
+                        volume, temperature, unit_system, compat_mode)
     if has_a:
-        # scattering lengths are SI meters in either unit system
-        cfg = MixtureConfig.from_scattering_lengths(
-            a_bb=_number(inter, "a_bb", "interaction"),
-            a_bf=_number(inter, "a_bf", "interaction"),
-            a_ff=_number(inter, "a_ff", "interaction", default=0.0),
-            **common)
-        if unit_system is UnitSystem.OSCILLATOR:
-            cfg = cfg.replace(unit_system=UnitSystem.OSCILLATOR
-                              )._inputs_to_si(("volume", "temperature"))
-    else:
-        g_bb = _number(inter, "g_bb", "interaction")
-        g_bf = _number(inter, "g_bf", "interaction")
-        g_ff = _number(inter, "g_ff", "interaction", default=0.0)
-        if unit_system is UnitSystem.OSCILLATOR:
-            cfg = MixtureConfig.from_oscillator(
-                g_bb=g_bb, g_bf=g_bf, g_ff=g_ff, **common)
-        else:
-            cfg = MixtureConfig.from_si(
-                g_bb=g_bb, g_bf=g_bf, g_ff=g_ff, **common)
+        cfg = cfg._with_lengths(x_bb, x_bf, x_ff)
+    cfg = cfg._inputs_to_si((() if has_a else family)
+                            + ("volume", "temperature"))
 
-    t_range_si = None
     if t_range is not None:
-        t_range_si = tuple(cfg.field_to_si("thermal.temperature", T)
-                           for T in t_range)
-    extras = {"t_range": t_range_si, "scan": data.get("scan")}
+        t_range = tuple(cfg.field_to_si("thermal.temperature", T)
+                        for T in t_range)
+    extras = {"t_range": t_range, "scan": data.get("scan")}
     return cfg, extras
 
 

@@ -13,7 +13,8 @@ import math
 from collections import namedtuple
 
 from . import __version__
-from .config import _FIELD_PATHS, CompatMode, MixtureConfig, _finite
+from .config import (
+    _FIELD_PATHS, CompatMode, MixtureConfig, _finite, _t_range)
 from .constants import atomic_mass
 from .errors import ConfigError, DomainError, NumericError
 from .finite_temperature import (
@@ -224,11 +225,7 @@ def _validate(spec):
         if spec.t_range is None:
             raise ConfigError(
                 "scan.t_range is required for window observables")
-        lo, hi = spec.t_range
-        if not (0.0 < lo < hi):
-            raise ConfigError(
-                f"scan.t_range must be increasing and positive, got "
-                f"[{lo}, {hi}]")
+        _t_range(spec.t_range, "scan.t_range")
     if spec.observable in ("Z", "T_c1", "T_c2") and spec.base.volume is None:
         raise ConfigError(
             "thermal.volume is required for finite-T observables")
@@ -586,10 +583,7 @@ def scan_spec_from_dict(base, mapping):
                 str(exc).replace(f"scan.{entry.get('field')}", where)) from None
     t_range = mapping.get("t_range")
     if t_range is not None:
-        if (not isinstance(t_range, list) or len(t_range) != 2):
-            raise ConfigError("scan.t_range must be a two-element list")
-        t_range = tuple(_finite(t_range[j], f"scan.t_range[{j}]")
-                        for j in range(2))
+        t_range = _t_range(t_range, "scan.t_range")
     spec = ScanSpec(base=base, variables=tuple(variables),
                     observable=observable, t_range=t_range)
     _validate(spec)

@@ -220,6 +220,49 @@ def test_tf_separated_shell(tmp_path, capsys):
     assert e_0 <= e_F <= e_1
 
 
+def _length_config(unit_system, boson_mass, fermion_mass):
+    """base_config in unit_system with scattering lengths, each species
+    given its mass by the one key of boson_mass and fermion_mass."""
+    cfg = base_config(unit_system=unit_system, interaction={
+        "a_bb": 1e-9, "a_bf": 1e-9, "a_ff": 1e-9})
+    for species, mass in (("boson", boson_mass), ("fermion", fermion_mass)):
+        cfg[species] = {**mass, "omega": 166.0,
+                        "count": cfg[species]["count"]}
+    return cfg
+
+
+@pytest.mark.parametrize("unit_system", ["si", "oscillator"])
+@pytest.mark.parametrize("species, field", [("boson", "m_b"),
+                                            ("fermion", "m_f")])
+@pytest.mark.parametrize("mass", [{"mass_u": 0}, {"mass_u": -0.0},
+                                  {"mass_kg": 0}, {"mass_kg": -0.0}])
+def test_zero_mass_with_scattering_lengths_exit_1_names_it(
+        tmp_path, capsys, unit_system, species, field, mass):
+    # the masses are checked before g = 4 pi hbar^2 a / m divides by them
+    masses = {"boson": {"mass_u": 7.0}, "fermion": {"mass_u": 6.0}}
+    masses[species] = mass
+    path = write_config(tmp_path, _length_config(
+        unit_system, masses["boson"], masses["fermion"]))
+    for command in ("zero-t", "finite-t", "window", "tf"):
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be strictly positive" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unit_system", ["si", "oscillator"])
+def test_opposite_masses_with_scattering_lengths_exit_1(tmp_path, capsys,
+                                                        unit_system):
+    # m_b + m_f = 0 would divide the reduced mass by zero
+    for m_b, m_f, field in ((-7.0, 7.0, "m_b"), (7.0, -7.0, "m_f")):
+        path = write_config(tmp_path, _length_config(
+            unit_system, {"mass_u": m_b}, {"mass_u": m_f}))
+        assert cli.main(["zero-t", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be strictly positive" in err
+        assert "Traceback" not in err
+
+
 def test_tf_wide_fermion_cloud(tmp_path, capsys):
     # Li-6 in a trap 1,000x weaker than the Rb-87 condensate's: the bare
     # fermion radius is about 1,190 R_b, and the grid still reaches it

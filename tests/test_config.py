@@ -46,6 +46,17 @@ def test_scattering_length_factory_sign_and_value():
                       rtol=1e-14)
 
 
+@pytest.mark.parametrize("field, other", [("m_b", "m_f"), ("m_f", "m_b")])
+def test_scattering_length_factory_checks_the_masses_first(field, other):
+    kw = dict(m_b=7.0 * atomic_mass, m_f=6.0 * atomic_mass, omega_b=166.0,
+              omega_f=166.0, N_b=1000.0, N_f=100.0, a_bb=1e-9, a_bf=1e-9)
+    # zero divides g = 4 pi hbar^2 a / m, and m_b = -m_f the reduced mass
+    for mass in (0.0, -0.0, -kw[other]):
+        with pytest.raises(ConfigError, match=f"{field} must be strictly "
+                                              "positive"):
+            MixtureConfig.from_scattering_lengths(**dict(kw, **{field: mass}))
+
+
 def test_positivity_validation():
     with pytest.raises(ConfigError):
         osc_config(N_b=0.0)

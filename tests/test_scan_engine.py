@@ -12,7 +12,8 @@ from bfmix import finite_temperature as ft
 from bfmix import scan_engine
 from bfmix import zero_temperature as zt
 from bfmix.cli import write_csv
-from bfmix.config import _FIELD_PATHS, CompatMode, MixtureConfig, UnitSystem
+from bfmix.config import (
+    _FIELD_PATHS, CompatMode, MixtureConfig, UnitSystem, config_from_dict)
 from bfmix.constants import atomic_mass
 from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix.scan_engine import (
@@ -400,6 +401,38 @@ def test_spec_from_dict_rejects_unknown_keys():
                                                   "from": 0.0, "to": 0.1,
                                                   "points": 5}],
                                    "t_range": [5.0]})
+
+
+@pytest.mark.parametrize("t_range, message", [
+    ([5.0, 1.0], "got [5.0, 1.0]"),
+    ([0.0, 1.0], "got [0.0, 1.0]"),
+    ([1.0, math.inf], "scan.t_range[1]"),
+    ([5.0], "must be [T_lo, T_hi] with 0 < T_lo < T_hi"),
+])
+def test_one_t_range_rule_for_config_scan_and_library(t_range, message):
+    # thermal.t_range, scan.t_range and a ScanSpec built in code all keep
+    # the rule of config._t_range, each naming its own field
+    data = {"unit_system": "oscillator",
+            "boson": {"mass_u": 7.0, "omega": 166.0, "count": 1000},
+            "fermion": {"mass_u": 7.0, "omega": 166.0, "count": 10000},
+            "interaction": {"g_bb": 0.05, "g_bf": 0.3, "g_ff": 0.01},
+            "thermal": {"volume": 1000.0, "t_range": t_range}}
+    with pytest.raises(ConfigError, match=re.escape(
+            message.replace("scan.", "thermal."))) as thermal:
+        config_from_dict(data)
+    assert "thermal.t_range" in str(thermal.value)
+    base = osc_cfg(N_f=10000.0, g_ff=0.01, volume=1000.0)
+    g_bf = {"field": "interaction.g_bf", "values": [0.3]}
+    for observable in ("omega_c", "T_c2"):
+        with pytest.raises(ConfigError, match=re.escape(message)) as scan:
+            scan_spec_from_dict(base, {"observable": observable,
+                                       "variables": [g_bf],
+                                       "t_range": t_range})
+        assert "scan.t_range" in str(scan.value)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_scan(ScanSpec(base=base, observable="T_c2", t_range=t_range,
+                          variables=(ScanRange("interaction.g_bf",
+                                               values=(0.3,)),)))
 
 
 def test_phase_and_regime_observables():

@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py REV
 
-Runs 162 CLI cases, each in a fresh process, once on the `src/` of
+Runs 194 CLI cases, each in a fresh process, once on the `src/` of
 commit REV (taken with `git archive` into a temporary directory) and
 once on the working tree's `src/`, and compares stdout, stderr and exit
 code byte for byte.  The cases are:
@@ -14,7 +14,10 @@ code byte for byte.  The cases are:
   configs set no temperature, so `finite-t` exits with its config error,
   as `tf` and `zero-t` do on the attractive stratum's g_bb < 0;
 * `finite-t` on each of those mixtures at 4 temperatures spread evenly
-  in log T over its t_range (72).
+  in log T over its t_range (72);
+* `zero-t`, `finite-t`, `window` and `tf` on 8 mixtures given by s-wave
+  scattering lengths: two mixtures, one per compat mode, each written in
+  both unit systems, with and without a_ff (32).
 
 Every run that differs is listed.  Where its stdout is a CSV table on
 both sides, with the same header and row count, each column whose cells
@@ -25,6 +28,7 @@ when some do.
 
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -40,6 +44,35 @@ import inputs  # noqa: E402  (bench/inputs.py, imported only)
 SEEDS = (21, 22, 777)
 MODES = ((), ("--mode", "paper"), ("--mode", "derived"))
 TEMPERATURES = 4
+
+A0 = 5.29177210903e-11  # m, the Bohr radius
+HBAR, K_B, U = 1.0545718176461565e-34, 1.380649e-23, 1.66053906892e-27
+
+# (compat mode, m_b u, m_f u, a_bb, a_bf, a_ff in Bohr radii)
+LENGTH_MIXTURES = (("paper", 7.0, 6.0, 560.0, 3000.0, 100.0),
+                   ("derived", 40.0, 6.0, 100.0, -400.0, 50.0))
+
+
+def length_config(unit_system, mode, m_b, m_f, a_bb, a_bf, a_ff):
+    """The config of one scattering-length mixture in the trap of the
+    presets, N_b = 1,000 and N_f = 10,000, with volume 1,000 a^3,
+    temperature 5 and t_range [0.5, 50] hbar omega / k_B written in
+    unit_system; a_ff None leaves a_ff out."""
+    volume, temperature, t_range = 1000.0, 5.0, [0.5, 50.0]
+    if unit_system == "si":
+        T_unit = HBAR * inputs.OMEGA / K_B
+        volume *= (HBAR / (inputs.OMEGA * m_b * U)) ** 1.5
+        temperature, t_range = (temperature * T_unit,
+                                [T * T_unit for T in t_range])
+    lengths = {"a_bb": a_bb, "a_bf": a_bf, "a_ff": a_ff}
+    return {
+        "unit_system": unit_system, "compat_mode": mode,
+        "boson": {"mass_u": m_b, "omega": inputs.OMEGA, "count": 1000},
+        "fermion": {"mass_u": m_f, "omega": inputs.OMEGA, "count": 10000},
+        "interaction": {key: a * A0 for key, a in lengths.items()
+                        if a is not None},
+        "thermal": {"volume": volume, "temperature": temperature,
+                    "t_range": t_range}}
 
 
 def cases(work):
@@ -57,6 +90,16 @@ def cases(work):
                 path = os.path.join(work, f"s{seed}_{i}_T{k}.json")
                 inputs.write_config(dict(params, T=T), path)
                 out.append(["finite-t", "--config", path])
+    for unit_system in ("oscillator", "si"):
+        for mode, *mixture, a_ff in LENGTH_MIXTURES:
+            for a in (a_ff, None):
+                path = os.path.join(
+                    work, f"a_{unit_system}_{mode}_{a is not None}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(length_config(unit_system, mode, *mixture, a),
+                              fh)
+                out += [[cmd, "--config", path]
+                        for cmd in ("zero-t", "finite-t", "window", "tf")]
     return out
 
 
