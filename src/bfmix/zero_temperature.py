@@ -422,8 +422,10 @@ def _h_turns(K):
         return ()
     t = rise(lambda t: (t * (1 - t * t) ** 3,
                         (1 - t * t) ** 2 * (1 - 7 * t * t)), K, 7 ** -0.5)
+    c = K ** (1 / 3)  # pow rounds the exponent 1/3: one Newton step on c
+    c = (c + c + K / (c * c)) / 3
     s = rise(lambda s: (s * (1 - s) ** (1 / 6), (1 - 7 / 6 * s)
-                        / (1 - s) ** (5 / 6)), K ** (1 / 3), 6 / 7)
+                        / (1 - s) ** (5 / 6)), c, 6 / 7)
     return (t, 1 - t * t), (math.sqrt(1 - s), s)
 
 

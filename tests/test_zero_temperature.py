@@ -808,10 +808,8 @@ def test_h_turns_straddle_the_peak(K):
     with mp.workdps(50):
         p1 = mp.mpf(t1) * (1 - mp.mpf(t1) ** 2) ** 3
         p2 = mp.sqrt(1 - mp.mpf(s)) * mp.mpf(s) ** 3
-        # the upper turn solves for K^(1/3), whose pow rounds the exponent
-        # 1/3: |ln K| ulp of K more
         assert abs(p1 - K) <= 8 * 2.0 ** -53 * K
-        assert abs(p2 - K) <= (8 + 3 * abs(math.log(K))) * 2.0 ** -53 * K
+        assert abs(p2 - K) <= 8 * 2.0 ** -53 * K
 
 
 def test_h_turns_never_pass_the_peak():
