@@ -29,4 +29,5 @@ class NumericError(RuntimeError):
       range;
     * a critical boson number beyond 2^60;
     * a Thomas-Fermi fermion density or cloud radius beyond float
-      range, or no e_F between its padded bounds."""
+      range, a grid with no node below e_F, or Newton steps on the
+      Simpson count that stop more than 1e-12 N_f off N_f."""

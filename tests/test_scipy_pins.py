@@ -82,6 +82,17 @@ def test_brentq_roots_equal_scipy_on_package_residuals():
         assert ours == theirs, (a, b, ours, theirs)
 
 
+def test_brentq_zero_divisor_bisects_as_scipy_does():
+    # residuals of 1e-200: the extrapolation's denominator underflows to
+    # 0, and brentq bisects, as scipy's C does on its inf or nan step
+    def f(x):
+        return 1e-200 * (x ** 3 - 0.3)
+    ours = brentq(f, 0.0, 1.0, xtol=1e-300, maxiter=200)
+    assert ours == scipy.optimize.brentq(f, 0.0, 1.0, xtol=1e-300,
+                                         rtol=_RTOL, maxiter=200)
+    assert ours == 0.6694329500821695
+
+
 def test_solvers_unchanged_with_scipy_brentq(monkeypatch):
     cfg = _zero_t_cfg()
     ours = (zero_temperature.classify_zero_T(cfg),
