@@ -46,6 +46,7 @@ MODES = ((), ("--mode", "paper"), ("--mode", "derived"))
 TEMPERATURES = 4
 
 A0 = 5.29177210903e-11  # m, the Bohr radius
+# hbar [J s], k_B [J / K] and the atomic mass unit [kg], as bfmix.constants
 HBAR, K_B, U = 1.0545718176461565e-34, 1.380649e-23, 1.66053906892e-27
 
 # (compat mode, m_b u, m_f u, a_bb, a_bf, a_ff in Bohr radii)
