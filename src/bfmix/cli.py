@@ -20,8 +20,8 @@ from .finite_temperature import critical_window, stability_matrix, \
 from .scan_engine import (
     PRESET_TAGS,
     ScanTable,
-    config_lines,
     figure_preset,
+    provenance,
     run_scan,
     scan_spec_from_dict,
 )
@@ -214,12 +214,9 @@ def _load(args):
 
 
 def _analysis_table(cfg, command, columns, rows, extra_lines=()):
-    provenance = [f"bfmix {__version__}", f"mode: {cfg.compat_mode.value}",
-                  f"analysis: {command}"]
-    provenance.extend(extra_lines)
-    provenance.extend(config_lines(cfg))
     return ScanTable(columns=tuple(columns), rows=tuple(rows),
-                     provenance=tuple(provenance))
+                     provenance=provenance(
+                         cfg, (f"analysis: {command}", *extra_lines)))
 
 
 # ---------------------------------------------------------------------------

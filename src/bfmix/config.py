@@ -169,9 +169,15 @@ class MixtureConfig(namedtuple("MixtureConfig", (
         """Copy with the couplings of the s-wave scattering lengths a_bb,
         a_bf, a_ff in meters, from the checked masses: g = 4 pi hbar^2 a /
         m within a species, g_bf = 2 pi hbar^2 a_bf / m_red across."""
+        m_red = self.reduced_mass
+        if not 0.0 < m_red < math.inf:  # m_b m_f under- or overflows
+            raise ConfigError(
+                f"the reduced mass of m_b and m_f must be positive and "
+                f"finite, got {m_red!r} from m_b = {self.m_b!r} kg and "
+                f"m_f = {self.m_f!r} kg")
         return self.replace(
             g_bb=4.0 * math.pi * hbar ** 2 * a_bb / self.m_b,
-            g_bf=2.0 * math.pi * hbar ** 2 * a_bf / self.reduced_mass,
+            g_bf=2.0 * math.pi * hbar ** 2 * a_bf / m_red,
             g_ff=4.0 * math.pi * hbar ** 2 * a_ff / self.m_f)
 
     # ---- field paths for scans and error messages -------------------

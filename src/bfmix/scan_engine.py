@@ -33,8 +33,8 @@ from .zero_temperature import (
 )
 
 __all__ = ["ScanRange", "ScanSpec", "ScanTable", "run_scan",
-           "figure_preset", "scan_spec_from_dict", "OBSERVABLES",
-           "PRESET_TAGS", "MAX_SCAN_POINTS"]
+           "figure_preset", "scan_spec_from_dict", "provenance",
+           "OBSERVABLES", "PRESET_TAGS", "MAX_SCAN_POINTS"]
 
 # the most grid points one axis, or the product of two, may hold; a
 # larger scan is refused before its grid is allocated
@@ -127,73 +127,65 @@ ScanTable = namedtuple("ScanTable", "columns rows provenance")
 # observables
 # ---------------------------------------------------------------------------
 #
-# Each observable is name -> (fast, build).  fast names the couplings it
-# takes per point: the points that differ only in them form a group, whose
-# config is the base with every other swept field set.  build(cfg, spec)
-# returns (parts, combine, own) on a group's config: parts[k] maps a value
-# [J m^3] of the coupling fast[k] to an operand, own[k] is the operand at
-# the config's own value, which a scan that does not sweep fast[k] keeps,
-# and combine(*operands) gives the observable at one point.
+# Each observable is name -> (fast, build, unit).  fast names the couplings
+# it takes per point: the points that differ only in them form a group,
+# whose config is the base with every other swept field set.  build(cfg,
+# T_range) returns (parts, combine) on a group's config, with T_range the
+# window range in K: parts[k] maps a value [J m^3] of the coupling fast[k]
+# to an operand, and combine(*operands) gives the observable at one point.
+# unit is the observable's, as the provenance names it.
 
-def _omega_c(cfg, spec):
+def _omega_c(cfg, T_range):
     omega_c = solve_omega_c(cfg).omega_c
-    return (float,), lambda g_bf: omega_c, (cfg.g_bf,)
+    return (float,), lambda g_bf: omega_c
 
 
-def _Omega_c(cfg, spec):
+def _Omega_c(cfg, T_range):
     # the fully coupled width, which is what the frequency figure plots
-    solve = _Omega_c_solver(solve_omega_c(cfg).omega_c, cfg)
-    return (float,), solve, (cfg.g_bf,)
+    return (float,), _Omega_c_solver(solve_omega_c(cfg).omega_c, cfg)
 
 
 def _classified(value_of):
     """The builder of one field of classify_zero_T's result."""
-    def build(cfg, spec):
+    def build(cfg, T_range):
         classify = _zero_T_classifier(cfg)
-        return (float,), lambda g_bf: value_of(classify(g_bf)), (cfg.g_bf,)
+        return (float,), lambda g_bf: value_of(classify(g_bf))
     return build
 
 
-def _regime(cfg, spec):
-    return (), lambda: classify_tf_regime(cfg).value, ()
+def _regime(cfg, T_range):
+    return (), lambda: classify_tf_regime(cfg).value
 
 
-def _Z(cfg, spec):
+def _Z(cfg, T_range):
     # no coupling moves the state; each part is the entry its coupling
     # moves
     state = thermal_state(cfg, cfg.temperature)
-    parts = _parts(cfg, state.lambda_b, state.lambda_f, state.z_b.ln_z,
-                   state.z_f.ln_z)
-    own = [part(g) for part, g in zip(parts, (cfg.g_bb, cfg.g_ff, cfg.g_bf))]
-    return parts, _determinant, own
+    return _parts(cfg, state.lambda_b, state.lambda_f, state.z_b.ln_z,
+                  state.z_f.ln_z), _determinant
 
 
 def _window_edge(edge):
-    """The builder of one edge of critical_window over spec.t_range, nan
-    where there is none."""
-    def build(cfg, spec):
-        T_range = [spec.base.field_to_si(_T_FIELD, T) for T in spec.t_range]
+    """The builder of one edge of critical_window over T_range, nan where
+    there is none."""
+    def build(cfg, T_range):
         T = getattr(critical_window(cfg, T_range), edge)
-        return (), lambda: math.nan if T is None else T, ()
+        return (), lambda: math.nan if T is None else T
     return build
 
 
 OBSERVABLES = {
-    "omega_c": (("g_bf",), _omega_c),
-    "Omega_c": (("g_bf",), _Omega_c),
-    "Y": (("g_bf",), _classified(lambda result: result.Y)),
-    "r_fc": (("g_bf",), _classified(lambda result: result.r_fc)),
-    "phase": (("g_bf",), _classified(lambda result: result.phase.value)),
-    "regime": ((), _regime),
-    "Z": (("g_bb", "g_ff", "g_bf"), _Z),
-    "T_c1": ((), _window_edge("T_c1")),
-    "T_c2": ((), _window_edge("T_c2")),
-}
-
-_UNITS = {
-    "omega_c": "rad/s", "Omega_c": "rad/s", "Y": "J^2 (sign-bearing)",
-    "r_fc": "m", "phase": "label", "regime": "label", "Z": "m^6",
-    "T_c1": "K", "T_c2": "K",
+    "omega_c": (("g_bf",), _omega_c, "rad/s"),
+    "Omega_c": (("g_bf",), _Omega_c, "rad/s"),
+    "Y": (("g_bf",), _classified(lambda result: result.Y),
+          "J^2 (sign-bearing)"),
+    "r_fc": (("g_bf",), _classified(lambda result: result.r_fc), "m"),
+    "phase": (("g_bf",), _classified(lambda result: result.phase.value),
+              "label"),
+    "regime": ((), _regime, "label"),
+    "Z": (("g_bb", "g_ff", "g_bf"), _Z, "m^6"),
+    "T_c1": ((), _window_edge("T_c1"), "K"),
+    "T_c2": ((), _window_edge("T_c2"), "K"),
 }
 
 
@@ -261,42 +253,43 @@ def _grouped(spec, si_grids):
     in SI; T/T_F only with a temperature axis.
 
     The points that differ only in the observable's fast couplings form
-    a group.  Its config, the base with every other swept field set, is
-    validated once, and on it the observable's build and parts run once,
-    with T/T_F; each point then combines its operands.  The statuses are
-    those of one config per point: a fast coupling that is not finite in
-    SI builds no config (ConfigError, T/T_F nan), and a group that builds
-    no config, or whose build or parts fail, fails each of its points.
+    a group; a fast coupling the scan does not sweep is an axis of one
+    value, the base config's, which no group sets.  A group's config,
+    the base with every other swept field set, is validated once, and on
+    it the observable's build (given the window range in K, converted
+    once) and parts run once, with T/T_F; each point then combines its
+    operands.  The statuses are those of one config per point: a fast
+    coupling that is not finite in SI builds no config (ConfigError,
+    T/T_F nan), and a group that builds no config, or whose build or
+    parts fail, fails each of its points.
     """
-    fast, build = OBSERVABLES[spec.observable]
+    fast, build, _ = OBSERVABLES[spec.observable]
     attrs = [_FIELD_PATHS[rng.field] for rng in spec.variables]
     # the axes in the order of evaluation: the groups', then the fast ones
     # in the order of fast
     order = sorted(range(len(attrs)), key=lambda i: fast.index(attrs[i])
                    if attrs[i] in fast else -1)
     slow = [i for i in order if attrs[i] not in fast]
-    # each fast coupling's values, None where not finite in SI; None for
-    # one not swept, whose operand is the group's own
+    # each fast coupling's values, None where not finite in SI
     si = dict(zip(attrs, si_grids))
-    swept = [None if name not in si else
-             [g if math.isfinite(g) else None for g in si[name]]
+    swept = [[g if math.isfinite(g) else None
+              for g in si.get(name, [getattr(spec.base, name)])]
              for name in fast]
+    T_range = [spec.base.field_to_si(_T_FIELD, T) for T in spec.t_range or ()]
     with_T = "temperature" in attrs
     no_config = (math.nan, "ERROR:ConfigError", math.nan if with_T else None)
     results = []
     for group in itertools.product(*(si_grids[i] for i in slow)):
         cfg = failure = None
+        operands = swept
         try:
             cfg = spec.base.replace(**{attrs[i]: v
                                        for i, v in zip(slow, group)})
-            parts, combine, own = build(cfg, spec)
-            operands = [[op] if values is None else
-                        [None if g is None else part(g) for g in values]
-                        for part, values, op in zip(parts, swept, own)]
+            parts, combine = build(cfg, T_range)
+            operands = [[None if g is None else part(g) for g in values]
+                        for part, values in zip(parts, swept)]
         except _POINT_FAILURES as exc:
             failure = f"ERROR:{type(exc).__name__}"
-            # the points' values, a stand-in for each coupling not swept
-            operands = [values or [0.0] for values in swept]
         ratio = _T_over_T_F(cfg) if with_T else None
         for point in itertools.product(*operands):
             if None in point:
@@ -319,13 +312,14 @@ def _grouped(spec, si_grids):
 def run_scan(spec, workers=None):
     """Evaluate the observable over the full grid.
 
-    Each axis is converted to SI once.  The points that differ only in
-    the couplings the observable takes per point (g_bf for the zero-T
-    observables; g_bb, g_ff and g_bf for Z; none for the rest) share one
-    config, one build of the observable on it (a boson solve, a thermal
-    state) and one T/T_F, and each point adds only its couplings' share
-    (_grouped).  The rows are those of one config per point, in grid
-    order.
+    Each axis, and the window range, is converted to SI once.  The
+    points that differ only in the couplings the observable takes per
+    point (g_bf for the zero-T observables; g_bb, g_ff and g_bf for Z;
+    none for the rest) share one config, one build of the observable on
+    it (a boson solve, a thermal state) and one T/T_F, and each point
+    adds only its couplings' share (_grouped); a coupling of those that
+    is not swept is one more axis of one value, the base config's.  The
+    rows are those of one config per point, in grid order.
 
     workers is accepted and ignored, so callers that pass a count keep
     working and get the same table.  The points are pure Python and
@@ -378,33 +372,31 @@ def run_scan(spec, workers=None):
                      provenance=_provenance(spec))
 
 
-def config_lines(cfg):
-    """Config echo lines shared by every CSV provenance block."""
-    lines = [
-        "config: "
-        f"m_b={cfg.m_b:.17g} kg, m_f={cfg.m_f:.17g} kg, "
-        f"omega_b={cfg.omega_b:.17g} rad/s, "
-        f"omega_f={cfg.omega_f:.17g} rad/s, "
-        f"N_b={cfg.N_b:.17g}, N_f={cfg.N_f:.17g}",
-        "config: "
-        f"g_bb={cfg.g_bb:.17g} J m^3, g_bf={cfg.g_bf:.17g} J m^3, "
-        f"g_ff={cfg.g_ff:.17g} J m^3",
-    ]
+def provenance(cfg, lines):
+    """The provenance block of a table on cfg: the version and mode, the
+    table's own lines, then the config echo."""
+    lines = [f"bfmix {__version__}", f"mode: {cfg.compat_mode.value}",
+             *lines,
+             "config: "
+             f"m_b={cfg.m_b:.17g} kg, m_f={cfg.m_f:.17g} kg, "
+             f"omega_b={cfg.omega_b:.17g} rad/s, "
+             f"omega_f={cfg.omega_f:.17g} rad/s, "
+             f"N_b={cfg.N_b:.17g}, N_f={cfg.N_f:.17g}",
+             "config: "
+             f"g_bb={cfg.g_bb:.17g} J m^3, g_bf={cfg.g_bf:.17g} J m^3, "
+             f"g_ff={cfg.g_ff:.17g} J m^3"]
     if cfg.volume is not None or cfg.temperature is not None:
         vol = "unset" if cfg.volume is None else f"{cfg.volume:.17g} m^3"
         temp = ("unset" if cfg.temperature is None
                 else f"{cfg.temperature:.17g} K")
         lines.append(f"config: volume={vol}, temperature={temp}")
-    return lines
+    return tuple(lines)
 
 
 def _provenance(spec):
-    cfg = spec.base
-    lines = [f"bfmix {__version__}", f"mode: {cfg.compat_mode.value}"]
-    if spec.preset:
-        lines.append(f"preset: {spec.preset}")
+    lines = [f"preset: {spec.preset}"] if spec.preset else []
     lines.append(f"observable: {spec.observable} "
-                 f"[{_UNITS[spec.observable]}]")
+                 f"[{OBSERVABLES[spec.observable][2]}]")
     for rng in spec.variables:
         if rng.values is not None:
             desc = "values " + ", ".join(f"{v:g}" for v in rng.values)
@@ -421,8 +413,7 @@ def _provenance(spec):
                      + "; ".join(spec.caption_fixed))
     if spec.reproduction:
         lines.append("reproduction choices: " + "; ".join(spec.reproduction))
-    lines.extend(config_lines(cfg))
-    return tuple(lines)
+    return provenance(spec.base, lines)
 
 
 # ---------------------------------------------------------------------------

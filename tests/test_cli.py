@@ -263,6 +263,20 @@ def test_opposite_masses_with_scattering_lengths_exit_1(tmp_path, capsys,
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("unit_system", ["si", "oscillator"])
+def test_underflowing_reduced_mass_with_scattering_lengths_exit_1(
+        tmp_path, capsys, unit_system):
+    # each mass passes its rule, but m_b m_f underflows to 0, and the
+    # reduced mass of g_bf = 2 pi hbar^2 a_bf / m_red with it
+    path = write_config(tmp_path, _length_config(
+        unit_system, {"mass_kg": 1e-170}, {"mass_kg": 1e-170}))
+    for command in ("zero-t", "finite-t", "window", "tf"):
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "reduced mass of m_b and m_f" in err
+        assert "Traceback" not in err
+
+
 def test_tf_wide_fermion_cloud(tmp_path, capsys):
     # Li-6 in a trap 1,000x weaker than the Rb-87 condensate's: the bare
     # fermion radius is about 1,190 R_b, and the grid still reaches it

@@ -57,6 +57,17 @@ def test_scattering_length_factory_checks_the_masses_first(field, other):
             MixtureConfig.from_scattering_lengths(**dict(kw, **{field: mass}))
 
 
+@pytest.mark.parametrize("m_b, m_f", [(1e-170, 1e-170), (1e300, 1e10)])
+def test_scattering_length_factory_needs_a_finite_reduced_mass(m_b, m_f):
+    # each mass passes its rule, but m_b m_f underflows to 0 or overflows
+    # to inf, and the reduced mass of g_bf = 2 pi hbar^2 a_bf / m_red
+    # with it
+    with pytest.raises(ConfigError, match="reduced mass of m_b and m_f"):
+        MixtureConfig.from_scattering_lengths(
+            m_b=m_b, m_f=m_f, omega_b=166.0, omega_f=166.0, N_b=1000.0,
+            N_f=100.0, a_bb=1e-9, a_bf=1e-9)
+
+
 def test_positivity_validation():
     with pytest.raises(ConfigError):
         osc_config(N_b=0.0)
@@ -280,7 +291,7 @@ def test_integer_past_the_digit_limit_rejected_naming_the_field():
 
 def test_numbers_stored_as_builtin_floats():
     # ints and numpy scalars are stored as floats, so the solvers never
-    # meet numpy bools; config_lines prints ints and floats alike
+    # meet numpy bools; provenance prints ints and floats alike
     cfg = MixtureConfig(**dict(SI_KW, N_b=1000, N_f=np.float64(100.0),
                                g_bf=np.float64(-1e-52), volume=1))
     for value in cfg[:11]:

@@ -380,6 +380,22 @@ def test_spec_from_dict_values_and_t_range():
     assert table.rows[0][-1] == "OK"
 
 
+def test_window_range_converted_once_per_scan(monkeypatch):
+    # one conversion of each end of scan.t_range, not one per point
+    base = osc_cfg(N_f=10000.0, g_ff=0.01, volume=1000.0)
+    spec = ScanSpec(base=base, observable="T_c1", t_range=(0.5, 50.0),
+                    variables=(ScanRange("interaction.g_bf",
+                                         values=(0.3, 0.2, 0.02, 0.01)),))
+    to_si = MixtureConfig.field_to_si
+    calls = []
+    monkeypatch.setattr(MixtureConfig, "field_to_si",
+                        lambda *a: calls.append(a[1:]) or to_si(*a))
+    table = run_scan(spec)
+    assert calls == [("thermal.temperature", 0.5),
+                     ("thermal.temperature", 50.0)]
+    assert [row[-1] for row in table.rows] == ["OK"] * 4
+
+
 def test_spec_from_dict_rejects_unknown_keys():
     base = osc_cfg()
     with pytest.raises(ConfigError, match="'scan' must be an object"):

@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py REV
 
-Runs 194 CLI cases, each in a fresh process, once on the `src/` of
+Runs 210 CLI cases, each in a fresh process, once on the `src/` of
 commit REV (taken with `git archive` into a temporary directory) and
 once on the working tree's `src/`, and compares stdout, stderr and exit
 code byte for byte.  The cases are:
@@ -17,7 +17,12 @@ code byte for byte.  The cases are:
   in log T over its t_range (72);
 * `zero-t`, `finite-t`, `window` and `tf` on 8 mixtures given by s-wave
   scattering lengths: two mixtures, one per compat mode, each written in
-  both unit systems, with and without a_ff (32).
+  both unit systems, with and without a_ff (32);
+* `scan` on the 16 scan sections of SCANS: each of the nine observables,
+  zero-T scans over (N_b, g_bf) in both unit systems, a `Y` and a
+  `phase` scan whose g_bb < 0 groups fail, `Z` over (g_bf, T) with g_bb
+  and g_ff not swept, a coupling beyond float range in SI, and the
+  window edges over scan.t_range (16).
 
 Every run that differs is listed.  Where its stdout is a CSV table on
 both sides, with the same header and row count, each column whose cells
@@ -54,6 +59,19 @@ LENGTH_MIXTURES = (("paper", 7.0, 6.0, 560.0, 3000.0, 100.0),
                    ("derived", 40.0, 6.0, 100.0, -400.0, 50.0))
 
 
+def oscillator_units(m_b):
+    """The SI size of one oscillator unit of each swept field in the trap
+    of the presets with boson mass m_b [u]: hbar omega a^3 for a
+    coupling, a^3 for the volume, hbar omega / k_B for the temperature,
+    with a = sqrt(hbar / (omega m_b))."""
+    a3 = (HBAR / (inputs.OMEGA * m_b * U)) ** 1.5
+    return {"interaction.g_bb": HBAR * inputs.OMEGA * a3,
+            "interaction.g_bf": HBAR * inputs.OMEGA * a3,
+            "interaction.g_ff": HBAR * inputs.OMEGA * a3,
+            "thermal.volume": a3,
+            "thermal.temperature": HBAR * inputs.OMEGA / K_B}
+
+
 def length_config(unit_system, mode, m_b, m_f, a_bb, a_bf, a_ff):
     """The config of one scattering-length mixture in the trap of the
     presets, N_b = 1,000 and N_f = 10,000, with volume 1,000 a^3,
@@ -61,8 +79,9 @@ def length_config(unit_system, mode, m_b, m_f, a_bb, a_bf, a_ff):
     unit_system; a_ff None leaves a_ff out."""
     volume, temperature, t_range = 1000.0, 5.0, [0.5, 50.0]
     if unit_system == "si":
-        T_unit = HBAR * inputs.OMEGA / K_B
-        volume *= (HBAR / (inputs.OMEGA * m_b * U)) ** 1.5
+        units = oscillator_units(m_b)
+        T_unit = units["thermal.temperature"]
+        volume *= units["thermal.volume"]
         temperature, t_range = (temperature * T_unit,
                                 [T * T_unit for T in t_range])
     lengths = {"a_bb": a_bb, "a_bf": a_bf, "a_ff": a_ff}
@@ -74,6 +93,81 @@ def length_config(unit_system, mode, m_b, m_f, a_bb, a_bf, a_ff):
                         if a is not None},
         "thermal": {"volume": volume, "temperature": temperature,
                     "t_range": t_range}}
+
+
+# (unit system, changes to SCAN_BASE, observable, variables, t_range):
+# the scan sections of the `scan` cases, in oscillator units; an "si"
+# case writes its couplings, volume and temperatures in SI
+SCAN_BASE = {"mode": "paper", "m_b": 7.0, "m_f": 7.0, "N_b": 1000.0,
+             "N_f": 10000.0, "V": 1000.0, "T": 5.0, "g_bb": 0.05,
+             "g_bf": 0.2, "g_ff": 0.01, "t_range": (0.5, 50.0)}
+G_BF = {"field": "interaction.g_bf", "from": -0.2, "to": 0.2, "points": 9}
+N_B = {"field": "boson.count", "values": [1000.0, 10000.0]}
+G_BB_SIGNS = {"field": "interaction.g_bb", "values": [-0.05, 0.05]}
+WINDOW_G_BF = {"field": "interaction.g_bf", "values": [0.3, 0.02, 0.01]}
+SCANS = (
+    ("oscillator", {}, "omega_c",
+     [{"field": "interaction.g_bb", "from": 0.0, "to": 0.12, "points": 5}],
+     None),
+    # zero-T scans over (N_b, g_bf) in both unit systems
+    ("oscillator", {}, "Omega_c", [N_B, G_BF], None),
+    ("si", {}, "Omega_c", [N_B, G_BF], None),
+    ("oscillator", {}, "Y", [N_B, G_BF], None),
+    ("si", {"mode": "derived"}, "r_fc", [N_B, G_BF], None),
+    ("si", {}, "phase", [N_B, G_BF], None),
+    # a collapsed condensate at g_bb < 0 fails its group's rows
+    ("oscillator", {}, "Y", [G_BB_SIGNS, G_BF], None),
+    ("oscillator", {"mode": "derived"}, "phase", [G_BF, G_BB_SIGNS], None),
+    ("oscillator", {}, "regime",
+     [{"field": "interaction.g_bf", "values": [-0.2, 0.0, 0.2, 2.0]}], None),
+    # Z over (g_bf, T), which evaluates the first axis inside the second,
+    # with g_bb and g_ff not swept; then over the coupling plane
+    ("oscillator", {"g_bf": 0.0}, "Z",
+     [WINDOW_G_BF, {"field": "thermal.temperature", "from": 0.5,
+                    "to": 50.0, "points": 7, "scale": "log"}], None),
+    ("si", {"mode": "derived"}, "Z",
+     [{"field": "thermal.temperature", "values": [1.0, 10.0]},
+      WINDOW_G_BF], None),
+    ("si", {"g_bb": 0.0}, "Z",
+     [{"field": "interaction.g_bb", "from": 0.0, "to": 0.1, "points": 4},
+      {"field": "interaction.g_ff", "from": 0.0, "to": 0.1, "points": 4}],
+     None),
+    # with omega_b = 1e-100 rad/s the coupling unit is ~3e106 J m^3, so
+    # an input of 1e203 is beyond float range in SI
+    ("oscillator", {"omega_b": 1e-100}, "Z",
+     [{"field": "interaction.g_bb", "values": [0.1, 1e203]},
+      {"field": "interaction.g_bf", "values": [0.0, 0.2]}], None),
+    ("oscillator", {"omega_b": 1e-100}, "Omega_c",
+     [{"field": "interaction.g_bf", "values": [0.1, 1e203, -0.1]}], None),
+    # the window edges over scan.t_range
+    ("oscillator", {"g_bf": 0.0}, "T_c1", [WINDOW_G_BF], (0.5, 50.0)),
+    ("si", {"g_bf": 0.0}, "T_c2", [WINDOW_G_BF], (0.5, 50.0)),
+)
+
+
+def scan_config(unit_system, changes, observable, variables, t_range):
+    """The config of one of SCANS, written in unit_system."""
+    params = dict(SCAN_BASE, **changes)
+    units = oscillator_units(params["m_b"]) if unit_system == "si" else {}
+    T_unit = units.get("thermal.temperature", 1.0)
+    if units:
+        params.update(
+            {key: params[key] * units["interaction." + key]
+             for key in ("g_bb", "g_bf", "g_ff")},
+            V=params["V"] * units["thermal.volume"], T=params["T"] * T_unit,
+            t_range=[T * T_unit for T in params["t_range"]])
+    cfg = dict(inputs.config_dict(params), unit_system=unit_system)
+    cfg["boson"]["omega"] = params.get("omega_b", inputs.OMEGA)
+    scaled = []
+    for var in variables:
+        unit = units.get(var["field"], 1.0)
+        scaled.append({key: [v * unit for v in value] if key == "values"
+                       else value * unit if key in ("from", "to") else value
+                       for key, value in var.items()})
+    cfg["scan"] = {"observable": observable, "variables": scaled}
+    if t_range is not None:
+        cfg["scan"]["t_range"] = [T * T_unit for T in t_range]
+    return cfg
 
 
 def cases(work):
@@ -101,6 +195,11 @@ def cases(work):
                               fh)
                 out += [[cmd, "--config", path]
                         for cmd in ("zero-t", "finite-t", "window", "tf")]
+    for i, case in enumerate(SCANS):
+        path = os.path.join(work, f"scan_{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(scan_config(*case), fh)
+        out.append(["scan", "--config", path])
     return out
 
 
