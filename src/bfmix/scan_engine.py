@@ -213,11 +213,10 @@ def _validate(spec):
             f"the scan grid over {where} has "
             f"{' x '.join(map(str, sizes))} points, more than "
             f"{MAX_SCAN_POINTS}")
-    if spec.observable in ("T_c1", "T_c2"):
-        if spec.t_range is None:
-            raise ConfigError(
-                "scan.t_range is required for window observables")
+    if spec.t_range is not None:
         _t_range(spec.t_range, "scan.t_range")
+    elif spec.observable in ("T_c1", "T_c2"):
+        raise ConfigError("scan.t_range is required for window observables")
     if spec.observable in ("Z", "T_c1", "T_c2") and spec.base.volume is None:
         raise ConfigError(
             "thermal.volume is required for finite-T observables")

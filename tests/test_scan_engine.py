@@ -445,10 +445,12 @@ def test_one_t_range_rule_for_config_scan_and_library(t_range, message):
                                        "variables": [g_bf],
                                        "t_range": t_range})
         assert "scan.t_range" in str(scan.value)
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        run_scan(ScanSpec(base=base, observable="T_c2", t_range=t_range,
-                          variables=(ScanRange("interaction.g_bf",
-                                               values=(0.3,)),)))
+    for observable in ("omega_c", "T_c2"):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_scan(ScanSpec(base=base, observable=observable,
+                              t_range=t_range,
+                              variables=(ScanRange("interaction.g_bf",
+                                                   values=(0.3,)),)))
 
 
 def test_phase_and_regime_observables():

@@ -122,7 +122,7 @@ SCANS = (
      [{"field": "interaction.g_bf", "values": [-0.2, 0.0, 0.2, 2.0]}], None),
     # Z over (g_bf, T), which evaluates the first axis inside the second,
     # with g_bb and g_ff not swept; then over the coupling plane
-    ("oscillator", {"g_bf": 0.0}, "Z",
+    ("oscillator", {}, "Z",
      [WINDOW_G_BF, {"field": "thermal.temperature", "from": 0.5,
                     "to": 50.0, "points": 7, "scale": "log"}], None),
     ("si", {"mode": "derived"}, "Z",
@@ -140,8 +140,8 @@ SCANS = (
     ("oscillator", {"omega_b": 1e-100}, "Omega_c",
      [{"field": "interaction.g_bf", "values": [0.1, 1e203, -0.1]}], None),
     # the window edges over scan.t_range
-    ("oscillator", {"g_bf": 0.0}, "T_c1", [WINDOW_G_BF], (0.5, 50.0)),
-    ("si", {"g_bf": 0.0}, "T_c2", [WINDOW_G_BF], (0.5, 50.0)),
+    ("oscillator", {}, "T_c1", [WINDOW_G_BF], (0.5, 50.0)),
+    ("si", {}, "T_c2", [WINDOW_G_BF], (0.5, 50.0)),
 )
 
 
