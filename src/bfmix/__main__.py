@@ -1,18 +1,24 @@
 """The process entry of `python -m bfmix` and the `bfmix` console script.
 
-Each run is a fresh process that exits as soon as main returns, so the
-objects that exist once the package is imported live until exit.
-gc.freeze() moves them out of the collector's reach, and the final
-collection at interpreter exit no longer walks them; their cycles are
-left to the operating system.  Atexit handlers and the final flush of
-the std streams run as before.  cli.main leaves the collector alone,
-since tests and tracers call it in process.
+Each run is a fresh process that ends as soon as main returns.  It
+imports bfmix.commands, whose commands each load only the modules they
+run.  gc.freeze() moves the objects that exist once the package is
+imported out of reach of main's collections.  Once main returns, the
+atexit handlers run and the std streams are flushed, as at a normal
+exit, and os._exit ends the process without the interpreter's teardown:
+the module cleanup and the final collection free memory the operating
+system frees anyway.  Under a profiler or a tracer, such as cProfile or
+coverage, which report after the run returns, the process exits
+normally.  main leaves the collector alone, since tests and tracers call
+it in process.
 """
 
+import atexit
 import gc
+import os
 import sys
 
-from .cli import main
+from .commands import main
 
 
 def run():
@@ -22,5 +28,24 @@ def run():
     return main()
 
 
+def run_and_exit():
+    """End the process with run()'s exit code, without the interpreter's
+    teardown unless a profiler or a tracer is set."""
+    code = run()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:
+            # a stream that cannot be flushed (a closed pipe, a full
+            # device, None once closed): the interpreter's exit meets it
+            # again and reports it as it always has
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(run())
+    run_and_exit()

@@ -16,19 +16,29 @@ units of values swept by the scan engine).
 
 compat_mode selects between the two published sets of prefactors for the
 energy functionals (see zero_temperature); Derived is the default.
+
+The table record every command writes, its provenance block and the
+preset tags live here too, so that the command line reaches them without
+loading the scan engine.
 """
 
 import enum
 import math
 from collections import namedtuple
 
+from . import __version__
 from .constants import hbar, k_B, atomic_mass
 from .errors import ConfigError
 
 __all__ = [
     "UnitSystem", "CompatMode", "MixtureConfig", "load_config",
-    "config_from_dict",
+    "config_from_dict", "ScanTable", "provenance", "PRESET_TAGS",
 ]
+
+# the figure presets scan_engine builds, in sorted order
+PRESET_TAGS = ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5")
+
+ScanTable = namedtuple("ScanTable", "columns rows provenance")
 
 
 class UnitSystem(enum.Enum):
@@ -236,6 +246,27 @@ _FIELD_PATHS = {
 }
 
 
+def provenance(cfg, lines):
+    """The provenance block of a table on cfg: the version and mode, the
+    table's own lines, then the config echo."""
+    lines = [f"bfmix {__version__}", f"mode: {cfg.compat_mode.value}",
+             *lines,
+             "config: "
+             f"m_b={cfg.m_b:.17g} kg, m_f={cfg.m_f:.17g} kg, "
+             f"omega_b={cfg.omega_b:.17g} rad/s, "
+             f"omega_f={cfg.omega_f:.17g} rad/s, "
+             f"N_b={cfg.N_b:.17g}, N_f={cfg.N_f:.17g}",
+             "config: "
+             f"g_bb={cfg.g_bb:.17g} J m^3, g_bf={cfg.g_bf:.17g} J m^3, "
+             f"g_ff={cfg.g_ff:.17g} J m^3"]
+    if cfg.volume is not None or cfg.temperature is not None:
+        vol = "unset" if cfg.volume is None else f"{cfg.volume:.17g} m^3"
+        temp = ("unset" if cfg.temperature is None
+                else f"{cfg.temperature:.17g} K")
+        lines.append(f"config: volume={vol}, temperature={temp}")
+    return tuple(lines)
+
+
 # ---------------------------------------------------------------------------
 # JSON config loading (strict schema: unknown keys are rejected by path)
 # ---------------------------------------------------------------------------
@@ -395,21 +426,56 @@ def config_from_dict(data):
     return cfg, extras
 
 
+def _json_int(text):
+    # past 400 characters an integer is beyond float range: as inf,
+    # _finite rejects it, and it never meets int()'s digit limit
+    return float(text) if len(text) > 400 else int(text)
+
+
+class _JsonSettings:
+    """The decoder settings of json.loads(text, parse_int=_json_int), as
+    the C scanner reads them."""
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float = float
+    parse_int = _json_int
+    parse_constant = {"-Infinity": -math.inf, "Infinity": math.inf,
+                      "NaN": math.nan}.__getitem__
+
+
+_JSON_SPACE = " \t\n\r"
+
+
+def _parse_json(text, path):
+    """text parsed as json.loads(text, parse_int=_json_int) parses it.
+
+    A document json.loads accepts is read by the C scanner json.loads
+    itself runs, which loads neither the json package nor its regular
+    expressions.  Anything else (an error of the scanner, data after the
+    document, or a Python without _json) takes json.loads, so every
+    error and its message are json.loads' own."""
+    try:
+        from _json import make_scanner
+        start = len(text) - len(text.lstrip(_JSON_SPACE))
+        data, end = make_scanner(_JsonSettings)(text, start)
+        if not text[end:].lstrip(_JSON_SPACE):
+            return data
+    except Exception:
+        pass
+    import json
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config file {path} is not valid JSON "
+            f"(line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
+
+
 def load_config(path):
     """Parse a JSON config file into (MixtureConfig, extras)."""
-    import json  # here, so that no preset run loads it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        # past 400 characters an integer is beyond float range: as inf,
-        # _finite rejects it, and it never meets int()'s digit limit
-        data = json.loads(text, parse_int=lambda text: (
-            float(text) if len(text) > 400 else int(text)))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config file {path} is not valid JSON "
-            f"(line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
-    return config_from_dict(data)
+    return config_from_dict(_parse_json(text, path))

@@ -12,9 +12,9 @@ import itertools
 import math
 from collections import namedtuple
 
-from . import __version__
 from .config import (
-    _FIELD_PATHS, CompatMode, MixtureConfig, _finite, _t_range)
+    _FIELD_PATHS, PRESET_TAGS, CompatMode, MixtureConfig, ScanTable,
+    _finite, _t_range, provenance)
 from .constants import atomic_mass
 from .errors import ConfigError, DomainError, NumericError
 from .finite_temperature import (
@@ -32,6 +32,8 @@ from .zero_temperature import (
     solve_omega_c,
 )
 
+# ScanTable, provenance and PRESET_TAGS live in config, where the command
+# line reaches them without loading this module; they are exported here too
 __all__ = ["ScanRange", "ScanSpec", "ScanTable", "run_scan",
            "figure_preset", "scan_spec_from_dict", "provenance",
            "OBSERVABLES", "PRESET_TAGS", "MAX_SCAN_POINTS"]
@@ -118,9 +120,6 @@ class ScanSpec(namedtuple("ScanSpec", (
 ), defaults=(None, None, (), ()))):
     """One or two swept fields, an observable, and the base config."""
     __slots__ = ()
-
-
-ScanTable = namedtuple("ScanTable", "columns rows provenance")
 
 
 # ---------------------------------------------------------------------------
@@ -371,27 +370,6 @@ def run_scan(spec, workers=None):
                      provenance=_provenance(spec))
 
 
-def provenance(cfg, lines):
-    """The provenance block of a table on cfg: the version and mode, the
-    table's own lines, then the config echo."""
-    lines = [f"bfmix {__version__}", f"mode: {cfg.compat_mode.value}",
-             *lines,
-             "config: "
-             f"m_b={cfg.m_b:.17g} kg, m_f={cfg.m_f:.17g} kg, "
-             f"omega_b={cfg.omega_b:.17g} rad/s, "
-             f"omega_f={cfg.omega_f:.17g} rad/s, "
-             f"N_b={cfg.N_b:.17g}, N_f={cfg.N_f:.17g}",
-             "config: "
-             f"g_bb={cfg.g_bb:.17g} J m^3, g_bf={cfg.g_bf:.17g} J m^3, "
-             f"g_ff={cfg.g_ff:.17g} J m^3"]
-    if cfg.volume is not None or cfg.temperature is not None:
-        vol = "unset" if cfg.volume is None else f"{cfg.volume:.17g} m^3"
-        temp = ("unset" if cfg.temperature is None
-                else f"{cfg.temperature:.17g} K")
-        lines.append(f"config: volume={vol}, temperature={temp}")
-    return tuple(lines)
-
-
 def _provenance(spec):
     lines = [f"preset: {spec.preset}"] if spec.preset else []
     lines.append(f"observable: {spec.observable} "
@@ -512,16 +490,15 @@ def _fig5():
                       "(g_bb, g_ff) grid [0, 0.1]^2 x 100x100"))
 
 
-_PRESETS = {
-    "fig1": _fig1,
-    "fig2": _fig2,
-    "fig3a": lambda: _fig3("fig3a", 1000.0),
-    "fig3b": lambda: _fig3("fig3b", 10000.0),
-    "fig4": _fig4,
-    "fig5": _fig5,
-}
-
-PRESET_TAGS = tuple(sorted(_PRESETS))
+# the maker of each figure, in the order of config.PRESET_TAGS
+_PRESETS = dict(zip(PRESET_TAGS, (
+    _fig1,
+    _fig2,
+    lambda: _fig3("fig3a", 1000.0),
+    lambda: _fig3("fig3b", 10000.0),
+    _fig4,
+    _fig5,
+)))
 
 
 def figure_preset(tag):

@@ -249,11 +249,18 @@ def overlap_G(Omega, omega_c, cfg):
 
 
 def overlap_G_derivatives(Omega, omega_c, cfg):
-    """(G, dG/dOmega, d2G/dOmega2), quotient-rule closed forms."""
+    """(G, dG/dOmega, d2G/dOmega2), quotient-rule closed forms.  A
+    NumericError naming the masses when hbar u^3, the least of the three
+    denominators, underflows to 0."""
     if not (Omega > 0 and omega_c > 0):
         raise DomainError("overlap_G requires positive frequencies")
     m_f, m_b = cfg.m_f, cfg.m_b
     u = m_f * Omega + m_b * omega_c
+    if hbar * u ** 3 == 0.0:
+        raise NumericError(
+            "the overlap width G of the two clouds is beyond float range: "
+            f"hbar (m_f Omega + m_b omega_c)^3 underflows to 0 at m_b = "
+            f"{m_b!r} kg and m_f = {m_f!r} kg")
     return (m_f * m_b * omega_c * Omega / (hbar * u),
             m_f * (m_b * omega_c) ** 2 / (hbar * u * u),
             -2.0 * m_f ** 2 * (m_b * omega_c) ** 2 / (hbar * u ** 3))

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import bfmix
-from bfmix import cli
+from bfmix import cli, commands
 from bfmix.config import load_config
 from bfmix.constants import atomic_mass, hbar
 from bfmix.errors import NumericError
@@ -277,6 +277,22 @@ def test_underflowing_reduced_mass_with_scattering_lengths_exit_1(
         assert "Traceback" not in err
 
 
+def test_underflowing_overlap_width_exit_2_names_the_masses(tmp_path,
+                                                           capsys):
+    # coupling family, both masses 1e-170 kg: every field passes its rule,
+    # but hbar (m_f Omega + m_b omega_c)^3 in the overlap width underflows
+    cfg = base_config(unit_system="si", interaction={
+        "g_bb": 1e-50, "g_bf": 1e-50, "g_ff": 0.0})
+    for species in ("boson", "fermion"):
+        cfg[species] = {"mass_kg": 1e-170, "omega": 166.0, "count": 1000}
+    assert cli.main(["zero-t", "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    line, = captured.err.splitlines()
+    assert line.startswith("numeric error: the overlap width G")
+    assert "m_b = 1e-170 kg and m_f = 1e-170 kg" in line
+    assert "ZeroDivisionError" not in line and captured.out == ""
+
+
 def test_tf_wide_fermion_cloud(tmp_path, capsys):
     # Li-6 in a trap 1,000x weaker than the Rb-87 condensate's: the bare
     # fermion radius is about 1,190 R_b, and the grid still reaches it
@@ -400,6 +416,92 @@ def test_invalid_json_exit_1(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+_GOOD = json.dumps(base_config())
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ('{"unit_system": "si",}', 1, "is not valid JSON (line 1, column 22): "
+     "Expecting property name enclosed in double quotes"),
+    ("\ufeff" + _GOOD, 1, "is not valid JSON (line 1, column 1): "
+     "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("", 1, "is not valid JSON (line 1, column 1): Expecting value"),
+    (" {}\n [] ", 1, "is not valid JSON (line 2, column 2): Extra data"),
+    ('{\n"unit_system" "si"}', 1,
+     "is not valid JSON (line 2, column 15): Expecting ':' delimiter"),
+    ('{"unit_system": "s\x01"}', 1,
+     "is not valid JSON (line 1, column 19): Invalid control character at"),
+    (_GOOD.replace('"count": 1000', '"count": NaN', 1), 1,
+     "config field 'boson.count' must be a finite number, got nan"),
+    (_GOOD.replace('"oscillator"', '"\\ud800"'), 1,
+     "unit_system must be 'oscillator' or 'si', got '\\ud800'"),
+    ("[" * 100_000, 4, "RecursionError: maximum recursion depth exceeded "
+     "while decoding a JSON array from a unicode string"),
+    (_GOOD.replace('"count": 1000', '"count": 1' + "0" * 400, 1), 1,
+     "config field 'boson.count' must be a finite number, got inf"),
+])
+def test_malformed_json_reads_as_json_loads_reads_it(tmp_path, capsys, text,
+                                                     code, message):
+    # the scanner path falls back to json.loads on every failure, so each
+    # message, its line and column, and the exit code are json.loads'
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["window", "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    prefix = {1: f"error: config file {path} " if "JSON (" in message
+              else "error: ", 4: "internal error: "}[code]
+    assert (captured.out, captured.err) == ("", prefix + message + "\n")
+
+
+def _json_texts():
+    """JSON documents, as text with random whitespace between tokens."""
+    st = pytest.importorskip("hypothesis.strategies")
+    space = st.text(" \t\n\r", max_size=3)
+    big = 10 ** 500
+
+    def padded(token):
+        return st.builds(lambda a, t, b: a + t + b, space, token, space)
+
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.just(-0.0), st.floats(),
+        st.integers(-big + 1, big - 1), st.text())
+    leaves = padded(st.builds(json.dumps, scalars,
+                              ensure_ascii=st.booleans(), allow_nan=st.just(
+                                  True)))
+    keys = padded(st.builds(json.dumps, st.text(),
+                            ensure_ascii=st.booleans()))
+
+    def containers(children):
+        arrays = st.builds(lambda items, inner: "[" + (",".join(items)
+                                                       or inner) + "]",
+                           st.lists(children, max_size=4), space)
+        objects = st.builds(
+            lambda items, inner: "{" + (",".join(
+                k + ":" + v for k, v in items) or inner) + "}",
+            st.lists(st.tuples(keys, children), max_size=4), space)
+        return padded(st.one_of(arrays, objects))
+
+    return st.recursive(leaves, containers, max_leaves=20)
+
+
+def test_json_scanner_reads_what_json_loads_reads():
+    # with json.loads made to fail, load_config's parse still reads each
+    # document, and reads it as json.loads(text, parse_int=...) does
+    hypothesis = pytest.importorskip("hypothesis")
+    from unittest import mock
+
+    from bfmix import config
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+    @hypothesis.given(_json_texts())
+    def check(text):
+        with mock.patch.object(json, "loads", side_effect=AssertionError):
+            fast = config._parse_json(text, "cfg.json")
+        assert repr(fast) == repr(
+            json.loads(text, parse_int=config._json_int))
+
+    check()
+
+
 def test_bad_subcommand_exit_1(capsys):
     assert cli.main(["frobnicate"]) == 1
 
@@ -513,10 +615,10 @@ def test_csv_writer_formats_each_object_once(monkeypatch):
                    for i, v in enumerate(column)),
         provenance=("line",))
     expected = "# line\nx,label,y\n" + "".join(
-        ",".join(map(cli._cell, row)) + "\n" for row in table.rows)
+        ",".join(map(commands._cell, row)) + "\n" for row in table.rows)
     formatted = []
-    cell = cli._cell
-    monkeypatch.setattr(cli, "_cell",
+    cell = commands._cell
+    monkeypatch.setattr(commands, "_cell",
                         lambda v: formatted.append(v) or cell(v))
     buf = io.StringIO()
     cli.write_csv(table, buf)
@@ -868,8 +970,9 @@ def test_main_leaves_the_collector_as_it_was(tmp_path, capsys):
 
 def test_console_script_is_the_entry_python_m_runs(monkeypatch):
     # pyproject's console script names the function `python -m bfmix`
-    # calls, and it freezes the collector before main and returns
-    # main's exit code
+    # calls, and it freezes the collector before main and ends the
+    # process with main's exit code: by os._exit, or by SystemExit under
+    # a profiler
     tomllib = pytest.importorskip("tomllib")
     root = Path(bfmix.__file__).resolve().parents[2]
     with open(root / "pyproject.toml", "rb") as fh:
@@ -880,19 +983,85 @@ def test_console_script_is_the_entry_python_m_runs(monkeypatch):
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setitem(entry.__globals__, "main",
                         lambda: calls.append("main") or 7)
-    assert entry() == 7
+    profile = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            entry()
+    finally:
+        sys.setprofile(profile)
+    assert exit_.value.code == 7
     assert calls == ["freeze", "main"]
-    probe = ("import gc, runpy, sys; from bfmix import cli; calls = []; "
-             "gc.freeze = lambda: calls.append('freeze'); "
-             "cli.main = lambda: calls.append(sys._getframe(1).f_code) "
-             "or 7\n"
+    probe = ("import gc, os, runpy, sys; from bfmix import commands; "
+             "calls = []; gc.freeze = lambda: calls.append('freeze'); "
+             "commands.main = lambda: calls.append('main') or 7; "
+             "os._exit = lambda code: calls.append("
+             "(sys._getframe(1).f_code, code))\n"
              "try: runpy.run_module('bfmix', run_name='__main__')\n"
-             "except SystemExit as exc: "
-             "print(calls[0], calls[1].co_filename, calls[1].co_name, "
-             "exc.code)")
+             "except SystemExit: "
+             "print(*calls[:2], calls[2][0].co_filename, "
+             "calls[2][0].co_name, calls[2][1])")
     code = entry.__code__
     assert _fresh_probe(probe).split() == [
-        "freeze", code.co_filename, code.co_name, "7"]
+        "freeze", "main", code.co_filename, code.co_name, "7"]
+
+
+_WINDOW_MODULES = ["_panels", "brent", "commands", "config", "constants",
+                   "errors", "finite_temperature", "specfun"]
+_ALL_MODULES = sorted({*_WINDOW_MODULES, "scan_engine", "thomas_fermi",
+                       "zero_temperature"})
+
+
+@pytest.mark.parametrize("command, modules", [
+    ("window", _WINDOW_MODULES),
+    ("finite-t", _WINDOW_MODULES),
+    ("tf", ["commands", "config", "constants", "errors", "thomas_fermi"]),
+    ("zero-t", ["brent", "commands", "config", "constants", "errors",
+                "zero_temperature"]),
+    ("scan", _ALL_MODULES),
+    ("fig1", _ALL_MODULES),
+])
+def test_process_entry_loads_only_the_command_s_modules(tmp_path, command,
+                                                        modules):
+    # `python -m bfmix COMMAND` imports the modules the command runs, and
+    # no json package: the config is read by json's C scanner
+    cfg = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3, "g_ff": 0.01})
+    cfg["thermal"]["temperature"] = 5.0
+    cfg["scan"] = {"observable": "Z", "variables": [
+        {"field": "interaction.g_bb", "from": 0.0, "to": 0.1, "points": 3}]}
+    argv = [command, "--out", str(tmp_path / "out.csv")]
+    if command != "fig1":
+        argv += ["--config", write_config(tmp_path, cfg)]
+    probe = ("import atexit, runpy, sys; "
+             "atexit.register(lambda: print(sorted(m for m in sys.modules "
+             "if m.startswith(('bfmix.', 'json'))))); "
+             "runpy.run_module('bfmix', run_name='__main__')")
+    loaded = _fresh_probe(probe, *argv)
+    assert loaded == str([f"bfmix.{name}" for name in modules])
+    assert len(data_lines((tmp_path / "out.csv").read_text())) >= 2
+
+
+def test_process_entry_runs_atexit_handlers(tmp_path):
+    # the exit skips the interpreter's teardown, not the atexit handlers
+    probe = ("import atexit, runpy, sys; "
+             "sys.argv[1:] = ['fig1', '--out', sys.argv[1]]; "
+             "atexit.register(print, 'handler ran'); "
+             "runpy.run_module('bfmix', run_name='__main__')")
+    assert _fresh_probe(probe, str(tmp_path / "fig1.csv")) == "handler ran"
+
+
+def test_process_entry_under_cprofile_prints_its_stats(tmp_path):
+    # under a profiler the process exits normally, so cProfile prints
+    # the stats it writes once the run returns, after fig1's table
+    out = tmp_path / "fig1.csv"
+    assert cli.main(["fig1", "--out", str(out)]) == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "bfmix", "fig1"],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    table = out.read_text()
+    assert result.stdout.startswith(table)
+    assert " function calls " in result.stdout[len(table):]
 
 
 def test_fresh_process_stdout_matches_out(tmp_path):

@@ -691,6 +691,30 @@ def test_coupling_plane_overflow_signs():
     assert math.isfinite(values[2])
 
 
+def test_underflowing_overlap_width_fails_the_fermion_rows():
+    # masses of 1e-170 kg: the overlap width G of the fermion-side
+    # observables underflows and each of their rows reads NumericError;
+    # Omega_c takes no G and keeps its value
+    cfg = MixtureConfig.from_si(1e-170, 1e-170, 166.0, 166.0, 1000.0,
+                                100.0, 1e-50, 1e-50)
+    axis = (ScanRange("interaction.g_bf", values=(1e-50, -1e-50)),)
+    for observable in ("Y", "r_fc", "phase"):
+        rows = run_scan(ScanSpec(base=cfg, variables=axis,
+                                 observable=observable)).rows
+        assert [row[-1] for row in rows] == ["ERROR:NumericError"] * 2
+    rows = run_scan(ScanSpec(base=cfg, variables=axis,
+                             observable="Omega_c")).rows
+    assert [row[-1] for row in rows] == ["OK"] * 2
+
+
+def test_preset_tags_name_every_preset():
+    # config.PRESET_TAGS, which the command line reads without loading
+    # this module, lists the presets scan_engine builds, sorted
+    assert PRESET_TAGS == tuple(sorted(scan_engine._PRESETS))
+    for tag in PRESET_TAGS:
+        assert figure_preset(tag).preset == tag
+
+
 def test_coupling_plane_state_error_fails_every_point(monkeypatch):
     def broken(cfg, T):
         raise NumericError("no fugacity")

@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py REV
 
-Runs 210 CLI cases, each in a fresh process, once on the `src/` of
+Runs 226 CLI cases, each in a fresh process, once on the `src/` of
 commit REV (taken with `git archive` into a temporary directory) and
 once on the working tree's `src/`, and compares stdout, stderr and exit
 code byte for byte.  The cases are:
@@ -22,7 +22,12 @@ code byte for byte.  The cases are:
   zero-T scans over (N_b, g_bf) in both unit systems, a `Y` and a
   `phase` scan whose g_bb < 0 groups fail, `Z` over (g_bf, T) with g_bb
   and g_ff not swept, a coupling beyond float range in SI, and the
-  window edges over scan.t_range (16).
+  window edges over scan.t_range (16);
+* the command line's own surface: --help, --version, no arguments, an
+  unknown subcommand, --config given to a preset and a missing config
+  file (6);
+* `window` on each of the MALFORMED config texts, which json rejects or
+  reads into a value the config rules reject (10).
 
 Every run that differs is listed.  Where its stdout is a CSV table on
 both sides, with the same header and row count, each column whose cells
@@ -145,6 +150,24 @@ SCANS = (
 )
 
 
+# name -> the text of a config file that json rejects, or reads into a
+# value the config rules reject
+_DOCUMENT = json.dumps(inputs.config_dict(SCAN_BASE))
+MALFORMED = {
+    "trailing_comma": _DOCUMENT[:-1] + ", }",
+    "bom": "\ufeff" + _DOCUMENT,
+    "empty": "",
+    "extra_data": _DOCUMENT + "\n{}",
+    "missing_colon": '{\n"unit_system" "oscillator"}',
+    "control_character": '{"unit_system": "si\x01"}',
+    "nan": _DOCUMENT.replace('"count": 1000.0', '"count": NaN', 1),
+    "lone_surrogate": _DOCUMENT.replace('"oscillator"', '"\\ud800"'),
+    "nested": "[" * 100_000,
+    "digits_401": _DOCUMENT.replace('"count": 1000.0',
+                                    '"count": 1' + "0" * 400, 1),
+}
+
+
 def scan_config(unit_system, changes, observable, variables, t_range):
     """The config of one of SCANS, written in unit_system."""
     params = dict(SCAN_BASE, **changes)
@@ -200,6 +223,14 @@ def cases(work):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(scan_config(*case), fh)
         out.append(["scan", "--config", path])
+    out += [["--help"], ["--version"], [], ["frobnicate"],
+            ["fig1", "--config", path],
+            ["window", "--config", os.path.join(work, "missing.json")]]
+    for name, text in MALFORMED.items():
+        path = os.path.join(work, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out.append(["window", "--config", path])
     return out
 
 
