@@ -7,8 +7,14 @@ bench/tracer.py, finds every one of them; a command then imports the
 wrapped function when it runs.
 """
 
+import sys
+
 from . import finite_temperature, scan_engine, thomas_fermi  # noqa: F401
 from . import zero_temperature  # noqa: F401
 from .commands import _DISPATCH, main, write_csv  # noqa: F401
 
 __all__ = ["main", "write_csv"]
+
+
+if __name__ == "__main__":
+    sys.exit(main())

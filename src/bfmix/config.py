@@ -35,7 +35,7 @@ __all__ = [
     "config_from_dict", "ScanTable", "provenance", "PRESET_TAGS",
 ]
 
-# the figure presets scan_engine builds, in sorted order
+# the figure presets, the keys of scan_engine._PRESETS in sorted order
 PRESET_TAGS = ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5")
 
 ScanTable = namedtuple("ScanTable", "columns rows provenance")
@@ -447,13 +447,10 @@ _JSON_SPACE = " \t\n\r"
 
 
 def _parse_json(text, path):
-    """text parsed as json.loads(text, parse_int=_json_int) parses it.
-
-    A document json.loads accepts is read by the C scanner json.loads
-    itself runs, which loads neither the json package nor its regular
-    expressions.  Anything else (an error of the scanner, data after the
-    document, or a Python without _json) takes json.loads, so every
-    error and its message are json.loads' own."""
+    """text parsed as json.loads(text, parse_int=_json_int) parses it,
+    by the C scanner json.loads runs, without loading the json package
+    and its regular expressions.  Whatever the scanner does not read as
+    one document takes json.loads, whose errors and messages stand."""
     try:
         from _json import make_scanner
         start = len(text) - len(text.lstrip(_JSON_SPACE))
@@ -461,6 +458,8 @@ def _parse_json(text, path):
         if not text[end:].lstrip(_JSON_SPACE):
             return data
     except Exception:
+        # without json.decoder loaded, the scanner reports a syntax error
+        # as a SystemError; json.loads raises the error the text deserves
         pass
     import json
     try:

@@ -490,15 +490,15 @@ def _fig5():
                       "(g_bb, g_ff) grid [0, 0.1]^2 x 100x100"))
 
 
-# the maker of each figure, in the order of config.PRESET_TAGS
-_PRESETS = dict(zip(PRESET_TAGS, (
-    _fig1,
-    _fig2,
-    lambda: _fig3("fig3a", 1000.0),
-    lambda: _fig3("fig3b", 10000.0),
-    _fig4,
-    _fig5,
-)))
+# the maker of each figure; config.PRESET_TAGS lists these keys, sorted
+_PRESETS = {
+    "fig1": _fig1,
+    "fig2": _fig2,
+    "fig3a": lambda: _fig3("fig3a", 1000.0),
+    "fig3b": lambda: _fig3("fig3b", 10000.0),
+    "fig4": _fig4,
+    "fig5": _fig5,
+}
 
 
 def figure_preset(tag):
