@@ -24,6 +24,7 @@ loading the scan engine.
 
 import enum
 import math
+import sys
 from collections import namedtuple
 
 from . import __version__
@@ -118,13 +119,31 @@ class MixtureConfig(namedtuple("MixtureConfig", (
     # oscillator-unit conversion anchors
     @property
     def osc_length(self):
-        """Boson oscillator length a = sqrt(hbar / (omega_b m_b))."""
-        return math.sqrt(hbar / (self.omega_b * self.m_b))
+        """Boson oscillator length a = sqrt(hbar / (omega_b m_b)).  A
+        ConfigError names boson.mass and boson.omega when a^3, the unit
+        of the volume, is 0, subnormal or inf."""
+        try:
+            a = math.sqrt(hbar / (self.omega_b * self.m_b))
+            if sys.float_info.min <= a ** 3 < math.inf:
+                return a
+        except ArithmeticError:  # omega_b m_b is 0, or a^3 overflows
+            pass
+        raise ConfigError(f"boson.mass = {self.m_b!r} kg and boson.omega = "
+                          f"{self.omega_b!r} rad/s put the cube of the "
+                          "oscillator length beyond float range")
 
     @property
     def coupling_unit(self):
-        """hbar omega_f a^3, the oscillator unit of the couplings."""
-        return hbar * self.omega_f * self.osc_length ** 3
+        """hbar omega_f a^3, the oscillator unit of the couplings; a
+        ConfigError names the fields it is built from when it is 0,
+        subnormal or inf."""
+        unit = hbar * self.omega_f * self.osc_length ** 3
+        if not sys.float_info.min <= unit < math.inf:
+            raise ConfigError(
+                f"boson.mass, boson.omega and fermion.omega = "
+                f"{self.omega_f!r} rad/s put the coupling unit hbar omega_f "
+                f"a^3 = {unit!r} J m^3 beyond float range")
+        return unit
 
     @property
     def temperature_unit(self):

@@ -24,9 +24,9 @@ class NumericError(RuntimeError):
       density given to the fugacity inversion (bfmix.specfun);
     * a stability determinant Z that is not a number;
     * a Brent call that cannot start or does not converge (bfmix.brent);
-    * a condensate width start or slope beyond float range;
-    * an attractive g_bf that puts the Omega_c bracket beyond float
-      range;
+    * zero-T numbers beyond float range: a trap's K, kappa N_b (a_b /
+      a_f)^3 or rho, or a coupling's c or Omega_c bracket end;
+    * a phase-space density beyond float range (bfmix.finite_temperature);
     * a critical boson number beyond 2^60;
     * a Thomas-Fermi fermion density or cloud radius beyond float
       range, a grid with no node below e_F, or Newton steps on the

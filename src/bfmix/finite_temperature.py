@@ -38,6 +38,9 @@ __all__ = [
 
 _WINDOW_SAMPLES = 400
 _ROOT_RTOL = 1e-8
+# Brent's bisection fallback takes up to ~2,000 steps to shrink a window
+# bracket that spans the float range down to rtol T_lo
+_ROOT_STEPS = 3000
 
 
 def coupling_lengths(cfg):
@@ -115,9 +118,17 @@ class TemperatureWindow(namedtuple("TemperatureWindow", (
 
 
 def _species(mass, rho, T, invert):
-    """(thermal wavelength [m], invert(rho lambda^3)) of one species."""
-    lam = h / math.sqrt(2.0 * pi * mass * k_B * T)
-    return lam, invert(rho * lam ** 3)
+    """(thermal wavelength [m], invert(rho lambda^3)) of one species.  A
+    NumericError names the temperature where 2 pi m k_B T underflows, or
+    where lambda^3 or a Fermi gas's rho lambda^3 overflows."""
+    try:
+        lam = h / math.sqrt(2.0 * pi * mass * k_B * T)
+        return lam, invert(rho * lam ** 3)
+    except (ArithmeticError, NumericError):
+        raise NumericError(
+            f"thermal.temperature = {T!r} K puts the phase-space density of "
+            f"the count over thermal.volume, {rho!r} m^-3, beyond float "
+            "range") from None
 
 
 def thermal_state(cfg, T):
@@ -260,7 +271,8 @@ def _determinant(bb, ff, cross):
         raise NumericError(
             "the stability determinant Z is not a number: its terms "
             f"overflow (entries bb = {bb:.3g}, ff = {ff:.3g}, "
-            f"cross = {cross:.3g} m^3)")
+            f"cross = {cross:.3g} m^3 of interaction.g_bb, interaction.g_ff "
+            "and interaction.g_bf at thermal.temperature)")
     return Z
 
 
@@ -288,7 +300,8 @@ def _turn(entry, T_lo, T_hi, e_lo, e_hi, xtol):
         # a stretch at exactly 0 (an ideal condensate) lies below the turn
         return e if e != 0.0 else -e_hi
 
-    brentq(f, T_lo, T_hi, xtol=xtol, maxiter=200, fa=e_lo or -e_hi, fb=e_hi)
+    brentq(f, T_lo, T_hi, xtol=xtol, maxiter=_ROOT_STEPS, fa=e_lo or -e_hi,
+           fb=e_hi)
     return min(above)
 
 
@@ -371,7 +384,7 @@ def critical_window(cfg, T_range, r=0.0, rtol=None):
         roots = [ends[i + 1] for i in changes]
     else:
         roots = [brentq(lambda T: _z_of_T(cfg, T, r), ends[i], ends[i + 1],
-                        xtol=0.5 * rtol * ends[i], maxiter=200,
+                        xtol=0.5 * rtol * ends[i], maxiter=_ROOT_STEPS,
                         fa=values[i], fb=values[i + 1])
                  for i in changes]
     n = len(roots)

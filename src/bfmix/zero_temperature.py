@@ -1,31 +1,36 @@
-"""Zero-temperature variational analysis of the trapped mixture.
+"""Zero-temperature variational analysis of the trapped mixture, in trap
+units: a few dimensionless numbers per trap, SI only at the edges.
 
-Boson side: a Gaussian condensate ansatz with variational frequency
-omega gives
+Boson side: a Gaussian condensate of variational frequency omega = u
+omega_b has, in units of N_b hbar omega_b, with a_b = sqrt(hbar / (m_b
+omega_b)),
 
-    E_b(omega) = (3/4) N_b hbar omega + (3/4) N_b hbar omega_b^2 / omega
-                 + s g_bb N_b^2 (m_b omega / 2 pi hbar)^(3/2)
+    e_b(u) = (3/4) (u + 1/u) + K u^(3/2),
+    K = s N_b g_bb / ((2 pi)^(3/2) hbar omega_b a_b^3).
 
-The stationary point omega_c (local minimum) defines the condensate
-width; for attractive g_bb the minimum disappears above a critical atom
-number N_b^c (collapse).
+Its local minimum u_c is the condensate width.  For attractive g_bb it
+disappears at K = -K_c, K_c = 2 5^(-5/4), u = sqrt 5: N_b^c = N_b K_c /
+|K|.  In derived mode K = N_b a_bb / (sqrt(2 pi) a_b), and K_c is the
+Gaussian-ansatz threshold N_b |a_bb| / a_b = 0.671 of Baym and Pethick
+(PRL 76, 6 (1996)).
 
-Fermion side: a displaced Thomas-Fermi-weighted Gaussian with
-variational frequency Omega and center offset r_f gives
+Fermion side: a displaced Thomas-Fermi-weighted Gaussian of variational
+frequency Omega = v omega_f and center offset r_f = r a_f, a_f =
+sqrt(hbar / (m_f omega_f)), has in units of N_f hbar omega_f
 
-    E_f(Omega, r_f) = A hbar Omega N_f^(5/3) + (3 hbar omega_f^2 / 4 Omega) N_f
-                      + (1/2) m_f omega_f^2 r_f^2 N_f
-                      + g_bf kappa N_b N_f G^(3/2) e^(-G r_f^2)
+    e_f(v, r) = a v + b / v + r^2 / 2 + c g^(3/2) e^(-g r^2),
+    a = A N_f^(2/3),  b = 3/4,  c = g_bf kappa N_b / (hbar omega_f a_f^3),
 
-with the Gaussian-overlap width G = m_f m_b omega_c Omega /
-(hbar (m_f Omega + m_b omega_c)).  At r_f = 0 every root of
-dE_f/dOmega lies in a closed-form bracket (_bracketed_h): a unique one
-between a lower bound and the g_bf = 0 root Omega_0 for repulsive g_bf,
-and at most three, split at the <= 2 turns of h, between Omega_0 and an
-upper bound for attractive g_bf; solve_Omega_c keeps the root of least
-energy.  The sign structure of the Hessian at (Omega_c, r_f = 0) (the
-product Y of its two diagonal brackets) and the displaced root r_fc of
-dE_f/dr_f = 0 classify the phase.
+with the overlap width G = g / a_f^2, g = v / (1 + rho v), rho = m_f
+omega_f / (m_b omega_c).  Every root of de_f/dv at r = 0 lies in a
+closed-form bracket (_bracketed_h); solve_Omega_c keeps the one of least
+energy.  The (v, r) Hessian at r = 0 is diagonal, its brackets' product
+is Y, and the second, 1 - p, turns negative past p = 2 c g^(5/2) = g_bf
+/ g_bf* = 1, where r_fc = a_f sqrt(ln(p) / g) opens (shell separation).
+
+_boson_K, _fermion_trap and _coupling build these numbers once per trap
+and coupling, and only they raise NumericError; each SI result is one
+multiply of a trap-unit one.
 
 compat_mode fixes three prefactors that differ between the two published
 forms of these functionals:
@@ -42,6 +47,7 @@ printed equations for figure comparison.
 
 import enum
 import math
+import sys
 from collections import namedtuple
 
 from .brent import brentq
@@ -62,6 +68,7 @@ _A_DERIVED = (6.0 * math.pi ** 2) ** (2.0 / 3.0) * 0.6 ** 1.5 / (2.0 * math.pi)
 _A_PAPER = 2.0 * _A_DERIVED
 _KAPPA_PAPER = math.pi ** 1.5
 _KAPPA_DERIVED = math.pi ** -1.5
+_K_C = 2.0 * 5.0 ** -1.25
 
 
 def _mode_factors(cfg):
@@ -96,12 +103,84 @@ FermionVariationalResult = namedtuple("FermionVariationalResult", (
 ))
 
 
+def _boson_K(cfg):
+    """K of the trap of cfg, from its checked oscillator length; a
+    NumericError naming the boson fields when it is not finite."""
+    s, _, _ = _mode_factors(cfg)
+    # divisions by positive numbers, a^3 first (g_bb / a^3 is an energy):
+    # an extreme input overflows to inf
+    K = (s * cfg.N_b * (cfg.g_bb / cfg.osc_length ** 3 / hbar / cfg.omega_b)
+         / (2.0 * math.pi) ** 1.5)
+    if not math.isfinite(K):
+        raise NumericError(
+            f"the boson coupling number K = {K} is beyond float range: "
+            "check boson.count, interaction.g_bb, boson.mass, boson.omega")
+    return K
+
+
+_FermionTrap = namedtuple("_FermionTrap", (
+    "a",      # A N_f^(2/3)
+    "rho",    # m_f omega_f / (m_b omega_c)
+    "v0",     # sqrt(b / a), the root at g_bf = 0
+    "unit",   # hbar omega_f a_b^3 [J m^3], the oscillator coupling unit
+    "scale",  # kappa N_b (a_b / a_f)^3: c = g_bf / unit * scale
+))
+
+
+def _fermion_trap(omega_c, cfg):
+    """The fermion numbers of cfg's trap next to a condensate of width
+    omega_c; a NumericError naming the trap's fields when the scale is not
+    a normal float or rho is 0."""
+    _, A, kappa = _mode_factors(cfg)
+    mu = cfg.m_f / cfg.m_b * (cfg.omega_f / cfg.omega_b)  # (a_b / a_f)^2
+    scale = kappa * cfg.N_b * mu * math.sqrt(mu)
+    rho = mu * (cfg.omega_b / omega_c)
+    if not (sys.float_info.min <= scale < math.inf and rho > 0.0):
+        raise NumericError(
+            f"kappa N_b (a_b / a_f)^3 = {scale!r} or rho = {rho!r} is beyond "
+            "float range: check boson.count, boson.mass, boson.omega, "
+            "fermion.mass, fermion.omega")
+    a = A * cfg.N_f ** (2.0 / 3.0)
+    return _FermionTrap(a, rho, math.sqrt(0.75 / a), cfg.coupling_unit,
+                        scale)
+
+
+def _coupling(trap, g_bf):
+    """(c, hi) at the coupling g_bf [J m^3]: c, and the upper end of the
+    bracket of every root of h, v_0 sqrt(1 - 2 c rho^(-5/2)) for c < 0 and
+    v_0 otherwise.  A NumericError names the coupling when either is not
+    finite."""
+    c = g_bf / trap.unit * trap.scale
+    rho = trap.rho
+    hi = trap.v0 * math.sqrt(1.0 - 2.0 * min(c, 0.0) / rho / rho
+                             / math.sqrt(rho))
+    if not (abs(c) < math.inf and hi < math.inf):
+        raise NumericError(
+            f"interaction.g_bf = {g_bf:g} J m^3 is beyond float range in "
+            f"trap units: c = {c}, and Omega_c's bracket ends at v = {hi}")
+    return c, hi
+
+
 # ---------------------------------------------------------------------------
 # boson side
 # ---------------------------------------------------------------------------
 
-def _interaction_C(cfg):
-    return (cfg.m_b / (2.0 * math.pi * hbar)) ** 1.5
+def _boson_terms(u, K):
+    """(e_b, u^2 e_b', u^3 e_b'') at u: with w = K u^(5/2), the last two
+    are (3/4) (u^2 - 1) + (3/2) w and 3/2 + (3/4) w, O(1) near the root
+    however large |K| is."""
+    w = K * u * u * math.sqrt(u)
+    return (0.75 * (u + 1.0 / u) + w / u, 0.75 * (u * u - 1.0) + 1.5 * w,
+            1.5 + 0.75 * w)
+
+
+def _boson_si(u, terms, cfg):
+    """(E_b, dE_b/domega, d2E_b/domega2) of the terms at omega = u
+    omega_b."""
+    e, slope, curve = terms
+    unit = cfg.N_b * hbar
+    return (unit * cfg.omega_b * e, unit * slope / u / u,
+            unit / cfg.omega_b * curve / u / u / u)
 
 
 def boson_energy(omega, cfg):
@@ -113,48 +192,8 @@ def boson_energy_derivatives(omega, cfg):
     """(E_b, dE_b/domega, d2E_b/domega2) with analytic derivatives."""
     if not omega > 0:
         raise DomainError(f"omega must be positive, got {omega}")
-    s, _, _ = _mode_factors(cfg)
-    N = cfg.N_b
-    C = _interaction_C(cfg)
-    wb2 = cfg.omega_b ** 2
-    E = (0.75 * N * hbar * (omega + wb2 / omega)
-         + s * cfg.g_bb * N * N * C * omega ** 1.5)
-    dE = (0.75 * N * hbar * (1.0 - wb2 / omega ** 2)
-          + 1.5 * s * cfg.g_bb * N * N * C * math.sqrt(omega))
-    d2E = (1.5 * N * hbar * wb2 / omega ** 3
-           + 0.75 * s * cfg.g_bb * N * N * C / math.sqrt(omega))
-    return E, dE, d2E
-
-
-def _repulsive_bracket(trap):
-    """[omega_b / sqrt(1 + u), omega_b], u = k^(4/5) + 1e-12 with k =
-    2 s g_bb N_b C sqrt(omega_b) / hbar.  The slope is (3/4) N_b hbar (k
-    (1 + u)^(-1/4) - u) <= (3/4) N_b hbar (k u^(-1/4) - u) <= -(3/4) N_b
-    hbar 1e-12 at the lower end, clear of rounding however weak g_bb is,
-    and > 0 at omega_b.  The root lies within a factor (1 + k^(-4/5))^(1/2)
-    above the lower end."""
-    s, _, _ = _mode_factors(trap)
-    k = (2.0 * s * trap.g_bb * trap.N_b * _interaction_C(trap)
-         * math.sqrt(trap.omega_b) / hbar)
-    return trap.omega_b / math.sqrt(1.0 + k ** 0.8 + 1e-12), trap.omega_b
-
-
-def _critical_number_closed_form(cfg):
-    """Collapse threshold from the closed form: at the critical point
-    omega_c = sqrt(5) omega_b and N_b^c = 2 hbar omega_b^2 /
-    (s |g_bb| C omega_c^(5/2))."""
-    s, _, _ = _mode_factors(cfg)
-    omega_crit = math.sqrt(5.0) * cfg.omega_b
-    return (2.0 * hbar * cfg.omega_b ** 2
-            / (s * abs(cfg.g_bb) * _interaction_C(cfg) * omega_crit ** 2.5))
-
-
-def _in_float_range(omega):
-    """omega, unless an extreme g_bb N_b rounded it to 0 or inf."""
-    if not 0.0 < omega < math.inf:
-        raise NumericError(f"condensate frequency {omega} is beyond float "
-                           "range")
-    return omega
+    u = omega / cfg.omega_b
+    return _boson_si(u, _boson_terms(u, _boson_K(cfg)), cfg)
 
 
 def solve_omega_c(cfg):
@@ -162,49 +201,38 @@ def solve_omega_c(cfg):
 
     Repulsive g_bb: the unique root, always a minimum, below omega_b.
     Attractive g_bb: the lower root (a local minimum between omega_b and
-    the inflection frequency) when it exists; otherwise the inflection
-    frequency itself with is_local_minimum = False (collapsed regime).
+    the inflection) while |K| < K_c; otherwise the inflection u = (2 /
+    |K|)^(2/5) itself, where u^3 e_b'' = 0, with is_local_minimum = False
+    (collapsed regime).
 
-    Newton steps omega <- omega - dE/d2E from a start where dE < 0 (the
-    lower end of _repulsive_bracket, or omega_b for attractive g_bb) rise
-    to the root and never pass it: left of the root dE rises and is
-    concave, as both terms of d3E are negative for repulsive g_bb, and
-    d3E = N_b hbar omega_b^2 omega^-4 (-9/2 + (3/4) (omega /
-    omega_infl)^(5/2)) < 0 below the inflection for attractive g_bb.
-    The first step that does not rise ends the solve.  A non-finite dE
-    or d2E, or a start or inflection beyond float range, raises
-    NumericError.
+    Newton steps u <- u - u (u^2 e_b') / (u^3 e_b'') rise to the root and
+    never pass it from a start where e_b' < 0: u = 1 / sqrt(1 + (2
+    K)^(4/5) + 1e-12) for K > 0, where u^2 e_b' <= -(3/4) 1e-12 u^2, clear
+    of rounding however weak g_bb is, and u = 1 for K < 0.  Left of the
+    root e_b' rises and is concave: both terms of e_b''' are negative for
+    K > 0, and e_b''' = u^-4 (-9/2 + (3/4) w) < 0 below the inflection for
+    K < 0.  The first step that does not rise ends the solve.
     """
-    N_crit = None
-    omega = cfg.omega_b
-    if cfg.g_bb > 0.0:
-        omega = _in_float_range(_repulsive_bracket(cfg)[0])
-    elif cfg.g_bb < 0.0:
-        N_crit = _critical_number_closed_form(cfg)
-        s, _, _ = _mode_factors(cfg)
-        # inflection: d2E = 0 at omega^(5/2) = 2 hbar omega_b^2 / (s|g|N C)
-        omega_infl = _in_float_range(
-            (2.0 * hbar * cfg.omega_b ** 2
-             / (s * abs(cfg.g_bb) * cfg.N_b * _interaction_C(cfg))) ** 0.4)
-        E, dE, d2E = boson_energy_derivatives(omega_infl, cfg)
-        if dE <= 0.0:
-            # slope never reaches zero from below: no stationary minimum
-            return BosonVariationalResult(
-                omega_c=omega_infl, energy=E, second_derivative=d2E,
-                is_local_minimum=False, N_b_critical=N_crit)
-    while True:
-        E, dE, d2E = boson_energy_derivatives(omega, cfg)
-        if not (math.isfinite(dE) and math.isfinite(d2E)):
-            raise NumericError(
-                f"boson energy slope not finite at omega = {omega}")
-        # d2E <= 0 only by rounding next to the collapse: stop there
-        ahead = omega - dE / d2E if d2E > 0.0 else omega
-        if not ahead > omega:
-            break
-        omega = ahead
+    K = _boson_K(cfg)
+    if K <= -_K_C:
+        u = (2.0 / -K) ** 0.4
+        terms = (*_boson_terms(u, K)[:2], 0.0)
+    else:
+        u = 1.0 / math.sqrt(1.0 + 2.0 ** 0.8 * K ** 0.8 + 1e-12) \
+            if K > 0.0 else 1.0
+        while True:
+            terms = _boson_terms(u, K)
+            _, slope, curve = terms
+            # curve <= 0 only by rounding next to the collapse: stop there
+            ahead = u - u * slope / curve if curve > 0.0 else u
+            if not ahead > u:
+                break
+            u = ahead
+    E, _, d2E = _boson_si(u, terms, cfg)
     return BosonVariationalResult(
-        omega_c=omega, energy=E, second_derivative=d2E,
-        is_local_minimum=d2E > 0.0, N_b_critical=N_crit)
+        omega_c=u * cfg.omega_b, energy=E, second_derivative=d2E,
+        is_local_minimum=terms[2] > 0.0,
+        N_b_critical=cfg.N_b * (_K_C / -K) if K < 0.0 else None)
 
 
 def critical_boson_number(cfg):
@@ -249,171 +277,76 @@ def overlap_G(Omega, omega_c, cfg):
 
 
 def overlap_G_derivatives(Omega, omega_c, cfg):
-    """(G, dG/dOmega, d2G/dOmega2), quotient-rule closed forms.  A
-    NumericError naming the masses when hbar u^3, the least of the three
-    denominators, underflows to 0."""
+    """(G, dG/dOmega, d2G/dOmega2) of G = g / a_f^2, g = v / (1 + rho
+    v)."""
     if not (Omega > 0 and omega_c > 0):
         raise DomainError("overlap_G requires positive frequencies")
-    m_f, m_b = cfg.m_f, cfg.m_b
-    u = m_f * Omega + m_b * omega_c
-    if hbar * u ** 3 == 0.0:
-        raise NumericError(
-            "the overlap width G of the two clouds is beyond float range: "
-            f"hbar (m_f Omega + m_b omega_c)^3 underflows to 0 at m_b = "
-            f"{m_b!r} kg and m_f = {m_f!r} kg")
-    return (m_f * m_b * omega_c * Omega / (hbar * u),
-            m_f * (m_b * omega_c) ** 2 / (hbar * u * u),
-            -2.0 * m_f ** 2 * (m_b * omega_c) ** 2 / (hbar * u ** 3))
+    rho = _fermion_trap(omega_c, cfg).rho
+    v = Omega / cfg.omega_f
+    d = 1.0 / (1.0 + rho * v)
+    unit = cfg.m_f / hbar  # 1 / (a_f^2 omega_f)
+    return (unit * cfg.omega_f * v * d, unit * d * d,
+            -2.0 * unit / cfg.omega_f * rho * d * d * d)
 
 
-def _P_part(Omega, cfg):
-    _, A, _ = _mode_factors(cfg)
-    N = cfg.N_f
-    return (A * hbar * Omega * N ** (5.0 / 3.0)
-            + 0.75 * hbar * cfg.omega_f ** 2 / Omega * N)
+def _fermion_point(Omega, r_f, omega_c, cfg):
+    """(v, r^2, a, g, dg/dv, c) of E_f at (Omega, r_f) in trap units."""
+    if not Omega > 0:
+        raise DomainError(f"Omega must be positive, got {Omega}")
+    if not r_f >= 0:
+        raise DomainError(f"r_f must be non-negative, got {r_f}")
+    trap = _fermion_trap(omega_c, cfg)
+    v = Omega / cfg.omega_f
+    d = 1.0 / (1.0 + trap.rho * v)
+    return (v, r_f * r_f * cfg.m_f * cfg.omega_f / hbar, trap.a, v * d,
+            d * d, _coupling(trap, cfg.g_bf)[0])
 
 
 def fermion_energy(Omega, r_f, omega_c, cfg):
     """Variational fermion energy E_f(Omega, r_f) at condensate width
     set by omega_c."""
-    return _fermion_energy(Omega, r_f, omega_c, cfg, cfg.g_bf)
-
-
-def _fermion_energy(Omega, r_f, omega_c, cfg, g_bf):
-    # E_f with the coupling g_bf in place of cfg's
-    if not Omega > 0:
-        raise DomainError(f"Omega must be positive, got {Omega}")
-    if not r_f >= 0:
-        raise DomainError(f"r_f must be non-negative, got {r_f}")
-    _, _, kappa = _mode_factors(cfg)
-    G = overlap_G(Omega, omega_c, cfg)
-    return (_P_part(Omega, cfg)
-            + 0.5 * cfg.m_f * cfg.omega_f ** 2 * r_f ** 2 * cfg.N_f
-            + g_bf * kappa * cfg.N_b * cfg.N_f
-            * G ** 1.5 * math.exp(-G * r_f ** 2))
+    v, rr, a, g, _, c = _fermion_point(Omega, r_f, omega_c, cfg)
+    return cfg.N_f * hbar * cfg.omega_f * (
+        a * v + 0.75 / v + 0.5 * rr + c * g * math.sqrt(g)
+        * math.exp(-g * rr))
 
 
 def fermion_energy_gradients(Omega, r_f, omega_c, cfg):
     """(dE_f/dOmega, dE_f/dr_f), analytic."""
-    if not Omega > 0:
-        raise DomainError(f"Omega must be positive, got {Omega}")
-    if not r_f >= 0:
-        raise DomainError(f"r_f must be non-negative, got {r_f}")
-    _, A, kappa = _mode_factors(cfg)
-    G, dG, _ = overlap_G_derivatives(Omega, omega_c, cfg)
-    N_f = cfg.N_f
-    dE_dO = (A * hbar * N_f ** (5.0 / 3.0)
-             - 0.75 * hbar * cfg.omega_f ** 2 / Omega ** 2 * N_f
-             + cfg.g_bf * kappa * cfg.N_b * N_f * math.exp(-G * r_f ** 2)
-             * dG * (1.5 * math.sqrt(G) - G ** 1.5 * r_f ** 2))
-    dE_dr = N_f * r_f * (cfg.m_f * cfg.omega_f ** 2
-                         - 2.0 * cfg.g_bf * kappa * cfg.N_b
-                         * G ** 2.5 * math.exp(-G * r_f ** 2))
-    return dE_dO, dE_dr
-
-
-def _hessian_brackets(Omega, omega_c, cfg):
-    """brackets(g_bf) -> the two diagonal factors of the (Omega, r_f)
-    Hessian at r_f = 0 on the trap of cfg, whose g_bf-free parts are
-    computed here once: bracket1 = (2 / 3 N_f) d2E/dOmega2, bracket2 =
-    (1 / N_f) d2E/dr_f2.  Each is linear in g_bf.  The cross derivative
-    vanishes at r_f = 0."""
-    _, _, kappa = _mode_factors(cfg)
-    G, dG, d2G = overlap_G_derivatives(Omega, omega_c, cfg)
-    sqrtG = math.sqrt(G)
-    free1 = hbar * cfg.omega_f ** 2 / Omega ** 3
-    slope1 = sqrtG * d2G + dG * dG / (2.0 * sqrtG)
-    free2 = cfg.m_f * cfg.omega_f ** 2
-    G52 = G ** 2.5
-    N_b = cfg.N_b
-
-    def brackets(g_bf):
-        return (free1 + g_bf * kappa * N_b * slope1,
-                free2 - 2.0 * g_bf * kappa * N_b * G52)
-    return brackets
-
-
-def _hessian_diagonal(b1, b2, N_f):
-    """(d2E/dOmega2, d2E/dr_f2, determinant) from the two brackets."""
-    d2_OO = 1.5 * N_f * b1
-    d2_rr = N_f * b2
-    return d2_OO, d2_rr, d2_OO * d2_rr
-
-
-def stability_Y(Omega_c, omega_c, cfg):
-    """Product of the two Hessian brackets at (Omega_c, r_f = 0);
-    positive means the undisplaced stationary point is a true minimum."""
-    b1, b2 = _hessian_brackets(Omega_c, omega_c, cfg)(cfg.g_bf)
-    return b1 * b2
-
-
-def energy_hessian(Omega_c, omega_c, cfg):
-    """(d2E/dOmega2, d2E/dr_f2, determinant) at (Omega_c, r_f = 0);
-    the mixed derivative is identically zero there."""
-    b1, b2 = _hessian_brackets(Omega_c, omega_c, cfg)(cfg.g_bf)
-    return _hessian_diagonal(b1, b2, cfg.N_f)
-
-
-def _decoupled_Omega(cfg):
-    """Omega_0 = omega_f sqrt((3/4) N_f / (A N_f^(5/3))), the unique root
-    of dE_f/dOmega at r_f = 0 and g_bf = 0."""
-    _, A, _ = _mode_factors(cfg)
-    return cfg.omega_f * math.sqrt(
-        0.75 * cfg.N_f / (A * cfg.N_f ** (5.0 / 3.0)))
-
-
-def _h_coefficients(omega_c, cfg):
-    _, A, kappa = _mode_factors(cfg)
-    B, N_b, N_f, omega_f = cfg.m_b * omega_c, cfg.N_b, cfg.N_f, cfg.omega_f
-    return (A * hbar * N_f ** (5.0 / 3.0), 0.75 * hbar * omega_f ** 2 * N_f,
-            cfg.m_f / B, 1.5 * math.sqrt(B / hbar) * B * B / (hbar * cfg.m_f),
-            lambda g_bf: g_bf * kappa * N_b * N_f)
+    v, rr, a, g, dg, c = _fermion_point(Omega, r_f, omega_c, cfg)
+    damped = c * math.exp(-g * rr)
+    return (cfg.N_f * hbar * (a - 0.75 / (v * v) + damped * dg
+                              * math.sqrt(g) * (1.5 - g * rr)),
+            cfg.N_f * cfg.m_f * cfg.omega_f ** 2 * r_f
+            * (1.0 - 2.0 * damped * g * g * math.sqrt(g)))
 
 
 def _bracketed_h(omega_c, cfg):
-    """bracket(g_bf) -> (h, lo, hi) on the trap of cfg, whose g_bf-free
-    coefficients are computed here once: h(Omega) = Omega^2 dE_f/dOmega
-    at r_f = 0, and [lo, hi] holding every root of dE_f/dOmega at r_f =
-    0.  In exact arithmetic the slope is < 0 at lo and > 0 at hi for
-    g_bf != 0; for g_bf = 0 the bracket is the point Omega_0.
+    """bracket(g_bf) -> (h, lo, hi) on the trap of cfg, whose numbers are
+    computed here once: h(v) = v^2 de_f/dv at r = 0, and [lo, hi] holding
+    its every root, with h < 0 at lo and > 0 at hi in exact arithmetic;
+    for g_bf = 0 the bracket is the point v_0 = sqrt(b / a).
 
-    h(Omega) = a Omega^2 - b + c q(Omega), with a = A hbar N_f^(5/3),
-    b = (3/4) hbar omega_f^2 N_f, c = g_bf kappa N_b N_f and q = (3/2)
-    Omega^2 sqrt(G) dG/dOmega = q_inf (x / (1 + x))^(5/2), x = k Omega,
-    k = m_f / (m_b omega_c), which rises from 0 to q_inf.  Omega_0 =
-    sqrt(b / a) is the root at c = 0.  Only c moves with g_bf.
-
-    c > 0: the sum rises, so the root is unique, and it is c q > 0 at
-    Omega_0.  Below Omega_0 / sqrt(2), a Omega^2 <= b / 2, and as G <=
-    m_f Omega / hbar and dG/dOmega <= m_f / hbar, c q < b / 2 below
-    (b / (3 c (m_f / hbar)^(3/2)))^(2/5).
-    c <= 0: below Omega_0 the sum is negative, and at and above
-    sqrt((b + |c| q_inf) / a) it is at least |c| (q_inf - q) > 0.  That
-    end is written Omega_0 sqrt(1 + |c| q_inf / b), which never rounds
-    below Omega_0.
+    h(v) = a v^2 - b + (3/2) c g^(5/2), as dg/dv = (1 + rho v)^-2, and
+    g^(5/2) rises from 0 to rho^(-5/2).  c > 0: h rises, so the root is
+    unique, and h(v_0) > 0.  Below v_0 / sqrt(2), a v^2 <= b / 2, and as g
+    <= v, (3/2) c g^(5/2) < b / 2 below (b / (3 c))^(2/5).  c <= 0: h < 0
+    below v_0, and h > 0 from v_0 sqrt(1 - 2 c rho^(-5/2)) (the hi of
+    _coupling) on, as g < 1 / rho.
     """
-    a, b, k, q_inf, coupling = _h_coefficients(omega_c, cfg)
-    Omega_0 = _decoupled_Omega(cfg)
-    low = Omega_0 / math.sqrt(2.0)
+    trap = _fermion_trap(omega_c, cfg)
+    a, rho, v0 = trap.a, trap.rho, trap.v0
+    low = v0 / math.sqrt(2.0)
 
     def bracket(g_bf):
-        c = coupling(g_bf)
-        cq = c * q_inf
+        c, hi = _coupling(trap, g_bf)
 
-        def h(Omega):
-            x = k * Omega
-            return a * Omega * Omega - b + cq * (x / (1.0 + x)) ** 2.5
+        def h(v):
+            g = v / (1.0 + rho * v)
+            # c g first: no partial product passes |c| or |c| rho^(-5/2)
+            return a * v * v - 0.75 + c * g * g * math.sqrt(g) * 1.5
 
-        if c > 0.0:
-            # (m_f / hbar)^(3/2) stays here: it overflows for m_f above
-            # ~1e171 kg, which must fail only the points of repulsive g_bf
-            lo = min(low, (b / (3.0 * c * (cfg.m_f / hbar) ** 1.5)) ** 0.4)
-            return h, lo, Omega_0
-        hi = Omega_0 * math.sqrt(1.0 - c * q_inf / b)
-        if not hi < math.inf:
-            raise NumericError(f"interaction.g_bf = {g_bf:g} J m^3 is out of "
-                               f"float range: Omega_c's bracket ends at {hi}")
-        return h, Omega_0, hi
+        return h, min(low, (0.25 / c) ** 0.4) if c > 0.0 else v0, hi
     return bracket
 
 
@@ -438,28 +371,34 @@ def _h_turns(K):
 
 def _Omega_c_solver(omega_c, cfg):
     """solve(g_bf) -> the Omega_c of solve_Omega_c for cfg with the
-    coupling g_bf, on the trap of cfg, whose bracket coefficients are
-    computed here once.  h' = 2 a Omega (1 - t (1 - t^2)^3 / K), t^2 = x /
-    (1 + x), K = 4 a / (5 |c| q_inf k^2), for c < 0, and h' > 0 for c >= 0."""
+    coupling g_bf, on the trap of cfg, whose trap-unit numbers are
+    computed here once.  h' = 2 a v (1 - t (1 - t^2)^3 / K), t^2 = x / (1
+    + x), x = rho v, K = 8 a sqrt(rho) / (15 |c|), for c < 0, and h' > 0
+    for c >= 0."""
     bracket = _bracketed_h(omega_c, cfg)
-    a, _, k, q_inf, coupling = _h_coefficients(omega_c, cfg)
-    xtol = 1e-15 * cfg.omega_f
+    trap = _fermion_trap(omega_c, cfg)
+    a, rho = trap.a, trap.rho
 
     def solve(g_bf):
         h, lo, hi = bracket(g_bf)
-        cqk2 = -coupling(g_bf) * q_inf * k * k
-        turns = _h_turns(4.0 * a / (5.0 * cqk2) if cqk2 > 0.0 else math.inf)
-        grid = [lo, *(w for w in (t * t / k / v for t, v in turns)
+        c, _ = _coupling(trap, g_bf)
+
+        def energy(v):
+            g = v / (1.0 + rho * v)
+            return a * v + 0.75 / v + c * g * math.sqrt(g)
+        turns = _h_turns(8.0 * a * math.sqrt(rho) / (15.0 * -c)
+                         if c < 0.0 else math.inf)
+        grid = [lo, *(w for w in (t * t / rho / s for t, s in turns)
                       if lo < w < hi), hi]
         values = list(map(h, grid))
         signs = [(v > 0) - (v < 0) for v in values]
         roots = [w for w, wrong in ((lo, signs[0] >= 0),
                                     (hi, signs[-1] <= 0)) if wrong]
-        roots += [brentq(h, grid[i], grid[i + 1], xtol=xtol, maxiter=300,
+        roots += [brentq(h, grid[i], grid[i + 1], xtol=1e-15, maxiter=300,
                          fa=values[i], fb=values[i + 1])
                   for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
-        return min(roots, key=lambda w: _fermion_energy(
-            w, 0.0, omega_c, cfg, g_bf)) if roots[1:] else roots[0]
+        v = min(roots, key=energy) if roots[1:] else roots[0]
+        return v * cfg.omega_f
     return solve
 
 
@@ -467,77 +406,106 @@ def solve_Omega_c(omega_c, cfg):
     """Root of dE_f/dOmega = 0 at r_f = 0; with several roots, the one
     of least energy is returned.
 
-    Brent refines each sign change of h = Omega^2 dE_f/dOmega on the
-    bracket of _bracketed_h split at the <= 2 turns of h inside it: at
-    most three monotone pieces, so at most three roots.  An end whose
-    computed h contradicts its proven sign is within rounding of a root,
-    so a candidate too.  A bracket that is the single point Omega_0 (g_bf
-    = 0, or a coupling too weak to move the root by an ulp) thus returns
-    Omega_0.  An attractive g_bf whose bracket end is not a finite number
+    Brent refines each sign change of h = v^2 de_f/dv on the bracket of
+    _bracketed_h split at the <= 2 turns of h inside it: at most three
+    monotone pieces, so at most three roots.  An end whose computed h
+    contradicts its proven sign is within rounding of a root, so a
+    candidate too.  A bracket that is the single point v_0 (g_bf = 0, or
+    a coupling too weak to move the root by an ulp) thus returns v_0
+    omega_f.  A coupling whose c or bracket end is not a finite number
     raises NumericError.  This is the per-trap solver of _Omega_c_solver,
     which a scan builds once, at cfg.g_bf.
     """
     return _Omega_c_solver(omega_c, cfg)(cfg.g_bf)
 
 
-def _threshold(G, cfg):
-    _, _, kappa = _mode_factors(cfg)
-    return cfg.m_f * cfg.omega_f ** 2 / (2.0 * cfg.N_b * kappa * G ** 2.5)
+def _stability(v, trap):
+    """(at, g, q) at the width v, g = G a_f^2: at(g_bf) -> (y1, y2, r),
+    the Hessian brackets at r = 0 in units of hbar / (omega_f v^3) and m_f
+    omega_f^2, and r_fc / a_f = sqrt(ln(p) / g) past the threshold ratio
+    p = q g_bf = g_bf / g_bf* = 1, else 0.  Only p moves with g_bf."""
+    x = trap.rho * v
+    g = v / (1.0 + x)
+    q = 2.0 * trap.scale * g * g * math.sqrt(g) / trap.unit
+    tilt = 0.5 * (2.5 / (1.0 + x) - 2.0)
+
+    def at(g_bf):
+        p = g_bf * q
+        return (1.0 + p * tilt, 1.0 - p,
+                math.sqrt(math.log(p) / g) if p > 1.0 else 0.0)
+    return at, g, q
 
 
-def _radius(g_bf, g_star, G):
-    """r_fc at the coupling g_bf, given the threshold g_star and G."""
-    if g_bf <= g_star:
-        return 0.0
-    return math.sqrt(math.log(g_bf / g_star) / G)
+def _si_stability(Omega_c, omega_c, cfg):
+    """(bracket1, bracket2, q, r_fc) at (Omega_c, r_f = 0) and cfg.g_bf,
+    in SI: the Hessian's diagonal factors bracket1 = (2 / 3 N_f)
+    d2E/dOmega2 and bracket2 = (1 / N_f) d2E/dr_f2 (its cross derivative
+    vanishes there), q = 1 / g_bf* and the displaced root r_fc."""
+    v = Omega_c / cfg.omega_f
+    at, _, q = _stability(v, _fermion_trap(omega_c, cfg))
+    y1, y2, r = at(cfg.g_bf)
+    return (hbar / cfg.omega_f * y1 / v / v / v,
+            cfg.m_f * cfg.omega_f ** 2 * y2, q,
+            math.sqrt(hbar / cfg.m_f / cfg.omega_f) * r)
+
+
+def stability_Y(Omega_c, omega_c, cfg):
+    """Product of the two Hessian brackets at (Omega_c, r_f = 0);
+    positive means the undisplaced stationary point is a true minimum."""
+    b1, b2, _, _ = _si_stability(Omega_c, omega_c, cfg)
+    return b1 * b2
+
+
+def energy_hessian(Omega_c, omega_c, cfg):
+    """(d2E/dOmega2, d2E/dr_f2, determinant) at (Omega_c, r_f = 0);
+    the mixed derivative is identically zero there."""
+    b1, b2, _, _ = _si_stability(Omega_c, omega_c, cfg)
+    d2_OO, d2_rr = 1.5 * cfg.N_f * b1, cfg.N_f * b2
+    return d2_OO, d2_rr, d2_OO * d2_rr
 
 
 def coupling_threshold(Omega_c, omega_c, cfg):
     """g_bf* = m_f omega_f^2 / (2 N_b kappa G^(5/2)), the coupling at
     which r_f = 0 stops being a minimum of E_f."""
-    return _threshold(overlap_G(Omega_c, omega_c, cfg), cfg)
+    return 1.0 / _si_stability(Omega_c, omega_c, cfg)[2]
 
 
 def separation_radius(Omega_c, omega_c, cfg):
     """Displaced root of dE_f/dr_f = 0: r_fc = sqrt((1/G) ln(g_bf/g_bf*))
-    for g_bf > g_bf*, else 0.  Continuous at the threshold."""
-    G = overlap_G(Omega_c, omega_c, cfg)
-    return _radius(cfg.g_bf, _threshold(G, cfg), G)
+    for g_bf > g_bf*, else 0.  Continuous at the threshold, and 0 at g_bf
+    = coupling_threshold, as fl(fl(1 / q) q) <= 1."""
+    return _si_stability(Omega_c, omega_c, cfg)[3]
 
 
 def _zero_T_classifier(cfg):
     """classify(g_bf) -> the result of classify_zero_T for cfg with the
     coupling g_bf.  Everything but the coupling's share is computed here
-    once per trap: the condensate width, the reference width, G, the
-    g_bf-free parts of both Hessian brackets, the threshold g_bf* and P.
+    once per trap: the condensate width, the reference width, g, the
+    Hessian brackets' g_bf-free parts, 1 / g_bf* and every SI unit.
     """
     boson = solve_omega_c(cfg)
     if not boson.is_local_minimum:
         raise DomainError(
             "boson energy functional has no local minimum (collapsed "
             "regime); zero-T classification is undefined")
-    omega_c = boson.omega_c
-    Omega_c = _decoupled_Omega(cfg)
-    brackets = _hessian_brackets(Omega_c, omega_c, cfg)
-    G = overlap_G(Omega_c, omega_c, cfg)
-    g_star = _threshold(G, cfg)
-    P = _P_part(Omega_c, cfg)
-    N_f = cfg.N_f
+    trap = _fermion_trap(boson.omega_c, cfg)
+    v = trap.v0
+    at, g, _ = _stability(v, trap)
+    Omega_c = v * cfg.omega_f
+    G = g * cfg.m_f * cfg.omega_f / hbar
+    P = 1.5 * cfg.N_f * hbar * cfg.omega_f / v  # a v_0 = b / v_0
+    Y_unit = hbar * cfg.m_f * cfg.omega_f / v / v / v
+    det_unit = 1.5 * cfg.N_f * cfg.N_f * Y_unit
+    a_f = math.sqrt(hbar / cfg.m_f / cfg.omega_f)
 
     def classify(g_bf):
-        b1, b2 = brackets(g_bf)
-        Y = b1 * b2
-        _, _, det = _hessian_diagonal(b1, b2, N_f)
-        r_fc = _radius(g_bf, g_star, G)
-        if r_fc > 0.0:
-            phase = PhaseLabel.SHELL_SEPARATED
-        elif Y > 0.0 and det > 0.0:
-            phase = PhaseLabel.COEXISTING
-        else:
-            phase = PhaseLabel.NO_MINIMUM
+        y1, y2, r = at(g_bf)
+        phase = (PhaseLabel.SHELL_SEPARATED if r > 0.0 else
+                 PhaseLabel.COEXISTING if y1 * y2 > 0.0 else
+                 PhaseLabel.NO_MINIMUM)
         return FermionVariationalResult(
-            Omega_c=Omega_c, r_fc=r_fc, G=G, P=P, Y=Y, hessian_det=det,
-            phase=phase)
+            Omega_c=Omega_c, r_fc=a_f * r, G=G, P=P, Y=Y_unit * y1 * y2,
+            hessian_det=det_unit * y1 * y2, phase=phase)
     return classify
 
 
@@ -550,8 +518,8 @@ def classify_zero_T(cfg):
     the cloud, G drops, and the threshold g_bf* rises ahead of g_bf, so
     the second bracket would never change sign and every configuration
     would be labelled coexisting.  Freezing the width at its g_bf = 0
-    value, the closed form Omega_0 of _decoupled_Omega, keeps the sweep
-    of Y and r_fc over g_bf meaningful.  This is the per-trap classifier
-    of _zero_T_classifier, which a scan builds once, at cfg.g_bf.
+    value, the closed form v_0 = sqrt(b / a), keeps the sweep of Y and
+    r_fc over g_bf meaningful.  This is the per-trap classifier of
+    _zero_T_classifier, which a scan builds once, at cfg.g_bf.
     """
     return _zero_T_classifier(cfg)(cfg.g_bf)

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import bfmix
-from bfmix import cli, commands
+from bfmix import cli, commands, zero_temperature
 from bfmix.config import load_config
 from bfmix.constants import atomic_mass, hbar
 from bfmix.errors import NumericError
@@ -277,20 +278,29 @@ def test_underflowing_reduced_mass_with_scattering_lengths_exit_1(
         assert "Traceback" not in err
 
 
-def test_underflowing_overlap_width_exit_2_names_the_masses(tmp_path,
-                                                           capsys):
+def test_light_masses_zero_t_reads_as_its_lab_scale_twin(tmp_path,
+                                                         capsys):
     # coupling family, both masses 1e-170 kg: every field passes its rule,
-    # but hbar (m_f Omega + m_b omega_c)^3 in the overlap width underflows
-    cfg = base_config(unit_system="si", interaction={
-        "g_bb": 1e-50, "g_bf": 1e-50, "g_ff": 0.0})
-    for species in ("boson", "fermion"):
-        cfg[species] = {"mass_kg": 1e-170, "omega": 166.0, "count": 1000}
-    assert cli.main(["zero-t", "--config", write_config(tmp_path, cfg)]) == 2
-    captured = capsys.readouterr()
-    line, = captured.err.splitlines()
-    assert line.startswith("numeric error: the overlap width G")
-    assert "m_b = 1e-170 kg and m_f = 1e-170 kg" in line
-    assert "ZeroDivisionError" not in line and captured.out == ""
+    # and hbar (m_f Omega + m_b omega_c)^3 of the SI overlap width
+    # underflows; in trap units the row is the one of the twin 1e144 times
+    # heavier with couplings of the same oscillator-unit values, Y scaled
+    # by m_f
+    rows = []
+    for mass, g in ((1e-170, 1e-50), (1e-26, 1e-266)):
+        cfg = base_config(unit_system="si", interaction={
+            "g_bb": g, "g_bf": g, "g_ff": 0.0})
+        for species in ("boson", "fermion"):
+            cfg[species] = {"mass_kg": mass, "omega": 166.0, "count": 1000}
+        path = write_config(tmp_path, cfg, name=f"m{mass}.json")
+        assert cli.main(["zero-t", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows.append(data_lines(captured.out)[1].split(","))
+    light, lab = rows
+    assert light[1:3] == lab[1:3] and light[5:] == lab[5:]
+    for i, scale in ((0, 1.0), (3, 1.0), (4, 1e-144)):
+        assert math.isclose(float(light[i]), scale * float(lab[i]),
+                            rel_tol=1e-12), (i, light, lab)
 
 
 def test_tf_wide_fermion_cloud(tmp_path, capsys):
@@ -749,6 +759,91 @@ def test_mutated_config_never_exits_4(tmp_path):
     check()
 
 
+# a config field path as messages write it, e.g. boson.omega
+_FIELD = re.compile(r"\b(boson|fermion|interaction|thermal)\.[a-z_]+")
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@pytest.mark.parametrize("g_bf", [0.0, 0.3])
+def test_one_field_magnitudes_exit_naming_a_field(tmp_path, g_bf):
+    """Each numeric field of an oscillator config, one at a time, set to
+    +-1e+-{10, 30, 100, 200, 300}: zero-t, finite-t and window exit 0 or
+    1, or 2 with a message that names a config field, and no float
+    exception reaches the command line."""
+    valid = base_config(interaction={"g_bb": 0.05, "g_bf": g_bf,
+                                     "g_ff": 0.01})
+    valid["thermal"]["temperature"] = 5.0
+    paths = [path for path in _leaf_paths(valid)
+             if type(_at(valid, path)) in (int, float)]
+    assert len(paths) == 13
+    magnitudes = [sign * 10.0 ** (side * e) for e in (10, 30, 100, 200, 300)
+                  for side in (1, -1) for sign in (1, -1)]
+    names = itertools.count()
+    for path, value in itertools.product(paths, magnitudes):
+        cfg = json.loads(json.dumps(valid))
+        _at(cfg, path[:-1])[path[-1]] = value
+        config = write_config(tmp_path, cfg, name=f"cfg{next(names)}.json")
+        for command in ("zero-t", "finite-t", "window"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([command, "--config", config])
+            message = err.getvalue()
+            where = (command, path, value, message)
+            assert code in (0, 1, 2), where
+            assert code != 2 or _FIELD.search(message), where
+            assert "ZeroDivisionError" not in message, where
+            assert "OverflowError" not in message, where
+
+
+@pytest.mark.parametrize("observable", ["Omega_c", "Y"])
+def test_zero_T_scan_on_a_slow_boson_trap(tmp_path, capsys, observable):
+    # boson.omega = 1e-100 rad/s: omega^3 of the SI boson slope underflows
+    # to 0, while in trap units the condensate solves, and every row does
+    cfg = base_config()
+    cfg["boson"]["omega"] = 1e-100
+    cfg["scan"] = {"observable": observable, "variables": [
+        {"field": "interaction.g_bf", "values": [-0.1, 0.0, 0.1]},
+        {"field": "boson.count", "values": [1000, 1e6]}]}
+    assert cli.main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = data_lines(capsys.readouterr().out)[1:]
+    assert len(rows) == 6
+    assert all(row.endswith(",OK") for row in rows), rows
+
+
+def test_reader_that_stops_early_exits_3_quietly():
+    # commands.main's BrokenPipeError branch, which runs only in a fresh
+    # process: fig5 writes about 685 kB, far past the 100 bytes read
+    proc = subprocess.Popen([sys.executable, "-m", "bfmix", "fig5"],
+                            env=_fresh_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 3
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == 100 and err == b""
+
+
+def test_full_disk_exits_3_with_the_os_error():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "bfmix", "fig1"],
+                                env=_fresh_env(), stdout=full,
+                                capture_output=False, stderr=subprocess.PIPE,
+                                text=True, timeout=120)
+    assert result.returncode == 3
+    assert result.stderr == ("i/o error: [Errno 28] No space left on "
+                             "device\n")
+
+
 def _fresh_env():
     # a fresh interpreter on this checkout
     src = str(Path(bfmix.__file__).resolve().parents[1])
@@ -870,16 +965,27 @@ def test_z_overflow_exit_codes(tmp_path, capsys):
         "9.9999999999999997e+199,nan,ERROR:NumericError"]
 
 
-def test_float_overflow_is_a_numeric_failure(tmp_path, capsys):
+def test_float_overflow_is_a_numeric_failure(tmp_path, capsys,
+                                            monkeypatch):
     # Python's scalar ** raises OverflowError where numpy would give inf:
-    # on its own it exits 2, in a scan it fails only its row
+    # on its own it exits 2, in a scan it fails only its row.  At m_f =
+    # 1.5e173 u the Thomas-Fermi profiles still overflow, while zero-T
+    # works in trap units, where this trap is in range
     cfg = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3, "g_ff": 0.01})
     cfg["fermion"]["mass_u"] = 1.5e173
-    assert cli.main(["zero-t", "--config", write_config(tmp_path, cfg)]) == 2
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["tf", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("numeric error: OverflowError")
+    assert cli.main(["zero-t", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
     cfg["fermion"]["mass_u"] = 7.0
     cfg["scan"] = {"observable": "Y", "variables": [
         {"field": "fermion.mass", "values": [7.0, 1.5e173]}]}
+    trap = zero_temperature._fermion_trap
+
+    def overflowing(omega_c, config):
+        return trap(omega_c, config) if config.m_f < 1e100 else 1e200 ** 2
+    monkeypatch.setattr(zero_temperature, "_fermion_trap", overflowing)
     assert cli.main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
     rows = data_lines(capsys.readouterr().out)[1:]
     assert rows[0].endswith(",OK")

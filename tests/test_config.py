@@ -77,6 +77,34 @@ def test_positivity_validation():
         osc_config(m_b=-7.0 * atomic_mass)
 
 
+@pytest.mark.parametrize("unit_system, section, key, value, fields", [
+    # a^3 underflows to a subnormal: the volume would be stored as 7.5e-312
+    # m^3 and the couplings as 0
+    ("oscillator", "boson", "mass_u", 1e200, ("boson.mass", "boson.omega")),
+    # omega_b m_b underflows to 0, and a^3 overflows
+    ("oscillator", "boson", "omega", 1e-300, ("boson.mass", "boson.omega")),
+    ("oscillator", "boson", "omega", 1e-200, None),
+    # hbar omega_f underflows to 0 in the coupling unit
+    ("oscillator", "fermion", "omega", 1e-300, ("fermion.omega",)),
+    # an SI config forms the scales only where a kernel needs them
+    ("si", "boson", "mass_u", 1e200, None)])
+def test_oscillator_scales_beyond_float_range_name_the_fields(
+        unit_system, section, key, value, fields):
+    data = {"unit_system": unit_system,
+            "boson": {"mass_u": 7.0, "omega": 166.0, "count": 1000},
+            "fermion": {"mass_u": 7.0, "omega": 166.0, "count": 10000},
+            "interaction": {"g_bb": 0.05, "g_bf": 0.0},
+            "thermal": {"volume": 1000.0}}
+    data[section][key] = value
+    if fields is None:
+        cfg, _ = config_from_dict(data)
+        assert cfg.g_bb > 0.0 and cfg.volume > 0.0
+        return
+    with pytest.raises(ConfigError, match="beyond float range") as info:
+        config_from_dict(data)
+    assert all(field in str(info.value) for field in fields)
+
+
 def test_volume_and_temperature_units():
     cfg = osc_config(volume=1000.0, temperature=2.0)
     assert np.isclose(cfg.volume, 1000.0 * cfg.osc_length ** 3, rtol=1e-14)

@@ -691,20 +691,34 @@ def test_coupling_plane_overflow_signs():
     assert math.isfinite(values[2])
 
 
-def test_underflowing_overlap_width_fails_the_fermion_rows():
-    # masses of 1e-170 kg: the overlap width G of the fermion-side
-    # observables underflows and each of their rows reads NumericError;
-    # Omega_c takes no G and keeps its value
-    cfg = MixtureConfig.from_si(1e-170, 1e-170, 166.0, 166.0, 1000.0,
-                                100.0, 1e-50, 1e-50)
-    axis = (ScanRange("interaction.g_bf", values=(1e-50, -1e-50)),)
-    for observable in ("Y", "r_fc", "phase"):
-        rows = run_scan(ScanSpec(base=cfg, variables=axis,
-                                 observable=observable)).rows
-        assert [row[-1] for row in rows] == ["ERROR:NumericError"] * 2
-    rows = run_scan(ScanSpec(base=cfg, variables=axis,
-                             observable="Omega_c")).rows
-    assert [row[-1] for row in rows] == ["OK"] * 2
+def test_light_masses_scan_as_their_lab_scale_twin():
+    # masses of 1e-170 kg, where hbar (m_f Omega + m_b omega_c)^3 of the
+    # SI overlap width underflows: in trap units every zero-T row reads
+    # what the twin 1e144 times heavier reads at the couplings of the same
+    # oscillator-unit values, Y scaled by m_f and r_fc by a_f
+    twins = ((MixtureConfig.from_si(1e-170, 1e-170, 166.0, 166.0, 1000.0,
+                                    100.0, 1e-50, 1e-50), 1e216),
+             (MixtureConfig.from_si(1e-26, 1e-26, 166.0, 166.0, 1000.0,
+                                    100.0, 1e-266, 1e-266), 1.0))
+    rows = []
+    for cfg, unit in twins:
+        axis = (ScanRange("interaction.g_bf", values=tuple(
+            g * unit for g in (1e-266, -1e-266, 1e-46))),)
+        rows.append({observable: run_scan(ScanSpec(
+            base=cfg, variables=axis, observable=observable)).rows
+            for observable in ("omega_c", "Omega_c", "Y", "r_fc", "phase")})
+    light, lab = rows
+    assert [row[1] for row in light["phase"]] == [
+        "coexisting", "coexisting", "shell_separated"]
+    assert light["r_fc"][2][1] > 0.0
+    scales = {"omega_c": 1.0, "Omega_c": 1.0, "Y": 1e-144, "r_fc": 1e72}
+    for observable, scale in scales.items():
+        for a, b in zip(light[observable], lab[observable]):
+            assert a[-1] == b[-1] == "OK"
+            assert abs(a[1] - scale * b[1]) <= 1e-12 * abs(a[1]), (
+                observable, a, b)
+    assert ([row[1:] for row in light["phase"]]
+            == [row[1:] for row in lab["phase"]])
 
 
 def test_preset_tags_name_every_preset():
@@ -907,13 +921,13 @@ def test_overflowing_input_unit_fails_every_point(observable):
                          omega_f=100.0, N_b=10.0, N_f=10.0, g_bb=1e-50,
                          g_bf=0.0, volume=1.0, temperature=1.0,
                          unit_system=UnitSystem.OSCILLATOR)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ConfigError, match="boson.mass = 1e-300 kg"):
         base.coupling_unit
     spec = ScanSpec(base=base, observable=observable, variables=(
         ScanRange("interaction.g_bf", values=(0.1, 0.2)),
         ScanRange("thermal.temperature", values=(1.0, 2.0))))
     rows = run_scan(spec).rows
-    assert [row[-1] for row in rows] == ["ERROR:OverflowError"] * 4
+    assert [row[-1] for row in rows] == ["ERROR:ConfigError"] * 4
     assert all(math.isnan(row[3]) for row in rows)  # T/T_F
     _assert_rows_match(rows, _per_point_rows(spec))
 

@@ -174,19 +174,24 @@ def _repulsive_traps():
     return [cfg for cfg in list(traps.values()) + extremes if cfg.g_bb > 0]
 
 
-def test_repulsive_bracket_holds_the_root():
+def test_repulsive_bracket_holds_the_root(monkeypatch):
     traps = _repulsive_traps()
     assert len(traps) == 201 + 48
+    terms = zt._boson_terms
     for cfg in traps:
         def slope(w):
             return boson_energy_derivatives(w, cfg)[1]
 
-        lo, hi = zt._repulsive_bracket(cfg)
-        assert hi == cfg.omega_b
+        # the Newton start is the first u the solve evaluates
+        starts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(zt, "_boson_terms",
+                          lambda u, K: starts.append(u) or terms(u, K))
+            omega_c = solve_omega_c(cfg).omega_c
+        lo, hi = starts[0] * cfg.omega_b, cfg.omega_b
         assert slope(lo) <= 0.0 <= slope(hi), (cfg.g_bb, cfg.N_b)
         # the oracle brackets independently of the package
         ref = bisect_root(slope, 1e-12 * cfg.omega_b, cfg.omega_b)
-        omega_c = solve_omega_c(cfg).omega_c
         assert abs(omega_c - ref) <= 1e-12 * ref, \
             (cfg.g_bb, cfg.N_b, omega_c, ref)
 
@@ -336,6 +341,24 @@ def test_critical_number_against_closed_form():
         "boson.count", float(math.floor(n_bisect)))).is_local_minimum
     assert not solve_omega_c(cfg.with_field(
         "boson.count", float(math.ceil(n_bisect) + 1))).is_local_minimum
+
+
+def test_critical_number_is_the_baym_pethick_constant():
+    # derived mode: N_b^c |a_bb| / a_ho = sqrt(2 pi) K_c = 2 sqrt(2 pi)
+    # 5^(-5/4) = 0.671, the Gaussian-ansatz threshold of Baym and Pethick,
+    # whatever the mass, the trap frequency and the scattering length
+    expected = 2.0 * math.sqrt(2.0 * math.pi) * 5.0 ** -1.25
+    assert abs(expected - 0.6705) < 1e-4
+    for m_b, omega_b, a_bb in itertools.product(
+            (1e-100, 7.0 * atomic_mass, 1e-10, 1e40),
+            (1e-60, 1e-3, 166.0, 1e40), (-1e-30, -5e-9, -1e20)):
+        cfg = MixtureConfig.from_scattering_lengths(
+            m_b=m_b, m_f=m_b, omega_b=omega_b, omega_f=omega_b, N_b=10.0,
+            N_f=10.0, a_bb=a_bb, a_bf=0.0, compat_mode=CompatMode.DERIVED)
+        constant = (solve_omega_c(cfg).N_b_critical * abs(a_bb)
+                    / cfg.osc_length)
+        assert abs(constant - expected) <= 1e-12 * expected, (
+            m_b, omega_b, a_bb, constant)
 
 
 def test_critical_number_scales_inversely_with_coupling():
@@ -568,13 +591,13 @@ def test_Omega_bracket_holds_every_root():
     for cfg in cases:
         omega_c = solve_omega_c(cfg).omega_c
         _, A, _ = zt._mode_factors(cfg)
-        Omega_0 = cfg.omega_f * math.sqrt(
-            0.75 * cfg.N_f / (A * cfg.N_f ** (5.0 / 3.0)))
+        Omega_0 = math.sqrt(0.75 / (A * cfg.N_f ** (2.0 / 3.0))) * cfg.omega_f
         Omega_c = solve_Omega_c(omega_c, cfg)
         if cfg.g_bf == 0.0:
             assert Omega_c == Omega_0
             continue
         _, lo, hi = zt._bracketed_h(omega_c, cfg)(cfg.g_bf)
+        lo, hi = lo * cfg.omega_f, hi * cfg.omega_f
         assert (lo if cfg.g_bf < 0.0 else hi) == Omega_0
         assert lo <= Omega_c <= hi, (cfg.g_bf, cfg.N_b, cfg.N_f)
         nodes = np.geomspace(1e-6, 1e6, 4001) * cfg.omega_f
@@ -644,7 +667,7 @@ def test_Omega_c_at_a_vanishing_coupling(g_bf):
                 omega_c = solve_omega_c(cfg).omega_c
                 Omega_0 = solve_Omega_c(
                     omega_c, cfg.with_field("interaction.g_bf", 0.0))
-                assert Omega_0 == zt._decoupled_Omega(cfg)
+                assert Omega_0 == classify_zero_T(cfg).Omega_c
                 Omega_c = solve_Omega_c(omega_c, cfg)
                 assert abs(Omega_c - Omega_0) <= 1e-15 * omega_f
 
@@ -720,7 +743,7 @@ def _mp_roots(omega_c, cfg):
     _, lo, hi = zt._bracketed_h(omega_c, cfg)(cfg.g_bf)
     return fermion_width_roots_mp(cfg.m_b, cfg.m_f, omega_c, cfg.omega_f,
                                   cfg.N_b, cfg.N_f, cfg.g_bf, A, kappa, hbar,
-                                  lo, hi)
+                                  lo * cfg.omega_f, hi * cfg.omega_f)
 
 
 @pytest.mark.parametrize("mode, m_b, m_f, N_f, g_bb, g_bf", [

@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py REV
 
-Runs 226 CLI cases, each in a fresh process, once on the `src/` of
+Runs 250 CLI cases, each in a fresh process, once on the `src/` of
 commit REV (taken with `git archive` into a temporary directory) and
 once on the working tree's `src/`, and compares stdout, stderr and exit
 code byte for byte.  The cases are:
@@ -27,7 +27,10 @@ code byte for byte.  The cases are:
   unknown subcommand, --config given to a preset and a missing config
   file (6);
 * `window` on each of the MALFORMED config texts, which json rejects or
-  reads into a value the config rules reject (10).
+  reads into a value the config rules reject (10);
+* the WITNESSES: one field of WITNESS_BASE set so far out that a value
+  the kernels form passes float range, 19 through `zero-t`, 3 through
+  `window` and 2 through `finite-t` (24).
 
 Every run that differs is listed.  Where its stdout is a CSV table on
 both sides, with the same header and row count, each column whose cells
@@ -168,6 +171,32 @@ MALFORMED = {
 }
 
 
+# an oscillator-unit config, and (command, section, key, value): each
+# sets one field of it to a value every field rule accepts, where the SI
+# zero-T slopes, the oscillator units or a thermal wavelength leave float
+# range; each once exited 2 on a bare ZeroDivisionError or OverflowError
+WITNESS_BASE = {
+    "unit_system": "oscillator", "compat_mode": "paper",
+    "boson": {"mass_u": 7.0, "omega": 166.0, "count": 1000},
+    "fermion": {"mass_u": 7.0, "omega": 166.0, "count": 10000},
+    "interaction": {"g_bb": 0.05, "g_bf": 0.0, "g_ff": 0.01},
+    "thermal": {"volume": 1000.0, "temperature": 5.0,
+                "t_range": [0.5, 50.0]}}
+WITNESSES = tuple(
+    [("zero-t", "boson", "omega", v) for v in (1e-300, 1e-200, 1e-100, 1e200)]
+    + [("zero-t", "fermion", "omega", v) for v in (1e-200, 1e200, 1e300)]
+    + [("zero-t", "boson", "mass_u", v) for v in (1e-200, 1e200)]
+    + [("zero-t", "fermion", "mass_u", v) for v in (1e-200, 1e200, 1e300)]
+    + [("zero-t", "boson", "count", 1e300)]
+    + [("zero-t", "fermion", "count", v)
+       for v in (1e-300, 1e-200, 1e200, 1e300)]
+    + [("zero-t", "interaction", "g_bb", v) for v in (1e300, -1e300)]
+    + [("window", "boson", "mass_u", 1e200)]
+    + [("window", "boson", "omega", v) for v in (1e-300, 1e200)]
+    + [("finite-t", "boson", "omega", 1e-300),
+       ("finite-t", "thermal", "temperature", 1e-300)])
+
+
 def scan_config(unit_system, changes, observable, variables, t_range):
     """The config of one of SCANS, written in unit_system."""
     params = dict(SCAN_BASE, **changes)
@@ -231,6 +260,13 @@ def cases(work):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out.append(["window", "--config", path])
+    for i, (command, section, key, value) in enumerate(WITNESSES):
+        cfg = json.loads(json.dumps(WITNESS_BASE))
+        cfg[section][key] = value
+        path = os.path.join(work, f"witness_{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out.append([command, "--config", path])
     return out
 
 
