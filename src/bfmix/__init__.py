@@ -11,7 +11,7 @@ separate:
 * at finite temperature through the stability matrix of a homogeneous
   mixture and its determinant criterion Z (``finite_temperature``),
 * plus deterministic parameter sweeps and figure presets
-  (``scan_engine``) and a CSV-emitting command line (``cli``).
+  (``scan_engine``) and a CSV-emitting command line (``commands``).
 
 Quantum-statistical special functions (Bose g_nu, Fermi f_nu, fugacity
 inversion) live in ``specfun``.

@@ -2,36 +2,25 @@
 
 Each run is a fresh process that ends as soon as main returns.  It
 imports bfmix.commands, whose commands each load only the modules they
-run.  gc.freeze() moves the objects that exist once the package is
-imported out of reach of main's collections.  Once main returns, the
-atexit handlers run and the std streams are flushed, as at a normal
-exit, and os._exit ends the process without the interpreter's teardown:
-the module cleanup and the final collection free memory the operating
-system frees anyway.  Under a profiler or a tracer, such as cProfile or
-coverage, which report after the run returns, the process exits
-normally.  main leaves the collector alone, since tests and tracers call
-it in process.
+run.  Once main returns, the atexit handlers run and the std streams are
+flushed, as at a normal exit, and os._exit ends the process without the
+interpreter's teardown: the module cleanup and the final collection free
+memory the operating system frees anyway.  Under a profiler or a tracer,
+such as cProfile or coverage, which report after the run returns, the
+process exits normally.
 """
 
 import atexit
-import gc
 import os
 import sys
 
 from .commands import main
 
 
-def run():
-    """Freeze the collector's start-up objects, then return main()'s
-    exit code."""
-    gc.freeze()
-    return main()
-
-
 def run_and_exit():
-    """End the process with run()'s exit code, without the interpreter's
+    """End the process with main()'s exit code, without the interpreter's
     teardown unless a profiler or a tracer is set."""
-    code = run()
+    code = main()
     if sys.gettrace() is None and sys.getprofile() is None:
         atexit._run_exitfuncs()
         try:

@@ -2,9 +2,9 @@
 
 Importing this module loads no analysis module: each command imports the
 modules it runs when it runs, so `bfmix window` loads config, specfun,
-brent and finite_temperature, and only `scan` and the presets load
-scan_engine and zero_temperature.  bfmix.cli is this module with every
-analysis module loaded.
+brent and finite_temperature, `zero-t` loads zero_temperature and brent,
+and only `scan` and the presets load scan_engine.  bfmix.cli is this
+module with every analysis module loaded.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure (a
 NumericError, or a float overflow or division by zero), 3 I/O error

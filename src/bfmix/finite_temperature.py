@@ -38,9 +38,9 @@ __all__ = [
 
 _WINDOW_SAMPLES = 400
 _ROOT_RTOL = 1e-8
-# Brent's bisection fallback takes up to ~2,000 steps to shrink a window
-# bracket that spans the float range down to rtol T_lo
-_ROOT_STEPS = 3000
+# Brent in ln T: the widest span, -745 to 710, takes 63 halvings to a
+# double's resolution of T, and up to 3 times as many steps at a flat root
+_LOG_STEPS = 200
 
 
 def coupling_lengths(cfg):
@@ -276,10 +276,6 @@ def _determinant(bb, ff, cross):
     return Z
 
 
-def _z_of_T(cfg, T, r=0.0):
-    return lda_local_stability(cfg, T, r).Z
-
-
 def _log_grid(lo, hi, n):
     """n points from lo to hi, evenly spaced in log T, the ends exact."""
     a = math.log10(lo)
@@ -287,31 +283,41 @@ def _log_grid(lo, hi, n):
     return [lo] + [10.0 ** (a + i * step) for i in range(1, n - 1)] + [hi]
 
 
-def _turn(entry, T_lo, T_hi, e_lo, e_hi, xtol):
+def _log_root(f, T_a, T_b, f_a, f_b, zero, rtol):
+    """The T between T_a and T_b where f changes sign, to within rtol T,
+    by Brent's method (bfmix.brent) on s = ln T; f_a and f_b are f at
+    the ends, and an f of exactly 0 is read as zero, a value of the sign
+    of one end.  The tolerance in s, rtol / 2, stops at a double's own
+    resolution of T."""
+    s = brentq(lambda s: f(math.exp(s)) or zero, math.log(T_a),
+               math.log(T_b), xtol=max(0.5 * rtol, 2.0 ** -52),
+               maxiter=_LOG_STEPS, fa=f_a or zero, fb=f_b or zero)
+    return math.exp(s)
+
+
+def _turn(entry, T_lo, T_hi, e_lo, e_hi, rtol):
     """The least T that Brent evaluates with entry(T) > 0, where entry
     does not decrease and e_lo = entry(T_lo) <= 0 < e_hi = entry(T_hi):
-    within xtol of where entry turns positive, on its positive side."""
+    within rtol T of where entry turns positive, on its positive side."""
     above = [T_hi]
 
     def f(T):
         e = entry(T)
         if e > 0.0:
             above.append(T)
-        # a stretch at exactly 0 (an ideal condensate) lies below the turn
-        return e if e != 0.0 else -e_hi
+        return e
 
-    brentq(f, T_lo, T_hi, xtol=xtol, maxiter=_ROOT_STEPS, fa=e_lo or -e_hi,
-           fb=e_hi)
+    # a stretch at exactly 0 (an ideal condensate) lies below the turn
+    _log_root(f, T_lo, T_hi, e_lo, e_hi, -e_hi, rtol)
     return min(above)
 
 
-def _cuts(cfg, T_lo, T_hi, xtol, no_cross):
+def _cuts(cfg, T_lo, T_hi, rtol):
     """The T in (T_lo, T_hi] where bb or ff turns positive, sorted, each
     from _turn on that entry alone, built by _species and _bose_entry or
     _fermi_entry from its own species.  An entry of a repulsive coupling
     never turns, and one of zero length turns only from a stretch at
-    exactly 0 (bb of an ideal condensate), which matters only without a
-    cross entry."""
+    exactly 0 (bb of an ideal condensate)."""
     V = cfg.require_volume()
     to_bb, _, to_ff = _lengths(cfg)
     rho_b, rho_f = cfg.N_b / V, cfg.N_f / V
@@ -326,10 +332,10 @@ def _cuts(cfg, T_lo, T_hi, xtol, no_cross):
 
     cuts = []
     for ell, entry in ((to_bb(cfg.g_bb), bb), (to_ff(cfg.g_ff), ff)):
-        if ell < 0.0 or (ell == 0.0 and no_cross):
+        if ell <= 0.0:
             e_lo, e_hi = entry(T_lo), entry(T_hi)
             if e_lo <= 0.0 < e_hi:
-                cuts.append(_turn(entry, T_lo, T_hi, e_lo, e_hi, xtol))
+                cuts.append(_turn(entry, T_lo, T_hi, e_lo, e_hi, rtol))
     return sorted(cuts)
 
 
@@ -338,9 +344,9 @@ def critical_window(cfg, T_range, r=0.0, rtol=None):
 
     Z is evaluated at the ends of a few pieces of T_range, and each
     change between Z < 0 and Z >= 0 across a piece is refined by Brent's
-    method (bfmix.brent) to within rtol T (rtol 1e-8 by default).  The
-    optional r evaluates the local-density criterion at radius r instead
-    of the homogeneous one.
+    method in ln T (_log_root) to within rtol T (rtol 1e-8 by default).
+    The optional r evaluates the local-density criterion at radius r
+    instead of the homogeneous one.
 
     The homogeneous criterion (r = 0) cuts T_range where a diagonal entry,
     built for its species alone, turns positive (_cuts), so into at most 3
@@ -350,8 +356,8 @@ def critical_window(cfg, T_range, r=0.0, rtol=None):
     where both D keep one sign their product is monotone, so Z changes sign
     at most once; where their signs differ, Z < 0.  With g_bb, g_ff >= 0
     nothing is cut: Z is sampled at the two ends of T_range and changes
-    sign at most once, from negative to positive.  With C = 0, Z = bb ff
-    keeps its sign on each piece, and the edges are the cuts themselves.
+    sign at most once, from negative to positive.  With C = 0, a cut on
+    the positive side of its turn leaves one sign change of Z per piece.
 
     The trap-damped fugacities of r > 0 have no such structure: Z is
     sampled at 400 points evenly spaced in log T.
@@ -366,27 +372,20 @@ def critical_window(cfg, T_range, r=0.0, rtol=None):
         rtol = _ROOT_RTOL
     elif not 0.0 < rtol < 1.0:
         raise ConfigError(f"window rtol must be in (0, 1), got {rtol}")
-    no_cross = coupling_lengths(cfg)[1] == 0.0
     if r > 0.0:
         ends = _log_grid(T_lo, T_hi, _WINDOW_SAMPLES)
     else:
-        ends = [T_lo, *_cuts(cfg, T_lo, T_hi, 0.5 * rtol * T_lo, no_cross),
-                T_hi]
-    values = [_z_of_T(cfg, T, r) for T in ends]
+        ends = [T_lo, *_cuts(cfg, T_lo, T_hi, rtol), T_hi]
 
+    def Z(T):
+        return lda_local_stability(cfg, T, r).Z
+
+    values = [Z(T) for T in ends]
     # Z >= 0 is stable, so an edge is where Z < 0 starts or stops; a
     # stretch of Z = 0 (an ideal condensate without g_bf) is no edge
-    changes = [i for i in range(len(ends) - 1)
-               if (values[i] < 0.0) != (values[i + 1] < 0.0)]
-    if r == 0.0 and no_cross:
-        # each cut lies on the positive side of its turn, so Z there has
-        # the sign of the piece it starts
-        roots = [ends[i + 1] for i in changes]
-    else:
-        roots = [brentq(lambda T: _z_of_T(cfg, T, r), ends[i], ends[i + 1],
-                        xtol=0.5 * rtol * ends[i], maxiter=_ROOT_STEPS,
-                        fa=values[i], fb=values[i + 1])
-                 for i in changes]
+    roots = [_log_root(Z, a, b, z_a, z_b, -min(z_a, z_b), rtol)
+             for a, b, z_a, z_b in zip(ends, ends[1:], values, values[1:])
+             if (z_a < 0.0) != (z_b < 0.0)]
     n = len(roots)
     unstable_low = values[0] < 0.0
     lower, upper = (roots[0], roots[-1]) if roots else (None, None)

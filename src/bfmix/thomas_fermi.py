@@ -9,6 +9,7 @@ fermions gather at the center, spread evenly, or sit at its edge.
 
 import enum
 import math
+import sys
 from collections import namedtuple
 
 from .constants import hbar, pi
@@ -23,6 +24,8 @@ _GRID_POINTS = 2000
 # each grid segment below R_b spans at least this many panels: Simpson
 # N_b to ~6e-8, and a cloud far inside the condensate stays resolved
 _MIN_PANELS = 64
+_SQUEEZE = ("check interaction.g_bf, boson.count and fermion.count, which "
+            "can squeeze the fermion cloud between the grid's nodes")
 
 
 class TFRegime(enum.Enum):
@@ -30,6 +33,8 @@ class TFRegime(enum.Enum):
     FLAT = "flat"
     SHELL = "shell"
 
+
+_Trap = namedtuple("_Trap", ("mu_b", "k_b", "k_f", "pref", "e_max"))
 
 TFProfiles = namedtuple("TFProfiles", (
     "radii",    # grid radii [m]
@@ -80,16 +85,48 @@ def boson_chemical_potential(cfg):
         * (15.0 * cfg.N_b * a_bb / cfg.osc_length) ** 0.4
 
 
+def _trap(cfg):
+    """The numbers of cfg's trap, each formed once: mu_b [J], k_b and k_f
+    = m omega^2 / 2 [J/m^2], the fermion density prefactor pref [J^-3/2
+    m^-3] and e_max, the e_F bound [J].  A NumericError names the trap's
+    fields when one is 0, subnormal or beyond float range."""
+    try:
+        mu_b = boson_chemical_potential(cfg)
+        trap = _Trap(mu_b, 0.5 * cfg.m_b * cfg.omega_b ** 2,
+                     0.5 * cfg.m_f * cfg.omega_f ** 2,
+                     (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2),
+                     _fermi_energy_bound(cfg, mu_b))
+    except ArithmeticError:
+        trap = ()
+    if not (trap and all(sys.float_info.min <= x < math.inf for x in trap)):
+        raise NumericError(
+            "mu_b, m omega^2 / 2 of a species, the fermion density "
+            "prefactor or the e_F bound is 0 or beyond float range: check "
+            "boson.count, boson.mass, boson.omega, fermion.count, "
+            "fermion.mass, fermion.omega, interaction.g_bb and "
+            "interaction.g_bf")
+    return trap
+
+
 def condensate_radius(cfg):
-    mu_b = boson_chemical_potential(cfg)
-    return math.sqrt(2.0 * mu_b / (cfg.m_b * cfg.omega_b ** 2))
+    return _radii(_trap(cfg))[0]
+
+
+def _radii(trap):
+    """(R_b, R_f): the condensate radius, the fermion one at e_max."""
+    return math.sqrt(trap.mu_b / trap.k_b), math.sqrt(trap.e_max / trap.k_f)
 
 
 def tf_boson_profile(cfg, grid):
     """Condensate density on the given radial grid; returns (mu_b, n_b)."""
-    mu_b = boson_chemical_potential(cfg)
-    k = 0.5 * cfg.m_b * cfg.omega_b ** 2
-    return mu_b, [max(0.0, (mu_b - k * (r * r)) / cfg.g_bb) for r in grid]
+    trap = _trap(cfg)
+    return trap.mu_b, _condensate(cfg, trap, grid)
+
+
+def _condensate(cfg, trap, grid):
+    """The condensate density of tf_boson_profile at the numbers of trap."""
+    return [max(0.0, (trap.mu_b - trap.k_b * (r * r)) / cfg.g_bb)
+            for r in grid]
 
 
 def _fermi_energy_bound(cfg, mu_b):
@@ -110,7 +147,7 @@ def _fermi_energy_bound(cfg, mu_b):
     return min(e_0 + shift, hw * x ** (2.0 / 3.0))
 
 
-def tf_fermion_profile(cfg, mu_b, n_b, grid):
+def tf_fermion_profile(cfg, n_b, grid):
     """Fermion density on the grid for the potential trap + g_bf n_b(r);
     returns (e_F, n_f), e_F where the grid's Simpson count of n_f is N_f,
     by Newton steps from _fermi_energy_bound.  With weights >= 0, as on
@@ -118,10 +155,13 @@ def tf_fermion_profile(cfg, mu_b, n_b, grid):
     step from below lands above the root, and from above none passes it.
     A density beyond float range, no node below e_F, or a count off N_f
     by over 1e-12 N_f is a NumericError, never the answer."""
-    k = 0.5 * cfg.m_f * cfg.omega_f ** 2
-    V_eff = [k * (r * r) + cfg.g_bf * nb for r, nb in zip(grid, n_b)]
-    pref = (2.0 * cfg.m_f / hbar ** 2) ** 1.5 / (6.0 * pi ** 2)
-    # pref stays on the density: one beyond float range makes n inf or nan
+    return _fermions(cfg, _trap(cfg), n_b, grid)
+
+
+def _fermions(cfg, trap, n_b, grid):
+    """tf_fermion_profile at the numbers of trap."""
+    V_eff = [trap.k_f * (r * r) + cfg.g_bf * nb for r, nb in zip(grid, n_b)]
+    pref = trap.pref
     weights = [4.0 * pi * (r * r) * w
                for r, w in zip(grid, _simpson_weights(grid))]
 
@@ -141,10 +181,10 @@ def tf_fermion_profile(cfg, mu_b, n_b, grid):
                 f"of float range")
         if slope == 0.0:
             raise NumericError(f"no node of the Thomas-Fermi grid holds "
-                               f"fermions at e_F = {e_F:g} J")
+                               f"fermions at e_F = {e_F:g} J: {_SQUEEZE}")
         return n, slope
 
-    e_F = _fermi_energy_bound(cfg, mu_b)
+    e_F = trap.e_max
     n, slope = count(e_F)
     if n < cfg.N_f:
         e_F += (cfg.N_f - n) / slope
@@ -157,7 +197,7 @@ def tf_fermion_profile(cfg, mu_b, n_b, grid):
         raise NumericError(
             f"Newton steps on the Simpson count stop at e_F = {e_F:g} J, "
             f"{n / cfg.N_f - 1.0:.2g} relative off N_f = {cfg.N_f:g}: the "
-            f"count is not convex on this grid")
+            f"count is not convex on this grid; {_SQUEEZE}")
     # the densities the last count summed, each finite
     return e_F, [pref * (e_F - V) * math.sqrt(e_F - V) if e_F > V else 0.0
                  for V in V_eff]
@@ -177,16 +217,14 @@ def classify_tf_regime(cfg):
     return TFRegime.CORE
 
 
-def _build_grid(cfg, mu_b, span_factor, n_points):
+def _build_grid(trap, span_factor, n_points):
     """(grid, R_b): n_points radii up to span_factor times the larger of
     R_b and the fermion radius R_f at the upper e_F bound, uniform
     between the edges min(R_f, R_b), R_b and the span.  Each edge sits
     on an even node at least _MIN_PANELS panels above the one before, so
     the kink of both profiles falls on a Simpson panel boundary and a
     cloud far inside the condensate still spans that many panels."""
-    R_b = math.sqrt(2.0 * mu_b / (cfg.m_b * cfg.omega_b ** 2))
-    R_f = math.sqrt(2.0 * _fermi_energy_bound(cfg, mu_b)
-                    / (cfg.m_f * cfg.omega_f ** 2))
+    R_b, R_f = _radii(trap)
     span = span_factor * max(R_b, R_f)
     if not (0.0 < R_f and 0.0 < R_b <= span < math.inf):
         raise NumericError(
@@ -206,9 +244,9 @@ def tf_profiles(cfg):
     """Both density profiles on one grid that holds the whole cloud,
     e_F from Newton steps on the grid's Simpson count, plus the regime
     label."""
-    mu_b = boson_chemical_potential(cfg)
-    grid, R_b = _build_grid(cfg, mu_b, 1.5, _GRID_POINTS)
-    _, n_b = tf_boson_profile(cfg, grid)
-    e_F, n_f = tf_fermion_profile(cfg, mu_b, n_b, grid)
-    return TFProfiles(radii=grid, n_b=n_b, n_f=n_f, mu_b=mu_b, e_F=e_F,
+    trap = _trap(cfg)
+    grid, R_b = _build_grid(trap, 1.5, _GRID_POINTS)
+    n_b = _condensate(cfg, trap, grid)
+    e_F, n_f = _fermions(cfg, trap, n_b, grid)
+    return TFProfiles(radii=grid, n_b=n_b, n_f=n_f, mu_b=trap.mu_b, e_F=e_F,
                       R_b=R_b, regime=classify_tf_regime(cfg))

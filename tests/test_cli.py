@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import bfmix
-from bfmix import cli, commands, zero_temperature
+from bfmix import cli, commands, thomas_fermi, zero_temperature
 from bfmix.config import load_config
 from bfmix.constants import atomic_mass, hbar
 from bfmix.errors import NumericError
@@ -772,8 +772,8 @@ def _at(node, path):
 @pytest.mark.parametrize("g_bf", [0.0, 0.3])
 def test_one_field_magnitudes_exit_naming_a_field(tmp_path, g_bf):
     """Each numeric field of an oscillator config, one at a time, set to
-    +-1e+-{10, 30, 100, 200, 300}: zero-t, finite-t and window exit 0 or
-    1, or 2 with a message that names a config field, and no float
+    +-1e+-{10, 30, 100, 200, 300}: zero-t, tf, finite-t and window exit 0
+    or 1, or 2 with a message that names a config field, and no float
     exception reaches the command line."""
     valid = base_config(interaction={"g_bb": 0.05, "g_bf": g_bf,
                                      "g_ff": 0.01})
@@ -788,7 +788,7 @@ def test_one_field_magnitudes_exit_naming_a_field(tmp_path, g_bf):
         cfg = json.loads(json.dumps(valid))
         _at(cfg, path[:-1])[path[-1]] = value
         config = write_config(tmp_path, cfg, name=f"cfg{next(names)}.json")
-        for command in ("zero-t", "finite-t", "window"):
+        for command in ("zero-t", "tf", "finite-t", "window"):
             err = io.StringIO()
             with contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
@@ -969,15 +969,22 @@ def test_float_overflow_is_a_numeric_failure(tmp_path, capsys,
                                             monkeypatch):
     # Python's scalar ** raises OverflowError where numpy would give inf:
     # on its own it exits 2, in a scan it fails only its row.  At m_f =
-    # 1.5e173 u the Thomas-Fermi profiles still overflow, while zero-T
-    # works in trap units, where this trap is in range
+    # 1.5e173 u the Thomas-Fermi density prefactor overflows, which tf
+    # reports naming the trap's fields, while zero-T works in trap units,
+    # where this trap is in range; the bare OverflowError comes from a
+    # tf_profiles patched to overflow
     cfg = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3, "g_ff": 0.01})
     cfg["fermion"]["mass_u"] = 1.5e173
     path = write_config(tmp_path, cfg)
     assert cli.main(["tf", "--config", path]) == 2
-    assert capsys.readouterr().err.startswith("numeric error: OverflowError")
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: mu_b, ") and "fermion.mass" in err
     assert cli.main(["zero-t", "--config", path]) == 0
     assert capsys.readouterr().err == ""
+    with monkeypatch.context() as patch:
+        patch.setattr(thomas_fermi, "tf_profiles", lambda config: 1e200 ** 2)
+        assert cli.main(["tf", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("numeric error: OverflowError")
     cfg["fermion"]["mass_u"] = 7.0
     cfg["scan"] = {"observable": "Y", "variables": [
         {"field": "fermion.mass", "values": [7.0, 1.5e173]}]}
@@ -1064,8 +1071,8 @@ def test_fresh_process_tf_overflow_names_the_density_and_field(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_main_leaves_the_collector_as_it_was(tmp_path, capsys):
-    # tests and tracers call main in process: only the process entry
-    # freezes the collector
+    # tests and tracers call main in process: it leaves the collector
+    # alone
     before = (gc.get_freeze_count(), gc.isenabled())
     for argv in (["fig1", "--out", str(tmp_path / "fig1.csv")],
                  ["fig1"], ["--version"], ["frobnicate"]):
@@ -1076,9 +1083,8 @@ def test_main_leaves_the_collector_as_it_was(tmp_path, capsys):
 
 def test_console_script_is_the_entry_python_m_runs(monkeypatch):
     # pyproject's console script names the function `python -m bfmix`
-    # calls, and it freezes the collector before main and ends the
-    # process with main's exit code: by os._exit, or by SystemExit under
-    # a profiler
+    # calls, and it ends the process with main's exit code: by os._exit,
+    # or by SystemExit under a profiler
     tomllib = pytest.importorskip("tomllib")
     root = Path(bfmix.__file__).resolve().parents[2]
     with open(root / "pyproject.toml", "rb") as fh:
@@ -1086,7 +1092,6 @@ def test_console_script_is_the_entry_python_m_runs(monkeypatch):
     module, _, name = target.partition(":")
     entry = getattr(importlib.import_module(module), name)
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setitem(entry.__globals__, "main",
                         lambda: calls.append("main") or 7)
     profile = sys.getprofile()
@@ -1097,19 +1102,18 @@ def test_console_script_is_the_entry_python_m_runs(monkeypatch):
     finally:
         sys.setprofile(profile)
     assert exit_.value.code == 7
-    assert calls == ["freeze", "main"]
-    probe = ("import gc, os, runpy, sys; from bfmix import commands; "
-             "calls = []; gc.freeze = lambda: calls.append('freeze'); "
-             "commands.main = lambda: calls.append('main') or 7; "
+    assert calls == ["main"]
+    probe = ("import os, runpy, sys; from bfmix import commands; "
+             "calls = []; commands.main = lambda: calls.append('main') or 7; "
              "os._exit = lambda code: calls.append("
              "(sys._getframe(1).f_code, code))\n"
              "try: runpy.run_module('bfmix', run_name='__main__')\n"
              "except SystemExit: "
-             "print(*calls[:2], calls[2][0].co_filename, "
-             "calls[2][0].co_name, calls[2][1])")
+             "print(calls[0], calls[1][0].co_filename, "
+             "calls[1][0].co_name, calls[1][1])")
     code = entry.__code__
     assert _fresh_probe(probe).split() == [
-        "freeze", "main", code.co_filename, code.co_name, "7"]
+        "main", code.co_filename, code.co_name, "7"]
 
 
 _WINDOW_MODULES = ["_panels", "brent", "commands", "config", "constants",

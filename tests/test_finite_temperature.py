@@ -699,7 +699,8 @@ def test_zero_z_stretch_is_no_window(g_ff):
     unit = cfg.temperature_unit
     span = (0.5 * unit, 50.0 * unit)
     assert span[0] < ft.bec_temperature(cfg) < span[1]
-    assert ft._z_of_T(cfg, span[0]) == 0.0 < ft._z_of_T(cfg, span[1])
+    assert ft.lda_local_stability(cfg, span[0], 0.0).Z == 0.0 \
+        < ft.lda_local_stability(cfg, span[1], 0.0).Z
     w = ft.critical_window(cfg, span)
     assert (w.n_sign_changes, w.exists, w.unstable_at_low_edge) \
         == (0, False, False)
@@ -713,9 +714,9 @@ def _grid_window(cfg, T_range, rtol):
     of Z = 0 (an ideal condensate without g_bf) ends where Z < 0
     starts, not at the last sample."""
     grid = np.geomspace(*T_range, 400).tolist()
-    values = [ft._z_of_T(cfg, T) for T in grid]
-    roots = [brentq(lambda T: ft._z_of_T(cfg, T) or 1.0, lo, hi,
-                    xtol=0.5 * rtol * lo, maxiter=200)
+    values = [ft.lda_local_stability(cfg, T, 0.0).Z for T in grid]
+    roots = [brentq(lambda T: ft.lda_local_stability(cfg, T, 0.0).Z or 1.0,
+                    lo, hi, xtol=0.5 * rtol * lo, maxiter=200)
              for lo, hi, z_lo, z_hi in zip(grid, grid[1:], values,
                                            values[1:])
              if (z_lo < 0.0) != (z_hi < 0.0)]
@@ -743,12 +744,17 @@ def _either_sign(hi, lo=None):
 def test_window_matches_grid_scan():
     """At r = 0, for couplings of any sign, exact zeros and g_bf = 0
     included, the window from the pieces between the cuts has the
-    crossings, flags and edges of a 400-sample scan."""
+    crossings, flags and edges of a 400-sample scan.  The example is a
+    g_bf = 0 mixture whose two edges lie next to the two cuts."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
                          database=None)
+    @hypothesis.example(
+        mode=CompatMode.DERIVED, m_b_u=7.0, m_f_u=6.0, N_b=993.0,
+        N_f=9709.0, volume=1008.7005122454361, g_bb=-0.03, g_ff=-10.0,
+        g_bf=0.0, t_lo=0.5, t_hi=80.0)
     @hypothesis.given(
         mode=st.sampled_from(list(CompatMode)),
         m_b_u=st.sampled_from([6.0, 7.0, 40.0]),
@@ -774,7 +780,8 @@ def test_window_matches_grid_scan():
 def test_each_cut_lies_on_the_positive_side_of_its_turn():
     """_turn's contract, read on the public entries: at every cut T* of
     _cuts some diagonal entry of stability_entries is > 0, and it is
-    <= 0 at T* - 2 xtol, below the turn that T* lies within xtol of."""
+    <= 0 at T* (1 - rtol), below the turn that T* lies within rtol T*
+    of."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     found = []
@@ -800,17 +807,15 @@ def test_each_cut_lies_on_the_positive_side_of_its_turn():
                        volume=volume, m_b_u=m_b_u, m_f_u=m_f_u, mode=mode)
         unit = cfg.temperature_unit
         lo, hi = t_lo * unit, t_hi * unit
-        xtol = 0.5 * rtol * lo
-        no_cross = ft.coupling_lengths(cfg)[1] == 0.0
 
         def diagonal(T):
             return ft.stability_entries(ft.thermal_state(cfg, T), cfg,
                                         cfg.g_bb, cfg.g_bf, cfg.g_ff)[:2]
 
-        for T in ft._cuts(cfg, lo, hi, xtol, no_cross):
+        for T in ft._cuts(cfg, lo, hi, rtol):
             assert lo < T <= hi
             assert any(at > 0.0 >= below for at, below in
-                       zip(diagonal(T), diagonal(T - 2.0 * xtol)))
+                       zip(diagonal(T), diagonal(T * (1.0 - rtol))))
             found.append(T)
 
     check()
@@ -833,6 +838,15 @@ def test_window_of_an_empty_gas(empty, g_bf):
     _assert_window_matches_grid(cfg, span)
 
 
+def _z_calls(monkeypatch):
+    """The list of argument tuples of every lda_local_stability call."""
+    calls = []
+    local = ft.lda_local_stability
+    monkeypatch.setattr(ft, "lda_local_stability",
+                        lambda *args: calls.append(args) or local(*args))
+    return calls
+
+
 def test_attractive_window_takes_few_z_evaluations(monkeypatch):
     """Both diagonal couplings attractive (the bench's li7-li6-attractive
     stratum): Z at the 4 piece ends and in 2 Brent calls, not at 400
@@ -840,13 +854,44 @@ def test_attractive_window_takes_few_z_evaluations(monkeypatch):
     cfg = make_cfg(g_bb=-0.03, g_ff=-10.0, g_bf=0.025, m_f_u=6.0,
                    mode=CompatMode.DERIVED)
     unit = cfg.temperature_unit
-    calls = []
-    z_of_T = ft._z_of_T
-    monkeypatch.setattr(ft, "_z_of_T",
-                        lambda *args: calls.append(args) or z_of_T(*args))
+    calls = _z_calls(monkeypatch)
     w = ft.critical_window(cfg, (0.5 * unit, 80.0 * unit))
     assert w.exists and w.n_sign_changes == 2
     assert len(calls) <= 20
+
+
+def test_window_over_the_float_range_takes_few_z_evaluations(monkeypatch):
+    """Brent in ln T: a range that spans 300 decades costs a few more Z
+    evaluations than one of two decades, and finds the same edge."""
+    cfg = make_cfg()
+    unit = cfg.temperature_unit
+    calls = _z_calls(monkeypatch)
+    w = ft.critical_window(cfg, (0.5 * unit, 1e300 * unit))
+    assert len(calls) <= 40
+    near = ft.critical_window(cfg, (0.5 * unit, 50.0 * unit))
+    assert (w.n_sign_changes, w.unstable_at_low_edge) == (1, True)
+    assert abs(w.T_c2 - near.T_c2) <= 2e-8 * near.T_c2
+
+
+def test_window_at_a_tolerance_below_a_double_s_resolution():
+    """rtol = 1e-300 refines to a double's own resolution of T: near
+    T = 1 K, where ln T is 0 and Brent's relative term vanishes, each
+    edge still converges, to the edges of rtol = 1e-15."""
+    omega = 39495325598.46112  # rad/s: puts T_c1 at 1.0000000000000009 K
+    cfg = MixtureConfig.from_oscillator(
+        m_b=7.0 * atomic_mass, m_f=6.0 * atomic_mass, omega_b=omega,
+        omega_f=omega, N_b=993.0, N_f=9709.0, g_bb=-0.030440831924570467,
+        g_bf=0.022654404994390327, g_ff=-9.686673610517555,
+        volume=1008.7005122454361, compat_mode=CompatMode.DERIVED)
+    unit = cfg.temperature_unit
+    span = (0.5039713760136918 * unit, 78.03604168529375 * unit)
+    w = ft.critical_window(cfg, span, rtol=1e-300)
+    ref = ft.critical_window(cfg, span, rtol=1e-15)
+    assert w.exists and w[2:] == ref[2:]
+    assert abs(w.T_c1 - 1.0) <= 1e-14
+    # each edge is within a few ulps of ln T of the root
+    for edge, other in ((w.T_c1, ref.T_c1), (w.T_c2, ref.T_c2)):
+        assert abs(edge - other) <= 1e-14 * other
 
 
 def test_z_does_not_decrease_in_a_diagonal_coupling():

@@ -262,18 +262,17 @@ def test_overflowing_density_names_the_coupling(g_bf):
 
 
 def test_overflowing_grid_span_names_both_radii():
-    cfg = make_cfg()
-    mu_b = boson_chemical_potential(cfg)
-    assert thomas_fermi._build_grid(cfg, mu_b, 1.5, 41)[0][-1] < math.inf
+    trap = thomas_fermi._trap(make_cfg())
+    assert thomas_fermi._build_grid(trap, 1.5, 41)[0][-1] < math.inf
     # the radii are micrometres, so only an infinite factor overflows
     with pytest.raises(NumericError, match=r"^cloud radii out of float "
                        r"range: R_b = .* m, R_f = .* m$"):
-        thomas_fermi._build_grid(cfg, mu_b, math.inf, 41)
+        thomas_fermi._build_grid(trap, math.inf, 41)
 
 
 def _fermion_profile_on(cfg, grid):
-    mu_b, n_b = tf_boson_profile(cfg, grid)
-    return tf_fermion_profile(cfg, mu_b, n_b, grid)
+    _, n_b = tf_boson_profile(cfg, grid)
+    return tf_fermion_profile(cfg, n_b, grid)
 
 
 def test_grid_without_a_fermion_node_raises():

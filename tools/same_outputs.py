@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py REV
 
-Runs 250 CLI cases, each in a fresh process, once on the `src/` of
+Runs 270 CLI cases, each in a fresh process, once on the `src/` of
 commit REV (taken with `git archive` into a temporary directory) and
 once on the working tree's `src/`, and compares stdout, stderr and exit
 code byte for byte.  The cases are:
@@ -30,7 +30,11 @@ code byte for byte.  The cases are:
   reads into a value the config rules reject (10);
 * the WITNESSES: one field of WITNESS_BASE set so far out that a value
   the kernels form passes float range, 19 through `zero-t`, 3 through
-  `window` and 2 through `finite-t` (24).
+  `window`, 2 through `finite-t` and 9 through `tf`, and with g_bf =
+  0.3 8 more through `tf` (41);
+* the WINDOWS: `window` on WITNESS_BASE with g_bf = 0.3 over t_range
+  [0.5, 1e100] and [0.5, 1e300], and on a g_bf = 0 mixture whose two
+  edges lie next to the cuts of its attractive g_bb and g_ff (3).
 
 Every run that differs is listed.  Where its stdout is a CSV table on
 both sides, with the same header and row count, each column whose cells
@@ -174,7 +178,8 @@ MALFORMED = {
 # an oscillator-unit config, and (command, section, key, value): each
 # sets one field of it to a value every field rule accepts, where the SI
 # zero-T slopes, the oscillator units or a thermal wavelength leave float
-# range; each once exited 2 on a bare ZeroDivisionError or OverflowError
+# range; each once exited 2 on a bare ZeroDivisionError or OverflowError,
+# or on a message that named no field or the wrong one
 WITNESS_BASE = {
     "unit_system": "oscillator", "compat_mode": "paper",
     "boson": {"mass_u": 7.0, "omega": 166.0, "count": 1000},
@@ -194,7 +199,30 @@ WITNESSES = tuple(
     + [("window", "boson", "mass_u", 1e200)]
     + [("window", "boson", "omega", v) for v in (1e-300, 1e200)]
     + [("finite-t", "boson", "omega", 1e-300),
-       ("finite-t", "thermal", "temperature", 1e-300)])
+       ("finite-t", "thermal", "temperature", 1e-300)]
+    + [("tf", "boson", "omega", 1e-200)]
+    + [("tf", "fermion", "omega", v) for v in (1e-200, 1e200, 1e300)]
+    + [("tf", "fermion", "mass_u", v) for v in (1e200, 1e300)]
+    + [("tf", "interaction", "g_bf", v) for v in (-1e10, -1e30, -1e100)])
+# `tf` at g_bf = 0.3, where a crowded condensate or a sparse Fermi gas
+# leaves the fermion cloud between the grid's nodes
+REPULSIVE_WITNESSES = tuple(
+    [("tf", "boson", "count", v) for v in (1e30, 1e100, 1e200)]
+    + [("tf", "fermion", "count", v)
+       for v in (1e-10, 1e-30, 1e-100, 1e-200, 1e-300)])
+
+# the configs of the `window` cases that refine edges over many decades
+# of T, or with g_bf = 0 next to the cuts
+_REPULSIVE = dict(WITNESS_BASE, interaction={"g_bb": 0.05, "g_bf": 0.3,
+                                             "g_ff": 0.01})
+WINDOWS = (
+    dict(_REPULSIVE, thermal={"volume": 1000.0, "t_range": [0.5, 1e100]}),
+    dict(_REPULSIVE, thermal={"volume": 1000.0, "t_range": [0.5, 1e300]}),
+    {"unit_system": "oscillator", "compat_mode": "derived",
+     "boson": {"mass_u": 7.0, "omega": 166.0, "count": 993},
+     "fermion": {"mass_u": 6.0, "omega": 166.0, "count": 9709},
+     "interaction": {"g_bb": -0.03, "g_bf": 0.0, "g_ff": -10.0},
+     "thermal": {"volume": 1008.7005122454361, "t_range": [0.5, 80.0]}})
 
 
 def scan_config(unit_system, changes, observable, variables, t_range):
@@ -260,13 +288,21 @@ def cases(work):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out.append(["window", "--config", path])
-    for i, (command, section, key, value) in enumerate(WITNESSES):
+    witnesses = ([(case, 0.0) for case in WITNESSES]
+                 + [(case, 0.3) for case in REPULSIVE_WITNESSES])
+    for i, ((command, section, key, value), g_bf) in enumerate(witnesses):
         cfg = json.loads(json.dumps(WITNESS_BASE))
+        cfg["interaction"]["g_bf"] = g_bf
         cfg[section][key] = value
         path = os.path.join(work, f"witness_{i}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
         out.append([command, "--config", path])
+    for i, cfg in enumerate(WINDOWS):
+        path = os.path.join(work, f"window_{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out.append(["window", "--config", path])
     return out
 
 
