@@ -11,7 +11,7 @@ import sys
 
 from . import finite_temperature, scan_engine, thomas_fermi  # noqa: F401
 from . import zero_temperature  # noqa: F401
-from .commands import _DISPATCH, main, write_csv  # noqa: F401
+from .commands import _COMMANDS, main, write_csv  # noqa: F401
 
 __all__ = ["main", "write_csv"]
 

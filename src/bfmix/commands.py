@@ -10,11 +10,11 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure (a
 NumericError, or a float overflow or division by zero), 3 I/O error
 (silent when the reader of stdout has gone), 4 internal error (an
 unexpected exception, reported on one line as its type and message).
-Diagnostics go to stderr; data only to --out or stdout.
+Diagnostics go to stderr; data only to stdout or --out, which open(path,
+"w") replaces: a write that fails partway leaves only the bytes written.
 """
 
 import os
-import stat
 import sys
 from collections import namedtuple
 
@@ -70,31 +70,13 @@ def _emit(table, out_path):
     if out_path is None:
         write_csv(table, sys.stdout)
         return
-    # written in place, then a regular file is cut to the written length:
-    # truncating to zero first (open's "w") makes the close wait for the
-    # old blocks' writeback on ext4 (auto_da_alloc), 40-70 ms for a
-    # 300 kB table.  A device or a FIFO is written as before.
-    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", newline="") as fh:
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
         write_csv(table, fh)
-        fh.flush()
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
-
-_COMMANDS = {
-    "zero-t": "variational widths, stability product, phase label",
-    "tf": "semiclassical density profiles and regime",
-    "finite-t": "fugacities and the stability determinant at T",
-    "window": "unstable temperature window over thermal.t_range",
-    "scan": "run the config's scan section",
-    **{tag: f"figure preset {tag} (embedded config)" for tag in PRESET_TAGS},
-}
-
 
 def _count(text):
     """text as a non-negative int; a ValueError, which _parse reports
@@ -133,7 +115,7 @@ def _help():
         "", "Stability analysis of trapped boson-fermion mixtures.",
         "", "options:", *(f"  {row:<26}{text}" for row, text in rows),
         "", "subcommands:",
-        *(f"  {name:<10}{text}" for name, text in _COMMANDS.items())])
+        *(f"  {name:<10}{text}" for name, (text, _) in _COMMANDS.items())])
 
 
 def _is_option(arg):
@@ -305,12 +287,18 @@ def _run_preset(args):
     return run_scan(spec)
 
 
-_DISPATCH = {
-    "zero-t": _run_zero_t,
-    "tf": _run_tf,
-    "finite-t": _run_finite_t,
-    "window": _run_window,
-    "scan": _run_scan,
+# name -> (help line, handler)
+_COMMANDS = {
+    "zero-t": ("variational widths, stability product, phase label",
+               _run_zero_t),
+    "tf": ("semiclassical density profiles and regime", _run_tf),
+    "finite-t": ("fugacities and the stability determinant at T",
+                 _run_finite_t),
+    "window": ("unstable temperature window over thermal.t_range",
+               _run_window),
+    "scan": ("run the config's scan section", _run_scan),
+    **{tag: (f"figure preset {tag} (embedded config)", _run_preset)
+       for tag in PRESET_TAGS},
 }
 
 
@@ -321,7 +309,7 @@ def main(argv=None):
             if args.tol is not None and not 0.0 < args.tol < 1.0:
                 raise ConfigError(
                     f"--tol must be in (0, 1), got {args.tol}")
-            handler = _DISPATCH.get(args.subcommand, _run_preset)
+            _, handler = _COMMANDS[args.subcommand]
             _emit(handler(args), args.out)
         sys.stdout.flush()
     except (ConfigError, DomainError) as exc:
@@ -337,9 +325,8 @@ def main(argv=None):
         # the reader stopped reading: exit quietly, and point stdout at
         # the null device so the interpreter's final flush of what is
         # still buffered cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -24,8 +24,11 @@ _GRID_POINTS = 2000
 # each grid segment below R_b spans at least this many panels: Simpson
 # N_b to ~6e-8, and a cloud far inside the condensate stays resolved
 _MIN_PANELS = 64
-_SQUEEZE = ("check interaction.g_bf, boson.count and fermion.count, which "
-            "can squeeze the fermion cloud between the grid's nodes")
+# the inputs that squeeze the fermion cloud and, with interaction.g_bb,
+# set its e_F bound
+_CLOUD = "interaction.g_bf, boson.count and fermion.count"
+_SQUEEZE = (f"check {_CLOUD}, which can squeeze the fermion cloud between "
+            "the grid's nodes")
 
 
 class TFRegime(enum.Enum):
@@ -177,8 +180,9 @@ def _fermions(cfg, trap, n_b, grid):
         if not (math.isfinite(n) and math.isfinite(slope)):
             raise NumericError(
                 f"the Thomas-Fermi fermion density overflows at e_F = "
-                f"{e_F:g} J: interaction.g_bf = {cfg.g_bf:g} J m^3 is out "
-                f"of float range")
+                f"{e_F:g} J, interaction.g_bf = {cfg.g_bf:g} J m^3: check "
+                f"interaction.g_bb, {_CLOUD}, which set the e_F bound and "
+                f"the shift g_bf n_b")
         if slope == 0.0:
             raise NumericError(f"no node of the Thomas-Fermi grid holds "
                                f"fermions at e_F = {e_F:g} J: {_SQUEEZE}")

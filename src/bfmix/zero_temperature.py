@@ -321,11 +321,11 @@ def fermion_energy_gradients(Omega, r_f, omega_c, cfg):
             * (1.0 - 2.0 * damped * g * g * math.sqrt(g)))
 
 
-def _bracketed_h(omega_c, cfg):
-    """bracket(g_bf) -> (h, lo, hi) on the trap of cfg, whose numbers are
-    computed here once: h(v) = v^2 de_f/dv at r = 0, and [lo, hi] holding
-    its every root, with h < 0 at lo and > 0 at hi in exact arithmetic;
-    for g_bf = 0 the bracket is the point v_0 = sqrt(b / a).
+def _bracketed_h(trap):
+    """bracket(g_bf) -> (h, lo, hi, c) on trap, a _fermion_trap record:
+    h(v) = v^2 de_f/dv at r = 0, [lo, hi] holding its every root, with h
+    < 0 at lo and > 0 at hi in exact arithmetic, and c of _coupling; for
+    g_bf = 0 the bracket is the point v_0 = sqrt(b / a).
 
     h(v) = a v^2 - b + (3/2) c g^(5/2), as dg/dv = (1 + rho v)^-2, and
     g^(5/2) rises from 0 to rho^(-5/2).  c > 0: h rises, so the root is
@@ -334,7 +334,6 @@ def _bracketed_h(omega_c, cfg):
     below v_0, and h > 0 from v_0 sqrt(1 - 2 c rho^(-5/2)) (the hi of
     _coupling) on, as g < 1 / rho.
     """
-    trap = _fermion_trap(omega_c, cfg)
     a, rho, v0 = trap.a, trap.rho, trap.v0
     low = v0 / math.sqrt(2.0)
 
@@ -346,7 +345,7 @@ def _bracketed_h(omega_c, cfg):
             # c g first: no partial product passes |c| or |c| rho^(-5/2)
             return a * v * v - 0.75 + c * g * g * math.sqrt(g) * 1.5
 
-        return h, min(low, (0.25 / c) ** 0.4) if c > 0.0 else v0, hi
+        return h, min(low, (0.25 / c) ** 0.4) if c > 0.0 else v0, hi, c
     return bracket
 
 
@@ -375,13 +374,12 @@ def _Omega_c_solver(omega_c, cfg):
     computed here once.  h' = 2 a v (1 - t (1 - t^2)^3 / K), t^2 = x / (1
     + x), x = rho v, K = 8 a sqrt(rho) / (15 |c|), for c < 0, and h' > 0
     for c >= 0."""
-    bracket = _bracketed_h(omega_c, cfg)
     trap = _fermion_trap(omega_c, cfg)
+    bracket = _bracketed_h(trap)
     a, rho = trap.a, trap.rho
 
     def solve(g_bf):
-        h, lo, hi = bracket(g_bf)
-        c, _ = _coupling(trap, g_bf)
+        h, lo, hi, c = bracket(g_bf)
 
         def energy(v):
             g = v / (1.0 + rho * v)

@@ -10,6 +10,8 @@ import json
 import math
 import os
 import re
+import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -106,7 +108,8 @@ def test_unexpected_exception_exits_4_on_one_line(tmp_path, capsys,
     def broken(args):
         raise RuntimeError("handler broke\nacross two lines")
 
-    monkeypatch.setitem(cli._DISPATCH, "window", broken)
+    monkeypatch.setitem(cli._COMMANDS, "window",
+                        (cli._COMMANDS["window"][0], broken))
     path = write_config(tmp_path, base_config())
     assert cli.main(["window", "--config", path]) == 4
     captured = capsys.readouterr()
@@ -399,6 +402,28 @@ def test_out_over_a_longer_file_equals_a_fresh_write(tmp_path):
     assert old.read_bytes() == fresh.read_bytes()
 
 
+def test_failed_out_write_leaves_no_old_bytes(tmp_path):
+    # a write cut short by the file size limit, in a fresh process: the
+    # file holds at most the bytes written, none of the old file's tail
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"OLD,ROW,DATA\n" * 100_000)
+    limit = 300_000
+
+    def limited():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "bfmix", "fig5", "--out", str(out)],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=limited)
+    assert result.returncode == 3
+    assert result.stderr == "i/o error: [Errno 27] File too large\n"
+    written = out.read_bytes()
+    assert len(written) <= limit
+    assert not written.endswith(b"OLD,ROW,DATA\n")
+
+
 def test_out_to_a_device_or_a_fifo(tmp_path):
     assert cli.main(["fig1", "--out", os.devnull]) == 0
     fifo = tmp_path / "fifo"
@@ -573,7 +598,8 @@ def test_workers_env_is_ignored(tmp_path, monkeypatch, capsys):
 def test_numeric_error_maps_to_exit_2(monkeypatch, capsys):
     def boom(args):
         raise NumericError("bisection failed in [1, 2]")
-    monkeypatch.setitem(cli._DISPATCH, "zero-t", boom)
+    monkeypatch.setitem(cli._COMMANDS, "zero-t",
+                        (cli._COMMANDS["zero-t"][0], boom))
     assert cli.main(["zero-t", "--config", "ignored"]) == 2
     assert "bisection failed" in capsys.readouterr().err
 
@@ -1064,6 +1090,21 @@ def test_fresh_process_tf_overflow_names_the_density_and_field(tmp_path):
     assert line.startswith("numeric error: the Thomas-Fermi fermion "
                            "density overflows")
     assert "interaction.g_bf" in line
+
+
+def test_tf_overflow_from_a_crowded_condensate_names_the_boson_count(
+        tmp_path, capsys):
+    # an ordinary coupling, but N_b = 1e300 raises the e_F bound until the
+    # fermion density overflows: the message names the count too
+    cfg = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3, "g_ff": 0.01})
+    cfg["boson"]["count"] = 1e300
+    assert cli.main(["tf", "--config", write_config(tmp_path, cfg)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith("numeric error: the Thomas-Fermi fermion "
+                           "density overflows")
+    for field in ("boson.count", "fermion.count", "interaction.g_bb",
+                  "interaction.g_bf"):
+        assert field in line
 
 
 # ---------------------------------------------------------------------------

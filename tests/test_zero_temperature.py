@@ -585,6 +585,12 @@ def _fermion_cases():
     return cases
 
 
+def _bracket(omega_c, cfg):
+    """The ends (lo, hi) of _bracketed_h's bracket at cfg.g_bf, in units
+    of omega_f."""
+    return zt._bracketed_h(zt._fermion_trap(omega_c, cfg))(cfg.g_bf)[1:3]
+
+
 def test_Omega_bracket_holds_every_root():
     cases = _fermion_cases()
     assert len(cases) == 1000 + 160
@@ -596,7 +602,7 @@ def test_Omega_bracket_holds_every_root():
         if cfg.g_bf == 0.0:
             assert Omega_c == Omega_0
             continue
-        _, lo, hi = zt._bracketed_h(omega_c, cfg)(cfg.g_bf)
+        lo, hi = _bracket(omega_c, cfg)
         lo, hi = lo * cfg.omega_f, hi * cfg.omega_f
         assert (lo if cfg.g_bf < 0.0 else hi) == Omega_0
         assert lo <= Omega_c <= hi, (cfg.g_bf, cfg.N_b, cfg.N_f)
@@ -620,12 +626,12 @@ def test_repulsive_Omega_c_takes_one_brent_call(monkeypatch):
     evals, brent = [], []
     bracketed = zt._bracketed_h
 
-    def counted_h(omega_c, cfg):
-        bracket = bracketed(omega_c, cfg)
+    def counted_h(trap):
+        bracket = bracketed(trap)
 
         def counted(g_bf):
-            h, lo, hi = bracket(g_bf)
-            return lambda w: evals.append(w) or h(w), lo, hi
+            h, lo, hi, c = bracket(g_bf)
+            return lambda w: evals.append(w) or h(w), lo, hi, c
         return counted
 
     def recording(f, a, b, xtol, maxiter, fa=None, fb=None):
@@ -648,10 +654,33 @@ def test_repulsive_Omega_c_takes_one_brent_call(monkeypatch):
                 evals.clear()
                 brent.clear()
                 assert solve_Omega_c(omega_c, cfg) == expected
-            _, lo, hi = zt._bracketed_h(omega_c, cfg)(cfg.g_bf)
+            lo, hi = _bracket(omega_c, cfg)
             # the two ends, then Brent over [lo, hi], then nothing more
             assert evals[:2] == [lo, hi]
             assert brent == [(lo, hi, 2), len(evals)]
+
+
+def test_Omega_c_solver_forms_its_trap_once_and_each_coupling_once(
+        monkeypatch):
+    # a scan's solver builds the trap numbers once, and converts each
+    # coupling once per point
+    calls = []
+
+    def counting(name):
+        real = getattr(zt, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("_fermion_trap", "_coupling"):
+        monkeypatch.setattr(zt, name, counting(name))
+    cfg = figure_preset("fig2").base
+    solve = zt._Omega_c_solver(solve_omega_c(cfg).omega_c, cfg)
+    for g_bf in (-0.2, 0.0, 0.05, 0.2):
+        solve(cfg.field_to_si("interaction.g_bf", g_bf))
+    assert calls == ["_fermion_trap"] + ["_coupling"] * 4
 
 
 @pytest.mark.parametrize("g_bf", [1e-30, -1e-30])
@@ -740,7 +769,7 @@ def _mp_roots(omega_c, cfg):
     the bracket of _bracketed_h."""
     pytest.importorskip("mpmath")
     _, A, kappa = zt._mode_factors(cfg)
-    _, lo, hi = zt._bracketed_h(omega_c, cfg)(cfg.g_bf)
+    lo, hi = _bracket(omega_c, cfg)
     return fermion_width_roots_mp(cfg.m_b, cfg.m_f, omega_c, cfg.omega_f,
                                   cfg.N_b, cfg.N_f, cfg.g_bf, A, kappa, hbar,
                                   lo * cfg.omega_f, hi * cfg.omega_f)

@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py REV
 
-Runs 270 CLI cases, each in a fresh process, once on the `src/` of
+Runs 273 CLI cases, each in a fresh process, once on the `src/` of
 commit REV (taken with `git archive` into a temporary directory) and
 once on the working tree's `src/`, and compares stdout, stderr and exit
 code byte for byte.  The cases are:
@@ -31,10 +31,12 @@ code byte for byte.  The cases are:
 * the WITNESSES: one field of WITNESS_BASE set so far out that a value
   the kernels form passes float range, 19 through `zero-t`, 3 through
   `window`, 2 through `finite-t` and 9 through `tf`, and with g_bf =
-  0.3 8 more through `tf` (41);
+  0.3 9 more through `tf` (42);
 * the WINDOWS: `window` on WITNESS_BASE with g_bf = 0.3 over t_range
-  [0.5, 1e100] and [0.5, 1e300], and on a g_bf = 0 mixture whose two
-  edges lie next to the cuts of its attractive g_bb and g_ff (3).
+  [0.5, 1e100] and [0.5, 1e300], on a g_bf = 0 mixture whose two edges
+  lie next to the cuts of its attractive g_bb and g_ff, and with g_bb =
+  0 and g_bf = 0.3 over [0.5, 50] and [0.5, 1e300], where the ideal
+  condensate's T_c is cut (5).
 
 Every run that differs is listed.  Where its stdout is a CSV table on
 both sides, with the same header and row count, each column whose cells
@@ -205,14 +207,16 @@ WITNESSES = tuple(
     + [("tf", "fermion", "mass_u", v) for v in (1e200, 1e300)]
     + [("tf", "interaction", "g_bf", v) for v in (-1e10, -1e30, -1e100)])
 # `tf` at g_bf = 0.3, where a crowded condensate or a sparse Fermi gas
-# leaves the fermion cloud between the grid's nodes
+# leaves the fermion cloud between the grid's nodes, and where N_b =
+# 1e300 raises the e_F bound until the fermion density overflows
 REPULSIVE_WITNESSES = tuple(
-    [("tf", "boson", "count", v) for v in (1e30, 1e100, 1e200)]
+    [("tf", "boson", "count", v) for v in (1e30, 1e100, 1e200, 1e300)]
     + [("tf", "fermion", "count", v)
        for v in (1e-10, 1e-30, 1e-100, 1e-200, 1e-300)])
 
 # the configs of the `window` cases that refine edges over many decades
-# of T, or with g_bf = 0 next to the cuts
+# of T, with g_bf = 0 next to the cuts, or with g_bb = 0 across the
+# ideal condensate's T_c
 _REPULSIVE = dict(WITNESS_BASE, interaction={"g_bb": 0.05, "g_bf": 0.3,
                                              "g_ff": 0.01})
 WINDOWS = (
@@ -222,7 +226,11 @@ WINDOWS = (
      "boson": {"mass_u": 7.0, "omega": 166.0, "count": 993},
      "fermion": {"mass_u": 6.0, "omega": 166.0, "count": 9709},
      "interaction": {"g_bb": -0.03, "g_bf": 0.0, "g_ff": -10.0},
-     "thermal": {"volume": 1008.7005122454361, "t_range": [0.5, 80.0]}})
+     "thermal": {"volume": 1008.7005122454361, "t_range": [0.5, 80.0]}},
+    *(dict(WITNESS_BASE, interaction={"g_bb": 0.0, "g_bf": 0.3,
+                                      "g_ff": 0.01},
+           thermal={"volume": 1000.0, "t_range": [0.5, T]})
+      for T in (50.0, 1e300)))
 
 
 def scan_config(unit_system, changes, observable, variables, t_range):
