@@ -277,14 +277,12 @@ def _run_scan(args):
 
 def _run_preset(args):
     from .scan_engine import figure_preset, run_scan
-    spec = figure_preset(args.subcommand)
     if args.config is not None:
         raise ConfigError(
             f"preset '{args.subcommand}' embeds its configuration; "
             "--config is not accepted")
-    if args.mode is not None:
-        spec = spec._replace(base=spec.base.replace(compat_mode=args.mode))
-    return run_scan(spec)
+    return run_scan(figure_preset(args.subcommand,
+                                  args.mode or CompatMode.PAPER))
 
 
 # name -> (help line, handler)

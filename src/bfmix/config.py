@@ -60,7 +60,8 @@ _RULES = (6 * ("strictly positive",) + 3 * ("a finite real",)
 
 def _checked(name, value, rule):
     """value as stored in the field name of rule: a number as a builtin
-    float, an unset volume or temperature as None."""
+    float, an unset volume or temperature as None.  A value the rule
+    rejects is a ConfigError naming the field both ways."""
     if rule is None:
         return value
     number = value if type(value) is float else _as_float(value)
@@ -68,7 +69,9 @@ def _checked(name, value, rule):
         return None
     if not (math.isfinite(number)
             and (number > 0 or rule == "a finite real")):
-        raise ConfigError(f"{name} must be {rule}, got {_shown(value)}")
+        path = next(p for p, attr in _FIELD_PATHS.items() if attr == name)
+        raise ConfigError(f"{name} must be {rule}, got {_shown(value)} "
+                          f"(config field '{path}')")
     return number
 
 

@@ -404,16 +404,16 @@ _MASS_NOTE = "m_b = m_f = 7 u"
 _FREQ_NOTE = "frequencies read as angular rad/s"
 
 
-def _preset_base(N_b, N_f, g_bb, g_bf, g_ff, volume=None, temperature=None):
+def _preset_base(mode, N_b, N_f, g_bb, g_bf, g_ff, volume=None):
     return MixtureConfig.from_oscillator(
         m_b=_SEVEN_U, m_f=_SEVEN_U, omega_b=_OMEGA, omega_f=_OMEGA,
         N_b=N_b, N_f=N_f, g_bb=g_bb, g_bf=g_bf, g_ff=g_ff,
-        volume=volume, temperature=temperature,
-        compat_mode=CompatMode.PAPER)
+        volume=volume, compat_mode=mode)
 
 
-def _fig1():
-    base = _preset_base(N_b=1000.0, N_f=100.0, g_bb=0.0, g_bf=0.0, g_ff=0.0)
+def _fig1(mode):
+    base = _preset_base(mode, N_b=1000.0, N_f=100.0, g_bb=0.0, g_bf=0.0,
+                        g_ff=0.0)
     return ScanSpec(
         base=base,
         variables=(ScanRange("interaction.g_bb", 0.0, 0.12, 200),),
@@ -425,8 +425,8 @@ def _fig1():
                       "N_f = 100 (inert for omega_c)"))
 
 
-def _fig2():
-    base = _preset_base(N_b=1000.0, N_f=100.0, g_bb=0.05, g_bf=0.0,
+def _fig2(mode):
+    base = _preset_base(mode, N_b=1000.0, N_f=100.0, g_bb=0.05, g_bf=0.0,
                         g_ff=0.0)
     return ScanSpec(
         base=base,
@@ -441,8 +441,9 @@ def _fig2():
                       "g_bf grid [-0.2, 0.2] x 200"))
 
 
-def _fig3(tag, N_b):
-    base = _preset_base(N_b=N_b, N_f=100.0, g_bb=0.05, g_bf=0.0, g_ff=0.0)
+def _fig3(tag, N_b, mode):
+    base = _preset_base(mode, N_b=N_b, N_f=100.0, g_bb=0.05, g_bf=0.0,
+                        g_ff=0.0)
     return ScanSpec(
         base=base,
         variables=(ScanRange("interaction.g_bf", -0.05, 0.05, 200),),
@@ -455,8 +456,8 @@ def _fig3(tag, N_b):
                       "sign(Y) emitted alongside Y"))
 
 
-def _fig4():
-    base = _preset_base(N_b=1000.0, N_f=10000.0, g_bb=0.05, g_bf=0.0,
+def _fig4(mode):
+    base = _preset_base(mode, N_b=1000.0, N_f=10000.0, g_bb=0.05, g_bf=0.0,
                         g_ff=0.01, volume=1000.0)
     return ScanSpec(
         base=base,
@@ -472,8 +473,8 @@ def _fig4():
                       "T grid [0.5, 50] hbar omega_f/k_B, 200 log points"))
 
 
-def _fig5():
-    base = _preset_base(N_b=1000.0, N_f=10000.0, g_bb=0.0, g_bf=0.2,
+def _fig5(mode):
+    base = _preset_base(mode, N_b=1000.0, N_f=10000.0, g_bb=0.0, g_bf=0.2,
                         g_ff=0.0, volume=1000.0)
     T = 0.1 * fermi_temperature(base)
     base = base.with_field("thermal.temperature", T)
@@ -490,24 +491,26 @@ def _fig5():
                       "(g_bb, g_ff) grid [0, 0.1]^2 x 100x100"))
 
 
-# the maker of each figure; config.PRESET_TAGS lists these keys, sorted
+# the maker of each figure, given the compat mode to build it in;
+# config.PRESET_TAGS lists these keys, sorted
 _PRESETS = {
     "fig1": _fig1,
     "fig2": _fig2,
-    "fig3a": lambda: _fig3("fig3a", 1000.0),
-    "fig3b": lambda: _fig3("fig3b", 10000.0),
+    "fig3a": lambda mode: _fig3("fig3a", 1000.0, mode),
+    "fig3b": lambda mode: _fig3("fig3b", 10000.0, mode),
     "fig4": _fig4,
     "fig5": _fig5,
 }
 
 
-def figure_preset(tag):
-    """The fully populated ScanSpec behind one figure."""
+def figure_preset(tag, mode=CompatMode.PAPER):
+    """The fully populated ScanSpec behind one figure, built in mode:
+    fig5's T = 0.1 T_F takes that mode's T_F."""
     maker = _PRESETS.get(tag)
     if maker is None:
         raise ConfigError(
             f"unknown preset '{tag}'; expected one of {PRESET_TAGS}")
-    return maker()
+    return maker(mode)
 
 
 def scan_spec_from_dict(base, mapping):

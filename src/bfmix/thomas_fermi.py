@@ -72,17 +72,13 @@ def _simpson_weights(x):
     return w
 
 
-def _require_repulsive_bosons(cfg):
+def boson_chemical_potential(cfg):
+    """mu_b = (hbar omega_b / 2) (15 N_b a_bb / a)^(2/5), the inverted
+    parabola's normalization in closed form."""
     if cfg.g_bb <= 0.0:
         raise DomainError(
             "interaction.g_bb must be > 0: the semiclassical condensate "
             "profile exists only for a repulsive Bose gas")
-
-
-def boson_chemical_potential(cfg):
-    """mu_b = (hbar omega_b / 2) (15 N_b a_bb / a)^(2/5), the inverted
-    parabola's normalization in closed form."""
-    _require_repulsive_bosons(cfg)
     a_bb = cfg.m_b * cfg.g_bb / (4.0 * pi * hbar ** 2)
     return 0.5 * hbar * cfg.omega_b \
         * (15.0 * cfg.N_b * a_bb / cfg.osc_length) ** 0.4
@@ -123,13 +119,8 @@ def _radii(trap):
 def tf_boson_profile(cfg, grid):
     """Condensate density on the given radial grid; returns (mu_b, n_b)."""
     trap = _trap(cfg)
-    return trap.mu_b, _condensate(cfg, trap, grid)
-
-
-def _condensate(cfg, trap, grid):
-    """The condensate density of tf_boson_profile at the numbers of trap."""
-    return [max(0.0, (trap.mu_b - trap.k_b * (r * r)) / cfg.g_bb)
-            for r in grid]
+    return trap.mu_b, [max(0.0, (trap.mu_b - trap.k_b * (r * r)) / cfg.g_bb)
+                       for r in grid]
 
 
 def _fermi_energy_bound(cfg, mu_b):
@@ -158,11 +149,7 @@ def tf_fermion_profile(cfg, n_b, grid):
     step from below lands above the root, and from above none passes it.
     A density beyond float range, no node below e_F, or a count off N_f
     by over 1e-12 N_f is a NumericError, never the answer."""
-    return _fermions(cfg, _trap(cfg), n_b, grid)
-
-
-def _fermions(cfg, trap, n_b, grid):
-    """tf_fermion_profile at the numbers of trap."""
+    trap = _trap(cfg)
     V_eff = [trap.k_f * (r * r) + cfg.g_bf * nb for r, nb in zip(grid, n_b)]
     pref = trap.pref
     weights = [4.0 * pi * (r * r) * w
@@ -209,10 +196,11 @@ def _fermions(cfg, trap, n_b, grid):
 
 def classify_tf_regime(cfg):
     """Sign of g_bf/g_bb - m_f omega_f^2 / (m_b omega_b^2) decides the
-    fermion arrangement inside the condensate."""
-    _require_repulsive_bosons(cfg)
+    fermion arrangement inside the condensate; the trap ratio is k_f /
+    k_b of _trap, whose factors 1/2 cancel exactly."""
+    trap = _trap(cfg)
     coupling_ratio = cfg.g_bf / cfg.g_bb
-    trap_ratio = cfg.m_f * cfg.omega_f ** 2 / (cfg.m_b * cfg.omega_b ** 2)
+    trap_ratio = trap.k_f / trap.k_b
     if abs(coupling_ratio - trap_ratio) \
             <= 1e-12 * max(abs(coupling_ratio), trap_ratio):
         return TFRegime.FLAT
@@ -248,9 +236,8 @@ def tf_profiles(cfg):
     """Both density profiles on one grid that holds the whole cloud,
     e_F from Newton steps on the grid's Simpson count, plus the regime
     label."""
-    trap = _trap(cfg)
-    grid, R_b = _build_grid(trap, 1.5, _GRID_POINTS)
-    n_b = _condensate(cfg, trap, grid)
-    e_F, n_f = _fermions(cfg, trap, n_b, grid)
-    return TFProfiles(radii=grid, n_b=n_b, n_f=n_f, mu_b=trap.mu_b, e_F=e_F,
+    grid, R_b = _build_grid(_trap(cfg), 1.5, _GRID_POINTS)
+    mu_b, n_b = tf_boson_profile(cfg, grid)
+    e_F, n_f = tf_fermion_profile(cfg, n_b, grid)
+    return TFProfiles(radii=grid, n_b=n_b, n_f=n_f, mu_b=mu_b, e_F=e_F,
                       R_b=R_b, regime=classify_tf_regime(cfg))

@@ -20,9 +20,10 @@ import pytest
 
 import bfmix
 from bfmix import cli, commands, thomas_fermi, zero_temperature
-from bfmix.config import load_config
+from bfmix.config import CompatMode, load_config
 from bfmix.constants import atomic_mass, hbar
 from bfmix.errors import NumericError
+from bfmix.finite_temperature import fermi_temperature
 from bfmix.scan_engine import PRESET_TAGS, ScanTable, figure_preset, run_scan
 
 
@@ -571,6 +572,33 @@ def test_preset_mode_override(tmp_path, capsys):
     assert "# mode: derived" in derived.read_text().splitlines()
     assert y_column(derived) != y_column(paper)
     assert derived.read_bytes() == again.read_bytes()
+
+
+def test_fig5_in_derived_mode_takes_its_own_fermi_temperature(tmp_path):
+    # fig5 fixes T = 0.1 T_F, and derived mode's T_F is not paper mode's
+    out = tmp_path / "fig5.csv"
+    assert cli.main(["fig5", "--mode", "derived", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "# mode: derived" in lines
+    echo = next(line for line in lines if "temperature=" in line)
+    T = float(echo.split("temperature=")[1].split()[0])
+    base = figure_preset("fig5").base.replace(compat_mode=CompatMode.DERIVED)
+    assert T == 0.1 * fermi_temperature(base)
+
+
+@pytest.mark.parametrize("section, key, value, rule", [
+    ("boson", "count", -5, "N_b must be strictly positive"),
+    ("thermal", "volume", -3, "volume must be positive and finite")])
+def test_field_rule_message_names_the_config_field(tmp_path, capsys, section,
+                                                   key, value, rule):
+    cfg = base_config()
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)
+    for command in ("zero-t", "finite-t"):
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {rule}, got {float(value)!r} "
+                       f"(config field '{section}.{key}')\n")
 
 
 def test_tol_validation(tmp_path, capsys):

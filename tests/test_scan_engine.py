@@ -470,6 +470,16 @@ def test_phase_and_regime_observables():
     assert all(row[-1] == "OK" for row in table_r.rows)
 
 
+def test_regime_scan_over_an_extreme_boson_trap_fails_on_its_config():
+    # the oscillator length leaves float range at both ends: those rows
+    # fail on the ConfigError of tf, not on a bare float error
+    spec = ScanSpec(base=osc_cfg(), observable="regime",
+                    variables=(ScanRange("boson.omega",
+                                         values=(1e-300, 166.0, 1e300)),))
+    statuses = [row[-1] for row in run_scan(spec).rows]
+    assert statuses == ["ERROR:ConfigError", "OK", "ERROR:ConfigError"]
+
+
 # ---------------------------------------------------------------------------
 # Z over a coupling plane
 # ---------------------------------------------------------------------------

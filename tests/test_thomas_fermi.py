@@ -10,7 +10,7 @@ import pytest
 from bfmix import brent, thomas_fermi
 from bfmix.config import MixtureConfig
 from bfmix.constants import hbar, atomic_mass, pi
-from bfmix.errors import DomainError, NumericError
+from bfmix.errors import ConfigError, DomainError, NumericError
 from bfmix.thomas_fermi import (
     TFRegime, tf_boson_profile, tf_fermion_profile, classify_tf_regime,
     tf_profiles, boson_chemical_potential, condensate_radius,
@@ -151,6 +151,24 @@ def test_regime_boundary_is_the_trap_ratio():
         "interaction.g_bf", cfg.g_bb)) is TFRegime.FLAT
     assert classify_tf_regime(cfg.with_field(
         "interaction.g_bf", cfg.g_bb * (1.0 + 1e-9))) is TFRegime.SHELL
+
+
+@pytest.mark.parametrize("field, value", [
+    ("boson.omega", 1e-300), ("boson.omega", 1e300),
+    ("fermion.omega", 1e-300), ("fermion.omega", 1e300),
+    ("fermion.mass", 1e-300)])
+def test_regime_fails_where_the_trap_record_fails(field, value):
+    # the regime reads k_f / k_b of _trap, so a trap beyond float range
+    # fails it with the error tf_profiles gives, naming the trap's
+    # fields, never a bare division by zero or overflow or a label
+    cfg = make_cfg().with_field(field, value)
+    errors = []
+    for analysis in (classify_tf_regime, tf_profiles):
+        with pytest.raises((ConfigError, NumericError),
+                           match=r"boson\.mass.*boson\.omega") as caught:
+            analysis(cfg)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
 
 
 def test_peak_location_never_moves_inward():

@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py REV
 
-Runs 273 CLI cases, each in a fresh process, once on the `src/` of
+Runs 278 CLI cases, each in a fresh process, once on the `src/` of
 commit REV (taken with `git archive` into a temporary directory) and
 once on the working tree's `src/`, and compares stdout, stderr and exit
 code byte for byte.  The cases are:
@@ -18,11 +18,12 @@ code byte for byte.  The cases are:
 * `zero-t`, `finite-t`, `window` and `tf` on 8 mixtures given by s-wave
   scattering lengths: two mixtures, one per compat mode, each written in
   both unit systems, with and without a_ff (32);
-* `scan` on the 16 scan sections of SCANS: each of the nine observables,
+* `scan` on the 17 scan sections of SCANS: each of the nine observables,
   zero-T scans over (N_b, g_bf) in both unit systems, a `Y` and a
-  `phase` scan whose g_bb < 0 groups fail, `Z` over (g_bf, T) with g_bb
-  and g_ff not swept, a coupling beyond float range in SI, and the
-  window edges over scan.t_range (16);
+  `phase` scan whose g_bb < 0 groups fail, a `regime` scan over
+  boson.omega whose ends put the oscillator length beyond float range,
+  `Z` over (g_bf, T) with g_bb and g_ff not swept, a coupling beyond
+  float range in SI, and the window edges over scan.t_range (17);
 * the command line's own surface: --help, --version, no arguments, an
   unknown subcommand, --config given to a preset and a missing config
   file (6);
@@ -32,6 +33,8 @@ code byte for byte.  The cases are:
   the kernels form passes float range, 19 through `zero-t`, 3 through
   `window`, 2 through `finite-t` and 9 through `tf`, and with g_bf =
   0.3 9 more through `tf` (42);
+* the REJECTED: `zero-t` and `finite-t` on WITNESS_BASE with one field
+  set to a value its config rule rejects (4);
 * the WINDOWS: `window` on WITNESS_BASE with g_bf = 0.3 over t_range
   [0.5, 1e100] and [0.5, 1e300], on a g_bf = 0 mixture whose two edges
   lie next to the cuts of its attractive g_bb and g_ff, and with g_bb =
@@ -134,6 +137,8 @@ SCANS = (
     ("oscillator", {"mode": "derived"}, "phase", [G_BF, G_BB_SIGNS], None),
     ("oscillator", {}, "regime",
      [{"field": "interaction.g_bf", "values": [-0.2, 0.0, 0.2, 2.0]}], None),
+    ("oscillator", {}, "regime",
+     [{"field": "boson.omega", "values": [1e-300, 166.0, 1e300]}], None),
     # Z over (g_bf, T), which evaluates the first axis inside the second,
     # with g_bb and g_ff not swept; then over the coupling plane
     ("oscillator", {}, "Z",
@@ -206,6 +211,12 @@ WITNESSES = tuple(
     + [("tf", "fermion", "omega", v) for v in (1e-200, 1e200, 1e300)]
     + [("tf", "fermion", "mass_u", v) for v in (1e200, 1e300)]
     + [("tf", "interaction", "g_bf", v) for v in (-1e10, -1e30, -1e100)])
+# a field set to a value its config rule rejects, which the message
+# names by its config field
+REJECTED = tuple((command, section, key, value)
+                 for section, key, value in (("boson", "count", -5),
+                                             ("thermal", "volume", -3))
+                 for command in ("zero-t", "finite-t"))
 # `tf` at g_bf = 0.3, where a crowded condensate or a sparse Fermi gas
 # leaves the fermion cloud between the grid's nodes, and where N_b =
 # 1e300 raises the e_F bound until the fermion density overflows
@@ -296,7 +307,7 @@ def cases(work):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out.append(["window", "--config", path])
-    witnesses = ([(case, 0.0) for case in WITNESSES]
+    witnesses = ([(case, 0.0) for case in WITNESSES + REJECTED]
                  + [(case, 0.3) for case in REPULSIVE_WITNESSES])
     for i, ((command, section, key, value), g_bf) in enumerate(witnesses):
         cfg = json.loads(json.dumps(WITNESS_BASE))
