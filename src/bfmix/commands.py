@@ -201,10 +201,10 @@ def _analysis_table(cfg, command, columns, rows, extra_lines=()):
 # ---------------------------------------------------------------------------
 
 def _run_zero_t(args):
-    from .zero_temperature import classify_zero_T, solve_omega_c
+    from .zero_temperature import _zero_T_classifier
     cfg, _ = _load(args)
-    boson = solve_omega_c(cfg)
-    fermion = classify_zero_T(cfg)
+    boson, classify = _zero_T_classifier(cfg)
+    fermion = classify(cfg.g_bf)
     columns = ("omega_c", "is_local_minimum", "N_b_critical", "Omega_c",
                "Y", "r_fc", "phase", "status")
     row = (boson.omega_c, boson.is_local_minimum, boson.N_b_critical,

@@ -376,8 +376,14 @@ def _species(mapping, section):
     if has_u == has_kg:
         raise ConfigError(
             f"exactly one of '{section}.mass_u' or '{section}.mass_kg' required")
-    mass = (_number(mapping, "mass_u", section) * atomic_mass if has_u
-            else _number(mapping, "mass_kg", section))
+    key = "mass_u" if has_u else "mass_kg"
+    written = _number(mapping, key, section)
+    mass = written * atomic_mass if has_u else written
+    if not mass > 0.0:  # the rule of m_b and m_f, named by the key written
+        kg = f" u = {mass!r} kg" if written > 0.0 else ""
+        raise ConfigError(
+            f"m_{section[0]} must be strictly positive, got "
+            f"{_shown(mapping[key])}{kg} (config field '{section}.{key}')")
     return (mass, _number(mapping, "omega", section),
             _number(mapping, "count", section))
 

@@ -147,7 +147,7 @@ def _Omega_c(cfg, T_range):
 def _classified(value_of):
     """The builder of one field of classify_zero_T's result."""
     def build(cfg, T_range):
-        classify = _zero_T_classifier(cfg)
+        _, classify = _zero_T_classifier(cfg)
         return (float,), lambda g_bf: value_of(classify(g_bf))
     return build
 

@@ -29,8 +29,8 @@ is Y, and the second, 1 - p, turns negative past p = 2 c g^(5/2) = g_bf
 / g_bf* = 1, where r_fc = a_f sqrt(ln(p) / g) opens (shell separation).
 
 _boson_K, _fermion_trap and _coupling build these numbers once per trap
-and coupling, and only they raise NumericError; each SI result is one
-multiply of a trap-unit one.
+and coupling, and only they raise NumericError.  Each SI result is one
+multiply of a trap-unit one; at r = 0, _fermion_record forms them all.
 
 compat_mode fixes three prefactors that differ between the two published
 forms of these functionals:
@@ -278,15 +278,14 @@ def overlap_G(Omega, omega_c, cfg):
 
 def overlap_G_derivatives(Omega, omega_c, cfg):
     """(G, dG/dOmega, d2G/dOmega2) of G = g / a_f^2, g = v / (1 + rho
-    v)."""
+    v), G the one of _fermion_record."""
     if not (Omega > 0 and omega_c > 0):
         raise DomainError("overlap_G requires positive frequencies")
-    rho = _fermion_trap(omega_c, cfg).rho
-    v = Omega / cfg.omega_f
-    d = 1.0 / (1.0 + rho * v)
+    v, trap = _width(Omega, omega_c, cfg)
+    d = 1.0 / (1.0 + trap.rho * v)
     unit = cfg.m_f / hbar  # 1 / (a_f^2 omega_f)
-    return (unit * cfg.omega_f * v * d, unit * d * d,
-            -2.0 * unit / cfg.omega_f * rho * d * d * d)
+    return (_fermion_record(v, trap, cfg)(cfg.g_bf).G, unit * d * d,
+            -2.0 * unit / cfg.omega_f * trap.rho * d * d * d)
 
 
 def _fermion_point(Omega, r_f, omega_c, cfg):
@@ -297,9 +296,9 @@ def _fermion_point(Omega, r_f, omega_c, cfg):
         raise DomainError(f"r_f must be non-negative, got {r_f}")
     trap = _fermion_trap(omega_c, cfg)
     v = Omega / cfg.omega_f
-    d = 1.0 / (1.0 + trap.rho * v)
-    return (v, r_f * r_f * cfg.m_f * cfg.omega_f / hbar, trap.a, v * d,
-            d * d, _coupling(trap, cfg.g_bf)[0])
+    x = 1.0 + trap.rho * v
+    return (v, r_f * r_f * cfg.m_f * cfg.omega_f / hbar, trap.a, v / x,
+            1.0 / x / x, _coupling(trap, cfg.g_bf)[0])
 
 
 def fermion_energy(Omega, r_f, omega_c, cfg):
@@ -434,64 +433,15 @@ def _stability(v, trap):
     return at, g, q
 
 
-def _si_stability(Omega_c, omega_c, cfg):
-    """(bracket1, bracket2, q, r_fc) at (Omega_c, r_f = 0) and cfg.g_bf,
-    in SI: the Hessian's diagonal factors bracket1 = (2 / 3 N_f)
-    d2E/dOmega2 and bracket2 = (1 / N_f) d2E/dr_f2 (its cross derivative
-    vanishes there), q = 1 / g_bf* and the displaced root r_fc."""
-    v = Omega_c / cfg.omega_f
-    at, _, q = _stability(v, _fermion_trap(omega_c, cfg))
-    y1, y2, r = at(cfg.g_bf)
-    return (hbar / cfg.omega_f * y1 / v / v / v,
-            cfg.m_f * cfg.omega_f ** 2 * y2, q,
-            math.sqrt(hbar / cfg.m_f / cfg.omega_f) * r)
-
-
-def stability_Y(Omega_c, omega_c, cfg):
-    """Product of the two Hessian brackets at (Omega_c, r_f = 0);
-    positive means the undisplaced stationary point is a true minimum."""
-    b1, b2, _, _ = _si_stability(Omega_c, omega_c, cfg)
-    return b1 * b2
-
-
-def energy_hessian(Omega_c, omega_c, cfg):
-    """(d2E/dOmega2, d2E/dr_f2, determinant) at (Omega_c, r_f = 0);
-    the mixed derivative is identically zero there."""
-    b1, b2, _, _ = _si_stability(Omega_c, omega_c, cfg)
-    d2_OO, d2_rr = 1.5 * cfg.N_f * b1, cfg.N_f * b2
-    return d2_OO, d2_rr, d2_OO * d2_rr
-
-
-def coupling_threshold(Omega_c, omega_c, cfg):
-    """g_bf* = m_f omega_f^2 / (2 N_b kappa G^(5/2)), the coupling at
-    which r_f = 0 stops being a minimum of E_f."""
-    return 1.0 / _si_stability(Omega_c, omega_c, cfg)[2]
-
-
-def separation_radius(Omega_c, omega_c, cfg):
-    """Displaced root of dE_f/dr_f = 0: r_fc = sqrt((1/G) ln(g_bf/g_bf*))
-    for g_bf > g_bf*, else 0.  Continuous at the threshold, and 0 at g_bf
-    = coupling_threshold, as fl(fl(1 / q) q) <= 1."""
-    return _si_stability(Omega_c, omega_c, cfg)[3]
-
-
-def _zero_T_classifier(cfg):
-    """classify(g_bf) -> the result of classify_zero_T for cfg with the
-    coupling g_bf.  Everything but the coupling's share is computed here
-    once per trap: the condensate width, the reference width, g, the
-    Hessian brackets' g_bf-free parts, 1 / g_bf* and every SI unit.
-    """
-    boson = solve_omega_c(cfg)
-    if not boson.is_local_minimum:
-        raise DomainError(
-            "boson energy functional has no local minimum (collapsed "
-            "regime); zero-T classification is undefined")
-    trap = _fermion_trap(boson.omega_c, cfg)
-    v = trap.v0
+def _fermion_record(v, trap, cfg):
+    """classify(g_bf) -> the FermionVariationalResult at the width v on
+    trap, a _fermion_trap record: the one place Y, the determinant, G,
+    r_fc and a_f are formed, all but g_bf's share once.  P = a v + b / v
+    holds at v_0, where a v_0 = b / v_0."""
     at, g, _ = _stability(v, trap)
     Omega_c = v * cfg.omega_f
     G = g * cfg.m_f * cfg.omega_f / hbar
-    P = 1.5 * cfg.N_f * hbar * cfg.omega_f / v  # a v_0 = b / v_0
+    P = 1.5 * cfg.N_f * hbar * cfg.omega_f / v
     Y_unit = hbar * cfg.m_f * cfg.omega_f / v / v / v
     det_unit = 1.5 * cfg.N_f * cfg.N_f * Y_unit
     a_f = math.sqrt(hbar / cfg.m_f / cfg.omega_f)
@@ -507,6 +457,57 @@ def _zero_T_classifier(cfg):
     return classify
 
 
+def _width(Omega_c, omega_c, cfg):
+    """(v, trap) at (Omega_c, omega_c): v is v_0 where v_0 omega_f rounds
+    to Omega_c, as classify_zero_T's does, else Omega_c / omega_f, which
+    misses v_0 by an ulp for about one trap in ten."""
+    trap = _fermion_trap(omega_c, cfg)
+    v = trap.v0
+    return (v if v * cfg.omega_f == Omega_c else Omega_c / cfg.omega_f), trap
+
+
+def stability_Y(Omega_c, omega_c, cfg):
+    """Product of the two Hessian brackets at (Omega_c, r_f = 0);
+    positive means the undisplaced stationary point is a true minimum."""
+    return _fermion_record(*_width(Omega_c, omega_c, cfg), cfg)(cfg.g_bf).Y
+
+
+def energy_hessian(Omega_c, omega_c, cfg):
+    """(d2E/dOmega2, d2E/dr_f2, determinant) at (Omega_c, r_f = 0);
+    the mixed derivative is identically zero there."""
+    v, trap = _width(Omega_c, omega_c, cfg)
+    y1, y2, _ = _stability(v, trap)[0](cfg.g_bf)
+    return (1.5 * cfg.N_f * (hbar / cfg.omega_f * y1 / v / v / v),
+            cfg.N_f * (cfg.m_f * cfg.omega_f ** 2 * y2),
+            _fermion_record(v, trap, cfg)(cfg.g_bf).hessian_det)
+
+
+def coupling_threshold(Omega_c, omega_c, cfg):
+    """g_bf* = m_f omega_f^2 / (2 N_b kappa G^(5/2)), the coupling at
+    which r_f = 0 stops being a minimum of E_f."""
+    return 1.0 / _stability(*_width(Omega_c, omega_c, cfg))[2]
+
+
+def separation_radius(Omega_c, omega_c, cfg):
+    """Displaced root of dE_f/dr_f = 0: r_fc = sqrt((1/G) ln(g_bf/g_bf*))
+    for g_bf > g_bf*, else 0.  Continuous at the threshold, and 0 at g_bf
+    = coupling_threshold, as fl(fl(1 / q) q) <= 1."""
+    return _fermion_record(*_width(Omega_c, omega_c, cfg), cfg)(cfg.g_bf).r_fc
+
+
+def _zero_T_classifier(cfg):
+    """(boson, classify): the solve_omega_c result of cfg and the
+    _fermion_record at its trap's reference width v_0, which
+    classify_zero_T reads at cfg.g_bf."""
+    boson = solve_omega_c(cfg)
+    if not boson.is_local_minimum:
+        raise DomainError(
+            "boson energy functional has no local minimum (collapsed "
+            "regime); zero-T classification is undefined")
+    trap = _fermion_trap(boson.omega_c, cfg)
+    return boson, _fermion_record(trap.v0, trap, cfg)
+
+
 def classify_zero_T(cfg):
     """Sequential minimization (omega_c, then the reference width, then
     the r_f root) and phase assignment.
@@ -517,7 +518,6 @@ def classify_zero_T(cfg):
     the second bracket would never change sign and every configuration
     would be labelled coexisting.  Freezing the width at its g_bf = 0
     value, the closed form v_0 = sqrt(b / a), keeps the sweep of Y and
-    r_fc over g_bf meaningful.  This is the per-trap classifier of
-    _zero_T_classifier, which a scan builds once, at cfg.g_bf.
-    """
-    return _zero_T_classifier(cfg)(cfg.g_bf)
+    r_fc over g_bf meaningful.  A scan builds _zero_T_classifier once per
+    trap; this reads it at cfg.g_bf."""
+    return _zero_T_classifier(cfg)[1](cfg.g_bf)

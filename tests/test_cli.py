@@ -185,6 +185,42 @@ def test_zero_t_row(tmp_path, capsys):
     assert record["N_b_critical"] == ""  # repulsive g_bb has no collapse
 
 
+def test_zero_t_prints_a_row_only_for_a_condensate_that_has_not_collapsed(
+        tmp_path, capsys):
+    # so every printed row has is_local_minimum = true, and N_b_critical
+    # only for an attractive condensate
+    cfg = base_config()
+    cfg["interaction"]["g_bb"] = -0.001
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["zero-t", "--config", path]) == 0
+    header, row = data_lines(capsys.readouterr().out)
+    record = dict(zip(header.split(","), row.split(",")))
+    assert record["is_local_minimum"] == "true"
+    assert math.isclose(float(record["N_b_critical"]), 4212.96, rel_tol=1e-6)
+    cfg["interaction"]["g_bb"] = -1.0
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["zero-t", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: boson energy functional has no local minimum (collapsed "
+        "regime); zero-T classification is undefined\n")
+
+
+def test_zero_t_solves_its_condensate_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = zero_temperature.solve_omega_c
+
+    def counted(cfg):
+        calls.append(cfg)
+        return solve(cfg)
+    monkeypatch.setattr(zero_temperature, "solve_omega_c", counted)
+    path = write_config(tmp_path, base_config())
+    assert cli.main(["zero-t", "--config", path]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_tf_profile_table(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     assert cli.main(["tf", "--config", path]) == 0
@@ -598,6 +634,27 @@ def test_field_rule_message_names_the_config_field(tmp_path, capsys, section,
         assert cli.main([command, "--config", path]) == 1
         err = capsys.readouterr().err
         assert err == (f"error: {rule}, got {float(value)!r} "
+                       f"(config field '{section}.{key}')\n")
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("boson", "mass_u", -7, "m_b must be strictly positive, got -7"),
+    ("boson", "mass_u", 1e-300,
+     "m_b must be strictly positive, got 1e-300 u = 0.0 kg"),
+    ("fermion", "mass_kg", 0, "m_f must be strictly positive, got 0")])
+def test_mass_rule_names_the_key_written(tmp_path, capsys, section, key,
+                                         value, message):
+    # the schema has mass_u and mass_kg, not mass: the message names the
+    # key and echoes the value as written, with its kg value when the
+    # conversion from u is what fails
+    cfg = base_config()
+    del cfg[section]["mass_u"]
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)
+    for command in ("zero-t", "finite-t"):
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {message} "
                        f"(config field '{section}.{key}')\n")
 
 

@@ -921,6 +921,44 @@ def test_second_bracket_flips_exactly_at_threshold():
     assert separation_radius(Omega_c, omega_c, above) > 0.0
 
 
+def _classified_configs():
+    """Every point of fig3a and fig3b in both modes, then 300 seeded traps
+    with masses, trap frequencies, counts and couplings drawn wide, in a
+    random mode."""
+    for tag, mode in itertools.product(("fig3a", "fig3b"), CompatMode):
+        spec = figure_preset(tag, mode)
+        for point in itertools.product(*[r.grid() for r in spec.variables]):
+            yield spec.base.replace(**{
+                _FIELD_PATHS[r.field]: spec.base.field_to_si(r.field, v)
+                for r, v in zip(spec.variables, point)})
+    rng = random.Random(45)
+    for _ in range(300):
+        m_b, m_f = (rng.uniform(1.0, 250.0) * atomic_mass for _ in "bf")
+        omega_b, omega_f, N_b, N_f, g_bb, g_bf = (
+            10.0 ** rng.uniform(lo, hi) for lo, hi in
+            ((0, 5), (0, 5), (0, 7), (0, 7), (-6, 0), (-4, 2)))
+        yield MixtureConfig.from_oscillator(
+            m_b=m_b, m_f=m_f, omega_b=omega_b, omega_f=omega_f, N_b=N_b,
+            N_f=N_f, g_bb=g_bb, g_bf=rng.choice((1.0, -1.0)) * g_bf,
+            compat_mode=rng.choice(list(CompatMode)))
+
+
+def test_public_functions_read_the_classifier_record():
+    # Y, the Hessian determinant, r_fc and G at classify_zero_T's widths
+    # are its fields bit for bit: one record forms them all
+    phases = set()
+    for cfg in _classified_configs():
+        res = classify_zero_T(cfg)
+        omega_c = solve_omega_c(cfg).omega_c
+        got = (stability_Y(res.Omega_c, omega_c, cfg),
+               energy_hessian(res.Omega_c, omega_c, cfg)[2],
+               separation_radius(res.Omega_c, omega_c, cfg),
+               overlap_G(res.Omega_c, omega_c, cfg))
+        assert got == (res.Y, res.hessian_det, res.r_fc, res.G), cfg
+        phases.add(res.phase)
+    assert phases == set(PhaseLabel)
+
+
 def test_hessian_against_finite_differences():
     cfg = make_cfg(g_bf=0.03)
     omega_c = solve_omega_c(cfg).omega_c

@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py REV
 
-Runs 278 CLI cases, each in a fresh process, once on the `src/` of
+Runs 284 CLI cases, each in a fresh process, once on the `src/` of
 commit REV (taken with `git archive` into a temporary directory) and
 once on the working tree's `src/`, and compares stdout, stderr and exit
 code byte for byte.  The cases are:
@@ -34,7 +34,9 @@ code byte for byte.  The cases are:
   `window`, 2 through `finite-t` and 9 through `tf`, and with g_bf =
   0.3 9 more through `tf` (42);
 * the REJECTED: `zero-t` and `finite-t` on WITNESS_BASE with one field
-  set to a value its config rule rejects (4);
+  set to a value its config rule rejects: boson.count -5,
+  thermal.volume -3, boson.mass_u -7 and 1e-300 (0 kg) and
+  fermion.mass_kg 0 (10);
 * the WINDOWS: `window` on WITNESS_BASE with g_bf = 0.3 over t_range
   [0.5, 1e100] and [0.5, 1e300], on a g_bf = 0 mixture whose two edges
   lie next to the cuts of its attractive g_bb and g_ff, and with g_bb =
@@ -212,10 +214,13 @@ WITNESSES = tuple(
     + [("tf", "fermion", "mass_u", v) for v in (1e200, 1e300)]
     + [("tf", "interaction", "g_bf", v) for v in (-1e10, -1e30, -1e100)])
 # a field set to a value its config rule rejects, which the message
-# names by its config field
+# names by its config field; a mass key replaces the species' mass_u
 REJECTED = tuple((command, section, key, value)
                  for section, key, value in (("boson", "count", -5),
-                                             ("thermal", "volume", -3))
+                                             ("thermal", "volume", -3),
+                                             ("boson", "mass_u", -7),
+                                             ("boson", "mass_u", 1e-300),
+                                             ("fermion", "mass_kg", 0))
                  for command in ("zero-t", "finite-t"))
 # `tf` at g_bf = 0.3, where a crowded condensate or a sparse Fermi gas
 # leaves the fermion cloud between the grid's nodes, and where N_b =
@@ -312,6 +317,8 @@ def cases(work):
     for i, ((command, section, key, value), g_bf) in enumerate(witnesses):
         cfg = json.loads(json.dumps(WITNESS_BASE))
         cfg["interaction"]["g_bf"] = g_bf
+        if key.startswith("mass_"):
+            del cfg[section]["mass_u"]
         cfg[section][key] = value
         path = os.path.join(work, f"witness_{i}.json")
         with open(path, "w", encoding="utf-8") as fh:
