@@ -204,7 +204,7 @@ def _run_zero_t(args):
     from .zero_temperature import _zero_T_classifier
     cfg, _ = _load(args)
     boson, classify = _zero_T_classifier(cfg)
-    fermion = classify(cfg.g_bf)
+    fermion, _ = classify(cfg.g_bf)
     columns = ("omega_c", "is_local_minimum", "N_b_critical", "Omega_c",
                "Y", "r_fc", "phase", "status")
     row = (boson.omega_c, boson.is_local_minimum, boson.N_b_critical,

@@ -145,10 +145,10 @@ def _Omega_c(cfg, T_range):
 
 
 def _classified(value_of):
-    """The builder of one field of classify_zero_T's result."""
+    """The builder of value_of(result, y1 y2) of the zero-T record."""
     def build(cfg, T_range):
         _, classify = _zero_T_classifier(cfg)
-        return (float,), lambda g_bf: value_of(classify(g_bf))
+        return (float,), lambda g_bf: value_of(*classify(g_bf))
     return build
 
 
@@ -176,11 +176,13 @@ def _window_edge(edge):
 OBSERVABLES = {
     "omega_c": (("g_bf",), _omega_c, "rad/s"),
     "Omega_c": (("g_bf",), _Omega_c, "rad/s"),
-    "Y": (("g_bf",), _classified(lambda result: result.Y),
+    # sign_Y is that of y1 y2, which holds where SI Y underflows to 0
+    "Y": (("g_bf",), _classified(
+        lambda result, y: (result.Y, float((y > 0.0) - (y < 0.0)))),
           "J^2 (sign-bearing)"),
-    "r_fc": (("g_bf",), _classified(lambda result: result.r_fc), "m"),
-    "phase": (("g_bf",), _classified(lambda result: result.phase.value),
-              "label"),
+    "r_fc": (("g_bf",), _classified(lambda result, y: result.r_fc), "m"),
+    "phase": (("g_bf",), _classified(
+        lambda result, y: result.phase.value), "label"),
     "regime": ((), _regime, "label"),
     "Z": (("g_bb", "g_ff", "g_bf"), _Z, "m^6"),
     "T_c1": ((), _window_edge("T_c1"), "K"),
@@ -360,8 +362,8 @@ def run_scan(spec, workers=None):
         if t is not None:
             point = (*point[:t], *point[t], ratio, *point[t + 1:])
         if spec.observable == "Y":
-            point += (value, math.nan if math.isnan(value)
-                      else float((value > 0) - (value < 0)))
+            # an OK row holds (Y, sign_Y)
+            point += value if status == "OK" else (value, math.nan)
         else:
             point += (value,)
         rows.append((*point, status))

@@ -284,7 +284,7 @@ def overlap_G_derivatives(Omega, omega_c, cfg):
     v, trap = _width(Omega, omega_c, cfg)
     d = 1.0 / (1.0 + trap.rho * v)
     unit = cfg.m_f / hbar  # 1 / (a_f^2 omega_f)
-    return (_fermion_record(v, trap, cfg)(cfg.g_bf).G, unit * d * d,
+    return (_fermion_record(v, trap, cfg)(cfg.g_bf)[0].G, unit * d * d,
             -2.0 * unit / cfg.omega_f * trap.rho * d * d * d)
 
 
@@ -434,10 +434,11 @@ def _stability(v, trap):
 
 
 def _fermion_record(v, trap, cfg):
-    """classify(g_bf) -> the FermionVariationalResult at the width v on
-    trap, a _fermion_trap record: the one place Y, the determinant, G,
-    r_fc and a_f are formed, all but g_bf's share once.  P = a v + b / v
-    holds at v_0, where a v_0 = b / v_0."""
+    """classify(g_bf) -> (the FermionVariationalResult at the width v on
+    trap, a _fermion_trap record, and y1 y2, Y in trap units, whose sign
+    holds where SI Y underflows to 0): the one place Y, the determinant,
+    G, r_fc and a_f are formed, all but g_bf's share once.  P = a v + b /
+    v holds at v_0, where a v_0 = b / v_0."""
     at, g, _ = _stability(v, trap)
     Omega_c = v * cfg.omega_f
     G = g * cfg.m_f * cfg.omega_f / hbar
@@ -453,7 +454,7 @@ def _fermion_record(v, trap, cfg):
                  PhaseLabel.NO_MINIMUM)
         return FermionVariationalResult(
             Omega_c=Omega_c, r_fc=a_f * r, G=G, P=P, Y=Y_unit * y1 * y2,
-            hessian_det=det_unit * y1 * y2, phase=phase)
+            hessian_det=det_unit * y1 * y2, phase=phase), y1 * y2
     return classify
 
 
@@ -469,7 +470,8 @@ def _width(Omega_c, omega_c, cfg):
 def stability_Y(Omega_c, omega_c, cfg):
     """Product of the two Hessian brackets at (Omega_c, r_f = 0);
     positive means the undisplaced stationary point is a true minimum."""
-    return _fermion_record(*_width(Omega_c, omega_c, cfg), cfg)(cfg.g_bf).Y
+    return _fermion_record(*_width(Omega_c, omega_c, cfg),
+                           cfg)(cfg.g_bf)[0].Y
 
 
 def energy_hessian(Omega_c, omega_c, cfg):
@@ -479,7 +481,7 @@ def energy_hessian(Omega_c, omega_c, cfg):
     y1, y2, _ = _stability(v, trap)[0](cfg.g_bf)
     return (1.5 * cfg.N_f * (hbar / cfg.omega_f * y1 / v / v / v),
             cfg.N_f * (cfg.m_f * cfg.omega_f ** 2 * y2),
-            _fermion_record(v, trap, cfg)(cfg.g_bf).hessian_det)
+            _fermion_record(v, trap, cfg)(cfg.g_bf)[0].hessian_det)
 
 
 def coupling_threshold(Omega_c, omega_c, cfg):
@@ -492,7 +494,8 @@ def separation_radius(Omega_c, omega_c, cfg):
     """Displaced root of dE_f/dr_f = 0: r_fc = sqrt((1/G) ln(g_bf/g_bf*))
     for g_bf > g_bf*, else 0.  Continuous at the threshold, and 0 at g_bf
     = coupling_threshold, as fl(fl(1 / q) q) <= 1."""
-    return _fermion_record(*_width(Omega_c, omega_c, cfg), cfg)(cfg.g_bf).r_fc
+    return _fermion_record(*_width(Omega_c, omega_c, cfg),
+                           cfg)(cfg.g_bf)[0].r_fc
 
 
 def _zero_T_classifier(cfg):
@@ -520,4 +523,4 @@ def classify_zero_T(cfg):
     value, the closed form v_0 = sqrt(b / a), keeps the sweep of Y and
     r_fc over g_bf meaningful.  A scan builds _zero_T_classifier once per
     trap; this reads it at cfg.g_bf."""
-    return _zero_T_classifier(cfg)[1](cfg.g_bf)
+    return _zero_T_classifier(cfg)[1](cfg.g_bf)[0]

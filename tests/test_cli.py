@@ -912,6 +912,102 @@ def test_one_field_magnitudes_exit_naming_a_field(tmp_path, g_bf):
             assert "OverflowError" not in message, where
 
 
+# a message that is only a float exception's type and arguments, as
+# "numeric error: OverflowError: (34, 'Numerical result out of range')"
+_BARE = re.compile(r"^[a-z/]+ error: [A-Z]\w*Error\b")
+# the fields Thomas-Fermi's trap record reads
+_TRAP_FIELDS = [("boson", "count"), ("boson", "mass_u"), ("boson", "omega"),
+                ("fermion", "count"), ("fermion", "mass_u"),
+                ("fermion", "omega"), ("interaction", "g_bb"),
+                ("interaction", "g_bf")]
+
+
+def _exits_naming_a_field(tmp_path, names, cfg, commands):
+    """Run each command on cfg: it exits 0 or 1, or 2 with a message that
+    names a config field, and no message is a bare exception type; returns
+    the exit codes."""
+    config = write_config(tmp_path, cfg, name=f"cfg{next(names)}.json")
+    codes = []
+    for command in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main([command, "--config", config]))
+        message = err.getvalue()
+        where = (command, cfg, message)
+        assert codes[-1] in (0, 1, 2), where
+        assert codes[-1] != 2 or _FIELD.search(message), where
+        assert not _BARE.search(message), where
+    return codes
+
+
+@pytest.mark.parametrize("g_bf", [0.0, 0.3])
+def test_every_fifth_decade_exits_naming_a_field(tmp_path, g_bf):
+    """Each numeric field at +-1e-305 ... +-1e305 in steps of 5 decades
+    through zero-t, finite-t and window, and each field the Thomas-Fermi
+    trap reads in steps of 20 decades through tf, with the light fermions
+    of 1e-220 ... 1e-245 u, which once exited on a bare OverflowError, and
+    the traps whose condensate is a tiny fraction of the grid, which tf
+    solves."""
+    valid = base_config(interaction={"g_bb": 0.05, "g_bf": g_bf,
+                                     "g_ff": 0.01})
+    valid["thermal"]["temperature"] = 5.0
+    paths = [path for path in _leaf_paths(valid)
+             if type(_at(valid, path)) in (int, float)]
+    assert len(paths) == 13
+    names = itertools.count()
+
+    def with_fields(*pairs):
+        cfg = json.loads(json.dumps(valid))
+        for path, value in pairs:
+            _at(cfg, path[:-1])[path[-1]] = value
+        return cfg
+
+    for step, fields, commands in ((5, paths, ("zero-t", "finite-t",
+                                               "window")),
+                                   (20, _TRAP_FIELDS, ("tf",))):
+        for path, e, sign in itertools.product(
+                fields, range(-305, 306, step), (1, -1)):
+            _exits_naming_a_field(tmp_path, names, with_fields(
+                (path, sign * 10.0 ** e)), commands)
+    for mass in (1e-220, 1e-225, 1e-230, 1e-235, 1e-240, 1e-245):
+        _exits_naming_a_field(tmp_path, names, with_fields(
+            (("fermion", "mass_u"), mass)), ("tf",))
+    for mass, omega in ((1e-200, 1e80), (1e-200, 1e120), (1e-190, 1e140)):
+        assert _exits_naming_a_field(tmp_path, names, with_fields(
+            (("fermion", "mass_u"), mass), (("boson", "omega"), omega)),
+            ("tf",)) == [0]
+
+
+def test_two_extreme_fields_exit_naming_a_field(tmp_path):
+    """Two fields of the traps' eight at log-uniform magnitudes 1e-300 ...
+    1e300, in either compat mode and at an attractive, zero or repulsive
+    g_bf: all four commands exit as the decade sweep requires."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = itertools.count()
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        fields=st.lists(st.sampled_from(_TRAP_FIELDS), min_size=2,
+                        max_size=2, unique=True),
+        exponents=st.lists(st.floats(-300.0, 300.0), min_size=2,
+                           max_size=2),
+        mode=st.sampled_from(["paper", "derived"]),
+        g_bf=st.sampled_from([0.0, 0.3, -0.3]))
+    def check(fields, exponents, mode, g_bf):
+        cfg = base_config(compat_mode=mode, interaction={
+            "g_bb": 0.05, "g_bf": g_bf, "g_ff": 0.01})
+        cfg["thermal"]["temperature"] = 5.0
+        for (section, key), e in zip(fields, exponents):
+            cfg[section][key] = 10.0 ** e
+        _exits_naming_a_field(tmp_path, names, cfg,
+                              ("zero-t", "tf", "finite-t", "window"))
+
+    check()
+
+
 @pytest.mark.parametrize("observable", ["Omega_c", "Y"])
 def test_zero_T_scan_on_a_slow_boson_trap(tmp_path, capsys, observable):
     # boson.omega = 1e-100 rad/s: omega^3 of the SI boson slope underflows
@@ -1080,12 +1176,16 @@ def test_float_overflow_is_a_numeric_failure(tmp_path, capsys,
                                             monkeypatch):
     # Python's scalar ** raises OverflowError where numpy would give inf:
     # on its own it exits 2, in a scan it fails only its row.  At m_f =
-    # 1.5e173 u the Thomas-Fermi density prefactor overflows, which tf
+    # 1e200 u the Thomas-Fermi fermion density unit overflows, which tf
     # reports naming the trap's fields, while zero-T works in trap units,
-    # where this trap is in range; the bare OverflowError comes from a
-    # tf_profiles patched to overflow
+    # where this trap is in range; at 1.5e173 u, where only the SI density
+    # prefactor overflowed, tf works in trap units too; the bare
+    # OverflowError comes from a tf_profiles patched to overflow
     cfg = base_config(interaction={"g_bb": 0.05, "g_bf": 0.3, "g_ff": 0.01})
     cfg["fermion"]["mass_u"] = 1.5e173
+    assert cli.main(["tf", "--config", write_config(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    cfg["fermion"]["mass_u"] = 1e200
     path = write_config(tmp_path, cfg)
     assert cli.main(["tf", "--config", path]) == 2
     err = capsys.readouterr().err

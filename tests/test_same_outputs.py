@@ -18,4 +18,4 @@ def test_docstring_counts_every_case(tmp_path, monkeypatch):
     doc = tool.__doc__
     assert int(re.search(r"Runs (\d+) CLI cases", doc).group(1)) == count
     groups = [int(n) for n in re.findall(r"\((\d+)\)[;.]", doc)]
-    assert len(groups) == 10 and sum(groups) == count
+    assert len(groups) == 11 and sum(groups) == count

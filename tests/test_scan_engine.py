@@ -227,6 +227,18 @@ def test_fig3_sign_column():
     assert signs[0] == 1.0 and signs[-1] == -1.0
 
 
+def test_sign_Y_holds_where_SI_Y_underflows():
+    # N_f = 1e-300: SI Y = hbar m_f omega_f y1 y2 / v^3 underflows to 0,
+    # while the brackets' product y1 y2 of the zero-T record is 173.4
+    rng = ScanRange("fermion.count", values=(1e-300, 1e-250, 100.0))
+    rows = run_scan(ScanSpec(base=osc_cfg(g_bf=0.01), observable="Y",
+                             variables=(rng,))).rows
+    assert rows[0] == (1e-300, 0.0, 1.0, "OK")
+    assert all(row[1] > 0.0 and row[2:] == (1.0, "OK") for row in rows[1:])
+    cfg = osc_cfg(g_bf=0.01, N_f=1e-300)
+    assert zt._zero_T_classifier(cfg)[1](cfg.g_bf)[1] > 0.0
+
+
 def test_fig3_thresholds_bracket_frozen_values():
     # separation onset from the discriminant grid, both boson numbers
     expected = {"fig3a": 0.03069, "fig3b": 0.00587}

@@ -214,8 +214,9 @@ def test_simpson_equals_scipy_on_tf_grid(n_points):
     cfg = MixtureConfig.from_oscillator(
         m_b=M7, m_f=M7, omega_b=166.0, omega_f=166.0, N_b=1000.0,
         N_f=100.0, g_bb=0.05, g_bf=0.02)
-    grid, _ = thomas_fermi._build_grid(thomas_fermi._trap(cfg), 1.5,
-                                       n_points)
+    # the grid of tf_profiles in SI, as the public functions take it
+    trap = thomas_fermi._trap(cfg)
+    grid = [trap.R * r for r in thomas_fermi._build_grid(trap, n_points)]
     _, n_b = thomas_fermi.tf_boson_profile(cfg, grid)
     e_F, n_f = thomas_fermi.tf_fermion_profile(cfg, n_b, grid)
     w = np.asarray(thomas_fermi._simpson_weights(grid))

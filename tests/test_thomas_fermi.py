@@ -153,6 +153,29 @@ def test_regime_boundary_is_the_trap_ratio():
         "interaction.g_bf", cfg.g_bb * (1.0 + 1e-9))) is TFRegime.SHELL
 
 
+@pytest.mark.parametrize("g_bf, regime", [(1e60, TFRegime.SHELL),
+                                           (-1e60, TFRegime.CORE)])
+def test_regime_of_a_coupling_ratio_beyond_float_range(g_bf, regime):
+    # g_bf / g_bb = +-inf is no tie with the trap ratio
+    cfg = make_cfg(g_bb=1e-250, g_bf=g_bf)
+    assert cfg.g_bf / cfg.g_bb in (math.inf, -math.inf)
+    assert classify_tf_regime(cfg) is regime
+
+
+def test_condensate_holds_N_b_at_a_tiny_coupling():
+    # m_b g_bb underflows at g_bb = 1e-250 (oscillator units), so mu_b is
+    # formed from g_bb / (4 pi hbar^2) first
+    cfg = make_cfg(g_bb=1e-250, g_bf=0.0)
+    assert np.isclose(boson_chemical_potential(cfg) / hbar / cfg.omega_b,
+                      0.5 * (15.0 * cfg.N_b * 1e-250 / (4.0 * pi)) ** 0.4,
+                      rtol=1e-12)
+    prof = tf_profiles(cfg)
+    r = np.asarray(prof.radii) / prof.R_b
+    n_b = simpson(4.0 * pi * r * r * np.asarray(prof.n_b), x=r) \
+        * prof.R_b ** 3
+    assert abs(n_b / cfg.N_b - 1.0) <= 1e-6
+
+
 @pytest.mark.parametrize("field, value", [
     ("boson.omega", 1e-300), ("boson.omega", 1e300),
     ("fermion.omega", 1e-300), ("fermion.omega", 1e300),
@@ -279,13 +302,16 @@ def test_overflowing_density_names_the_coupling(g_bf):
         tf_profiles(make_cfg(g_bf=g_bf))
 
 
-def test_overflowing_grid_span_names_both_radii():
+def test_overflowing_grid_span_names_the_trap_fields(monkeypatch):
     trap = thomas_fermi._trap(make_cfg())
-    assert thomas_fermi._build_grid(trap, 1.5, 41)[0][-1] < math.inf
-    # the radii are micrometres, so only an infinite factor overflows
-    with pytest.raises(NumericError, match=r"^cloud radii out of float "
-                       r"range: R_b = .* m, R_f = .* m$"):
-        thomas_fermi._build_grid(trap, math.inf, 41)
+    assert thomas_fermi._build_grid(trap, 41)[-1] == trap.span < math.inf
+    # the radii are a few trap units, so only an infinite factor
+    # overflows, and the record's check names the trap's fields
+    monkeypatch.setattr(thomas_fermi, "_SPAN", math.inf)
+    with pytest.raises(NumericError, match=r"^mu_b, .* radius .* beyond "
+                       r"float range: check boson\.count, .* and "
+                       r"interaction\.g_bf$"):
+        thomas_fermi._trap(make_cfg())
 
 
 def _fermion_profile_on(cfg, grid):

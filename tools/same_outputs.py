@@ -2,7 +2,7 @@
 
     python tools/same_outputs.py REV
 
-Runs 284 CLI cases, each in a fresh process, once on the `src/` of
+Runs 294 CLI cases, each in a fresh process, once on the `src/` of
 commit REV (taken with `git archive` into a temporary directory) and
 once on the working tree's `src/`, and compares stdout, stderr and exit
 code byte for byte.  The cases are:
@@ -18,12 +18,13 @@ code byte for byte.  The cases are:
 * `zero-t`, `finite-t`, `window` and `tf` on 8 mixtures given by s-wave
   scattering lengths: two mixtures, one per compat mode, each written in
   both unit systems, with and without a_ff (32);
-* `scan` on the 17 scan sections of SCANS: each of the nine observables,
+* `scan` on the 18 scan sections of SCANS: each of the nine observables,
   zero-T scans over (N_b, g_bf) in both unit systems, a `Y` and a
   `phase` scan whose g_bb < 0 groups fail, a `regime` scan over
   boson.omega whose ends put the oscillator length beyond float range,
-  `Z` over (g_bf, T) with g_bb and g_ff not swept, a coupling beyond
-  float range in SI, and the window edges over scan.t_range (17);
+  a `Y` scan over fermion.count where SI Y underflows, `Z` over (g_bf,
+  T) with g_bb and g_ff not swept, a coupling beyond float range in SI,
+  and the window edges over scan.t_range (18);
 * the command line's own surface: --help, --version, no arguments, an
   unknown subcommand, --config given to a preset and a missing config
   file (6);
@@ -31,8 +32,8 @@ code byte for byte.  The cases are:
   reads into a value the config rules reject (10);
 * the WITNESSES: one field of WITNESS_BASE set so far out that a value
   the kernels form passes float range, 19 through `zero-t`, 3 through
-  `window`, 2 through `finite-t` and 9 through `tf`, and with g_bf =
-  0.3 9 more through `tf` (42);
+  `window`, 2 through `finite-t` and 12 through `tf`, and with g_bf =
+  0.3 12 more through `tf` (48);
 * the REJECTED: `zero-t` and `finite-t` on WITNESS_BASE with one field
   set to a value its config rule rejects: boson.count -5,
   thermal.volume -3, boson.mass_u -7 and 1e-300 (0 kg) and
@@ -41,7 +42,9 @@ code byte for byte.  The cases are:
   [0.5, 1e100] and [0.5, 1e300], on a g_bf = 0 mixture whose two edges
   lie next to the cuts of its attractive g_bb and g_ff, and with g_bb =
   0 and g_bf = 0.3 over [0.5, 50] and [0.5, 1e300], where the ideal
-  condensate's T_c is cut (5).
+  condensate's T_c is cut (5);
+* the TWO_SCALE traps: `tf` on WITNESS_BASE with light fermions in a
+  stiff boson trap, whose condensate is a tiny fraction of the grid (3).
 
 Every run that differs is listed.  Where its stdout is a CSV table on
 both sides, with the same header and row count, each column whose cells
@@ -141,6 +144,9 @@ SCANS = (
      [{"field": "interaction.g_bf", "values": [-0.2, 0.0, 0.2, 2.0]}], None),
     ("oscillator", {}, "regime",
      [{"field": "boson.omega", "values": [1e-300, 166.0, 1e300]}], None),
+    # at N_f = 1e-300 SI Y underflows to 0, and sign_Y is that of y1 y2
+    ("oscillator", {"g_bf": 0.01}, "Y",
+     [{"field": "fermion.count", "values": [1e-300, 1e-250, 100.0]}], None),
     # Z over (g_bf, T), which evaluates the first axis inside the second,
     # with g_bb and g_ff not swept; then over the coupling plane
     ("oscillator", {}, "Z",
@@ -211,7 +217,8 @@ WITNESSES = tuple(
        ("finite-t", "thermal", "temperature", 1e-300)]
     + [("tf", "boson", "omega", 1e-200)]
     + [("tf", "fermion", "omega", v) for v in (1e-200, 1e200, 1e300)]
-    + [("tf", "fermion", "mass_u", v) for v in (1e200, 1e300)]
+    + [("tf", "fermion", "mass_u", v)
+       for v in (1e-220, 1e-230, 1e-245, 1e200, 1e300)]
     + [("tf", "interaction", "g_bf", v) for v in (-1e10, -1e30, -1e100)])
 # a field set to a value its config rule rejects, which the message
 # names by its config field; a mass key replaces the species' mass_u
@@ -223,12 +230,19 @@ REJECTED = tuple((command, section, key, value)
                                              ("fermion", "mass_kg", 0))
                  for command in ("zero-t", "finite-t"))
 # `tf` at g_bf = 0.3, where a crowded condensate or a sparse Fermi gas
-# leaves the fermion cloud between the grid's nodes, and where N_b =
-# 1e300 raises the e_F bound until the fermion density overflows
+# squeezes the fermion cloud into a shell thinner than a grid step, where
+# N_b = 1e300 raises the e_F bound until the fermion density overflows,
+# and where light fermions put the fermion density unit beyond float range
 REPULSIVE_WITNESSES = tuple(
     [("tf", "boson", "count", v) for v in (1e30, 1e100, 1e200, 1e300)]
     + [("tf", "fermion", "count", v)
-       for v in (1e-10, 1e-30, 1e-100, 1e-200, 1e-300)])
+       for v in (1e-10, 1e-30, 1e-100, 1e-200, 1e-300)]
+    + [("tf", "fermion", "mass_u", v) for v in (1e-220, 1e-230, 1e-245)])
+# (fermion.mass_u, boson.omega): `tf` on WITNESS_BASE with light fermions
+# in a stiff boson trap, where the condensate radius is down to 2.3e-184
+# of the grid's span, so the steps below it are far smaller than the
+# square root of the least normal float
+TWO_SCALE = ((1e-200, 1e80), (1e-200, 1e120), (1e-190, 1e140))
 
 # the configs of the `window` cases that refine edges over many decades
 # of T, with g_bf = 0 next to the cuts, or with g_bb = 0 across the
@@ -324,6 +338,13 @@ def cases(work):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
         out.append([command, "--config", path])
+    for i, (mass, omega) in enumerate(TWO_SCALE):
+        cfg = json.loads(json.dumps(WITNESS_BASE))
+        cfg["fermion"]["mass_u"], cfg["boson"]["omega"] = mass, omega
+        path = os.path.join(work, f"two_scale_{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out.append(["tf", "--config", path])
     for i, cfg in enumerate(WINDOWS):
         path = os.path.join(work, f"window_{i}.json")
         with open(path, "w", encoding="utf-8") as fh:
